@@ -14,7 +14,7 @@ from alltoall import fixtures
 from alltoall.costmodel import CostParams, compare_networks, model_times
 from alltoall.layers import layer_profile
 from alltoall.scheduling import exact_min_schedule
-from alltoall.simulate import expand_cayley_paths, run_transpose
+from alltoall.simulate import expand_factor_paths, run_transpose
 from alltoall.words import bfs_word_set
 
 CANDIDATES = ("c4", "k4", "z5-12", "z7-124", "q3")
@@ -28,7 +28,7 @@ def measured_tau(name):
     g = fixtures.builtin_graph(name)
     ws = bfs_word_set(g, mode="load-balanced")
     sched = exact_min_schedule(ws.words, g.degree).schedule
-    trace = run_transpose(g, expand_cayley_paths(g, ws, sched))
+    trace = run_transpose(g, expand_factor_paths(g, ws.words, sched))
     assert trace.clean
     return g, trace.horizon
 

@@ -44,7 +44,8 @@ def main():
     res = exact_min_schedule(word_map, sf.degree)
     print(f"exact schedule: makespan {res.makespan}")
 
-    trace = run_transpose(factor_digraph(sf.base), expand_factor_paths(sf, res.schedule))
+    host = factor_digraph(sf.base)
+    trace = run_transpose(host, expand_factor_paths(host, word_map, res.schedule))
     print(f"replay of all {len(trace.delivered)} pairs: clean={trace.clean}, horizon={trace.horizon}")
     if trace.horizon == theta:
         print("the exchange meets the averaged distance bound exactly")

@@ -9,9 +9,9 @@ bigger machine.
 
 from alltoall import fixtures
 from alltoall.layers import average_diameter_bound, layer_profile
-from alltoall.scheduling import classify, exact_min_schedule, greedy_schedule
-from alltoall.simulate import expand_cayley_paths, run_transpose, trace_csv_rows
-from alltoall.words import bfs_word_set, generator_occurrences
+from alltoall.scheduling import classify, exact_min_schedule, factor_occurrences, greedy_schedule
+from alltoall.simulate import expand_factor_paths, run_transpose, trace_csv_rows
+from alltoall.words import bfs_word_set
 
 
 def show_schedule(label, word_map, schedule):
@@ -37,7 +37,7 @@ def main():
     print("shortest words from vertex 0 (one per destination):")
     for v, w in sorted(ws.words.items()):
         print(f"  0 -> {v}: generators {list(w)}")
-    print(f"generator occurrences: {generator_occurrences(ws, g.degree)}")
+    print(f"generator occurrences: {factor_occurrences(ws.words, g.degree)}")
     print()
 
     greedy = greedy_schedule(ws.words, g.degree)
@@ -50,7 +50,7 @@ def main():
 
     # with one generator there is no parallelism to exploit: the single
     # outgoing wire must carry all six word letters one at a time
-    trace = run_transpose(g, expand_cayley_paths(g, ws, exact.schedule))
+    trace = run_transpose(g, expand_factor_paths(g, ws.words, exact.schedule))
     print(f"replay: clean={trace.clean}, horizon={trace.horizon} (theta was {theta})")
     print("slot-by-slot wire usage (time, src, dst, gen, packet):")
     for time, src, dst, gen, ps, pd in trace_csv_rows(trace, g):

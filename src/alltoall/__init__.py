@@ -12,7 +12,7 @@ The usual flow:
     g = graphs.build_cayley_coset_graph(spec)
     ws = words.bfs_word_set(g, mode="load-balanced")
     sched = scheduling.exact_min_schedule({v: w for v, w in ws.words.items() if w}, g.degree)
-    trace = simulate.run_transpose(g, simulate.expand_cayley_paths(g, ws, sched.schedule))
+    trace = simulate.run_transpose(g, simulate.expand_factor_paths(g, ws.words, sched.schedule))
     assert trace.clean
 """
 

@@ -35,14 +35,14 @@ from .costmodel import CostParams, compare_networks
 from .errors import InfeasibleError, InputError, SearchBudgetError
 from .factorization import (
     DEFAULT_SEARCH_BUDGET,
-    SpanningFactorization,
     factor_digraph,
     factorization_from_successors,
     one_factorize,
     search_spanning_factorization,
     spanning_factorization_from_cayley,
+    verify_spanning,
 )
-from .graphs import CosetGraph, Digraph, as_digraph, build_cayley_coset_graph, emit_adjacency, regular_degree
+from .graphs import CosetGraph, Digraph, Graph, as_digraph, build_cayley_coset_graph, emit_adjacency, regular_degree
 from .groups import GroupSpec
 from .layers import average_diameter_bound, layer_profile
 from .scheduling import (
@@ -55,9 +55,9 @@ from .scheduling import (
     two_layer_counts,
     two_layer_time_bound,
 )
-from .simulate import expand_cayley_paths, expand_factor_paths, run_transpose, trace_csv_rows
+from .simulate import expand_factor_paths, run_transpose, trace_csv_rows
 from .words import DEFAULT_SEARCH_BUDGET as DEFAULT_WORD_BUDGET
-from .words import WordSet, bfs_word_set, generator_occurrences, regular_bound_exact
+from .words import bfs_word_set, regular_bound_exact
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +197,43 @@ def _write_trace_csv(path: str, trace, host) -> None:
             w.writerow(row)
 
 
+def _words_doc(words: dict[int, tuple[int, ...]], degree: int, theta: int) -> dict:
+    occ = factor_occurrences(words, degree)
+    return {
+        "words": {str(v): list(w) for v, w in sorted(words.items())},
+        "occurrences": occ,
+        "psi_W": max(occ),
+        "theta": theta,
+    }
+
+
+def _factorization_doc(n: int, factors, words, search: dict | None = None) -> dict:
+    doc = {
+        "n": n,
+        "d": len(factors),
+        "factors": [list(succ) for succ in factors],
+        "words": None if words is None else [list(w) for w in words],
+    }
+    if search is not None:
+        doc["search"] = search
+    return doc
+
+
+def _search_factorization(dg: Digraph, budget: int, max_slack: int):
+    """(spanning factorization, its artifact), or None after reporting on stderr why none was found."""
+    res = search_spanning_factorization(dg, budget=budget, max_slack=max_slack)
+    if res.found is None:
+        print(
+            f"no spanning factorization found ({res.reason}): {res.nodes} nodes over "
+            f"{res.factorizations} factorizations, deepest word prefix {res.best_depth}",
+            file=sys.stderr,
+        )
+        return None
+    sf = res.found
+    search = {"nodes": res.nodes, "factorizations": res.factorizations}
+    return sf, _factorization_doc(sf.vertex_count, sf.base.factors, sf.words, search)
+
+
 def _schedule_summary(word_map, sched, degree, profile) -> dict:
     flags = classify(word_map, sched, degree, profile)
     occ = factor_occurrences(word_map, degree)
@@ -219,14 +256,42 @@ def _schedule_summary(word_map, sched, degree, profile) -> dict:
     }
 
 
-def _make_schedule(word_map, degree, method: str, budget: int):
-    """Run the chosen scheduler; return (schedule, None) or (None, failure message)."""
+def _schedule(word_map, degree, profile, method: str, budget: int, csv_path: str | None, out: str | None):
+    """Schedule the words and write the CSV rows (if asked) and the summary; None after reporting a failure."""
     if method == "greedy":
-        return greedy_schedule(word_map, degree), None
-    res = exact_min_schedule(word_map, degree, budget=budget)
-    if res.status != "optimal":
-        return None, f"exact scheduling gave up ({res.status}) after {res.nodes} nodes"
-    return res.schedule, None
+        sched = greedy_schedule(word_map, degree)
+    else:
+        res = exact_min_schedule(word_map, degree, budget=budget)
+        if res.status != "optimal":
+            print(f"exact scheduling gave up ({res.status}) after {res.nodes} nodes", file=sys.stderr)
+            return None
+        sched = res.schedule
+    if csv_path:
+        _write_schedule_csv(csv_path, word_map, sched)
+    _emit_json(_schedule_summary(word_map, sched, degree, profile), out)
+    return sched
+
+
+def _replay(host: Graph, word_map, sched: Schedule, theta: int, trace_path: str | None, out: str | None,
+            psi_w: int | None = None) -> tuple[dict, int]:
+    """Expand and replay the schedule on `host`; write the trace (if asked) and the verdict.
+
+    Returns the verdict and the exit code: 0 for a clean replay, 2 otherwise.
+    """
+    trace = run_transpose(host, expand_factor_paths(host, word_map, sched))
+    verdict = {
+        "tau": trace.horizon,
+        "conflicts": len(trace.conflicts),
+        "undelivered": len(trace.undelivered),
+        "theta": theta,
+    }
+    if psi_w is not None:
+        verdict["psi_W"] = psi_w
+    verdict["optimal"] = bool(trace.clean and trace.horizon == theta)
+    if trace_path:
+        _write_trace_csv(trace_path, trace, host)
+    _emit_json(verdict, out)
+    return verdict, 0 if trace.clean else 2
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +320,7 @@ def cmd_words(args) -> int:
     if cg is None:
         raise InputError("word sets need a group-form spec, not a raw digraph")
     ws = bfs_word_set(cg, mode=args.mode)
-    occ = generator_occurrences(ws, cg.degree)
-    profile = layer_profile(cg)
-    doc = {
-        "words": {str(v): list(w) for v, w in sorted(ws.words.items())},
-        "occurrences": occ,
-        "psi_W": max(occ),
-        "theta": average_diameter_bound(profile),
-    }
+    doc = _words_doc(ws.words, cg.degree, average_diameter_bound(layer_profile(cg)))
     if args.exact:
         bound = regular_bound_exact(cg, budget=args.budget)
         doc["psi_exact"] = bound.value
@@ -273,30 +331,16 @@ def cmd_words(args) -> int:
 
 def cmd_factorize(args) -> int:
     cg, dg = _load_graph(args)
-    n, d = dg.vertex_count, regular_degree(dg)
-    doc = {"n": n, "d": d}
     if args.search:
-        res = search_spanning_factorization(dg, budget=args.budget, max_slack=args.max_slack)
-        if res.found is None:
-            print(
-                f"no spanning factorization found ({res.reason}): {res.nodes} nodes over "
-                f"{res.factorizations} factorizations, deepest word prefix {res.best_depth}",
-                file=sys.stderr,
-            )
+        found = _search_factorization(dg, args.budget, args.max_slack)
+        if found is None:
             return 2
-        sf = res.found
-        doc["factors"] = [list(succ) for succ in sf.base.factors]
-        doc["words"] = [list(w) for w in sf.words]
-        doc["search"] = {"nodes": res.nodes, "factorizations": res.factorizations}
+        doc = found[1]
     elif cg is not None and cg.is_cayley:
-        ws = bfs_word_set(cg, mode=args.mode)
-        sf = spanning_factorization_from_cayley(cg, ws)
-        doc["factors"] = [list(succ) for succ in sf.base.factors]
-        doc["words"] = [list(w) for w in sf.words]
+        sf = spanning_factorization_from_cayley(cg, bfs_word_set(cg, mode=args.mode))
+        doc = _factorization_doc(dg.vertex_count, sf.base.factors, sf.words)
     else:
-        f = one_factorize(dg)
-        doc["factors"] = [list(succ) for succ in f.factors]
-        doc["words"] = None
+        doc = _factorization_doc(dg.vertex_count, one_factorize(dg).factors, None)
     _emit_json(doc, args.out)
     return 0
 
@@ -305,65 +349,45 @@ def cmd_schedule(args) -> int:
     cg, dg = _load_graph(args)
     profile = layer_profile(cg if cg is not None else dg)
     if args.factorization:
-        fdoc = _read_json(args.factorization)
-        f, words = _parse_factorization_doc(fdoc, args.factorization)
-        if words is None:
+        f, listed = _parse_factorization_doc(_read_json(args.factorization), args.factorization)
+        if listed is None:
             raise InputError(f"{args.factorization}: factor-only artifact has no words to schedule")
         degree = len(f.factors)
-        word_map = {i: w for i, w in enumerate(words) if w}
+        words = dict(enumerate(listed))
     elif args.words:
-        wdoc = _read_json(args.words)
-        parsed = _parse_words_doc(wdoc, args.words)
+        words = _parse_words_doc(_read_json(args.words), args.words)
         degree = cg.degree if cg is not None else regular_degree(dg)
-        word_map = {v: w for v, w in parsed.items() if w}
     else:
         if cg is None or not cg.is_cayley:
             raise InputError("scheduling a coset graph or raw digraph needs --words or --factorization")
-        ws = bfs_word_set(cg, mode=args.mode)
+        words = bfs_word_set(cg, mode=args.mode).words
         degree = cg.degree
-        word_map = {v: w for v, w in ws.words.items() if w}
-    sched, failure = _make_schedule(word_map, degree, args.method, args.budget)
-    if sched is None:
-        print(failure, file=sys.stderr)
-        return 2
-    if args.csv:
-        _write_schedule_csv(args.csv, word_map, sched)
-    _emit_json(_schedule_summary(word_map, sched, degree, profile), args.out)
-    return 0
+    word_map = {k: w for k, w in words.items() if w}
+    sched = _schedule(word_map, degree, profile, args.method, args.budget, args.csv, args.out)
+    return 2 if sched is None else 0
 
 
 def cmd_simulate(args) -> int:
     cg, dg = _load_graph(args)
     word_map, sched = _read_schedule_csv(args.schedule)
     profile = layer_profile(cg if cg is not None else dg)
-    theta = average_diameter_bound(profile)
     if args.factorization:
-        fdoc = _read_json(args.factorization)
-        f, _ = _parse_factorization_doc(fdoc, args.factorization)
+        f, _ = _parse_factorization_doc(_read_json(args.factorization), args.factorization)
         n = len(f.factors[0])
         if n != dg.vertex_count:
             raise InputError(f"factorization covers {n} vertices, graph has {dg.vertex_count}")
-        sf = SpanningFactorization(base=f, words=tuple(word_map.get(i, ()) for i in range(n)))
-        paths = expand_factor_paths(sf, sched)
-        host = factor_digraph(f)
+        # factors read from a file are trusted only once the words span from every base
+        words = tuple(word_map.get(i, ()) for i in range(n))
+        check = verify_spanning(f.factors, words, n)
+        if not check.ok:
+            raise InputError(f"refusing to expand an unverified factorization: {check.reason}")
+        host, word_map = factor_digraph(f), {i: w for i, w in enumerate(words) if w}
+    elif cg is None:
+        raise InputError("raw digraph schedules replay over factors; pass --factorization")
     else:
-        if cg is None:
-            raise InputError("raw digraph schedules replay over factors; pass --factorization")
-        ws = WordSet(words=word_map, shortest=False)
-        paths = expand_cayley_paths(cg, ws, sched)
         host = cg
-    trace = run_transpose(host, paths)
-    verdict = {
-        "tau": trace.horizon,
-        "conflicts": len(trace.conflicts),
-        "undelivered": len(trace.undelivered),
-        "theta": theta,
-        "optimal": bool(trace.clean and trace.horizon == theta),
-    }
-    if args.trace:
-        _write_trace_csv(args.trace, trace, host)
-    _emit_json(verdict, args.out)
-    return 0 if trace.clean else 2
+    _, code = _replay(host, word_map, sched, average_diameter_bound(profile), args.trace, args.out)
+    return code
 
 
 def cmd_pipeline(args) -> int:
@@ -372,77 +396,30 @@ def cmd_pipeline(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     profile = layer_profile(cg if cg is not None else dg)
     theta = average_diameter_bound(profile)
-
-    use_cayley = cg is not None and cg.is_cayley and not args.search
-    if use_cayley:
+    if cg is not None and cg.is_cayley and not args.search:
         ws = bfs_word_set(cg, mode=args.mode)
-        occ = generator_occurrences(ws, cg.degree)
-        _emit_json(
-            {
-                "words": {str(v): list(w) for v, w in sorted(ws.words.items())},
-                "occurrences": occ,
-                "psi_W": max(occ),
-                "theta": theta,
-            },
-            str(outdir / "words.json"),
-        )
-        degree = cg.degree
-        word_map = {v: w for v, w in ws.words.items() if w}
-        psi_w = max(occ)
+        _emit_json(_words_doc(ws.words, cg.degree, theta), str(outdir / "words.json"))
+        host, words = cg, ws.words
     else:
-        res = search_spanning_factorization(dg, budget=args.budget, max_slack=args.max_slack)
-        if res.found is None:
-            print(
-                f"no spanning factorization found ({res.reason}): {res.nodes} nodes over "
-                f"{res.factorizations} factorizations, deepest word prefix {res.best_depth}",
-                file=sys.stderr,
-            )
+        found = _search_factorization(dg, args.budget, args.max_slack)
+        if found is None:
             return 2
-        sf = res.found
-        degree = sf.degree
-        _emit_json(
-            {
-                "n": sf.vertex_count,
-                "d": degree,
-                "factors": [list(succ) for succ in sf.base.factors],
-                "words": [list(w) for w in sf.words],
-                "search": {"nodes": res.nodes, "factorizations": res.factorizations},
-            },
-            str(outdir / "factorization.json"),
-        )
-        word_map = {i: w for i, w in enumerate(sf.words) if w}
-        psi_w = max(factor_occurrences(word_map, degree))
+        sf, doc = found
+        _emit_json(doc, str(outdir / "factorization.json"))
+        host, words = factor_digraph(sf.base), dict(enumerate(sf.words))
 
-    sched, failure = _make_schedule(word_map, degree, args.method, args.schedule_budget)
+    # from here on a plan is words over the host's out-positions, whichever route made it
+    degree = len(host.successors(0))
+    word_map = {k: w for k, w in words.items() if w}
+    psi_w = max(factor_occurrences(word_map, degree))
+    sched = _schedule(word_map, degree, profile, args.method, args.schedule_budget,
+                      str(outdir / "schedule.csv"), str(outdir / "schedule.json"))
     if sched is None:
-        print(failure, file=sys.stderr)
         return 2
-    _write_schedule_csv(str(outdir / "schedule.csv"), word_map, sched)
-    _emit_json(_schedule_summary(word_map, sched, degree, profile), str(outdir / "schedule.json"))
-
-    if use_cayley:
-        paths = expand_cayley_paths(cg, ws, sched)
-        host = cg
-    else:
-        paths = expand_factor_paths(sf, sched)
-        host = factor_digraph(sf.base)
-    trace = run_transpose(host, paths)
-    tau = trace.horizon
-    optimal = bool(trace.clean and tau == theta)
-    _write_trace_csv(str(outdir / "trace.csv"), trace, host)
-    _emit_json(
-        {
-            "tau": tau,
-            "conflicts": len(trace.conflicts),
-            "undelivered": len(trace.undelivered),
-            "theta": theta,
-            "psi_W": psi_w,
-            "optimal": optimal,
-        },
-        str(outdir / "verdict.json"),
-    )
-    print(f"tau={tau} theta={theta} psi_W={psi_w} optimal={str(optimal).lower()}")
-    return 0 if trace.clean else 2
+    verdict, code = _replay(host, word_map, sched, theta, str(outdir / "trace.csv"),
+                            str(outdir / "verdict.json"), psi_w)
+    print(f"tau={verdict['tau']} theta={theta} psi_W={psi_w} optimal={str(verdict['optimal']).lower()}")
+    return code
 
 
 def _number(text: str):
@@ -506,20 +483,15 @@ def cmd_compare(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="alltoall", description=__doc__.splitlines()[0])
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized search order (searches default to a deterministic order)")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker cap for parallel search (1 keeps runs fully deterministic)")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
-    p = sub.add_parser("bounds", parents=[common], help="distance profile and lower bounds")
+    p = sub.add_parser("bounds", help="distance profile and lower bounds")
     _add_graph_source(p)
     p.add_argument("--out", metavar="FILE", help="write the JSON report here instead of stdout")
     p.add_argument("--adjacency", metavar="FILE", help="also dump 'src dst gen' arc lines")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("words", parents=[common], help="shortest-word set and occupancy")
+    p = sub.add_parser("words", help="shortest-word set and occupancy")
     _add_graph_source(p)
     p.add_argument("--mode", choices=("first-found", "load-balanced"), default="load-balanced")
     p.add_argument("--exact", action="store_true", help="also search for the exact regular bound")
@@ -527,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=cmd_words)
 
-    p = sub.add_parser("factorize", parents=[common], help="1-factorization artifacts")
+    p = sub.add_parser("factorize", help="1-factorization artifacts")
     _add_graph_source(p)
     p.add_argument("--search", action="store_true",
                    help="search for a spanning factorization instead of the direct construction")
@@ -539,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=cmd_factorize)
 
-    p = sub.add_parser("schedule", parents=[common], help="assign time slots to a word collection")
+    p = sub.add_parser("schedule", help="assign time slots to a word collection")
     _add_graph_source(p)
     src = p.add_mutually_exclusive_group()
     src.add_argument("--words", metavar="FILE", help="words artifact from the words subcommand")
@@ -552,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE", help="write the JSON summary here instead of stdout")
     p.set_defaults(func=cmd_schedule)
 
-    p = sub.add_parser("simulate", parents=[common], help="replay a schedule and report the trace")
+    p = sub.add_parser("simulate", help="replay a schedule and report the trace")
     _add_graph_source(p)
     p.add_argument("--schedule", metavar="FILE", required=True, help="schedule CSV to replay")
     p.add_argument("--factorization", metavar="FILE",
@@ -561,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE", help="write the JSON verdict here instead of stdout")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("pipeline", parents=[common], help="full chain with a final verdict line")
+    p = sub.add_parser("pipeline", help="full chain with a final verdict line")
     _add_graph_source(p)
     p.add_argument("--outdir", metavar="DIR", default="out", help="artifact directory (default: out)")
     p.add_argument("--mode", choices=("first-found", "load-balanced"), default="load-balanced")
@@ -574,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule-budget", type=int, default=DEFAULT_SCHEDULE_BUDGET)
     p.set_defaults(func=cmd_pipeline)
 
-    p = sub.add_parser("compare", parents=[common], help="rank networks under a wire budget")
+    p = sub.add_parser("compare", help="rank networks under a wire budget")
     p.add_argument("networks", nargs="+", metavar="FILE",
                    help="network descriptor JSON files: {name, P, d, D, rho}")
     p.add_argument("--gamma-max", type=_number, required=True, help="wire budget: keep P*d < gamma_max")

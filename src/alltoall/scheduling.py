@@ -61,6 +61,7 @@ def validate_schedule(word_map: WordMap, schedule: Schedule, degree: int) -> Non
 
 
 def factor_occurrences(word_map: WordMap, degree: int) -> list[int]:
+    """Total occurrence count of each factor (or generator) index across all words."""
     counts = [0] * degree
     for word in word_map.values():
         for j in word:
@@ -110,7 +111,13 @@ class MinScheduleResult:
 
 
 def _feasible_at(jobs: list[tuple[int, tuple[int, ...]]], degree: int, horizon: int, budget: list[int]) -> dict[int, tuple[int, ...]] | None:
-    """Find a labeling within `horizon` slots, or None; budget[0] counts down."""
+    """Find a labeling within `horizon` slots, or None; budget[0] counts down.
+
+    Depth-first over the letters of all jobs in order, with an explicit
+    stack so that long word maps do not hit the interpreter's recursion
+    limit.  Each placement costs one node; the search gives up as soon as a
+    placement spends the last node.
+    """
     counts = [0] * degree
     for _, word in jobs:
         for j in word:
@@ -119,53 +126,47 @@ def _feasible_at(jobs: list[tuple[int, tuple[int, ...]]], degree: int, horizon: 
     for j in range(degree):
         if counts[j] > horizon:
             return None
-    assignment: dict[int, tuple[int, ...]] = {}
-
     remaining = list(counts)
-
-    def place(idx: int) -> bool:
-        if idx == len(jobs):
-            return True
-        key, word = jobs[idx]
-        slots: list[int] = []
-
-        def step(pos: int, after: int) -> bool:
-            if budget[0] <= 0:
-                return False
-            if pos == len(word):
-                assignment[key] = tuple(slots)
-                if place(idx + 1):
-                    return True
-                del assignment[key]
-                return False
-            j = word[pos]
+    # (factor, letters after it in its word, first letter of its word?)
+    letters = [(j, len(word) - pos - 1, pos == 0) for _, word in jobs for pos, j in enumerate(word)]
+    if letters and budget[0] <= 0:
+        return None
+    slots: list[int] = []  # slots[i] is the slot placed for letters[i]
+    stack: list = []  # stack[i] iterates the slots still to try for letters[i]
+    while len(slots) < len(letters):
+        if len(stack) == len(slots):
+            j, tail, first = letters[len(slots)]
             # a machine can never catch up once demand exceeds its free slots
             if remaining[j] > len(free[j]):
-                return False
-            for t in sorted(free[j]):
-                if t <= after:
-                    continue
-                # letters after pos still need horizon - t further slots
-                if len(word) - pos - 1 > horizon - t:
-                    break
-                budget[0] -= 1
-                free[j].discard(t)
-                remaining[j] -= 1
-                slots.append(t)
-                if step(pos + 1, t):
-                    return True
-                slots.pop()
-                remaining[j] += 1
-                free[j].add(t)
-                if budget[0] <= 0:
-                    return False
-            return False
-
-        return step(0, 0)
-
-    if place(0):
-        return dict(assignment)
-    return None
+                candidates = []
+            else:
+                after = 0 if first else slots[-1]
+                # letters after this one still need horizon - t further slots
+                candidates = [t for t in sorted(free[j]) if after < t <= horizon - tail]
+            stack.append(iter(candidates))
+        t = next(stack[-1], None)
+        if t is None:
+            # dead end: take back the slot of the letter before and try its next one
+            stack.pop()
+            if not stack:
+                return None
+            j = letters[len(slots) - 1][0]
+            free[j].add(slots.pop())
+            remaining[j] += 1
+            continue
+        budget[0] -= 1
+        if budget[0] <= 0:
+            return None
+        j = letters[len(slots)][0]
+        free[j].discard(t)
+        remaining[j] -= 1
+        slots.append(t)
+    assignment: dict[int, tuple[int, ...]] = {}
+    pos = 0
+    for key, word in jobs:
+        assignment[key] = tuple(slots[pos:pos + len(word)])
+        pos += len(word)
+    return assignment
 
 
 def exact_min_schedule(
@@ -332,11 +333,11 @@ class DiameterTwoResult:
 def schedule_short_words(word_map: WordMap, degree: int, budget: int = DEFAULT_SCHEDULE_BUDGET) -> tuple[Schedule, int]:
     """Optimal schedule for a length <= 2 word collection, via exact search.
 
-    Feasibility at the busiest-machine load L is decided by the same window
-    conditions as tight_schedule_feasible; the optimum is always L or L+1,
-    so the search here is shallow.
+    Checks that no word is longer than two letters, then runs
+    exact_min_schedule and returns its schedule and makespan; raises
+    SearchBudgetError when the search budget runs out first.
     """
-    counts = two_layer_counts(word_map, degree)  # validates lengths
+    two_layer_counts(word_map, degree)  # raises unless every word has length <= 2
     result = exact_min_schedule(word_map, degree, budget=budget)
     if result.status == "budget":
         raise SearchBudgetError("schedule search ran out of budget on a short-word collection")

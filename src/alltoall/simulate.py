@@ -3,9 +3,9 @@
 The replay is the package's oracle: it knows nothing about how a schedule
 was built, it just moves packets along their claimed edges slot by slot and
 reports every collision and every missing delivery.  Expansion translates a
-scheduled word list into per-pair paths; for Cayley graphs every vertex h
-runs the same words shifted to start at h, for spanning factorizations the
-same factor words from every base.
+scheduled word list into per-pair paths: every base vertex runs the same
+words, a letter naming a generator of a Cayley graph or a factor of a
+spanning factorization alike.
 """
 
 from __future__ import annotations
@@ -15,10 +15,8 @@ from typing import Sequence
 
 from . import scheduling
 from .errors import InputError
-from .factorization import SpanningFactorization, verify_spanning
-from .graphs import CosetGraph, Graph
-from .scheduling import Schedule
-from .words import WordSet
+from .graphs import Graph
+from .scheduling import Schedule, WordMap
 
 Edge = tuple[int, int]  # (tail vertex, generator/factor index)
 
@@ -52,44 +50,27 @@ class TransposeTrace:
         return not self.conflicts and not self.undelivered and all(c == 1 for c in self.delivered.values())
 
 
-def expand_cayley_paths(g: CosetGraph, ws: WordSet, schedule: Schedule) -> list[TimedPath]:
-    """P*(P-1) timed paths: every vertex h walks every word starting at h.
+def expand_factor_paths(host: Graph, word_map: WordMap, schedule: Schedule) -> list[TimedPath]:
+    """n*(n-1) timed paths: every base walks every non-empty word.
 
-    The edge labels and times are copied unchanged from the base-0 word,
-    which is exactly why a conflict-free labeling for the base serves all
-    bases at once.
+    Letter j of a word is out-position j of the host, so a Cayley graph's
+    generators and a factorization's factors (laid out by factor_digraph)
+    expand the same way.  The edge labels and times are copied unchanged
+    from the base-0 word, which is exactly why a conflict-free labeling for
+    the base serves all bases at once.
     """
-    scheduling.validate_schedule(ws.words, schedule, g.degree)
-    paths = []
-    for h in range(g.vertex_count):
-        for target, word in ws.words.items():
-            slots = schedule.times[target]
-            v = h
-            steps = []
-            for j, t in zip(word, slots):
-                steps.append(((v, j), t))
-                v = g.edges[v][j]
-            paths.append(TimedPath(source=h, dest=v, steps=tuple(steps)))
-    return paths
-
-
-def expand_factor_paths(sf: SpanningFactorization, schedule: Schedule) -> list[TimedPath]:
-    """n*(n-1) timed paths: every base walks every non-empty factor word."""
-    n = sf.vertex_count
-    check = verify_spanning(sf.base.factors, sf.words, n)
-    if not check.ok:
-        raise InputError(f"refusing to expand an unverified factorization: {check.reason}")
-    word_map = {i: w for i, w in enumerate(sf.words) if w}
-    scheduling.validate_schedule(word_map, schedule, sf.degree)
+    n = host.vertex_count
+    succ = [host.successors(v) for v in range(n)]
+    scheduling.validate_schedule(word_map, schedule, len(succ[0]))
+    jobs = [(word, schedule.times[key]) for key, word in word_map.items() if word]
     paths = []
     for base in range(n):
-        for i, word in word_map.items():
-            slots = schedule.times[i]
+        for word, slots in jobs:
             v = base
             steps = []
             for j, t in zip(word, slots):
                 steps.append(((v, j), t))
-                v = sf.base.factors[j][v]
+                v = succ[v][j]
             paths.append(TimedPath(source=base, dest=v, steps=tuple(steps)))
     return paths
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .errors import InputError, UnsupportedGraphError
 from .graphs import CosetGraph
 from .layers import average_diameter_bound, distances_from, layer_profile
+from .scheduling import factor_occurrences
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
@@ -119,20 +120,9 @@ def _shortest_parents(g: CosetGraph, dist: list[int], v: int, words: dict[int, t
             yield u, words.get(u, ())
 
 
-def generator_occurrences(ws: WordSet, degree: int) -> list[int]:
-    """Total occurrence count of each generator index across all words."""
-    counts = [0] * degree
-    for word in ws.words.values():
-        for j in word:
-            if not (0 <= j < degree):
-                raise InputError(f"generator index {j} out of range for degree {degree}")
-            counts[j] += 1
-    return counts
-
-
 def max_occurrence(ws: WordSet, degree: int) -> int:
     """The busiest generator's count: a lower bound on any schedule for ws."""
-    counts = generator_occurrences(ws, degree)
+    counts = factor_occurrences(ws.words, degree)
     return max(counts) if counts else 0
 
 
@@ -229,7 +219,3 @@ def regular_bound_exact(g: CosetGraph, budget: int = DEFAULT_SEARCH_BUDGET) -> R
     dfs(0)
     return RegularBound(value=incumbent_value, exact=not exhausted, witness=incumbent)
 
-
-def regular_bound_for(ws: WordSet, degree: int) -> int:
-    """max_occurrence, under its role as a schedule-length bound for ws."""
-    return max_occurrence(ws, degree)

@@ -37,8 +37,8 @@ from alltoall.scheduling import (
     two_layer_counts,
     two_layer_time_bound,
 )
-from alltoall.simulate import expand_cayley_paths, expand_factor_paths, run_transpose
-from alltoall.words import WordSet, bfs_word_set, regular_bound_exact, regular_bound_for
+from alltoall.simulate import expand_factor_paths, run_transpose
+from alltoall.words import bfs_word_set, max_occurrence, regular_bound_exact
 
 
 @contextmanager
@@ -156,7 +156,7 @@ def test_acceptance_03_cayley_labelings():
             for mode in ("first-found", "load-balanced"):
                 ws = bfs_word_set(g, mode=mode)
                 for _ in range(25):
-                    trace = run_transpose(g, expand_cayley_paths(g, ws, random_schedule(ws.words, rng)))
+                    trace = run_transpose(g, expand_factor_paths(g, ws.words, random_schedule(ws.words, rng)))
                     runs += 1
                     clean += trace.clean
         assert runs == 200 and clean == runs
@@ -184,7 +184,7 @@ def test_acceptance_04_factorization_labelings():
             host = factor_digraph(sf.base)
             word_map = {i: w for i, w in enumerate(sf.words) if w}
             for _ in range(50):
-                trace = run_transpose(host, expand_factor_paths(sf, random_schedule(word_map, rng)))
+                trace = run_transpose(host, expand_factor_paths(host, word_map, random_schedule(word_map, rng)))
                 runs += 1
                 clean += trace.clean
         assert runs == 200 and clean == runs
@@ -210,8 +210,7 @@ def test_acceptance_06_two_layer_guarantee():
         for name in ("k4", "z5-12", "z7-124"):
             g = fixtures.builtin_graph(name)
             res = diameter_two_schedule(g)
-            ws = WordSet(words=res.word_map, shortest=False)
-            trace = run_transpose(g, expand_cayley_paths(g, ws, res.schedule))
+            trace = run_transpose(g, expand_factor_paths(g, res.word_map, res.schedule))
             assert trace.clean
             assert trace.horizon <= 1 + res.counts.max_combined
             if name == "z5-12":
@@ -221,7 +220,8 @@ def test_acceptance_06_two_layer_guarantee():
         word_map = {i: w for i, w in enumerate(sf.words) if w}
         assert max(len(w) for w in word_map.values()) == 2
         sched = exact_min_schedule(word_map, sf.degree).schedule
-        trace = run_transpose(factor_digraph(sf.base), expand_factor_paths(sf, sched))
+        host = factor_digraph(sf.base)
+        trace = run_transpose(host, expand_factor_paths(host, word_map, sched))
         assert trace.clean
         assert trace.horizon <= two_layer_time_bound(two_layer_counts(word_map, sf.degree))
 
@@ -296,7 +296,7 @@ def test_acceptance_09_bound_chain():
             exact = regular_bound_exact(g)
             assert exact.exact
             for mode in ("first-found", "load-balanced"):
-                psi_w = regular_bound_for(bfs_word_set(g, mode=mode), g.degree)
+                psi_w = max_occurrence(bfs_word_set(g, mode=mode), g.degree)
                 assert theta <= exact.value <= psi_w
 
 

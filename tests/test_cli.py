@@ -153,6 +153,36 @@ def test_pipeline_reads_spec_file(tmp_path, capsys):
     assert stdout.strip().splitlines()[-1] == "tau=4 theta=3 psi_W=4 optimal=false"
 
 
+def test_pipeline_exact_on_long_word_map(tmp_path, capsys):
+    # 900 letters: the exact search must not nest a call per letter
+    spec = tmp_path / "z100.json"
+    spec.write_text(json.dumps({"group": {"kind": "cyclic", "modulus": 100}, "generators": [1, 10]}))
+    code, stdout, err = run(capsys, "pipeline", "--spec", str(spec), "--outdir", str(tmp_path / "out"))
+    assert code == 0, err
+    assert stdout.strip().splitlines()[-1] == "tau=450 theta=450 psi_W=450 optimal=true"
+
+
+def test_schedule_exact_on_long_word_map(tmp_path, capsys):
+    spec = tmp_path / "z128.json"
+    spec.write_text(json.dumps({"group": {"kind": "cyclic", "modulus": 128}, "generators": [1, 16]}))
+    doc = run_json(capsys, "schedule", "--spec", str(spec))
+    assert doc["makespan"] == 960
+    assert doc["bounds"]["theta"] == 704
+
+
+def test_simulate_refuses_non_spanning_factorization(tmp_path, capsys):
+    # words 1 and 2 both end one step along the ring, from every base
+    fact = tmp_path / "fact.json"
+    fact.write_text(json.dumps({"n": 4, "d": 1, "factors": [[1, 2, 3, 0]],
+                                "words": [[], [0], [0, 0, 0, 0, 0], [0, 0, 0]]}))
+    csv = tmp_path / "sched.csv"
+    run_json(capsys, "schedule", "--builtin", "c4", "--factorization", str(fact), "--csv", str(csv))
+    code, _, err = run(capsys, "simulate", "--builtin", "c4", "--schedule", str(csv),
+                       "--factorization", str(fact))
+    assert code == 1
+    assert "refusing to expand an unverified factorization" in err
+
+
 def write_network(path, **fields):
     path.write_text(json.dumps(fields))
     return str(path)

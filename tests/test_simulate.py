@@ -6,12 +6,11 @@ import pytest
 
 from alltoall import fixtures
 from alltoall.errors import InputError
-from alltoall.factorization import factor_digraph, search_spanning_factorization
+from alltoall.factorization import factor_digraph, search_spanning_factorization, spanning_factorization_from_cayley
 from alltoall.graphs import as_digraph
 from alltoall.scheduling import Schedule, exact_min_schedule, greedy_schedule
 from alltoall.simulate import (
     TimedPath,
-    expand_cayley_paths,
     expand_factor_paths,
     run_transpose,
     trace_csv_rows,
@@ -29,7 +28,7 @@ def scheduled_corpus(name):
 @pytest.mark.parametrize("name,paths,horizon", [("c4", 12, 6), ("z7-124", 42, 3), ("q3", 56, 4)])
 def test_cayley_expansion_is_clean(name, paths, horizon):
     g, ws, sched = scheduled_corpus(name)
-    expanded = expand_cayley_paths(g, ws, sched)
+    expanded = expand_factor_paths(g, ws.words, sched)
     assert len(expanded) == g.vertex_count * (g.vertex_count - 1)
     assert len(expanded) == paths
     trace = run_transpose(g, expanded)
@@ -45,18 +44,31 @@ def test_factor_expansion_petersen():
     assert sf is not None
     word_map = {i: w for i, w in enumerate(sf.words) if w}
     sched = exact_min_schedule(word_map, sf.degree).schedule
-    paths = expand_factor_paths(sf, sched)
+    host = factor_digraph(sf.base)
+    paths = expand_factor_paths(host, word_map, sched)
     assert len(paths) == 90
-    trace = run_transpose(factor_digraph(sf.base), paths)
+    trace = run_transpose(host, paths)
     assert trace.clean
     assert trace.horizon == 5
+
+
+@pytest.mark.parametrize("name", ["c4", "k4", "z5-12", "z7-124", "q3"])
+def test_cayley_plan_replays_alike_over_its_factors(name):
+    # a Cayley word set is the spanning factorization whose factors are the generators
+    g, ws, sched = scheduled_corpus(name)
+    host = factor_digraph(spanning_factorization_from_cayley(g, ws).base)
+    over_graph = run_transpose(g, expand_factor_paths(g, ws.words, sched))
+    over_factors = run_transpose(host, expand_factor_paths(host, ws.words, sched))
+    assert over_graph.clean and over_factors.clean
+    assert over_graph.horizon == over_factors.horizon
+    assert trace_csv_rows(over_graph, g) == trace_csv_rows(over_factors, host)
 
 
 def test_expansion_rejects_invalid_schedule():
     g, ws, _ = scheduled_corpus("c4")
     bad = Schedule(times={1: (1,), 2: (1, 2), 3: (1, 2, 3)})
     with pytest.raises(InputError):
-        expand_cayley_paths(g, ws, bad)
+        expand_factor_paths(g, ws.words, bad)
 
 
 def test_conflicts_are_recorded_not_raised():
@@ -112,7 +124,7 @@ def test_structural_violations_raise():
 
 def test_trace_rows_are_time_sorted_and_complete():
     g, ws, sched = scheduled_corpus("z7-124")
-    trace = run_transpose(g, expand_cayley_paths(g, ws, sched))
+    trace = run_transpose(g, expand_factor_paths(g, ws.words, sched))
     rows = trace_csv_rows(trace, g)
     assert len(rows) == sum(len(slot) for slot in trace.occupancy.values())
     assert [r[0] for r in rows] == sorted(r[0] for r in rows)
@@ -148,7 +160,7 @@ def test_any_valid_labeling_expands_cleanly(name):
     rng = random.Random(hash(name) & 0xFFFF)
     for _ in range(20):
         sched = random_valid_schedule(ws.words, rng)
-        trace = run_transpose(g, expand_cayley_paths(g, ws, sched))
+        trace = run_transpose(g, expand_factor_paths(g, ws.words, sched))
         assert trace.clean
 
 
@@ -157,6 +169,6 @@ def test_word_set_with_slack_still_expands():
     g = fixtures.builtin_graph("c4")
     ws = WordSet(words={1: (0,), 2: (0, 0), 3: (0, 0, 0, 0, 0, 0, 0)}, shortest=False)
     sched = greedy_schedule(ws.words, g.degree)
-    trace = run_transpose(g, expand_cayley_paths(g, ws, sched))
+    trace = run_transpose(g, expand_factor_paths(g, ws.words, sched))
     assert trace.clean
     assert trace.horizon == sched.makespan

@@ -7,13 +7,12 @@ import pytest
 from alltoall import fixtures
 from alltoall.errors import InputError, UnsupportedGraphError
 from alltoall.layers import average_diameter_bound, distances_from, layer_profile
+from alltoall.scheduling import factor_occurrences
 from alltoall.words import (
     WordSet,
     bfs_word_set,
-    generator_occurrences,
     max_occurrence,
     regular_bound_exact,
-    regular_bound_for,
     validate_word_set,
 )
 
@@ -63,14 +62,14 @@ def test_word_sets_validate(name, mode):
 def test_balanced_occurrences_on_z7():
     g = fixtures.builtin_graph("z7-124")
     ws = bfs_word_set(g, mode="load-balanced")
-    assert sorted(generator_occurrences(ws, g.degree)) == [3, 3, 3]
+    assert sorted(factor_occurrences(ws.words, g.degree)) == [3, 3, 3]
     assert max_occurrence(ws, g.degree) == 3
 
 
 def test_balanced_occurrences_on_q3():
     g = fixtures.builtin_graph("q3")
     ws = bfs_word_set(g, mode="load-balanced")
-    assert generator_occurrences(ws, g.degree) == [4, 4, 4]
+    assert factor_occurrences(ws.words, g.degree) == [4, 4, 4]
 
 
 def test_z5_imbalance_is_forced():
@@ -78,7 +77,7 @@ def test_z5_imbalance_is_forced():
     # times in any word set, and the shortest-word structure forces 4
     g = fixtures.builtin_graph("z5-12")
     ws = bfs_word_set(g, mode="load-balanced")
-    assert sorted(generator_occurrences(ws, g.degree)) == [2, 4]
+    assert sorted(factor_occurrences(ws.words, g.degree)) == [2, 4]
 
 
 def test_validate_rejects_broken_sets():
@@ -112,7 +111,7 @@ def test_exact_bound_matches_brute_force(name):
     assert bound.exact
     assert bound.value == brute_force_regular_bound(g)
     validate_word_set(g, bound.witness)
-    assert regular_bound_for(bound.witness, g.degree) == bound.value
+    assert max_occurrence(bound.witness, g.degree) == bound.value
 
 
 @pytest.mark.parametrize("name,psi", [("c4", 6), ("k4", 1), ("z5-12", 4), ("z7-124", 3), ("q3", 4)])
