@@ -46,7 +46,7 @@ def main():
 
     host = factor_digraph(sf.base)
     trace = run_transpose(host, expand_factor_paths(host, word_map, res.schedule))
-    print(f"replay of all {len(trace.delivered)} pairs: clean={trace.clean}, horizon={trace.horizon}")
+    print(f"replay of all {trace.delivered_pairs} pairs: clean={trace.clean}, horizon={trace.horizon}")
     if trace.horizon == theta:
         print("the exchange meets the averaged distance bound exactly")
 

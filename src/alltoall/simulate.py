@@ -1,17 +1,31 @@
-"""Expand schedules into timed all-pairs paths and replay them step by step.
+"""Expand schedules into a stream of packets and replay them slot by slot.
 
 The replay is the package's oracle: it knows nothing about how a schedule
 was built, it just moves packets along their claimed edges slot by slot and
-reports every collision and every missing delivery.  Expansion translates a
-scheduled word list into per-pair paths: every base vertex runs the same
-words, a letter naming a generator of a Cayley graph or a factor of a
-spanning factorization alike.
+reports every collision and every missing delivery.
+
+Expansion translates a scheduled word list into per-pair packets: every base
+vertex runs the same words, a letter naming a generator of a Cayley graph or
+a factor of a spanning factorization alike.  It checks the schedule once and
+then generates the packets on demand, so no list of routes is ever built: a
+packet is (source, dest, tails, ports, times), the vertex it leaves in each
+step, the out-position it takes there and the slot it takes it in.
+
+The replay keeps its occupancy flat.  Each slot that some packet uses gets
+one integer row of n*d cells, created on first use; cell tail*d + index
+holds the packet id source*n + dest + 1 of the first packet to cross that
+arc in that slot, 0 meaning free.  Deliveries are counted in one flat n*n
+array.  Memory therefore follows the slots actually used, not the horizon:
+a lone packet in slot 10**9 costs one row.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import compress
+from operator import not_
+from typing import Iterable, Iterator, Sequence
 
 from . import scheduling
 from .errors import InputError
@@ -19,6 +33,7 @@ from .graphs import Graph
 from .scheduling import Schedule, WordMap
 
 Edge = tuple[int, int]  # (tail vertex, generator/factor index)
+Packet = tuple[int, int, Sequence[int], Sequence[int], Sequence[int]]  # (source, dest, tails, ports, times)
 
 
 @dataclass(frozen=True)
@@ -29,29 +44,71 @@ class TimedPath:
     dest: int
     steps: tuple[tuple[Edge, int], ...]
 
+    @property
+    def packet(self) -> Packet:
+        tails = tuple(tail for (tail, _), _ in self.steps)
+        ports = tuple(index for (_, index), _ in self.steps)
+        times = tuple(time for _, time in self.steps)
+        return self.source, self.dest, tails, ports, times
+
+
+@dataclass(frozen=True)
+class Expansion:
+    """The packets of an expanded plan, generated on demand: one per (base, non-empty word)."""
+
+    succ: Sequence[Sequence[int]]
+    jobs: Sequence[tuple[Sequence[int], Sequence[int]]]  # (word, its slots)
+
+    def __len__(self) -> int:
+        return len(self.succ) * len(self.jobs)
+
+    def __iter__(self) -> Iterator[Packet]:
+        succ = self.succ
+        for base in range(len(succ)):
+            for word, slots in self.jobs:
+                v = base
+                tails = []
+                for j in word:
+                    tails.append(v)
+                    v = succ[v][j]
+                yield base, v, tails, word, slots
+
 
 @dataclass(frozen=True)
 class TransposeTrace:
     """Everything observed during a replay.
 
-    occupancy[t][edge] is the packet that crossed `edge` in slot t (the
-    first one, when packets collided).  A clean exchange has no conflicts,
-    no undelivered pairs, and every delivery count equal to one.
+    slots[t] is the occupancy row of slot t: cell tail*width + index holds
+    source*vertex_count + dest + 1 for the packet that crossed that arc in
+    slot t (the first one, when packets collided), 0 if none did.
+    counts[source*vertex_count + dest] is how often that packet arrived.  A
+    clean exchange has no conflicts, no undelivered pairs, and every
+    delivery count equal to one.
     """
 
     horizon: int
-    occupancy: dict[int, dict[Edge, tuple[int, int]]]
     conflicts: tuple[tuple[int, Edge, tuple[int, int], tuple[int, int]], ...]
     undelivered: tuple[tuple[int, int], ...]
-    delivered: dict[tuple[int, int], int]
+    vertex_count: int
+    width: int
+    slots: dict[int, array]
+    counts: array
+
+    def deliveries(self, source: int, dest: int) -> int:
+        return self.counts[source * self.vertex_count + dest]
+
+    @property
+    def delivered_pairs(self) -> int:
+        """How many (source, dest) pairs arrived at least once."""
+        return len(self.counts) - self.counts.count(0)
 
     @property
     def clean(self) -> bool:
-        return not self.conflicts and not self.undelivered and all(c == 1 for c in self.delivered.values())
+        return not self.conflicts and not self.undelivered and max(self.counts, default=0) <= 1
 
 
-def expand_factor_paths(host: Graph, word_map: WordMap, schedule: Schedule) -> list[TimedPath]:
-    """n*(n-1) timed paths: every base walks every non-empty word.
+def expand_factor_paths(host: Graph, word_map: WordMap, schedule: Schedule) -> Expansion:
+    """n*(n-1) packets, streamed: every base walks every non-empty word.
 
     Letter j of a word is out-position j of the host, so a Cayley graph's
     generators and a factorization's factors (laid out by factor_digraph)
@@ -62,71 +119,79 @@ def expand_factor_paths(host: Graph, word_map: WordMap, schedule: Schedule) -> l
     n = host.vertex_count
     succ = [host.successors(v) for v in range(n)]
     scheduling.validate_schedule(word_map, schedule, len(succ[0]))
-    jobs = [(word, schedule.times[key]) for key, word in word_map.items() if word]
-    paths = []
-    for base in range(n):
-        for word, slots in jobs:
-            v = base
-            steps = []
-            for j, t in zip(word, slots):
-                steps.append(((v, j), t))
-                v = succ[v][j]
-            paths.append(TimedPath(source=base, dest=v, steps=tuple(steps)))
-    return paths
+    return Expansion(succ=succ, jobs=[(word, schedule.times[key]) for key, word in word_map.items() if word])
 
 
-def run_transpose(g: Graph, paths: Sequence[TimedPath]) -> TransposeTrace:
-    """Replay timed paths on `g` and report conflicts and deliveries.
+def run_transpose(g: Graph, paths: Iterable[Packet | TimedPath]) -> TransposeTrace:
+    """Replay packets (or hand-built timed paths) on `g`; report conflicts and deliveries.
 
     Structural breakage (an edge index off the graph, a path that teleports
     or runs backward in time) raises, because such a path is not a route at
     all; contention and missing packets are findings, recorded in the trace.
     """
-    occupancy: dict[int, dict[Edge, tuple[int, int]]] = {}
+    n = g.vertex_count
+    succ = [g.successors(v) for v in range(n)]
+    d = max(map(len, succ), default=0)
+    code = "i" if n * n < 2**31 else "q"
+    free = array(code, [0]) * (n * d)
+    slots: dict[int, array] = {}
     conflicts: list[tuple[int, Edge, tuple[int, int], tuple[int, int]]] = []
-    delivered: dict[tuple[int, int], int] = {}
+    counts = array(code, [0]) * (n * n)
     horizon = 0
-    for path in paths:
-        packet = (path.source, path.dest)
-        at = path.source
+    for packet in paths:
+        if isinstance(packet, TimedPath):
+            packet = packet.packet
+        source, dest, tails, ports, times = packet
+        if not (0 <= source < n and 0 <= dest < n):
+            raise InputError(f"packet {(source, dest)} does not run between two vertices of the graph")
+        pid = source * n + dest + 1
+        at = source
         last_time = 0
-        for (tail, index), time in path.steps:
+        for tail, index, time in zip(tails, ports, times):
             if tail != at:
-                raise InputError(f"packet {packet} jumps from {at} to edge tail {tail}")
-            heads = g.successors(tail)
-            if not (0 <= index < len(heads)):
+                raise InputError(f"packet {(source, dest)} jumps from {at} to edge tail {tail}")
+            heads = succ[tail]
+            if not 0 <= index < len(heads):
                 raise InputError(f"edge index {index} out of range at vertex {tail}")
             if time <= last_time:
-                raise InputError(f"packet {packet} goes back in time at {tail}: {time} after {last_time}")
-            slot = occupancy.setdefault(time, {})
-            edge = (tail, index)
-            if edge in slot:
-                conflicts.append((time, edge, slot[edge], packet))
+                raise InputError(f"packet {(source, dest)} goes back in time at {tail}: {time} after {last_time}")
+            row = slots.get(time)
+            if row is None:
+                row = slots[time] = free[:]
+            cell = tail * d + index
+            first = row[cell]
+            if first:
+                conflicts.append((time, (tail, index), divmod(first - 1, n), (source, dest)))
             else:
-                slot[edge] = packet
+                row[cell] = pid
             at = heads[index]
             last_time = time
-            horizon = max(horizon, time)
-        if at != path.dest:
-            raise InputError(f"packet {packet} ends at {at}, not its destination")
-        delivered[packet] = delivered.get(packet, 0) + 1
-    n = g.vertex_count
-    undelivered = tuple(
-        (i, j) for i in range(n) for j in range(n) if i != j and (i, j) not in delivered
-    )
+        if at != dest:
+            raise InputError(f"packet {(source, dest)} ends at {at}, not its destination")
+        counts[pid - 1] += 1
+        if last_time > horizon:
+            horizon = last_time
+    missing = compress(range(n * n), map(not_, counts))
     return TransposeTrace(
         horizon=horizon,
-        occupancy=occupancy,
         conflicts=tuple(conflicts),
-        undelivered=undelivered,
-        delivered=delivered,
+        undelivered=tuple(divmod(k, n) for k in missing if k % (n + 1)),
+        vertex_count=n,
+        width=d,
+        slots=slots,
+        counts=counts,
     )
 
 
-def trace_csv_rows(trace: TransposeTrace, g: Graph) -> list[tuple[int, int, int, int, int, int]]:
-    """Occupancy flattened to (time, src, dst, gen, packet_src, packet_dst) rows."""
-    rows = []
-    for time in sorted(trace.occupancy):
-        for (tail, index), (ps, pd) in sorted(trace.occupancy[time].items()):
-            rows.append((time, tail, g.successors(tail)[index], index, ps, pd))
-    return rows
+def trace_csv_rows(trace: TransposeTrace, g: Graph) -> Iterator[tuple[int, int, int, int, int, int]]:
+    """Occupancy as (time, src, dst, gen, packet_src, packet_dst) rows, in (time, src, gen) order."""
+    n, d = trace.vertex_count, trace.width
+    # cell -> (tail, head, index); cells past an irregular host's out-degree are never occupied
+    arcs = [(tail, heads[i] if i < len(heads) else -1, i)
+            for tail, heads in enumerate(map(g.successors, range(n))) for i in range(d)]
+    for time in sorted(trace.slots):
+        row = trace.slots[time]
+        for cell in compress(range(len(row)), row):
+            ps, pd = divmod(row[cell] - 1, n)
+            tail, head, index = arcs[cell]
+            yield time, tail, head, index, ps, pd

@@ -93,10 +93,12 @@ def _balanced_word_set(g: CosetGraph) -> WordSet:
     dist = distances_from(g, 0)
     counts = [0] * g.degree
     words: dict[int, tuple[int, ...]] = {}
+    parents = _shortest_parents(g, dist)
     order = sorted(range(1, g.vertex_count), key=lambda v: (dist[v], v))
     for v in order:
         best = None
-        for u, word_u in _shortest_parents(g, dist, v, words):
+        for u in parents[v]:
+            word_u = words.get(u, ())
             for j, t in enumerate(g.edges[u]):
                 if t != v:
                     continue
@@ -110,14 +112,14 @@ def _balanced_word_set(g: CosetGraph) -> WordSet:
     return WordSet(words=words, shortest=True)
 
 
-def _shortest_parents(g: CosetGraph, dist: list[int], v: int, words: dict[int, tuple[int, ...]]):
-    """(parent, parent's chosen word) pairs one layer closer to the base."""
-    if dist[v] == 1:
-        yield 0, ()
-        return
-    for u in range(g.vertex_count):
-        if dist[u] == dist[v] - 1 and (u == 0 or u in words) and v in g.edges[u]:
-            yield u, words.get(u, ())
+def _shortest_parents(g: CosetGraph, dist: list[int]) -> list[list[int]]:
+    """parents[v]: the vertices one layer closer to the base with an arc to v, increasing, no repeats."""
+    parents: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for u, heads in enumerate(g.edges):
+        for v in heads:
+            if dist[v] == dist[u] + 1 and (not parents[v] or parents[v][-1] != u):
+                parents[v].append(u)
+    return parents
 
 
 def max_occurrence(ws: WordSet, degree: int) -> int:
@@ -139,20 +141,23 @@ class RegularBound:
     witness: WordSet
 
 
-def _all_shortest_words(g: CosetGraph, dist: list[int]) -> dict[int, list[tuple[int, ...]]]:
-    """Every shortest word for every vertex, in lexicographic order."""
+def _all_shortest_words(g: CosetGraph, dist: list[int], budget: int) -> dict[int, list[tuple[int, ...]]] | None:
+    """Every shortest word for every vertex, in lexicographic order; None past `budget` words."""
     options: dict[int, list[tuple[int, ...]]] = {v: [] for v in range(1, g.vertex_count)}
     frontier: dict[int, list[tuple[int, ...]]] = {0: [()]}
     depth = 0
     max_depth = max(dist)
+    listed = 0
     while depth < max_depth:
         nxt: dict[int, list[tuple[int, ...]]] = {}
         for u, ws_u in frontier.items():
             for j, v in enumerate(g.edges[u]):
                 if dist[v] != depth + 1:
                     continue
-                for w in ws_u:
-                    nxt.setdefault(v, []).append(w + (j,))
+                listed += len(ws_u)
+                if listed > budget:
+                    return None
+                nxt.setdefault(v, []).extend(w + (j,) for w in ws_u)
         for v, ws_v in nxt.items():
             options[v].extend(ws_v)
         frontier = nxt
@@ -168,7 +173,8 @@ def regular_bound_exact(g: CosetGraph, budget: int = DEFAULT_SEARCH_BUDGET) -> R
     Depth-first search over per-vertex word choices, vertices in (distance,
     index) order, seeded with the load-balanced greedy answer and pruned
     against both the incumbent and the averaged lower bound.  The budget
-    counts assignment nodes; exceeding it downgrades the result to inexact.
+    counts assignment nodes, and separately caps the shortest words listed
+    before the search; exceeding either returns the best found as inexact.
     """
     _require_cayley(g)
     dist = distances_from(g, 0)
@@ -181,41 +187,50 @@ def regular_bound_exact(g: CosetGraph, budget: int = DEFAULT_SEARCH_BUDGET) -> R
     if incumbent_value <= floor:
         return RegularBound(value=incumbent_value, exact=True, witness=incumbent)
 
-    options = _all_shortest_words(g, dist)
+    options = _all_shortest_words(g, dist, budget)
+    if options is None:
+        return RegularBound(value=incumbent_value, exact=False, witness=incumbent)
     order = sorted(options, key=lambda v: (dist[v], len(options[v]), v))
     counts = [0] * g.degree
     chosen: dict[int, tuple[int, ...]] = {}
     nodes = 0
-    exhausted = False
-
-    def dfs(pos: int) -> bool:
-        """Returns True when the floor was reached and search can stop."""
-        nonlocal incumbent_value, incumbent, nodes, exhausted
+    # Depth-first on an explicit stack: tried[pos] counts the options of
+    # order[pos] taken so far, and chosen holds the words of the depths above.
+    tried = [0] * len(order)
+    pos = 0
+    while True:
         if nodes >= budget:
-            exhausted = True
-            return True
+            return RegularBound(value=incumbent_value, exact=False, witness=incumbent)
         if pos == len(order):
             value = max(counts)
             if value < incumbent_value:
                 incumbent_value = value
                 incumbent = WordSet(words=dict(chosen), shortest=True)
-            return incumbent_value <= floor
-        v = order[pos]
-        for word in options[v]:
+            if incumbent_value <= floor:
+                break
+            pos -= 1
+        else:
+            tried[pos] = 0
+        # take the next word that keeps every count under the incumbent, backing up when a depth runs out
+        while pos >= 0:
+            v = order[pos]
+            if v in chosen:
+                for j in chosen.pop(v):
+                    counts[j] -= 1
+            if tried[pos] == len(options[v]):
+                pos -= 1
+                continue
+            word = options[v][tried[pos]]
+            tried[pos] += 1
             nodes += 1
             for j in word:
                 counts[j] += 1
             if max(counts) < incumbent_value:
                 chosen[v] = word
-                if dfs(pos + 1):
-                    return True
-                del chosen[v]
+                pos += 1
+                break
             for j in word:
                 counts[j] -= 1
-            if exhausted:
-                return True
-        return False
-
-    dfs(0)
-    return RegularBound(value=incumbent_value, exact=not exhausted, witness=incumbent)
-
+        else:
+            break
+    return RegularBound(value=incumbent_value, exact=True, witness=incumbent)

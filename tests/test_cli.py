@@ -170,6 +170,16 @@ def test_schedule_exact_on_long_word_map(tmp_path, capsys):
     assert doc["bounds"]["theta"] == 704
 
 
+def test_words_exact_on_long_cycle(tmp_path, capsys):
+    # 1001 vertices deep: the exact word search must not nest a call per vertex
+    spec = tmp_path / "z1002.json"
+    spec.write_text(json.dumps({"group": {"kind": "cyclic", "modulus": 1002}, "generators": [1, 1001]}))
+    doc = run_json(capsys, "words", "--spec", str(spec), "--exact")
+    assert doc["theta"] == 125501
+    assert doc["psi_W"] == doc["psi_exact"] == 125751
+    assert doc["exact"] is True
+
+
 def test_simulate_refuses_non_spanning_factorization(tmp_path, capsys):
     # words 1 and 2 both end one step along the ring, from every base
     fact = tmp_path / "fact.json"

@@ -1,13 +1,14 @@
 """Replay of scheduled exchanges: expansion, conflict detection, trace output."""
 
 import random
+import tracemalloc
 
 import pytest
 
 from alltoall import fixtures
 from alltoall.errors import InputError
 from alltoall.factorization import factor_digraph, search_spanning_factorization, spanning_factorization_from_cayley
-from alltoall.graphs import as_digraph
+from alltoall.graphs import Digraph, as_digraph
 from alltoall.scheduling import Schedule, exact_min_schedule, greedy_schedule
 from alltoall.simulate import (
     TimedPath,
@@ -34,7 +35,7 @@ def test_cayley_expansion_is_clean(name, paths, horizon):
     trace = run_transpose(g, expanded)
     assert trace.clean
     assert trace.horizon == horizon
-    assert len(trace.delivered) == paths
+    assert trace.delivered_pairs == paths
 
 
 def test_factor_expansion_petersen():
@@ -61,7 +62,7 @@ def test_cayley_plan_replays_alike_over_its_factors(name):
     over_factors = run_transpose(host, expand_factor_paths(host, ws.words, sched))
     assert over_graph.clean and over_factors.clean
     assert over_graph.horizon == over_factors.horizon
-    assert trace_csv_rows(over_graph, g) == trace_csv_rows(over_factors, host)
+    assert list(trace_csv_rows(over_graph, g)) == list(trace_csv_rows(over_factors, host))
 
 
 def test_expansion_rejects_invalid_schedule():
@@ -94,7 +95,7 @@ def test_duplicate_delivery_marks_trace_dirty():
     ]
     trace = run_transpose(g, paths)
     assert not trace.conflicts
-    assert trace.delivered[(0, 1)] == 2
+    assert trace.deliveries(0, 1) == 2
     assert not trace.clean
 
 
@@ -122,11 +123,18 @@ def test_structural_violations_raise():
         run_transpose(g, [lost])
 
 
+@pytest.mark.parametrize("source,dest", [(-1, 0), (4, 1), (5, 5), (0, -1), (0, 10**12)])
+def test_packets_off_the_graph_raise(source, dest):
+    g = fixtures.builtin_graph("c4")
+    with pytest.raises(InputError, match="two vertices"):
+        run_transpose(g, [TimedPath(source=source, dest=dest, steps=())])
+
+
 def test_trace_rows_are_time_sorted_and_complete():
     g, ws, sched = scheduled_corpus("z7-124")
     trace = run_transpose(g, expand_factor_paths(g, ws.words, sched))
-    rows = trace_csv_rows(trace, g)
-    assert len(rows) == sum(len(slot) for slot in trace.occupancy.values())
+    rows = list(trace_csv_rows(trace, g))
+    assert len(rows) == sum(len(row) - row.count(0) for row in trace.slots.values())
     assert [r[0] for r in rows] == sorted(r[0] for r in rows)
     for time, src, dst, gen, ps, pd in rows:
         assert g.successors(src)[gen] == dst
@@ -172,3 +180,170 @@ def test_word_set_with_slack_still_expands():
     trace = run_transpose(g, expand_factor_paths(g, ws.words, sched))
     assert trace.clean
     assert trace.horizon == sched.makespan
+
+
+# ---------------------------------------------------------------------------
+# the flat replay against an independent dict-based reference
+# ---------------------------------------------------------------------------
+
+
+def reference_replay(g, paths):
+    """A dict-of-dicts replay of timed paths: (horizon, conflicts, undelivered, deliveries, trace rows)."""
+    occupancy = {}
+    conflicts = []
+    delivered = {}
+    horizon = 0
+    for path in paths:
+        packet = (path.source, path.dest)
+        at = path.source
+        last = 0
+        for (tail, index), time in path.steps:
+            heads = g.successors(tail)
+            assert tail == at and 0 <= index < len(heads) and time > last
+            slot = occupancy.setdefault(time, {})
+            if (tail, index) in slot:
+                conflicts.append((time, (tail, index), slot[(tail, index)], packet))
+            else:
+                slot[(tail, index)] = packet
+            at = heads[index]
+            last = time
+            horizon = max(horizon, time)
+        assert at == path.dest
+        delivered[packet] = delivered.get(packet, 0) + 1
+    n = g.vertex_count
+    undelivered = tuple((i, j) for i in range(n) for j in range(n) if i != j and (i, j) not in delivered)
+    rows = [
+        (time, tail, g.successors(tail)[index], index, ps, pd)
+        for time in sorted(occupancy)
+        for (tail, index), (ps, pd) in sorted(occupancy[time].items())
+    ]
+    return horizon, conflicts, undelivered, delivered, rows
+
+
+def timed_paths(packets):
+    return [TimedPath(source=s, dest=d, steps=tuple(zip(zip(tails, ports), times)))
+            for s, d, tails, ports, times in packets]
+
+
+def assert_replays_agree(g, paths, packets=None):
+    """run_transpose over `packets` (default: the paths themselves) matches the reference over `paths`."""
+    horizon, conflicts, undelivered, delivered, rows = reference_replay(g, paths)
+    trace = run_transpose(g, paths if packets is None else packets)
+    n = g.vertex_count
+    assert trace.horizon == horizon
+    assert list(trace.conflicts) == conflicts
+    assert trace.undelivered == undelivered
+    counts = {(s, d): trace.deliveries(s, d) for s in range(n) for d in range(n) if trace.deliveries(s, d)}
+    assert counts == delivered
+    assert trace.delivered_pairs == len(delivered)
+    assert list(trace_csv_rows(trace, g)) == rows
+    assert trace.clean == (not conflicts and not undelivered and all(c == 1 for c in delivered.values()))
+    return trace
+
+
+def unchecked_paths(g, word_map, rng, horizon):
+    """Every base walks every word at random increasing slots: no labeling rule, so packets collide."""
+    times = {key: sorted(rng.sample(range(1, horizon + 1), len(w))) for key, w in word_map.items() if w}
+    paths = []
+    for base in range(g.vertex_count):
+        for key, slots in times.items():
+            v, steps = base, []
+            for j, t in zip(word_map[key], slots):
+                steps.append(((v, j), t))
+                v = g.successors(v)[j]
+            paths.append(TimedPath(source=base, dest=v, steps=tuple(steps)))
+    rng.shuffle(paths)
+    return paths
+
+
+@pytest.mark.parametrize("name", ["c4", "z5-12", "z7-124", "q3"])
+def test_flat_replay_matches_reference_on_valid_schedules(name):
+    g = fixtures.builtin_graph(name)
+    ws = bfs_word_set(g, mode="load-balanced")
+    rng = random.Random(7)
+    for _ in range(5):
+        expanded = expand_factor_paths(g, ws.words, random_valid_schedule(ws.words, rng))
+        paths = timed_paths(expanded)
+        assert assert_replays_agree(g, paths, packets=expanded).clean
+        assert_replays_agree(g, paths)
+
+
+def test_flat_replay_matches_reference_over_factors():
+    g = fixtures.builtin_graph("petersen")
+    sf = search_spanning_factorization(as_digraph(g)).found
+    word_map = {i: w for i, w in enumerate(sf.words) if w}
+    host = factor_digraph(sf.base)
+    expanded = expand_factor_paths(host, word_map, greedy_schedule(word_map, sf.degree))
+    assert assert_replays_agree(host, timed_paths(expanded), packets=expanded).clean
+
+
+@pytest.mark.parametrize("name", ["c4", "z5-12", "z7-124", "q3"])
+def test_flat_replay_matches_reference_on_conflicting_paths(name):
+    g = fixtures.builtin_graph(name)
+    ws = bfs_word_set(g, mode="load-balanced")
+    rng = random.Random(11)
+    conflicts = 0
+    for horizon in (3, 5, 12):
+        for _ in range(3):
+            conflicts += len(assert_replays_agree(g, unchecked_paths(g, ws.words, rng, horizon)).conflicts)
+    assert conflicts
+
+
+def test_flat_replay_matches_reference_on_hand_built_conflicts():
+    g = fixtures.builtin_graph("c4")
+    paths = [
+        TimedPath(source=0, dest=2, steps=(((0, 0), 1), ((1, 0), 2))),
+        TimedPath(source=1, dest=2, steps=(((1, 0), 2),)),
+        TimedPath(source=3, dest=1, steps=(((3, 0), 1), ((0, 0), 2))),
+        TimedPath(source=0, dest=1, steps=(((0, 0), 1),)),
+        TimedPath(source=1, dest=3, steps=(((1, 0), 2), ((2, 0), 3))),
+    ]
+    trace = assert_replays_agree(g, paths)
+    assert [c[3] for c in trace.conflicts] == [(1, 2), (0, 1), (1, 3)]
+
+
+def test_flat_replay_matches_reference_on_duplicated_and_missing_packets():
+    g, ws, sched = scheduled_corpus("q3")
+    paths = timed_paths(expand_factor_paths(g, ws.words, sched))
+    rng = random.Random(3)
+    duplicated = paths + rng.sample(paths, 5)
+    trace = assert_replays_agree(g, duplicated)
+    assert len(trace.conflicts) >= 5 and not trace.undelivered
+    late = TimedPath(source=paths[9].source, dest=paths[9].dest,
+                     steps=tuple((edge, time + 100) for edge, time in paths[9].steps))
+    trace = assert_replays_agree(g, paths + [late])
+    assert not trace.conflicts and not trace.undelivered and not trace.clean
+    assert trace.deliveries(late.source, late.dest) == 2
+    missing = paths[:17] + paths[18:]
+    trace = assert_replays_agree(g, missing)
+    assert trace.undelivered == ((paths[17].source, paths[17].dest),)
+    assert not trace.conflicts
+
+
+def test_flat_replay_matches_reference_on_an_irregular_host():
+    g = Digraph(out=((1, 2), (2,), (0,)))
+    paths = [
+        TimedPath(source=0, dest=2, steps=(((0, 1), 1),)),
+        TimedPath(source=0, dest=1, steps=(((0, 0), 2),)),
+        TimedPath(source=1, dest=0, steps=(((1, 0), 1), ((2, 0), 2))),
+        TimedPath(source=2, dest=1, steps=(((2, 0), 2), ((0, 0), 3))),
+    ]
+    trace = assert_replays_agree(g, paths)
+    assert len(trace.conflicts) == 1
+
+
+def test_memory_follows_the_slots_used_not_the_horizon():
+    g = fixtures.builtin_graph("q3")
+    paths = [
+        TimedPath(source=0, dest=1, steps=(((0, 0), 1),)),
+        TimedPath(source=1, dest=0, steps=(((1, 0), 10**9),)),
+    ]
+    tracemalloc.start()
+    try:
+        trace = assert_replays_agree(g, paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.horizon == 10**9
+    assert sorted(trace.slots) == [1, 10**9]
+    assert peak < 2**20

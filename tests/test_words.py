@@ -1,11 +1,14 @@
 """Shortest-word sets and the regular bound."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
 from alltoall import fixtures
 from alltoall.errors import InputError, UnsupportedGraphError
+from alltoall.graphs import build_cayley_coset_graph
+from alltoall.specfile import parse_spec_document
 from alltoall.layers import average_diameter_bound, distances_from, layer_profile
 from alltoall.scheduling import factor_occurrences
 from alltoall.words import (
@@ -143,3 +146,59 @@ def test_budget_zero_can_still_be_exact_at_the_floor():
     g = fixtures.builtin_graph("z7-124")
     bound = regular_bound_exact(g, budget=0)
     assert bound.exact and bound.value == 3
+
+
+def torus(m):
+    """Z_m x Z_m with the four unit steps +-1 in each coordinate."""
+    doc = {"group": {"kind": "product", "factors": [{"kind": "cyclic", "modulus": m}] * 2},
+           "generators": [[1, 0], [m - 1, 0], [0, 1], [0, m - 1]]}
+    return build_cayley_coset_graph(parse_spec_document(doc))
+
+
+def test_word_listing_is_bounded_by_the_budget():
+    # the 16x16 torus has 194,440 shortest words; its greedy seed (520) sits above theta (512)
+    g = torus(16)
+    greedy = bfs_word_set(g, mode="load-balanced")
+    tracemalloc.start()
+    try:
+        bound = regular_bound_exact(g, budget=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not bound.exact
+    assert bound.value == max_occurrence(greedy, g.degree) == 520
+    assert bound.witness.words == greedy.words
+    assert peak < 4 * 2**20  # listing all of them takes ~30 MB
+
+
+def naive_balanced_words(g):
+    """The load-balanced rule with parents found by scanning every vertex."""
+    dist = distances_from(g, 0)
+    counts = [0] * g.degree
+    words = {0: ()}
+    for v in sorted(range(1, g.vertex_count), key=lambda v: (dist[v], v)):
+        best = None
+        for u in range(g.vertex_count):
+            if dist[u] != dist[v] - 1:
+                continue
+            for j, t in enumerate(g.edges[u]):
+                if t == v and (best is None or (counts[j], j) < best[0]):
+                    best = ((counts[j], j), words[u] + (j,))
+        words[v] = best[1]
+        for letter in best[1]:
+            counts[letter] += 1
+    del words[0]
+    return words
+
+
+@pytest.mark.parametrize("name", CAYLEY_CORPUS)
+def test_balanced_words_match_the_scan_over_all_parents(name):
+    g = fixtures.builtin_graph(name)
+    assert bfs_word_set(g, mode="load-balanced").words == naive_balanced_words(g)
+
+
+def test_balanced_words_match_the_scan_on_a_multigraph():
+    # a repeated generator puts the same parent twice in an edge list
+    g = build_cayley_coset_graph(parse_spec_document({"group": {"kind": "cyclic", "modulus": 9},
+                                                      "generators": [1, 1, 3]}))
+    assert bfs_word_set(g, mode="load-balanced").words == naive_balanced_words(g)
