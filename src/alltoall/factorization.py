@@ -280,21 +280,29 @@ def _iter_factorizations(g: Digraph, d: int) -> Iterator[OneFactorization]:
         by_tail[u].append(a)
     arc_used = [False] * len(arcs)
 
-    def matchings(u: int, head_used: list[bool], picked: list[int], min_first: int) -> Iterator[list[int]]:
-        if u == n:
-            yield list(picked)
-            return
-        for a in by_tail[u]:
-            if arc_used[a] or (u == 0 and a <= min_first):
+    def matchings(head_used: list[bool], min_first: int) -> Iterator[list[int]]:
+        # depth first over tails in index order, on an explicit stack: picked
+        # holds the arcs of tails 0..u-1, and tried[u] counts tail u's options taken
+        picked: list[int] = []
+        tried = [0] * (n + 1)
+        u = 0
+        while u >= 0:
+            if u < n and tried[u] < len(by_tail[u]):
+                a = by_tail[u][tried[u]]
+                tried[u] += 1
+                head = arcs[a][1]
+                if not (arc_used[a] or head_used[head] or (u == 0 and a <= min_first)):
+                    head_used[head] = True
+                    picked.append(a)
+                    u += 1
+                    tried[u] = 0
                 continue
-            head = arcs[a][1]
-            if head_used[head]:
-                continue
-            head_used[head] = True
-            picked.append(a)
-            yield from matchings(u + 1, head_used, picked, min_first)
-            picked.pop()
-            head_used[head] = False
+            if u == n:
+                yield list(picked)
+            # tail u is out of options (or every tail is matched): release tail u-1's arc
+            u -= 1
+            if u >= 0:
+                head_used[arcs[picked.pop()][1]] = False
 
     def build(level: int, prev_first: int, chosen: list[list[int]]) -> Iterator[OneFactorization]:
         if level == d:
@@ -310,7 +318,7 @@ def _iter_factorizations(g: Digraph, d: int) -> Iterator[OneFactorization]:
             yield OneFactorization(factors=tuple(factors), factor_of=tuple(factor_of))
             return
         head_used = [False] * n
-        for picked in matchings(0, head_used, [], prev_first):
+        for picked in matchings(head_used, prev_first):
             for a in picked:
                 arc_used[a] = True
             chosen.append(picked)

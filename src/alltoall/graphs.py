@@ -9,13 +9,14 @@ everywhere.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import groups
-from .errors import ConnectivityError, CosetEdgeError, RegularityError, StructureError
+from .errors import CapacityError, CosetEdgeError, RegularityError, StructureError
 from .groups import Element, GroupSpec
+
+DEFAULT_ELEMENT_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -112,11 +113,14 @@ def validate_coset_condition(group, generators: Sequence[Element], subgroup: Seq
     return gen_then_sub == sub_then_gen
 
 
-def build_cayley_coset_graph(spec: GroupSpec, cap: int = groups.DEFAULT_ELEMENT_CAP) -> CosetGraph:
-    """Enumerate the group, check the coset condition, and lay out the graph.
+def build_cayley_coset_graph(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> CosetGraph:
+    """Check the coset condition, then walk the cosets from the identity coset.
 
     Vertex order is breadth-first from the identity coset with generators
-    scanned in input order, so builds are reproducible.
+    scanned in input order, so builds are reproducible.  The walk reaches
+    every coset of the group that the generators and the subgroup generate,
+    and raises CapacityError once it would hold more than `cap` elements
+    (cosets times |H|), so a typo in a modulus cannot silently eat memory.
     """
     group = spec.group
     if not validate_coset_condition(group, spec.generators, spec.subgroup):
@@ -124,49 +128,37 @@ def build_cayley_coset_graph(spec: GroupSpec, cap: int = groups.DEFAULT_ELEMENT_
             "ill-defined edges: the generator set does not commute with the "
             "subgroup as a set, so coset adjacency depends on representatives"
         )
-    table = groups.enumerate_group(spec, cap=cap)
 
     rep_cache: dict[Element, Element] = {}
+    vertices: list[Element] = []
+    vertex_index: dict[Element, int] = {}
 
-    def rep_of(el: Element) -> Element:
-        got = rep_cache.get(el)
-        if got is None:
-            got = groups.coset_canonicalize(group, el, spec.subgroup)
+    def vertex_of(el: Element) -> int:
+        rep = rep_cache.get(el)
+        if rep is None:
+            rep = groups.coset_canonicalize(group, el, spec.subgroup)
             for member in groups.coset_elements(group, el, spec.subgroup):
-                rep_cache[member] = got
-        return got
+                rep_cache[member] = rep
+        t = vertex_index.get(rep)
+        if t is None:
+            if (len(vertices) + 1) * len(spec.subgroup) > cap:
+                raise CapacityError(
+                    f"group enumeration exceeded cap of {cap} elements; "
+                    f"raise the cap if the group really is this large"
+                )
+            t = vertex_index[rep] = len(vertices)
+            vertices.append(rep)
+        return t
 
-    start = rep_of(group.identity)
-    vertices = [start]
-    vertex_index = {start: 0}
-    rows: dict[int, tuple[int, ...]] = {}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        row = []
-        for gen in spec.generators:
-            target = rep_of(group.compose(vertices[u], gen))
-            t = vertex_index.get(target)
-            if t is None:
-                t = len(vertices)
-                vertex_index[target] = t
-                vertices.append(target)
-                queue.append(t)
-            row.append(t)
-        rows[u] = tuple(row)
+    vertex_of(group.identity)
+    rows: list[tuple[int, ...]] = []
+    # the vertex list is the breadth-first queue: rows[u] is filled in discovery order
+    while len(rows) < len(vertices):
+        u = vertices[len(rows)]
+        rows.append(tuple(vertex_of(group.compose(u, gen)) for gen in spec.generators))
+    # no connectivity check: with DH = HD every element of <D, H> is (D-word)*h, so the walk reaches every coset
 
-    coset_count = len(table) // len(spec.subgroup)
-    if len(vertices) != coset_count:
-        raise ConnectivityError(
-            f"not connected: only {len(vertices)} of {coset_count} cosets are "
-            f"reachable from the identity coset"
-        )
-
-    g = CosetGraph(
-        spec=spec,
-        vertices=tuple(vertices),
-        edges=tuple(rows[u] for u in range(len(vertices))),
-    )
+    g = CosetGraph(spec=spec, vertices=tuple(vertices), edges=tuple(rows))
     regular_degree(as_digraph(g))  # in-degree must match out-degree everywhere
     return g
 

@@ -9,19 +9,20 @@ Composition convention: compose(a, b) means "apply a first, then b".  For
 permutations stored as image tuples this is compose(a, b)[x] == b[a[x]]; for
 cyclic groups it is addition mod m.  Every routine in the package sticks to
 this one convention.
+
+Elements are checked where they enter: `parse`, the generators of a
+GroupSpec and `validate_subgroup`.  compose and inverse do arithmetic only,
+since composing valid elements cannot produce an invalid one.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
-from .errors import CapacityError, StructureError, SubgroupError
+from .errors import StructureError, SubgroupError
 
 Element = Any
-
-DEFAULT_ELEMENT_CAP = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -44,12 +45,9 @@ class CyclicGroup:
         return 0
 
     def compose(self, a: int, b: int) -> int:
-        self.check_element(a)
-        self.check_element(b)
         return (a + b) % self.modulus
 
     def inverse(self, a: int) -> int:
-        self.check_element(a)
         return (-a) % self.modulus
 
     def check_element(self, a: Element) -> None:
@@ -75,8 +73,7 @@ class PermutationGroup:
     """Permutations of range(degree), stored as image tuples.
 
     The ambient group is the full symmetric group on `degree` points; which
-    subgroup actually matters is determined by the generators handed to
-    enumerate_group.
+    subgroup actually matters is determined by the generators of a spec.
     """
 
     kind = "permutation"
@@ -91,12 +88,9 @@ class PermutationGroup:
         return tuple(range(self.degree))
 
     def compose(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        self.check_element(a)
-        self.check_element(b)
         return tuple(b[a[x]] for x in range(self.degree))
 
     def inverse(self, a: Sequence[int]) -> tuple[int, ...]:
-        self.check_element(a)
         out = [0] * self.degree
         for i, image in enumerate(a):
             out[image] = i
@@ -181,12 +175,9 @@ class ProductGroup:
         return tuple(f.identity for f in self.factors)
 
     def compose(self, a: tuple, b: tuple) -> tuple:
-        self.check_element(a)
-        self.check_element(b)
         return tuple(f.compose(x, y) for f, x, y in zip(self.factors, a, b))
 
     def inverse(self, a: tuple) -> tuple:
-        self.check_element(a)
         return tuple(f.inverse(x) for f, x in zip(self.factors, a))
 
     def check_element(self, a: Element) -> None:
@@ -231,7 +222,7 @@ def group_from_descriptor(desc: dict) -> Group:
 
 
 # ---------------------------------------------------------------------------
-# group specs and enumeration
+# group specs
 # ---------------------------------------------------------------------------
 
 
@@ -281,50 +272,6 @@ def validate_subgroup(group: Group, elements: Iterable[Element]) -> None:
         for b in members:
             if group.compose(a, b) not in members:
                 raise SubgroupError(f"subgroup not closed under composition at {a!r}, {b!r}")
-
-
-@dataclass
-class ElementTable:
-    """Deterministic enumeration of the subgroup generated by a spec.
-
-    elements[0] is the identity; the rest appear in breadth-first discovery
-    order over the generators (graph generators first, then subgroup
-    elements, each scanned in input order).
-    """
-
-    elements: list[Element]
-    index: dict[Element, int]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> ElementTable:
-    """Close the generators (and subgroup) under composition, breadth first.
-
-    Raises CapacityError once more than `cap` elements appear, so a typo in a
-    modulus cannot silently eat memory.
-    """
-    group = spec.group
-    scan = list(spec.generators) + [h for h in spec.subgroup if h != group.identity]
-    start = group.identity
-    elements = [start]
-    index = {start: 0}
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
-        for gen in scan:
-            nxt = group.compose(current, gen)
-            if nxt not in index:
-                if len(elements) >= cap:
-                    raise CapacityError(
-                        f"group enumeration exceeded cap of {cap} elements; "
-                        f"raise the cap if the group really is this large"
-                    )
-                index[nxt] = len(elements)
-                elements.append(nxt)
-                queue.append(nxt)
-    return ElementTable(elements=elements, index=index)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import ConnectivityError, UnsupportedGraphError
+from .errors import ConnectivityError
 from .graphs import CosetGraph, Graph
 
 
@@ -21,8 +21,10 @@ class LayerProfile:
 
     layer_sizes[k] is the number of vertices at distance exactly k from the
     base (so layer_sizes[0] == 1).  pair_counts[k] is the number of ordered
-    vertex pairs at distance k, measured over all sources rather than
-    inferred from symmetry, so it stays honest on raw digraphs.
+    vertex pairs at distance k.  On a coset graph it is inferred from
+    symmetry as vertex_count * layer_sizes[k]; on a raw digraph it is
+    measured over all sources, since those need not look alike.  diameter
+    is the largest distance between any ordered pair.
     """
 
     vertex_count: int
@@ -61,11 +63,13 @@ def distances_from(g: Graph, base: int = 0) -> list[int]:
 
 
 def layer_profile(g: Graph, base: int = 0) -> LayerProfile:
-    """Measure layer sizes from `base` and pair counts from every source.
+    """Layer sizes from `base`; pair counts inferred on coset graphs, measured on raw digraphs.
 
-    For a coset graph the per-source profiles must all agree (the graph is
-    vertex symmetric by construction); a disagreement means the build is
-    broken, so it raises rather than returning a half-true profile.
+    Left multiplication by a group element maps each coset's out-neighbours
+    onto the out-neighbours of its image, so on a coset graph every source
+    sees the base's layers and one BFS decides the profile.  A raw digraph
+    (a Kautz graph, say) need not look alike from every vertex, so its pair
+    counts and diameter come from a BFS per source.
     """
     n = g.vertex_count
     degree = len(g.successors(0))
@@ -74,30 +78,22 @@ def layer_profile(g: Graph, base: int = 0) -> LayerProfile:
     for dv in base_dist:
         sizes[dv] += 1
 
-    diameter = max(base_dist)
-    pair_counts = [0] * (diameter + 1)
-    for src in range(n):
-        dist = base_dist if src == base else _bfs_distances(g, src)
-        local = max(dist)
-        if local > diameter:
-            pair_counts.extend([0] * (local - diameter))
-            diameter = local
-        if isinstance(g, CosetGraph):
-            per_source = [0] * (local + 1)
+    if isinstance(g, CosetGraph):
+        pair_counts = [n * s for s in sizes]
+    else:
+        pair_counts = [0] * len(sizes)
+        for src in range(n):
+            dist = base_dist if src == base else _bfs_distances(g, src)
+            local = max(dist)
+            if local >= len(pair_counts):
+                pair_counts.extend([0] * (local + 1 - len(pair_counts)))
             for dv in dist:
-                per_source[dv] += 1
-            if per_source != sizes:
-                raise UnsupportedGraphError(
-                    f"coset graph is not vertex symmetric: profile from {src} is "
-                    f"{per_source} but from {base} it is {sizes}"
-                )
-        for dv in dist:
-            pair_counts[dv] += 1
+                pair_counts[dv] += 1
 
     return LayerProfile(
         vertex_count=n,
         degree=degree,
-        diameter=diameter,
+        diameter=len(pair_counts) - 1,
         layer_sizes=tuple(sizes),
         pair_counts=tuple(pair_counts),
     )

@@ -492,11 +492,11 @@ class ScheduleFlags:
 def classify(word_map: WordMap, schedule: Schedule, degree: int, profile: LayerProfile) -> ScheduleFlags:
     """Flags plus a consistency check of the bound chain they rely on.
 
-    The chain global <= ceil(total/d) <= max count <= makespan must hold for
-    any valid schedule of base-0 words; a violation means a bug upstream,
-    so it raises.
+    `schedule` must already be valid for `word_map`, as greedy_schedule and
+    exact_min_schedule results are.  The chain global <= ceil(total/d) <=
+    max count <= makespan must hold for any valid schedule of base-0 words;
+    a violation means a bug upstream, so it raises.
     """
-    validate_schedule(word_map, schedule, degree)
     counts = factor_occurrences(word_map, degree)
     total = sum(counts)
     max_count = max(counts) if counts else 0

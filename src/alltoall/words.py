@@ -142,7 +142,7 @@ class RegularBound:
 
 
 def _all_shortest_words(g: CosetGraph, dist: list[int], budget: int) -> dict[int, list[tuple[int, ...]]] | None:
-    """Every shortest word for every vertex, in lexicographic order; None past `budget` words."""
+    """Every shortest word for every vertex, in lexicographic order; None past `budget` letters."""
     options: dict[int, list[tuple[int, ...]]] = {v: [] for v in range(1, g.vertex_count)}
     frontier: dict[int, list[tuple[int, ...]]] = {0: [()]}
     depth = 0
@@ -154,7 +154,7 @@ def _all_shortest_words(g: CosetGraph, dist: list[int], budget: int) -> dict[int
             for j, v in enumerate(g.edges[u]):
                 if dist[v] != depth + 1:
                     continue
-                listed += len(ws_u)
+                listed += len(ws_u) * (depth + 1)
                 if listed > budget:
                     return None
                 nxt.setdefault(v, []).extend(w + (j,) for w in ws_u)
@@ -173,8 +173,9 @@ def regular_bound_exact(g: CosetGraph, budget: int = DEFAULT_SEARCH_BUDGET) -> R
     Depth-first search over per-vertex word choices, vertices in (distance,
     index) order, seeded with the load-balanced greedy answer and pruned
     against both the incumbent and the averaged lower bound.  The budget
-    counts assignment nodes, and separately caps the shortest words listed
-    before the search; exceeding either returns the best found as inexact.
+    counts assignment nodes, and separately caps the letters of the shortest
+    words listed before the search; exceeding either returns the best found
+    as inexact.
     """
     _require_cayley(g)
     dist = distances_from(g, 0)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from alltoall import scheduling
 from alltoall.cli import main
 
 
@@ -128,6 +129,17 @@ def test_pipeline_z7(tmp_path, capsys):
     assert len(trace_lines) == 1 + 9 * 7  # every word letter crosses once per shift
 
 
+@pytest.mark.parametrize("method", ["exact", "greedy"])
+def test_pipeline_checks_its_schedule_twice(tmp_path, capsys, monkeypatch, method):
+    # once in the scheduler and once in the expansion; the summary's flags trust both
+    real = scheduling.validate_schedule
+    calls = []
+    monkeypatch.setattr(scheduling, "validate_schedule", lambda *args: calls.append(args) or real(*args))
+    code, _, err = run(capsys, "pipeline", "--builtin", "z7-124", "--method", method, "--outdir", str(tmp_path))
+    assert code == 0, err
+    assert len(calls) == 2
+
+
 def test_pipeline_petersen_takes_factor_route(tmp_path, capsys):
     out = tmp_path / "out"
     code, stdout, _ = run(capsys, "pipeline", "--builtin", "petersen", "--outdir", str(out))
@@ -178,6 +190,15 @@ def test_words_exact_on_long_cycle(tmp_path, capsys):
     assert doc["theta"] == 125501
     assert doc["psi_W"] == doc["psi_exact"] == 125751
     assert doc["exact"] is True
+
+
+def test_factorize_search_on_long_cycle(tmp_path, capsys):
+    # 1200 tails: enumerating a 1-factor must not nest a call per vertex
+    spec = tmp_path / "cycle.json"
+    spec.write_text(json.dumps({"digraph": {"n": 1200, "arcs": [[i, (i + 1) % 1200] for i in range(1200)]}}))
+    code, _, err = run(capsys, "factorize", "--spec", str(spec), "--search", "--budget", "50")
+    assert code == 2
+    assert "no spanning factorization found (budget)" in err
 
 
 def test_simulate_refuses_non_spanning_factorization(tmp_path, capsys):

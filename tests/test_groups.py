@@ -1,10 +1,11 @@
-"""Group arithmetic, enumeration, and coset canonicalization."""
+"""Group arithmetic, coset enumeration, and coset canonicalization."""
 
 import random
 
 import pytest
 
 from alltoall.errors import CapacityError, StructureError, SubgroupError
+from alltoall.graphs import build_cayley_coset_graph
 from alltoall.groups import (
     CyclicGroup,
     GroupSpec,
@@ -12,7 +13,6 @@ from alltoall.groups import (
     ProductGroup,
     coset_canonicalize,
     coset_elements,
-    enumerate_group,
     group_from_descriptor,
     validate_subgroup,
 )
@@ -113,29 +113,38 @@ def test_modulus_and_degree_floors():
 
 def test_enumerate_cyclic_full_cycle():
     spec = GroupSpec(group=CyclicGroup(4), generators=(1,))
-    table = enumerate_group(spec)
-    assert sorted(table.elements) == [0, 1, 2, 3]
-    assert table.elements[0] == 0  # identity first
+    g = build_cayley_coset_graph(spec)
+    assert sorted(g.vertices) == [0, 1, 2, 3]
+    assert g.vertices[0] == 0  # the identity coset is vertex 0
 
 
 def test_enumerate_s5_from_two_generators():
     g = PermutationGroup(5)
     spec = GroupSpec(group=g, generators=(g.parse("(1 2)"), g.parse("(1 2 3 4 5)")))
-    table = enumerate_group(spec)
-    assert len(table) == 120
+    assert build_cayley_coset_graph(spec).vertex_count == 120
 
 
 def test_enumeration_cap_is_enforced():
     spec = GroupSpec(group=CyclicGroup(10 ** 6), generators=(1,))
     with pytest.raises(CapacityError) as ei:
-        enumerate_group(spec, cap=10 ** 5)
+        build_cayley_coset_graph(spec, cap=10 ** 5)
     assert "100000" in str(ei.value)
 
 
-def test_enumeration_includes_subgroup_elements():
-    # generators alone reach <0,2> = {0,2,4}; H = {0,3} completes the group
+def test_cap_counts_cosets_times_subgroup_order():
     spec = GroupSpec(group=CyclicGroup(6), generators=(2,), subgroup=(0, 3))
-    assert len(enumerate_group(spec)) == 6
+    assert build_cayley_coset_graph(spec, cap=6).vertex_count == 3
+    with pytest.raises(CapacityError):
+        build_cayley_coset_graph(spec, cap=5)
+
+
+def test_enumeration_includes_subgroup_elements():
+    # generators alone reach <2> = {0,2,4}; H = {0,3} completes the group,
+    # so the walk finds 3 cosets covering all 6 elements
+    spec = GroupSpec(group=CyclicGroup(6), generators=(2,), subgroup=(0, 3))
+    g = build_cayley_coset_graph(spec)
+    assert g.vertex_count == 3
+    assert set().union(*(coset_elements(spec.group, v, spec.subgroup) for v in g.vertices)) == set(range(6))
 
 
 def test_subgroup_validation():
@@ -161,10 +170,12 @@ def test_coset_canonicalize_picks_minimum():
 def test_cosets_partition_the_group():
     g = PermutationGroup(3)
     h = (g.identity, g.parse("(1 2)"))
-    spec = GroupSpec(group=g, generators=(g.parse("(1 2 3)"),), subgroup=h)
-    table = enumerate_group(spec)
-    reps = {coset_canonicalize(g, x, h) for x in table.elements}
+    # the double coset H(1 2 3)H = S3 - H commutes with H as a set
+    outside = tuple(g.parse(c) for c in ("(1 3)", "(2 3)", "(1 2 3)", "(1 3 2)"))
+    spec = GroupSpec(group=g, generators=outside, subgroup=h)
+    reps = build_cayley_coset_graph(spec).vertices
     assert len(reps) == 3
+    assert all(coset_canonicalize(g, rep, h) == rep for rep in reps)
     seen = set()
     for rep in reps:
         block = coset_elements(g, rep, h)

@@ -8,6 +8,7 @@ import pytest
 from alltoall import fixtures
 from alltoall.errors import InputError, UnsupportedGraphError
 from alltoall.graphs import build_cayley_coset_graph
+from alltoall.groups import CyclicGroup, GroupSpec
 from alltoall.specfile import parse_spec_document
 from alltoall.layers import average_diameter_bound, distances_from, layer_profile
 from alltoall.scheduling import factor_occurrences
@@ -169,6 +170,23 @@ def test_word_listing_is_bounded_by_the_budget():
     assert bound.value == max_occurrence(greedy, g.degree) == 520
     assert bound.witness.words == greedy.words
     assert peak < 4 * 2**20  # listing all of them takes ~30 MB
+
+
+def test_word_listing_budget_counts_letters():
+    # Z402 {1, 201} has 20,501 shortest words but ~2.75M letters (~22 MB listed);
+    # a budget of 40,000 must stop the listing, not admit every word
+    g = build_cayley_coset_graph(GroupSpec(group=CyclicGroup(402), generators=(1, 201)))
+    greedy = bfs_word_set(g, mode="load-balanced")
+    tracemalloc.start()
+    try:
+        bound = regular_bound_exact(g, budget=40000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not bound.exact
+    assert bound.value == max_occurrence(greedy, g.degree)
+    assert bound.witness.words == greedy.words
+    assert peak < 2 * 2**20
 
 
 def naive_balanced_words(g):
