@@ -53,7 +53,8 @@ def main():
     trace = run_transpose(g, expand_factor_paths(g, ws.words, exact.schedule))
     print(f"replay: clean={trace.clean}, horizon={trace.horizon} (theta was {theta})")
     print("slot-by-slot wire usage (time, src, dst, gen, packet):")
-    for time, src, dst, gen, ps, pd in trace_csv_rows(trace, g):
+    for line in "".join(trace_csv_rows(trace, g)).splitlines():
+        time, src, dst, gen, ps, pd = map(int, line.split(","))
         print(f"  t={time}  {src}->{dst} via gen{gen}  carrying {ps}->{pd}")
 
 

@@ -192,7 +192,7 @@ def _read_schedule_csv(path: str) -> tuple[dict[int, tuple[int, ...]], Schedule]
 def _write_trace_csv(path: str, trace, host) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("time,src,dst,gen,packet_src,packet_dst\n")
-        fh.writelines("%d,%d,%d,%d,%d,%d\n" % row for row in trace_csv_rows(trace, host))
+        fh.writelines(trace_csv_rows(trace, host))
 
 
 def _words_doc(words: dict[int, tuple[int, ...]], degree: int, theta: int) -> dict:

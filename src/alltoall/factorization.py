@@ -65,23 +65,38 @@ def _perfect_matching(n: int, adj: list[list[tuple[int, int]]]) -> list[int] | N
     """
     match_head: dict[int, int] = {}  # head -> arc id
     match_tail: list[int] = [-1] * n
+    owner_tail: dict[int, int] = {}
 
-    def augment(u: int, seen: set[int]) -> bool:
-        for arc_id, v in adj[u]:
-            if v in seen:
-                continue
-            seen.add(v)
-            owner = match_head.get(v)
-            if owner is None or augment(owner_tail[v], seen):
-                match_head[v] = arc_id
-                owner_tail[v] = u
-                match_tail[u] = arc_id
-                return True
+    def augment(root: int) -> bool:
+        # depth first on an explicit stack: frames hold each tail on the path
+        # with its unscanned options, path the (tail, arc id, head) steps
+        # taken down to the top frame
+        seen: set[int] = set()
+        frames = [(root, iter(adj[root]))]
+        path: list[tuple[int, int, int]] = []
+        while frames:
+            u, options = frames[-1]
+            for arc_id, v in options:
+                if v in seen:
+                    continue
+                seen.add(v)
+                path.append((u, arc_id, v))
+                if v not in match_head:
+                    for tail, arc, head in path:
+                        match_head[head] = arc
+                        owner_tail[head] = tail
+                        match_tail[tail] = arc
+                    return True
+                frames.append((owner_tail[v], iter(adj[owner_tail[v]])))
+                break
+            else:
+                frames.pop()
+                if path:
+                    path.pop()
         return False
 
-    owner_tail: dict[int, int] = {}
     for u in range(n):
-        if not augment(u, set()):
+        if not augment(u):
             return None
     return match_tail
 
@@ -336,17 +351,16 @@ def _words_of_length(factors: Sequence[Sequence[int]], target: int, length: int,
     if key in cache:
         return cache[key]
     d = len(factors)
-    results: list[tuple[int, ...]] = []
-
-    def extend(v: int, word: tuple[int, ...]) -> None:
-        if len(word) == length:
-            if v == target:
-                results.append(word)
-            return
-        for j in range(d):
-            extend(factors[j][v], word + (j,))
-
-    extend(0, ())
+    results: list[tuple[int, ...]] = [()] if length == 0 and target == 0 else []
+    # depth first over prefixes on an explicit stack, letters pushed in
+    # reverse so that words come off it in lexicographic order
+    stack: list[tuple[int, tuple[int, ...]]] = [(0, ())] if length else []
+    while stack:
+        v, word = stack.pop()
+        if len(word) == length - 1:
+            results.extend(word + (j,) for j in range(d) if factors[j][v] == target)
+        else:
+            stack.extend([(factors[j][v], word + (j,)) for j in range(d - 1, -1, -1)])
     cache[key] = results
     return results
 
@@ -384,13 +398,25 @@ def search_spanning_factorization(
             ends: list[set[int]] = [{b} for b in range(n)]  # empty word's endpoint
             chosen: list[tuple[int, ...]] = [()] * n
 
-            def assign(pos: int, slack_left: int) -> bool:
-                nonlocal nodes, best_depth, out_of_budget
-                if pos == len(order):
-                    return True
+            def candidates(pos: int, slack_left: int) -> Iterator[tuple[int, tuple[int, ...]]]:
                 v = order[pos]
                 for extra in range(slack_left + 1):
                     for word in _words_of_length(fact.factors, v, dist[v] + extra, cache):
+                        yield extra, word
+
+            def assign(slack: int) -> bool:
+                # depth first on an explicit stack: frames[pos] holds order[pos]'s
+                # untried candidates and the slack left to it, placed[pos] the
+                # endpoints of the word it holds while deeper vertices are tried
+                nonlocal nodes, best_depth, out_of_budget
+                if not order:
+                    return True
+                frames = [(candidates(0, slack), slack)]
+                placed: list[list[int]] = []
+                while frames:
+                    pos = len(frames) - 1
+                    options, slack_left = frames[-1]
+                    for extra, word in options:
                         if nodes >= budget:
                             out_of_budget = True
                             return False
@@ -400,17 +426,21 @@ def search_spanning_factorization(
                             continue
                         for b in range(n):
                             ends[b].add(endpoints[b])
-                        chosen[v] = word
+                        chosen[order[pos]] = word
                         best_depth = max(best_depth, pos + 1)
-                        if assign(pos + 1, slack_left - extra):
+                        if pos + 1 == len(order):
                             return True
-                        for b in range(n):
-                            ends[b].discard(endpoints[b])
-                        if out_of_budget:
-                            return False
+                        placed.append(endpoints)
+                        frames.append((candidates(pos + 1, slack_left - extra), slack_left - extra))
+                        break
+                    else:
+                        frames.pop()
+                        if placed:
+                            for b, end in enumerate(placed.pop()):
+                                ends[b].discard(end)
                 return False
 
-            if assign(0, slack):
+            if assign(slack):
                 words = tuple(chosen)
                 check = verify_spanning(fact.factors, words, n)
                 if not check.ok:

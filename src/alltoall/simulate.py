@@ -17,14 +17,28 @@ holds the packet id source*n + dest + 1 of the first packet to cross that
 arc in that slot, 0 meaning free.  Deliveries are counted in one flat n*n
 array.  Memory therefore follows the slots actually used, not the horizon:
 a lone packet in slot 10**9 costs one row.
+
+An Expansion is replayed a word at a time first: one letter moves the word's
+n packets, one from each base, across one out-position in one slot.  When
+that out-position's column of heads is a permutation, the n tails are
+distinct and the letter fills the slot's column of cells row[j::d] in one
+assignment, ordered by tail.  This pass still walks every packet on the
+replayed graph and reads no scheduler code.  It gives up, discarding what
+it built, on the first word whose slots do not rise from 1, whose letter is
+not an out-position of every vertex or names a column that is not a
+permutation, and on the first letter whose column in its slot is taken.
+The same Expansion is then replayed packet by packet, the only path that
+records conflicts and raises on broken routes, so a plan the fast pass
+refuses gets exactly the verdict, conflicts and errors it would get alone.
+Hand-built packet lists always take the packet-by-packet path.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import compress
-from operator import not_
+from itertools import chain, compress, repeat
+from operator import add, floordiv, lt, mod, not_, sub
 from typing import Iterable, Iterator, Sequence
 
 from . import scheduling
@@ -70,7 +84,10 @@ class Expansion:
                 tails = []
                 for j in word:
                     tails.append(v)
-                    v = succ[v][j]
+                    heads = succ[v]
+                    if not 0 <= j < len(heads):
+                        break  # the replay reports the missing arc at tail v
+                    v = heads[j]
                 yield base, v, tails, word, slots
 
 
@@ -128,11 +145,17 @@ def run_transpose(g: Graph, paths: Iterable[Packet | TimedPath]) -> TransposeTra
     Structural breakage (an edge index off the graph, a path that teleports
     or runs backward in time) raises, because such a path is not a route at
     all; contention and missing packets are findings, recorded in the trace.
+    An Expansion over `g` first gets the word-by-word pass; whatever that
+    pass cannot settle is replayed packet by packet from the start.
     """
     n = g.vertex_count
     succ = [g.successors(v) for v in range(n)]
     d = max(map(len, succ), default=0)
     code = "i" if n * n < 2**31 else "q"
+    if isinstance(paths, Expansion) and paths.succ == succ:
+        replayed = _replay_by_word(paths.jobs, succ, d, code)
+        if replayed is not None:
+            return _trace(n, d, (), *replayed)
     free = array(code, [0]) * (n * d)
     slots: dict[int, array] = {}
     conflicts: list[tuple[int, Edge, tuple[int, int], tuple[int, int]]] = []
@@ -171,10 +194,60 @@ def run_transpose(g: Graph, paths: Iterable[Packet | TimedPath]) -> TransposeTra
         counts[pid - 1] += 1
         if last_time > horizon:
             horizon = last_time
+    return _trace(n, d, tuple(conflicts), horizon, slots, counts)
+
+
+def _replay_by_word(jobs, succ, d: int, code: str) -> tuple[int, dict[int, array], array] | None:
+    """(horizon, slots, counts) of the replay run a word at a time, or None where it gives up.
+
+    A word's n packets start at the n bases, so their tails stay distinct
+    for as long as each letter's column of heads is a permutation; and
+    since this pass writes whole columns only, a column is free in a slot
+    exactly when no earlier letter claimed that (slot, position).
+    """
+    n = len(succ)
+    # the out-positions every vertex has, each as its column of heads
+    columns = [[heads[j] for heads in succ] for j in range(min(map(len, succ), default=0))]
+    # inverse[j][w] = the tail column j sends to w; None when column j is not a permutation
+    inverse = [sorted(range(n), key=col.__getitem__) if len(set(col)) == n else None for col in columns]
+    free = array(code, [0]) * (n * d)
+    slots: dict[int, array] = {}
+    claimed: set[tuple[int, int]] = set()  # (slot, position) of every column written
+    counts = array(code, [0]) * (n * n)
+    horizon = 0
+    for word, times in jobs:
+        if len(times) != len(word):
+            return None
+        if word:
+            if not (0 < times[0] and all(map(lt, times, times[1:])) and 0 <= min(word) and max(word) < len(columns)):
+                return None
+            if any(inverse[j] is None for j in word):
+                return None
+            horizon = max(horizon, times[-1])
+        tails = range(n)
+        for j in word:
+            tails = list(map(columns[j].__getitem__, tails))
+        keys = list(map(add, range(0, n * n, n), tails))  # source*n + dest, sources in order
+        for key in keys:
+            counts[key] += 1
+        carried = list(map(add, keys, repeat(1)))  # carried[v]: the id of the packet at tail v
+        for j, time in zip(word, times):
+            if (time, j) in claimed:
+                return None
+            claimed.add((time, j))
+            row = slots.get(time)
+            if row is None:
+                row = slots[time] = free[:]
+            row[j::d] = array(code, carried)
+            carried = list(map(carried.__getitem__, inverse[j]))
+    return horizon, slots, counts
+
+
+def _trace(n: int, d: int, conflicts, horizon: int, slots: dict[int, array], counts: array) -> TransposeTrace:
     missing = compress(range(n * n), map(not_, counts))
     return TransposeTrace(
         horizon=horizon,
-        conflicts=tuple(conflicts),
+        conflicts=conflicts,
         undelivered=tuple(divmod(k, n) for k in missing if k % (n + 1)),
         vertex_count=n,
         width=d,
@@ -183,15 +256,25 @@ def run_transpose(g: Graph, paths: Iterable[Packet | TimedPath]) -> TransposeTra
     )
 
 
-def trace_csv_rows(trace: TransposeTrace, g: Graph) -> Iterator[tuple[int, int, int, int, int, int]]:
-    """Occupancy as (time, src, dst, gen, packet_src, packet_dst) rows, in (time, src, gen) order."""
+def trace_csv_rows(trace: TransposeTrace, g: Graph) -> Iterator[str]:
+    """The trace CSV's rows as text, one chunk per used slot, in (time, src, gen) order.
+
+    A row reads "time,src,dst,gen,packet_src,packet_dst\n": in slot time
+    the arc from src to dst at out-position gen carried the packet from
+    packet_src to packet_dst.
+    """
     n, d = trace.vertex_count, trace.width
-    # cell -> (tail, head, index); cells past an irregular host's out-degree are never occupied
-    arcs = [(tail, heads[i] if i < len(heads) else -1, i)
-            for tail, heads in enumerate(map(g.successors, range(n))) for i in range(d)]
+    source = [f"{v}," for v in range(n)]
+    dest = [f"{v}\n" for v in range(n)]
+    # cell -> "tail,head,index,"; cells past an irregular host's out-degree are never occupied
+    arc = [f"{tail},{heads[i] if i < len(heads) else -1},{i},"
+           for tail, heads in enumerate(map(g.successors, range(n))) for i in range(d)]
     for time in sorted(trace.slots):
         row = trace.slots[time]
-        for cell in compress(range(len(row)), row):
-            ps, pd = divmod(row[cell] - 1, n)
-            tail, head, index = arcs[cell]
-            yield time, tail, head, index, ps, pd
+        keys = list(map(sub, compress(row, row), repeat(1)))
+        yield "".join(chain.from_iterable(zip(
+            repeat(f"{time},"),
+            compress(arc, row),
+            map(source.__getitem__, map(floordiv, keys, repeat(n))),
+            map(dest.__getitem__, map(mod, keys, repeat(n))),
+        )))

@@ -173,9 +173,10 @@ def regular_bound_exact(g: CosetGraph, budget: int = DEFAULT_SEARCH_BUDGET) -> R
     Depth-first search over per-vertex word choices, vertices in (distance,
     index) order, seeded with the load-balanced greedy answer and pruned
     against both the incumbent and the averaged lower bound.  The budget
-    counts assignment nodes, and separately caps the letters of the shortest
-    words listed before the search; exceeding either returns the best found
-    as inexact.
+    caps, separately, the letters of the shortest words listed before the
+    search and the letters of the words the search tries, since trying a
+    word updates one count per letter; exceeding either returns the best
+    found as inexact.
     """
     _require_cayley(g)
     dist = distances_from(g, 0)
@@ -223,7 +224,7 @@ def regular_bound_exact(g: CosetGraph, budget: int = DEFAULT_SEARCH_BUDGET) -> R
                 continue
             word = options[v][tried[pos]]
             tried[pos] += 1
-            nodes += 1
+            nodes += len(word)
             for j in word:
                 counts[j] += 1
             if max(counts) < incumbent_value:

@@ -1,11 +1,16 @@
 """End-to-end runs of the command-line frontend, in-process via main(argv)."""
 
+import csv
+import io
 import json
 
 import pytest
 
-from alltoall import scheduling
+from alltoall import fixtures, scheduling
 from alltoall.cli import main
+from alltoall.graphs import Digraph
+from alltoall.simulate import TimedPath
+from test_simulate import reference_replay
 
 
 def run(capsys, *argv):
@@ -139,6 +144,48 @@ def test_pipeline_checks_its_schedule_twice(tmp_path, capsys, monkeypatch, metho
     assert code == 0, err
     assert len(calls) == 2
 
+
+
+def reference_trace_csv(host, schedule_csv):
+    """trace.csv as csv.writer renders reference_replay's rows for the plan in a schedule CSV."""
+    letters = {}
+    with open(schedule_csv, encoding="utf-8", newline="") as fh:
+        for row in csv.DictReader(fh):
+            letters.setdefault(int(row["word_target"]), []).append(
+                (int(row["position"]), int(row["factor"]), int(row["time"])))
+    paths = []
+    for base in range(host.vertex_count):
+        for target in sorted(letters):
+            v, steps = base, []
+            for _, j, t in sorted(letters[target]):
+                steps.append(((v, j), t))
+                v = host.successors(v)[j]
+            paths.append(TimedPath(source=base, dest=v, steps=tuple(steps)))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["time", "src", "dst", "gen", "packet_src", "packet_dst"])
+    writer.writerows(reference_replay(host, paths)[4])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("name", ["q3", "z7-124"])
+def test_pipeline_trace_csv_matches_the_reference_replay(tmp_path, capsys, name):
+    code, _, err = run(capsys, "pipeline", "--builtin", name, "--outdir", str(tmp_path))
+    assert code == 0, err
+    expected = reference_trace_csv(fixtures.builtin_graph(name), tmp_path / "schedule.csv")
+    assert (tmp_path / "trace.csv").read_text(encoding="utf-8") == expected
+
+
+def test_simulate_trace_csv_over_factors_matches_the_reference_replay(tmp_path, capsys):
+    fact, sched, trace = tmp_path / "fact.json", tmp_path / "sched.csv", tmp_path / "trace.csv"
+    doc = run_json(capsys, "factorize", "--builtin", "petersen", "--search")
+    fact.write_text(json.dumps(doc))
+    run_json(capsys, "schedule", "--builtin", "petersen", "--factorization", str(fact), "--csv", str(sched))
+    run_json(capsys, "simulate", "--builtin", "petersen", "--factorization", str(fact),
+             "--schedule", str(sched), "--trace", str(trace))
+    # out-position j of the replayed host is factor j
+    host = Digraph(out=tuple(tuple(f[v] for f in doc["factors"]) for v in range(doc["n"])))
+    assert trace.read_text(encoding="utf-8") == reference_trace_csv(host, sched)
 
 def test_pipeline_petersen_takes_factor_route(tmp_path, capsys):
     out = tmp_path / "out"

@@ -1,6 +1,10 @@
 """1-factorizations and spanning factorizations."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -171,3 +175,28 @@ def test_search_exhaustion_is_not_budget():
     res = search_spanning_factorization(g)
     assert res.found is not None
     assert res.found.words == ((), (0,))
+
+
+def test_search_and_matching_run_on_explicit_stacks():
+    # on a 200-vertex directed cycle the word search lists a 199-letter word
+    # and assigns 199 vertices deep; on the chain digraph the last tail's
+    # augmenting path runs back through all the others.  Under a recursion
+    # limit of 100 neither may nest a call per vertex, letter or step.
+    script = textwrap.dedent("""
+        import sys
+        from alltoall.factorization import one_factorize, search_spanning_factorization
+        from alltoall.graphs import Digraph
+        n = 200
+        cycle = Digraph(out=tuple(((v + 1) % n,) for v in range(n)))
+        chain = Digraph(out=tuple((v, v + 1) for v in range(n - 1)) + ((0, n - 1),))
+        sys.setrecursionlimit(100)
+        res = search_spanning_factorization(cycle)
+        print(res.nodes, res.factorizations, res.best_depth, res.found.words == tuple((0,) * k for k in range(n)))
+        f = one_factorize(chain)
+        print(f.factors == (tuple(range(1, n)) + (0,), tuple(range(n))))
+    """)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["199", "1", "199", "True", "True"]

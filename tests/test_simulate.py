@@ -5,18 +5,24 @@ import tracemalloc
 
 import pytest
 
-from alltoall import fixtures
+from alltoall import fixtures, simulate
 from alltoall.errors import InputError
 from alltoall.factorization import factor_digraph, search_spanning_factorization, spanning_factorization_from_cayley
 from alltoall.graphs import Digraph, as_digraph
 from alltoall.scheduling import Schedule, exact_min_schedule, greedy_schedule
 from alltoall.simulate import (
+    Expansion,
     TimedPath,
     expand_factor_paths,
     run_transpose,
     trace_csv_rows,
 )
 from alltoall.words import WordSet, bfs_word_set
+
+
+def trace_lines(trace, g):
+    """trace_csv_rows' text parsed back into (time, src, dst, gen, packet_src, packet_dst) tuples."""
+    return [tuple(map(int, line.split(","))) for line in "".join(trace_csv_rows(trace, g)).splitlines()]
 
 
 def scheduled_corpus(name):
@@ -62,7 +68,7 @@ def test_cayley_plan_replays_alike_over_its_factors(name):
     over_factors = run_transpose(host, expand_factor_paths(host, ws.words, sched))
     assert over_graph.clean and over_factors.clean
     assert over_graph.horizon == over_factors.horizon
-    assert list(trace_csv_rows(over_graph, g)) == list(trace_csv_rows(over_factors, host))
+    assert trace_lines(over_graph, g) == trace_lines(over_factors, host)
 
 
 def test_expansion_rejects_invalid_schedule():
@@ -133,7 +139,7 @@ def test_packets_off_the_graph_raise(source, dest):
 def test_trace_rows_are_time_sorted_and_complete():
     g, ws, sched = scheduled_corpus("z7-124")
     trace = run_transpose(g, expand_factor_paths(g, ws.words, sched))
-    rows = list(trace_csv_rows(trace, g))
+    rows = trace_lines(trace, g)
     assert len(rows) == sum(len(row) - row.count(0) for row in trace.slots.values())
     assert [r[0] for r in rows] == sorted(r[0] for r in rows)
     for time, src, dst, gen, ps, pd in rows:
@@ -236,7 +242,7 @@ def assert_replays_agree(g, paths, packets=None):
     counts = {(s, d): trace.deliveries(s, d) for s in range(n) for d in range(n) if trace.deliveries(s, d)}
     assert counts == delivered
     assert trace.delivered_pairs == len(delivered)
-    assert list(trace_csv_rows(trace, g)) == rows
+    assert trace_lines(trace, g) == rows
     assert trace.clean == (not conflicts and not undelivered and all(c == 1 for c in delivered.values()))
     return trace
 
@@ -347,3 +353,129 @@ def test_memory_follows_the_slots_used_not_the_horizon():
     assert trace.horizon == 10**9
     assert sorted(trace.slots) == [1, 10**9]
     assert peak < 2**20
+
+
+# ---------------------------------------------------------------------------
+# the word-by-word pass against the packet-by-packet replay
+# ---------------------------------------------------------------------------
+
+
+def expansion(g, jobs):
+    """An Expansion built by hand, with no schedule check: the oracle sees plans a scheduler would refuse."""
+    return Expansion(succ=[g.successors(v) for v in range(g.vertex_count)], jobs=jobs)
+
+
+def assert_word_pass_agrees(g, expanded, monkeypatch):
+    """The replay of an Expansion equals the packet-by-packet one; returns it and whether the word pass settled it."""
+    settled = []
+
+    def spy(*args):
+        result = real(*args)
+        settled.append(result is not None)
+        return result
+
+    real = simulate._replay_by_word
+    monkeypatch.setattr(simulate, "_replay_by_word", spy)
+    fast = run_transpose(g, expanded)
+    slow = run_transpose(g, timed_paths(expanded))
+    assert len(settled) == 1
+    assert fast.horizon == slow.horizon
+    assert fast.conflicts == slow.conflicts
+    assert fast.undelivered == slow.undelivered
+    assert fast.counts == slow.counts
+    assert trace_lines(fast, g) == trace_lines(slow, g)
+    assert fast.clean == slow.clean
+    assert_replays_agree(g, timed_paths(expanded), packets=expanded)
+    return fast, settled[0]
+
+
+def assert_same_error(g, expanded, match):
+    with pytest.raises(InputError, match=match) as fast:
+        run_transpose(g, expanded)
+    with pytest.raises(InputError) as slow:
+        run_transpose(g, timed_paths(expanded))
+    assert str(fast.value) == str(slow.value)
+
+
+def kautz_2_2():
+    """Kautz K(2, 2): regular, but no out-position's column of heads is a permutation."""
+    verts = [(a, b) for a in range(3) for b in range(3) if a != b]
+    index = {w: i for i, w in enumerate(verts)}
+    return Digraph(out=tuple(tuple(index[(b, x)] for x in range(3) if x != b) for _, b in verts))
+
+
+@pytest.mark.parametrize("name", ["c4", "z5-12", "z7-124", "q3"])
+def test_word_pass_refuses_conflicting_slots(name, monkeypatch):
+    g = fixtures.builtin_graph(name)
+    words = list(bfs_word_set(g, mode="load-balanced").words.values())
+    rng = random.Random(17)
+    refused = 0
+    for horizon in (3, 5, 12):
+        for _ in range(3):
+            jobs = [(w, tuple(sorted(rng.sample(range(1, horizon + 1), len(w))))) for w in words]
+            trace, settled = assert_word_pass_agrees(g, expansion(g, jobs), monkeypatch)
+            assert settled == (not trace.conflicts)
+            refused += not settled
+    assert refused
+
+
+def test_word_pass_refuses_columns_that_are_not_permutations(monkeypatch):
+    g = kautz_2_2()
+    rng = random.Random(5)
+    conflicts = 0
+    for _ in range(10):
+        words = [tuple(rng.randrange(2) for _ in range(rng.randint(1, 3))) for _ in range(5)]
+        jobs = [(w, tuple(range(1 + k, 1 + k + len(w)))) for k, w in enumerate(words)]
+        trace, settled = assert_word_pass_agrees(g, expansion(g, jobs), monkeypatch)
+        assert not settled
+        conflicts += len(trace.conflicts)
+    assert conflicts
+
+
+@pytest.mark.parametrize("times", [(1, 1), (2, 1), (0, 1)])
+def test_word_pass_leaves_broken_slots_to_the_packet_replay(times):
+    g = fixtures.builtin_graph("z5-12")
+    assert_same_error(g, expansion(g, [((0,), (1,)), ((0, 1), times)]), "back in time")
+
+
+def test_word_pass_on_an_irregular_host(monkeypatch):
+    g = Digraph(out=((1, 2), (2,), (0,)))
+    # position 0 is a permutation held by every vertex: the word pass settles it
+    trace, settled = assert_word_pass_agrees(g, expansion(g, [((0,), (1,)), ((0, 0), (2, 3))]), monkeypatch)
+    assert settled and trace.clean
+    # position 1 exists at vertex 0 only
+    assert_same_error(g, expansion(g, [((0,), (1,)), ((1,), (2,))]), "out of range")
+
+
+def test_word_pass_counts_duplicate_deliveries(monkeypatch):
+    g = fixtures.builtin_graph("z7-124")
+    ws = bfs_word_set(g, mode="load-balanced")
+    jobs = [(w, tuple(range(1, len(w) + 1))) for w in ws.words.values() if len(w) == 1]
+    jobs.append((jobs[0][0], (4,)))  # a second key carrying the first word, one slot later
+    trace, settled = assert_word_pass_agrees(g, expansion(g, jobs), monkeypatch)
+    assert settled and not trace.conflicts and not trace.clean
+    assert trace.deliveries(0, g.successors(0)[jobs[0][0][0]]) == 2
+
+
+@pytest.mark.parametrize("name", ["c4", "k4", "z5-12", "z7-124", "q3"])
+def test_word_pass_settles_valid_schedules(name, monkeypatch):
+    g = fixtures.builtin_graph(name)
+    ws = bfs_word_set(g, mode="load-balanced")
+    rng = random.Random(23)
+    for _ in range(5):
+        sched = random_valid_schedule(ws.words, rng)
+        jobs = [(w, sched.times[key]) for key, w in ws.words.items()]
+        trace, settled = assert_word_pass_agrees(g, expansion(g, jobs), monkeypatch)
+        assert settled and trace.clean
+
+
+def test_word_pass_settles_valid_schedules_over_factors(monkeypatch):
+    sf = search_spanning_factorization(as_digraph(fixtures.builtin_graph("petersen"))).found
+    word_map = {i: w for i, w in enumerate(sf.words) if w}
+    host = factor_digraph(sf.base)
+    rng = random.Random(29)
+    for _ in range(5):
+        sched = random_valid_schedule(word_map, rng)
+        jobs = [(w, sched.times[key]) for key, w in word_map.items()]
+        trace, settled = assert_word_pass_agrees(host, expansion(host, jobs), monkeypatch)
+        assert settled and trace.clean

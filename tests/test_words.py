@@ -1,6 +1,10 @@
 """Shortest-word sets and the regular bound."""
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import pytest
@@ -188,6 +192,26 @@ def test_word_listing_budget_counts_letters():
     assert bound.witness.words == greedy.words
     assert peak < 2 * 2**20
 
+
+
+def test_search_budget_counts_letters():
+    # at a budget of 3M the ~2.75M-letter listing of Z402 {1, 201} fits, and
+    # each word the search tries updates ~200 counts: counted one per word,
+    # 3M tries ran ~75 s; counted per letter the search stops in about a second
+    script = textwrap.dedent("""
+        from alltoall.graphs import build_cayley_coset_graph
+        from alltoall.groups import CyclicGroup, GroupSpec
+        from alltoall.words import bfs_word_set, max_occurrence, regular_bound_exact
+        g = build_cayley_coset_graph(GroupSpec(group=CyclicGroup(402), generators=(1, 201)))
+        bound = regular_bound_exact(g, budget=3_000_000)
+        print(bound.exact, bound.value, max_occurrence(bfs_word_set(g, mode="load-balanced"), g.degree))
+    """)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=30)
+    assert done.returncode == 0, done.stderr
+    exact, value, greedy = done.stdout.split()
+    assert exact == "False" and value == greedy
 
 def naive_balanced_words(g):
     """The load-balanced rule with parents found by scanning every vertex."""
