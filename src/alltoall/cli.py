@@ -42,7 +42,16 @@ from .factorization import (
     spanning_factorization_from_cayley,
     verify_spanning,
 )
-from .graphs import CosetGraph, Digraph, Graph, as_digraph, build_cayley_coset_graph, emit_adjacency, regular_degree
+from .graphs import (
+    CosetGraph,
+    Digraph,
+    Graph,
+    as_digraph,
+    build_cayley_coset_graph,
+    emit_adjacency,
+    letters_commute,
+    regular_degree,
+)
 from .groups import GroupSpec
 from .layers import average_diameter_bound, layer_profile
 from .scheduling import (
@@ -52,6 +61,7 @@ from .scheduling import (
     exact_min_schedule,
     factor_occurrences,
     greedy_schedule,
+    open_shop_schedule,
     two_layer_counts,
     two_layer_time_bound,
 )
@@ -218,7 +228,7 @@ def _factorization_doc(n: int, factors, words, search: dict | None = None) -> di
 
 
 def _search_factorization(dg: Digraph, budget: int, max_slack: int):
-    """(spanning factorization, its artifact), or None after reporting on stderr why none was found."""
+    """(spanning factorization, search counters), or None after reporting on stderr why none was found."""
     res = search_spanning_factorization(dg, budget=budget, max_slack=max_slack)
     if res.found is None:
         print(
@@ -227,9 +237,7 @@ def _search_factorization(dg: Digraph, budget: int, max_slack: int):
             file=sys.stderr,
         )
         return None
-    sf = res.found
-    search = {"nodes": res.nodes, "factorizations": res.factorizations}
-    return sf, _factorization_doc(sf.vertex_count, sf.base.factors, sf.words, search)
+    return res.found, {"nodes": res.nodes, "factorizations": res.factorizations}
 
 
 def _schedule_summary(word_map, sched, degree, profile) -> dict:
@@ -254,10 +262,19 @@ def _schedule_summary(word_map, sched, degree, profile) -> dict:
     }
 
 
-def _schedule(word_map, degree, profile, method: str, budget: int, csv_path: str | None, out: str | None):
-    """Schedule the words and write the CSV rows (if asked) and the summary; None after reporting a failure."""
+def _schedule(host: Graph, word_map, degree, profile, method: str, budget: int, csv_path: str | None,
+              out: str | None):
+    """Schedule the words and write the CSV rows (if asked) and the summary.
+
+    Returns the words, in the letter order they were scheduled in, and the
+    schedule; None after reporting a failure.  The exact method reorders
+    letters only on a host whose out-positions commute, where a reordered
+    word still ends where it did from every base.
+    """
     if method == "greedy":
         sched = greedy_schedule(word_map, degree)
+    elif letters_commute(host):
+        word_map, sched = open_shop_schedule(word_map, degree)
     else:
         res = exact_min_schedule(word_map, degree, budget=budget)
         if res.status != "optimal":
@@ -267,7 +284,7 @@ def _schedule(word_map, degree, profile, method: str, budget: int, csv_path: str
     if csv_path:
         _write_schedule_csv(csv_path, word_map, sched)
     _emit_json(_schedule_summary(word_map, sched, degree, profile), out)
-    return sched
+    return word_map, sched
 
 
 def _replay(host: Graph, word_map, sched: Schedule, theta: int, trace_path: str | None, out: str | None,
@@ -333,7 +350,8 @@ def cmd_factorize(args) -> int:
         found = _search_factorization(dg, args.budget, args.max_slack)
         if found is None:
             return 2
-        doc = found[1]
+        sf, search = found
+        doc = _factorization_doc(sf.vertex_count, sf.base.factors, sf.words, search)
     elif cg is not None and cg.is_cayley:
         sf = spanning_factorization_from_cayley(cg, bfs_word_set(cg, mode=args.mode))
         doc = _factorization_doc(dg.vertex_count, sf.base.factors, sf.words)
@@ -350,19 +368,17 @@ def cmd_schedule(args) -> int:
         f, listed = _parse_factorization_doc(_read_json(args.factorization), args.factorization)
         if listed is None:
             raise InputError(f"{args.factorization}: factor-only artifact has no words to schedule")
-        degree = len(f.factors)
-        words = dict(enumerate(listed))
+        host, words = factor_digraph(f), dict(enumerate(listed))
     elif args.words:
-        words = _parse_words_doc(_read_json(args.words), args.words)
-        degree = cg.degree if cg is not None else regular_degree(dg)
+        host, words = cg if cg is not None else dg, _parse_words_doc(_read_json(args.words), args.words)
     else:
         if cg is None or not cg.is_cayley:
             raise InputError("scheduling a coset graph or raw digraph needs --words or --factorization")
-        words = bfs_word_set(cg, mode=args.mode).words
-        degree = cg.degree
+        host, words = cg, bfs_word_set(cg, mode=args.mode).words
+    degree = len(host.successors(0))
     word_map = {k: w for k, w in words.items() if w}
-    sched = _schedule(word_map, degree, profile, args.method, args.budget, args.csv, args.out)
-    return 2 if sched is None else 0
+    scheduled = _schedule(host, word_map, degree, profile, args.method, args.budget, args.csv, args.out)
+    return 2 if scheduled is None else 0
 
 
 def cmd_simulate(args) -> int:
@@ -394,25 +410,32 @@ def cmd_pipeline(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     profile = layer_profile(cg if cg is not None else dg)
     theta = average_diameter_bound(profile)
-    if cg is not None and cg.is_cayley and not args.search:
-        ws = bfs_word_set(cg, mode=args.mode)
-        _emit_json(_words_doc(ws.words, cg.degree, theta), str(outdir / "words.json"))
-        host, words = cg, ws.words
+    cayley = cg is not None and cg.is_cayley and not args.search
+    if cayley:
+        host, words = cg, bfs_word_set(cg, mode=args.mode).words
     else:
         found = _search_factorization(dg, args.budget, args.max_slack)
         if found is None:
             return 2
-        sf, doc = found
-        _emit_json(doc, str(outdir / "factorization.json"))
+        sf, search = found
         host, words = factor_digraph(sf.base), dict(enumerate(sf.words))
 
     # from here on a plan is words over the host's out-positions, whichever route made it
     degree = len(host.successors(0))
     word_map = {k: w for k, w in words.items() if w}
     psi_w = max(factor_occurrences(word_map, degree))
-    sched = _schedule(word_map, degree, profile, args.method, args.schedule_budget,
-                      str(outdir / "schedule.csv"), str(outdir / "schedule.json"))
-    if sched is None:
+    scheduled = _schedule(host, word_map, degree, profile, args.method, args.schedule_budget,
+                          str(outdir / "schedule.csv"), str(outdir / "schedule.json"))
+    if scheduled is not None:
+        word_map, sched = scheduled
+    # the words artifact holds the words in their scheduled letter order, or as chosen if scheduling failed
+    if cayley:
+        _emit_json(_words_doc(word_map, degree, theta), str(outdir / "words.json"))
+    else:
+        listed = [word_map.get(i, ()) for i in range(sf.vertex_count)]
+        _emit_json(_factorization_doc(sf.vertex_count, sf.base.factors, listed, search),
+                   str(outdir / "factorization.json"))
+    if scheduled is None:
         return 2
     verdict, code = _replay(host, word_map, sched, theta, str(outdir / "trace.csv"),
                             str(outdir / "verdict.json"), psi_w)

@@ -102,6 +102,27 @@ class CosetGraph:
 Graph = CosetGraph | Digraph
 
 
+def letters_commute(g: Graph) -> bool:
+    """True when every two out-positions commute at every vertex.
+
+    That is succ[succ[v][a]][b] == succ[succ[v][b]][a] for all v and a < b,
+    so any reordering of a word's letters ends where the word did, from
+    every base.  Cayley graphs of abelian groups pass; a host whose vertices
+    differ in out-degree fails.
+    """
+    out = [g.successors(v) for v in range(g.vertex_count)]
+    d = len(out[0]) if out else 0
+    if any(len(row) != d for row in out):
+        return False
+    for row in out:
+        for a in range(d - 1):
+            after_a = out[row[a]]
+            for b in range(a + 1, d):
+                if out[row[b]][a] != after_a[b]:
+                    return False
+    return True
+
+
 def validate_coset_condition(group, generators: Sequence[Element], subgroup: Sequence[Element]) -> bool:
     """True when the union of right translates dH equals the union hD.
 

@@ -6,10 +6,28 @@ factor share a time slot.  Interpreting factors as machines and words as
 jobs whose operations must run in order, this is a unit-time job shop;
 everything here is phrased on plain word collections so Cayley word sets
 and factorization word lists schedule through the same code.
+
+Two exact schedulers share the floor max(busiest factor's count, longest
+word), which no schedule of the letters beats:
+
+- exact_min_schedule keeps each word's letter order (the job shop) and
+  proves the shortest makespan by depth-first search under a node budget.
+  It serves hosts whose out-positions do not commute (star graphs,
+  Petersen's factors, Kautz digraphs), where a reordered word can end
+  somewhere else.
+- open_shop_schedule may reorder each word's letters (the open shop) and
+  always meets the floor, in polynomial time, by edge colouring (Gonzalez
+  and Sahni, J. ACM 1976).  It serves hosts whose out-positions commute
+  (graphs.letters_commute: hypercubes, circulants, tori), where every
+  reordering ends where the word did from every base.
+
+The command line picks between them from the host; greedy_schedule is the
+fast, not always shortest, alternative for either.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -71,28 +89,121 @@ def factor_occurrences(word_map: WordMap, degree: int) -> list[int]:
     return counts
 
 
+def _greedy_times(word_map: WordMap) -> dict[int, tuple[int, ...]]:
+    """greedy_schedule's labeling, before validation."""
+    order = sorted((k for k, w in word_map.items() if len(w) > 0), key=lambda k: (-len(word_map[k]), k))
+    # after[j][t], for a slot t that factor j uses, points at a later slot that
+    # is free or used; following the pointers ends at j's first free slot >= t
+    after: dict[int, dict[int, int]] = {}
+    times: dict[int, tuple[int, ...]] = {}
+    for key in order:
+        slots = []
+        t = 0
+        for j in word_map[key]:
+            nxt = after.setdefault(j, {})
+            start = t = t + 1
+            while t in nxt:
+                t = nxt[t]
+            while start != t:  # path compression: every slot passed now points at t
+                nxt[start], start = t, nxt[start]
+            nxt[t] = t + 1
+            slots.append(t)
+        times[key] = tuple(slots)
+    return times
+
+
 def greedy_schedule(word_map: WordMap, degree: int) -> Schedule:
     """Longest words first, each letter at the earliest legal slot.
 
     Deterministic: ties between equal-length words break on the key.  The
     result is always valid but not always the shortest possible.
     """
-    order = sorted((k for k, w in word_map.items() if len(w) > 0), key=lambda k: (-len(word_map[k]), k))
-    used: set[tuple[int, int]] = set()
-    times: dict[int, tuple[int, ...]] = {}
-    for key in order:
-        slots = []
-        t = 0
-        for j in word_map[key]:
-            t += 1
-            while (j, t) in used:
-                t += 1
-            used.add((j, t))
-            slots.append(t)
-        times[key] = tuple(slots)
-    schedule = Schedule(times=times)
+    schedule = Schedule(times=_greedy_times(word_map))
     validate_schedule(word_map, schedule, degree)
     return schedule
+
+
+def open_shop_schedule(word_map: WordMap, degree: int) -> tuple[dict[int, tuple[int, ...]], Schedule]:
+    """A shortest schedule when each word's letters may run in any order.
+
+    Returns the non-empty words, their letters in slot order, and the
+    schedule.  The floor max(busiest factor's count, longest word) bounds
+    every schedule of these letters from below, and a König edge colouring
+    of the words x factors multigraph (one edge per letter) with that many
+    colours meets it: colours are slots, so no word and no factor uses a
+    slot twice.  Greedy runs first; when it already meets the floor, its
+    schedule is returned with the words in their given letter order.
+    """
+    words = {k: tuple(w) for k, w in word_map.items() if len(w) > 0}
+    if not words:
+        return words, Schedule(times={})
+    floor = max(max(factor_occurrences(words, degree)), max(len(w) for w in words.values()))
+    times = _greedy_times(words)
+    if max(slots[-1] for slots in times.values()) == floor:
+        schedule = Schedule(times=times)
+        validate_schedule(words, schedule, degree)
+        return words, schedule
+
+    # at_factor[j][c] is the word whose letter on factor j has colour c (-1: none);
+    # at_word[k] maps each colour used by word k to that letter's factor
+    at_factor = [[-1] * floor for _ in range(degree)]
+    free = [list(range(floor)) for _ in range(degree)]  # min-heaps of colours, stale entries skipped
+    at_word: dict[int, dict[int, int]] = {k: {} for k in words}
+    for k, word in words.items():
+        mine = at_word[k]
+        for j in word:
+            a = next(c for c in range(len(word)) if c not in mine)  # fewer than len(word) colours are taken
+            if at_factor[j][a] >= 0:
+                heap = free[j]
+                while at_factor[j][heap[0]] >= 0:
+                    heapq.heappop(heap)
+                b = heapq.heappop(heap)
+                if b not in mine:
+                    a = b
+                else:
+                    _swap_path(at_factor, at_word, free, j, a, b)
+            at_factor[j][a] = k
+            mine[a] = j
+    new_words: dict[int, tuple[int, ...]] = {}
+    times = {}
+    for k, colours in at_word.items():
+        order = sorted(colours)
+        new_words[k] = tuple(colours[c] for c in order)
+        times[k] = tuple(c + 1 for c in order)
+    schedule = Schedule(times=times)
+    validate_schedule(new_words, schedule, degree)
+    return new_words, schedule
+
+
+def _swap_path(at_factor, at_word, free, j: int, a: int, b: int) -> None:
+    """Swap colours a and b along the alternating path that leaves factor j on colour a.
+
+    b is free at j, so afterwards a is: the path runs factor -a- word -b-
+    factor -a- ... and cannot reach the word that wants colour a at j, since
+    that word has no a-edge and is entered only through one.
+    """
+    path = []  # (word, factor, colour) edges in path order
+    f = j
+    while True:
+        k = at_factor[f][a]
+        if k < 0:
+            break
+        path.append((k, f, a))
+        g = at_word[k].get(b)
+        if g is None:
+            break
+        path.append((k, g, b))
+        f = g
+    for k, f, c in path:
+        at_factor[f][c] = -1
+        del at_word[k][c]
+    for k, f, c in path:
+        c = b if c == a else a
+        at_factor[f][c] = k
+        at_word[k][c] = f
+    k, f, c = path[-1]
+    if c == b:  # the path ends at factor f, which gave up b
+        heapq.heappush(free[f], b)
 
 
 @dataclass(frozen=True)
@@ -432,38 +543,45 @@ def _balance_pair_choices(
     options: dict[int, list[tuple[int, int]]],
     degree: int,
 ) -> dict[int, tuple[int, int]]:
-    """Exhaustively pick one two-letter word per vertex minimizing max first+second load."""
+    """Exhaustively pick one two-letter word per vertex minimizing max first+second load.
+
+    Depth-first over the vertices, fewest options first, on an explicit
+    stack: stack[i] iterates the options still to try for order[i].  A
+    prefix whose busiest factor already reaches the best complete choice is
+    cut off; the first complete choice of each lower value is kept.
+    """
     order = sorted(vertices, key=lambda v: (len(options[v]), v))
-    first = [0] * degree
-    second = [0] * degree
-    best: dict[str, object] = {"value": None, "choice": None}
-    chosen: dict[int, tuple[int, int]] = {}
-
-    def loads_max() -> int:
-        return max(first[m] + second[m] for m in range(degree))
-
-    def dfs(pos: int) -> None:
-        if best["value"] is not None and loads_max() >= best["value"]:
-            return
-        if pos == len(order):
-            value = loads_max()
-            if best["value"] is None or value < best["value"]:
-                best["value"] = value
-                best["choice"] = dict(chosen)
-            return
-        v = order[pos]
-        for a, b in options[v]:
-            first[a] += 1
-            second[b] += 1
-            chosen[v] = (a, b)
-            dfs(pos + 1)
-            del chosen[v]
-            first[a] -= 1
-            second[b] -= 1
-
-    dfs(0)
-    assert best["choice"] is not None
-    return best["choice"]  # type: ignore[return-value]
+    load = [0] * degree  # first + second letters on each factor
+    best_value: int | None = None
+    best_choice: dict[int, tuple[int, int]] = {}
+    chosen: list[tuple[int, int]] = []  # chosen[i] is the word of order[i]
+    stack: list = []
+    entering = True  # the prefix `chosen` has just been extended (or is the empty start)
+    while True:
+        if entering:
+            entering = False
+            value = max(load)
+            if best_value is None or value < best_value:  # otherwise cut: backtrack below
+                if len(chosen) == len(order):
+                    best_value, best_choice = value, dict(zip(order, chosen))
+                else:
+                    stack.append(iter(options[order[len(chosen)]]))
+        if len(stack) > len(chosen):
+            pair = next(stack[-1], None)
+            if pair is not None:
+                load[pair[0]] += 1
+                load[pair[1]] += 1
+                chosen.append(pair)
+                entering = True
+                continue
+            stack.pop()
+        if not chosen:
+            break
+        a, b = chosen.pop()
+        load[a] -= 1
+        load[b] -= 1
+    assert best_value is not None
+    return best_choice
 
 
 # ---------------------------------------------------------------------------

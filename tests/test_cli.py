@@ -187,6 +187,72 @@ def test_simulate_trace_csv_over_factors_matches_the_reference_replay(tmp_path, 
     host = Digraph(out=tuple(tuple(f[v] for f in doc["factors"]) for v in range(doc["n"])))
     assert trace.read_text(encoding="utf-8") == reference_trace_csv(host, sched)
 
+def hypercube_spec(path, k):
+    gens = [[int(i == j) for i in range(k)] for j in range(k)]
+    path.write_text(json.dumps({"group": {"kind": "product", "factors": [{"kind": "cyclic", "modulus": 2}] * k},
+                                "generators": gens}))
+    return str(path)
+
+
+def schedule_csv_words(path):
+    words = {}
+    with open(path, encoding="utf-8", newline="") as fh:
+        for row in csv.DictReader(fh):
+            words.setdefault(int(row["word_target"]), []).append(int(row["factor"]))
+    return words
+
+
+def test_pipeline_colours_q6_to_theta(tmp_path, capsys):
+    # the job-shop search gives up on Q6 within this budget; the open shop needs none
+    spec = hypercube_spec(tmp_path / "q6.json", 6)
+    code, stdout, err = run(capsys, "pipeline", "--spec", spec, "--outdir", str(tmp_path / "out"),
+                            "--schedule-budget", "200000")
+    assert code == 0, err
+    assert stdout.strip().splitlines()[-1] == "tau=32 theta=32 psi_W=32 optimal=true"
+
+
+def test_pipeline_words_artifact_holds_the_scheduled_letter_order(tmp_path, capsys):
+    spec = hypercube_spec(tmp_path / "q5.json", 5)
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "pipeline", "--spec", spec, "--outdir", str(out))
+    assert code == 0, err
+    assert stdout.strip().splitlines()[-1] == "tau=16 theta=16 psi_W=16 optimal=true"
+    words = {int(k): w for k, w in json.loads((out / "words.json").read_text())["words"].items()}
+    assert words == schedule_csv_words(out / "schedule.csv")
+    chosen = {int(k): w for k, w in run_json(capsys, "words", "--spec", spec)["words"].items()}
+    assert words != chosen  # the open shop moved letters, and the artifact followed
+
+
+def test_pipeline_factorization_artifact_holds_the_scheduled_letter_order(tmp_path, capsys):
+    spec = hypercube_spec(tmp_path / "q4.json", 4)
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "pipeline", "--spec", spec, "--search", "--outdir", str(out))
+    assert code == 0, err
+    assert stdout.strip().splitlines()[-1] == "tau=8 theta=8 psi_W=8 optimal=true"
+    listed = json.loads((out / "factorization.json").read_text())["words"]
+    assert {i: w for i, w in enumerate(listed) if w} == schedule_csv_words(out / "schedule.csv")
+    assert listed != run_json(capsys, "factorize", "--spec", spec, "--search")["words"]
+    verdict = run_json(capsys, "simulate", "--spec", spec, "--factorization", str(out / "factorization.json"),
+                       "--schedule", str(out / "schedule.csv"))
+    assert verdict == {"tau": 8, "conflicts": 0, "undelivered": 0, "theta": 8, "optimal": True}
+
+
+def test_schedule_reorders_words_without_rewriting_its_input(tmp_path, capsys):
+    spec = hypercube_spec(tmp_path / "q5.json", 5)
+    words, sched = tmp_path / "words.json", tmp_path / "sched.csv"
+    words.write_text(json.dumps(run_json(capsys, "words", "--spec", spec)))
+    before = words.read_text()
+    doc = run_json(capsys, "schedule", "--spec", spec, "--words", str(words), "--csv", str(sched))
+    assert doc["makespan"] == 16
+    assert words.read_text() == before
+    given = {int(k): w for k, w in json.loads(before)["words"].items()}
+    scheduled = schedule_csv_words(sched)
+    assert scheduled != given
+    assert {k: sorted(w) for k, w in scheduled.items()} == {k: sorted(w) for k, w in given.items()}
+    verdict = run_json(capsys, "simulate", "--spec", spec, "--schedule", str(sched))
+    assert verdict == {"tau": 16, "conflicts": 0, "undelivered": 0, "theta": 16, "optimal": True}
+
+
 def test_pipeline_petersen_takes_factor_route(tmp_path, capsys):
     out = tmp_path / "out"
     code, stdout, _ = run(capsys, "pipeline", "--builtin", "petersen", "--outdir", str(out))

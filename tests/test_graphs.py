@@ -1,6 +1,10 @@
 """Cayley coset graph construction and digraph plumbing."""
 
+from itertools import permutations, product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alltoall import fixtures
 from alltoall.errors import ConnectivityError, CosetEdgeError, InputError, RegularityError, StructureError
@@ -10,10 +14,12 @@ from alltoall.graphs import (
     build_cayley_coset_graph,
     digraph_from_arcs,
     emit_adjacency,
+    letters_commute,
     regular_degree,
     validate_coset_condition,
 )
-from alltoall.groups import CyclicGroup, GroupSpec, PermutationGroup
+from alltoall.factorization import factor_digraph, one_factorize, search_spanning_factorization
+from alltoall.groups import CyclicGroup, GroupSpec, PermutationGroup, ProductGroup
 
 
 def test_c4_is_a_directed_ring():
@@ -150,3 +156,102 @@ def test_as_digraph_preserves_arc_order():
     assert isinstance(dg, Digraph)
     assert dg.out == g.edges
     assert regular_degree(dg) == 3
+
+
+# ---------------------------------------------------------------------------
+# commuting out-positions
+# ---------------------------------------------------------------------------
+
+
+def reorderings_agree(g) -> bool:
+    """Brute force: every ordering of every word of up to three letters ends at one vertex, from every vertex."""
+    d = len(g.successors(0))
+
+    def walk(v, word):
+        for j in word:
+            v = g.successors(v)[j]
+        return v
+
+    for v in range(g.vertex_count):
+        for length in (2, 3):
+            for word in product(range(d), repeat=length):
+                if len({walk(v, w) for w in permutations(word)}) > 1:
+                    return False
+    return True
+
+
+@st.composite
+def abelian_specs(draw):
+    """A cyclic group or a product of two or three small cyclic groups, with one to four generators."""
+    if draw(st.booleans()):
+        m = draw(st.integers(2, 30))
+        group = CyclicGroup(m)
+        gens = draw(st.lists(st.integers(1, m - 1), min_size=1, max_size=4))
+    else:
+        moduli = draw(st.lists(st.integers(2, 5), min_size=2, max_size=3))
+        group = ProductGroup([CyclicGroup(m) for m in moduli])
+        gens = draw(st.lists(st.tuples(*(st.integers(0, m - 1) for m in moduli)).map(list), min_size=1, max_size=4))
+    return GroupSpec(group=group, generators=tuple(group.parse(x) for x in gens))
+
+
+def kautz(d, n):
+    """Kautz K(d, n): words of length n over d+1 letters without a repeat in a row; s -> s[1:] + x."""
+    verts = [w for w in product(range(d + 1), repeat=n) if all(a != b for a, b in zip(w, w[1:]))]
+    index = {w: i for i, w in enumerate(verts)}
+    return Digraph(out=tuple(tuple(index[w[1:] + (x,)] for x in range(d + 1) if x != w[-1]) for w in verts))
+
+
+def star(n):
+    group = PermutationGroup(n)
+    return build_cayley_coset_graph(GroupSpec(group=group, generators=tuple(
+        group.parse(f"(1 {i})") for i in range(2, n + 1))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=abelian_specs())
+def test_abelian_cayley_graphs_commute(spec):
+    g = build_cayley_coset_graph(spec)
+    assert letters_commute(g)
+    assert reorderings_agree(g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 7), data=st.data())
+def test_letters_commute_agrees_with_brute_force(n, data):
+    # random successor tables, and factor layouts made of random permutations
+    d = data.draw(st.integers(1, 3))
+    if data.draw(st.booleans()):
+        out = [tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=d, max_size=d))) for _ in range(n)]
+    else:
+        perms = [data.draw(st.permutations(range(n))) for _ in range(d)]
+        out = [tuple(p[v] for p in perms) for v in range(n)]
+    g = Digraph(out=tuple(out))
+    assert letters_commute(g) == reorderings_agree(g)
+
+
+def test_disjoint_transpositions_commute():
+    group = PermutationGroup(6)
+    spec = GroupSpec(group=group, generators=tuple(group.parse(c) for c in ("(1 2)", "(3 4)", "(5 6)")))
+    g = build_cayley_coset_graph(spec)
+    assert g.vertex_count == 8
+    assert letters_commute(g) and reorderings_agree(g)
+
+
+@pytest.mark.parametrize("name", ["c4", "k4", "z5-12", "z7-124", "q3"])
+def test_abelian_builtins_commute(name):
+    assert letters_commute(fixtures.builtin_graph(name))
+
+
+def test_non_commuting_hosts():
+    hosts = [star(4), star(5), fixtures.builtin_graph("petersen")]
+    for d, n in ((2, 2), (3, 2)):
+        k = kautz(d, n)
+        hosts.append(factor_digraph(one_factorize(k)))
+        hosts.append(factor_digraph(search_spanning_factorization(k).found.base))
+    for g in hosts:
+        assert not letters_commute(g)
+        assert not reorderings_agree(g)
+
+
+def test_irregular_host_does_not_commute():
+    assert not letters_commute(digraph_from_arcs(2, [[0, 1], [0, 0], [1, 0]]))

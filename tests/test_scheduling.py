@@ -1,27 +1,39 @@
 """Schedule validation, exact/greedy scheduling, and the diameter-2 route."""
 
 import itertools
+import os
+import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alltoall import fixtures
 from alltoall.errors import InputError, UnsupportedGraphError
+from alltoall.graphs import build_cayley_coset_graph
+from alltoall.groups import CyclicGroup, GroupSpec, ProductGroup
 from alltoall.layers import layer_profile
 from alltoall.scheduling import (
     JobShopInstance,
     Schedule,
+    _balance_pair_choices,
     average_horizon,
     classify,
     diameter_two_schedule,
     exact_min_schedule,
     factor_occurrences,
     greedy_schedule,
+    open_shop_schedule,
     tight_schedule_feasible,
     two_layer_counts,
     two_layer_time_bound,
     validate_schedule,
 )
 from alltoall.words import bfs_word_set
+from test_graphs import abelian_specs
 
 
 def corpus_word_map(name):
@@ -231,3 +243,189 @@ def test_classify_guards_the_chain():
     sched = greedy_schedule(word_map, 3)
     with pytest.raises(InputError):
         classify(word_map, sched, 3, profile)
+
+
+# ---------------------------------------------------------------------------
+# greedy's next-free-slot pointers
+# ---------------------------------------------------------------------------
+
+
+def scanning_greedy_times(word_map):
+    """Greedy as first written: each letter scans past every used slot of its factor."""
+    order = sorted((k for k, w in word_map.items() if len(w) > 0), key=lambda k: (-len(word_map[k]), k))
+    used = set()
+    times = {}
+    for key in order:
+        slots = []
+        t = 0
+        for j in word_map[key]:
+            t += 1
+            while (j, t) in used:
+                t += 1
+            used.add((j, t))
+            slots.append(t)
+        times[key] = tuple(slots)
+    return times
+
+
+def random_word_map(rng, degree, words, longest):
+    return {k: tuple(rng.randrange(degree) for _ in range(rng.randint(0, longest))) for k in range(words)}
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.BUILTIN_SPECS.keys() - {"petersen"}))
+def test_greedy_matches_the_scanning_greedy_on_builtins(name):
+    g, word_map = corpus_word_map(name)
+    assert greedy_schedule(word_map, g.degree).times == scanning_greedy_times(word_map)
+
+
+def test_greedy_matches_the_scanning_greedy_on_random_word_maps():
+    rng = random.Random(41)
+    for _ in range(200):
+        degree = rng.randint(1, 4)
+        word_map = random_word_map(rng, degree, rng.randint(0, 40), rng.randint(1, 8))
+        assert greedy_schedule(word_map, degree).times == scanning_greedy_times(word_map)
+
+
+# ---------------------------------------------------------------------------
+# the open shop
+# ---------------------------------------------------------------------------
+
+
+def floor_of(word_map, degree):
+    words = [w for w in word_map.values() if w]
+    return max(max(factor_occurrences(word_map, degree)), max(len(w) for w in words)) if words else 0
+
+
+def assert_open_shop_schedule(word_map, degree):
+    """open_shop_schedule's words and schedule: valid, at the floor, and the same letters per word."""
+    words, sched = open_shop_schedule(word_map, degree)
+    validate_schedule(words, sched, degree)
+    assert sched.makespan == floor_of(word_map, degree)
+    assert {k: sorted(w) for k, w in words.items()} == {k: sorted(w) for k, w in word_map.items() if w}
+    return words, sched
+
+
+def walk(g, v, word):
+    for j in word:
+        v = g.edges[v][j]
+    return v
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=abelian_specs(), seed=st.integers(0, 2**32 - 1))
+def test_open_shop_on_shuffled_words_of_abelian_graphs(spec, seed):
+    g = build_cayley_coset_graph(spec)
+    rng = random.Random(seed)
+    word_map = {}
+    for v, w in bfs_word_set(g, mode="load-balanced").words.items():
+        letters = list(w)
+        rng.shuffle(letters)
+        word_map[v] = tuple(letters)
+    words, sched = assert_open_shop_schedule(word_map, g.degree)
+    for k, w in words.items():
+        assert all(walk(g, base, w) == walk(g, base, word_map[k]) for base in range(g.vertex_count))
+    if sum(len(w) for w in word_map.values()) <= 30:
+        exact = exact_min_schedule(word_map, g.degree, budget=100_000)
+        if exact.status == "optimal":
+            assert sched.makespan <= exact.makespan
+
+
+def test_open_shop_on_random_word_maps():
+    rng = random.Random(7)
+    for _ in range(300):
+        degree = rng.randint(1, 5)
+        assert_open_shop_schedule(random_word_map(rng, degree, rng.randint(0, 30), rng.randint(1, 9)), degree)
+
+
+def test_open_shop_keeps_greedy_when_it_meets_the_floor():
+    for name in ("c4", "k4", "z5-12", "z7-124", "q3"):
+        g, word_map = corpus_word_map(name)
+        words, sched = open_shop_schedule(word_map, g.degree)
+        assert words == word_map
+        assert sched == greedy_schedule(word_map, g.degree)
+
+
+def hypercube(k):
+    group = ProductGroup([CyclicGroup(2)] * k)
+    return build_cayley_coset_graph(GroupSpec(group=group, generators=tuple(
+        tuple(int(i == j) for i in range(k)) for j in range(k))))
+
+
+def test_open_shop_colours_where_greedy_misses_the_floor():
+    # Q5: greedy needs 18 slots, the floor is theta = 16
+    g = hypercube(5)
+    word_map = dict(bfs_word_set(g, mode="load-balanced").words)
+    assert greedy_schedule(word_map, g.degree).makespan == 18
+    words, sched = assert_open_shop_schedule(word_map, g.degree)
+    assert sched.makespan == 16
+    assert words != word_map  # some letters moved
+    for k, w in words.items():
+        assert all(walk(g, base, w) == walk(g, base, word_map[k]) for base in range(g.vertex_count))
+
+
+def test_open_shop_empty_input():
+    assert open_shop_schedule({1: ()}, degree=2) == ({}, Schedule(times={}))
+
+
+# ---------------------------------------------------------------------------
+# two-letter word balancing
+# ---------------------------------------------------------------------------
+
+
+def recursive_balance(vertices, options, degree):
+    """The balancing search as first written, one nested call per vertex."""
+    order = sorted(vertices, key=lambda v: (len(options[v]), v))
+    first, second = [0] * degree, [0] * degree
+    best = {"value": None, "choice": None}
+    chosen = {}
+
+    def loads_max():
+        return max(first[m] + second[m] for m in range(degree))
+
+    def dfs(pos):
+        if best["value"] is not None and loads_max() >= best["value"]:
+            return
+        if pos == len(order):
+            value = loads_max()
+            if best["value"] is None or value < best["value"]:
+                best["value"], best["choice"] = value, dict(chosen)
+            return
+        v = order[pos]
+        for a, b in options[v]:
+            first[a] += 1
+            second[b] += 1
+            chosen[v] = (a, b)
+            dfs(pos + 1)
+            del chosen[v]
+            first[a] -= 1
+            second[b] -= 1
+
+    dfs(0)
+    return best["choice"]
+
+
+def test_balance_pair_choices_matches_the_recursive_search():
+    rng = random.Random(3)
+    for _ in range(300):
+        degree = rng.randint(1, 4)
+        vertices = rng.sample(range(20), rng.randint(1, 7))
+        options = {v: [(rng.randrange(degree), rng.randrange(degree)) for _ in range(rng.randint(1, 4))]
+                   for v in vertices}
+        assert _balance_pair_choices(vertices, options, degree) == recursive_balance(vertices, options, degree)
+
+
+def test_balance_pair_choices_runs_on_an_explicit_stack():
+    # 3000 two-layer vertices with one word each: as deep as the vertex count, and over at once
+    script = textwrap.dedent("""
+        import sys
+        from alltoall.scheduling import _balance_pair_choices
+        sys.setrecursionlimit(100)
+        options = {v: [(v % 7, (v + 1) % 7)] for v in range(3000)}
+        chosen = _balance_pair_choices(list(options), options, 7)
+        print(chosen == {v: w[0] for v, w in options.items()})
+    """)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True"]
