@@ -13,7 +13,7 @@ from fractions import Fraction
 from alltoall import fixtures
 from alltoall.costmodel import CostParams, compare_networks, model_times
 from alltoall.layers import layer_profile
-from alltoall.scheduling import exact_min_schedule
+from alltoall.scheduling import DEFAULT_SCHEDULE_BUDGET, schedule_plan
 from alltoall.simulate import expand_factor_paths, run_transpose
 from alltoall.words import bfs_word_set
 
@@ -27,8 +27,8 @@ ITERATIONS = 16
 def measured_tau(name):
     g = fixtures.builtin_graph(name)
     ws = bfs_word_set(g, mode="load-balanced")
-    sched = exact_min_schedule(ws.words, g.degree).schedule
-    trace = run_transpose(g, expand_factor_paths(g, ws.words, sched))
+    words, sched = schedule_plan(g, ws.words, "exact", DEFAULT_SCHEDULE_BUDGET)
+    trace = run_transpose(g, expand_factor_paths(g, words, sched))
     assert trace.clean
     return g, trace.horizon
 

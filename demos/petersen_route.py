@@ -16,7 +16,7 @@ from alltoall import fixtures
 from alltoall.factorization import factor_digraph, search_spanning_factorization
 from alltoall.graphs import as_digraph
 from alltoall.layers import average_diameter_bound, layer_profile
-from alltoall.scheduling import exact_min_schedule
+from alltoall.scheduling import DEFAULT_SCHEDULE_BUDGET, schedule_plan
 from alltoall.simulate import expand_factor_paths, run_transpose
 
 
@@ -40,12 +40,11 @@ def main():
     print(f"word lengths: {dict(sorted(lengths.items()))} (all shortest: no slack needed)")
     print()
 
-    word_map = {i: w for i, w in enumerate(sf.words) if w}
-    res = exact_min_schedule(word_map, sf.degree)
-    print(f"exact schedule: makespan {res.makespan}")
-
     host = factor_digraph(sf.base)
-    trace = run_transpose(host, expand_factor_paths(host, word_map, res.schedule))
+    word_map, sched = schedule_plan(host, dict(enumerate(sf.words)), "exact", DEFAULT_SCHEDULE_BUDGET)
+    print(f"exact schedule: makespan {sched.makespan}")
+
+    trace = run_transpose(host, expand_factor_paths(host, word_map, sched))
     print(f"replay of all {trace.delivered_pairs} pairs: clean={trace.clean}, horizon={trace.horizon}")
     if trace.horizon == theta:
         print("the exchange meets the averaged distance bound exactly")

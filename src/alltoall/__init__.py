@@ -11,8 +11,8 @@ The usual flow:
     spec = fixtures.builtin_spec("z7-124")
     g = graphs.build_cayley_coset_graph(spec)
     ws = words.bfs_word_set(g, mode="load-balanced")
-    sched = scheduling.exact_min_schedule({v: w for v, w in ws.words.items() if w}, g.degree)
-    trace = simulate.run_transpose(g, simulate.expand_factor_paths(g, ws.words, sched.schedule))
+    plan, sched = scheduling.schedule_plan(g, ws.words, "exact", scheduling.DEFAULT_SCHEDULE_BUDGET)
+    trace = simulate.run_transpose(g, simulate.expand_factor_paths(g, plan, sched))
     assert trace.clean
 """
 

@@ -49,7 +49,6 @@ from .graphs import (
     as_digraph,
     build_cayley_coset_graph,
     emit_adjacency,
-    letters_commute,
     regular_degree,
 )
 from .groups import GroupSpec
@@ -58,10 +57,8 @@ from .scheduling import (
     DEFAULT_SCHEDULE_BUDGET,
     Schedule,
     classify,
-    exact_min_schedule,
     factor_occurrences,
-    greedy_schedule,
-    open_shop_schedule,
+    schedule_plan,
     two_layer_counts,
     two_layer_time_bound,
 )
@@ -130,6 +127,10 @@ def _read_json(path: str) -> dict:
     return doc
 
 
+def _int_list(x) -> bool:
+    return isinstance(x, list) and all(isinstance(j, int) for j in x)
+
+
 def _parse_words_doc(doc: dict, origin: str) -> dict[int, tuple[int, ...]]:
     if "words" not in doc or not isinstance(doc["words"], dict):
         raise InputError(f"{origin}: missing 'words' object")
@@ -139,7 +140,7 @@ def _parse_words_doc(doc: dict, origin: str) -> dict[int, tuple[int, ...]]:
             v = int(key)
         except ValueError:
             raise InputError(f"{origin}: word key {key!r} is not a vertex index") from None
-        if not isinstance(word, list) or not all(isinstance(j, int) for j in word):
+        if not _int_list(word):
             raise InputError(f"{origin}: word for vertex {key} must be a list of generator indices")
         word_map[v] = tuple(word)
     return word_map
@@ -152,11 +153,17 @@ def _parse_factorization_doc(doc: dict, origin: str):
     factors = doc["factors"]
     if not isinstance(factors, list) or len(factors) != doc["d"]:
         raise InputError(f"{origin}: 'factors' must list d={doc['d']} successor arrays")
+    for j, succ in enumerate(factors):
+        if not _int_list(succ):
+            raise InputError(f"{origin}: 'factors' entry {j} must be a list of vertex indices")
     words = doc.get("words")
     if words is not None:
         if not isinstance(words, list) or len(words) != doc["n"]:
             raise InputError(f"{origin}: 'words' must hold one word per vertex")
-        words = [tuple(int(j) for j in w) for w in words]
+        for v, word in enumerate(words):
+            if not _int_list(word):
+                raise InputError(f"{origin}: 'words' entry {v} must be a list of factor indices")
+        words = [tuple(w) for w in words]
     return factorization_from_successors(factors), words
 
 
@@ -264,23 +271,16 @@ def _schedule_summary(word_map, sched, degree, profile) -> dict:
 
 def _schedule(host: Graph, word_map, degree, profile, method: str, budget: int, csv_path: str | None,
               out: str | None):
-    """Schedule the words and write the CSV rows (if asked) and the summary.
+    """Schedule the words with scheduling.schedule_plan and write the CSV rows (if asked) and the summary.
 
     Returns the words, in the letter order they were scheduled in, and the
-    schedule; None after reporting a failure.  The exact method reorders
-    letters only on a host whose out-positions commute, where a reordered
-    word still ends where it did from every base.
+    schedule; None after reporting a failure.
     """
-    if method == "greedy":
-        sched = greedy_schedule(word_map, degree)
-    elif letters_commute(host):
-        word_map, sched = open_shop_schedule(word_map, degree)
-    else:
-        res = exact_min_schedule(word_map, degree, budget=budget)
-        if res.status != "optimal":
-            print(f"exact scheduling gave up ({res.status}) after {res.nodes} nodes", file=sys.stderr)
-            return None
-        sched = res.schedule
+    try:
+        word_map, sched = schedule_plan(host, word_map, method, budget)
+    except SearchBudgetError as exc:
+        print(exc, file=sys.stderr)
+        return None
     if csv_path:
         _write_schedule_csv(csv_path, word_map, sched)
     _emit_json(_schedule_summary(word_map, sched, degree, profile), out)

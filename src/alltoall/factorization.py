@@ -191,7 +191,7 @@ def factor_digraph(f: OneFactorization) -> Digraph:
     """The factorization's arc layout: out-position j at each vertex is factor j's arc.
 
     Same arc multiset as the factorized graph (the factors partition it),
-    re-ordered so that factor indices work as out-arc positions; timed paths
+    re-ordered so that factor indices work as out-arc positions; packets
     over factor words replay against this layout.
     """
     n = len(f.factors[0])

@@ -21,8 +21,12 @@ word), which no schedule of the letters beats:
   (graphs.letters_commute: hypercubes, circulants, tori), where every
   reordering ends where the word did from every base.
 
-The command line picks between them from the host; greedy_schedule is the
-fast, not always shortest, alternative for either.
+schedule_plan is the one entry point for a plan: given the host it replays
+on and its words, it picks between the two from the host, or runs
+greedy_schedule, the fast, not always shortest, alternative for either.
+Words of at most two letters (the diameter-2 case) go the same way;
+two_layer_time_bound and tight_schedule_feasible state the paper's
+guarantees for them as counts over the same word maps.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import InputError, SearchBudgetError, UnsupportedGraphError
-from .graphs import CosetGraph
-from .layers import LayerProfile, average_diameter_bound, distances_from, global_time_bound, layer_profile
+from .graphs import Graph, letters_commute
+from .layers import LayerProfile, global_time_bound
 
 DEFAULT_SCHEDULE_BUDGET = 10_000_000
 
@@ -317,77 +321,36 @@ def exact_min_schedule(
     return MinScheduleResult(status="infeasible", schedule=None, makespan=None, nodes=budget - budget_box[0])
 
 
-# ---------------------------------------------------------------------------
-# one- and two-letter word collections (the diameter-2 case)
-# ---------------------------------------------------------------------------
+def schedule_plan(
+    host: Graph, word_map: WordMap, method: str, budget: int
+) -> tuple[dict[int, tuple[int, ...]], Schedule]:
+    """Schedule a plan's words for replay on `host`, whichever route made them.
 
-
-@dataclass(frozen=True)
-class JobShopInstance:
-    """Unit-time jobs of length one or two on `machine_count` machines.
-
-    singles[i] is the machine of a one-step job; pairs[i] the (first, second)
-    machines of a two-step job.
+    Letter j of a word is out-position j of the host: a generator of a Cayley
+    graph, or a factor of factorization.factor_digraph.  "greedy" runs
+    greedy_schedule.  "exact" runs open_shop_schedule where the host's
+    out-positions commute, so that a reordered word still ends where it did
+    from every base, and exact_min_schedule under `budget` elsewhere.
+    Returns the non-empty words, their letters in slot order, and the
+    schedule; raises SearchBudgetError when the exact search gives up.
     """
-
-    machine_count: int
-    singles: tuple[int, ...]
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        for m in self.singles:
-            if not (0 <= m < self.machine_count):
-                raise InputError(f"single-step job on machine {m}, out of range")
-        for a, b in self.pairs:
-            if not (0 <= a < self.machine_count) or not (0 <= b < self.machine_count):
-                raise InputError(f"two-step job ({a}, {b}) leaves the machine range")
-
-    def as_word_map(self) -> dict[int, tuple[int, ...]]:
-        jobs: dict[int, tuple[int, ...]] = {}
-        for i, m in enumerate(self.singles):
-            jobs[i] = (m,)
-        offset = len(self.singles)
-        for i, (a, b) in enumerate(self.pairs):
-            jobs[offset + i] = (a, b)
-        return jobs
+    words = {k: tuple(w) for k, w in word_map.items() if len(w) > 0}
+    degree = len(host.successors(0))
+    if method == "greedy":
+        return words, greedy_schedule(words, degree)
+    if method != "exact":
+        raise InputError(f"unknown scheduling method {method!r}")
+    if letters_commute(host):
+        return open_shop_schedule(words, degree)
+    res = exact_min_schedule(words, degree, budget=budget)
+    if res.status != "optimal":
+        raise SearchBudgetError(f"exact scheduling gave up ({res.status}) after {res.nodes} nodes")
+    return words, res.schedule
 
 
-def average_horizon(inst: JobShopInstance) -> int:
-    """ceil((s1 + 2*s2) / d): total unit work averaged over the machines."""
-    work = len(inst.singles) + 2 * len(inst.pairs)
-    return max(1, -(-work // inst.machine_count))
-
-
-def tight_schedule_feasible(inst: JobShopInstance) -> tuple[int, bool]:
-    """Predict feasibility at the averaged horizon T without searching.
-
-    Machine m needs: its total load within T; if any two-step job starts on
-    m, a start slot no later than T-1; if any ends on m, an end slot no
-    earlier than 2, i.e. at most T-1 of the T slots can hold ends.  These
-    three per-machine conditions are also sufficient for length <= 2 jobs,
-    which the exhaustive cross-check in the tests confirms.
-    """
-    horizon = average_horizon(inst)
-    d = inst.machine_count
-    load = [0] * d
-    firsts = [0] * d
-    seconds = [0] * d
-    for m in inst.singles:
-        load[m] += 1
-    for a, b in inst.pairs:
-        load[a] += 1
-        load[b] += 1
-        firsts[a] += 1
-        seconds[b] += 1
-    ok = True
-    for m in range(d):
-        if load[m] > horizon:
-            ok = False
-        if firsts[m] > 0 and firsts[m] > horizon - 1:
-            ok = False
-        if seconds[m] > 0 and seconds[m] > horizon - 1:
-            ok = False
-    return horizon, ok
+# ---------------------------------------------------------------------------
+# words of at most two letters (the diameter-2 case)
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -427,161 +390,19 @@ def two_layer_time_bound(counts: TwoLayerCounts) -> int:
     return 1 + counts.max_combined
 
 
-@dataclass(frozen=True)
-class DiameterTwoResult:
-    word_map: dict[int, tuple[int, ...]]
-    schedule: Schedule
-    makespan: int
-    avg_time_bound: int
-    counts: TwoLayerCounts
-    guarantee: int
+def tight_schedule_feasible(word_map: WordMap, degree: int) -> tuple[int, bool]:
+    """Predict feasibility at the averaged horizon T = ceil(total letters / d) without searching.
 
-    @property
-    def meets_lower_bound(self) -> bool:
-        return self.makespan == self.avg_time_bound
-
-
-def schedule_short_words(word_map: WordMap, degree: int, budget: int = DEFAULT_SCHEDULE_BUDGET) -> tuple[Schedule, int]:
-    """Optimal schedule for a length <= 2 word collection, via exact search.
-
-    Checks that no word is longer than two letters, then runs
-    exact_min_schedule and returns its schedule and makespan; raises
-    SearchBudgetError when the search budget runs out first.
+    For words of at most two letters.  Factor m needs: its total load within
+    T; if any two-letter word starts on m, a start slot no later than T-1;
+    if any ends on m, an end slot no earlier than 2, i.e. at most T-1 of the
+    T slots can hold ends.  These three per-factor conditions are also
+    sufficient, which the exhaustive cross-check in the tests confirms.
     """
-    two_layer_counts(word_map, degree)  # raises unless every word has length <= 2
-    result = exact_min_schedule(word_map, degree, budget=budget)
-    if result.status == "budget":
-        raise SearchBudgetError("schedule search ran out of budget on a short-word collection")
-    assert result.schedule is not None and result.makespan is not None
-    return result.schedule, result.makespan
-
-
-def diameter_two_schedule(
-    g: CosetGraph,
-    layer2_words: Mapping[int, Sequence[int]] | None = None,
-    budget: int = DEFAULT_SCHEDULE_BUDGET,
-) -> DiameterTwoResult:
-    """Best exchange schedule for a Cayley graph of diameter at most 2.
-
-    Layer-1 vertices take their one-letter words (rejected if two generators
-    collapse onto one vertex, since then some generator would have to carry
-    two singles).  Layer-2 words are chosen, unless supplied, by exhaustive
-    search minimizing the busiest factor's pair load; when that load stays
-    below the averaged bound, the schedule meets the bound exactly.
-    """
-    if not g.is_cayley:
-        raise UnsupportedGraphError("generator words need a trivial subgroup; schedule a factorization's word list instead")
-    profile = layer_profile(g)
-    if profile.diameter > 2:
-        raise UnsupportedGraphError(f"graph has diameter {profile.diameter}; this routine handles diameter <= 2")
-    word_map = _short_word_map(g, profile, layer2_words)
-    schedule, makespan = schedule_short_words(word_map, g.degree, budget=budget)
-    counts = two_layer_counts(word_map, g.degree)
-    if makespan > two_layer_time_bound(counts):
-        raise InputError(
-            f"internal inconsistency: optimal makespan {makespan} exceeds the "
-            f"guaranteed bound {two_layer_time_bound(counts)}"
-        )
-    return DiameterTwoResult(
-        word_map=word_map,
-        schedule=schedule,
-        makespan=makespan,
-        avg_time_bound=average_diameter_bound(profile),
-        counts=counts,
-        guarantee=two_layer_time_bound(counts),
-    )
-
-
-def _short_word_map(
-    g: CosetGraph,
-    profile: LayerProfile,
-    layer2_words: Mapping[int, Sequence[int]] | None,
-) -> dict[int, tuple[int, ...]]:
-    dist = distances_from(g, 0)
-    word_map: dict[int, tuple[int, ...]] = {}
-    seen_singles: dict[int, int] = {}
-    for j, v in enumerate(g.edges[0]):
-        if v in seen_singles:
-            raise UnsupportedGraphError(
-                f"generators {seen_singles[v]} and {j} both reach vertex {v}; "
-                f"with fewer layer-1 vertices than generators no single-slot "
-                f"round exists and this analysis does not apply"
-            )
-        seen_singles[v] = j
-        word_map[v] = (j,)
-
-    two_layer = [v for v in range(g.vertex_count) if dist[v] == 2]
-    if not two_layer:
-        return word_map
-
-    options: dict[int, list[tuple[int, int]]] = {}
-    for v in two_layer:
-        opts = []
-        for j, mid in enumerate(g.edges[0]):
-            for k, tgt in enumerate(g.edges[mid]):
-                if tgt == v:
-                    opts.append((j, k))
-        options[v] = opts
-
-    if layer2_words is not None:
-        if set(layer2_words) != set(two_layer):
-            raise InputError(f"layer-2 words must cover exactly the vertices {sorted(two_layer)}")
-        for v, w in layer2_words.items():
-            pair = tuple(w)
-            if len(pair) != 2 or pair not in options[v]:
-                raise InputError(f"word {w} does not walk from the base to vertex {v} in two steps")
-            word_map[v] = pair
-        return word_map
-
-    chosen = _balance_pair_choices(two_layer, options, g.degree)
-    word_map.update(chosen)
-    return word_map
-
-
-def _balance_pair_choices(
-    vertices: list[int],
-    options: dict[int, list[tuple[int, int]]],
-    degree: int,
-) -> dict[int, tuple[int, int]]:
-    """Exhaustively pick one two-letter word per vertex minimizing max first+second load.
-
-    Depth-first over the vertices, fewest options first, on an explicit
-    stack: stack[i] iterates the options still to try for order[i].  A
-    prefix whose busiest factor already reaches the best complete choice is
-    cut off; the first complete choice of each lower value is kept.
-    """
-    order = sorted(vertices, key=lambda v: (len(options[v]), v))
-    load = [0] * degree  # first + second letters on each factor
-    best_value: int | None = None
-    best_choice: dict[int, tuple[int, int]] = {}
-    chosen: list[tuple[int, int]] = []  # chosen[i] is the word of order[i]
-    stack: list = []
-    entering = True  # the prefix `chosen` has just been extended (or is the empty start)
-    while True:
-        if entering:
-            entering = False
-            value = max(load)
-            if best_value is None or value < best_value:  # otherwise cut: backtrack below
-                if len(chosen) == len(order):
-                    best_value, best_choice = value, dict(zip(order, chosen))
-                else:
-                    stack.append(iter(options[order[len(chosen)]]))
-        if len(stack) > len(chosen):
-            pair = next(stack[-1], None)
-            if pair is not None:
-                load[pair[0]] += 1
-                load[pair[1]] += 1
-                chosen.append(pair)
-                entering = True
-                continue
-            stack.pop()
-        if not chosen:
-            break
-        a, b = chosen.pop()
-        load[a] -= 1
-        load[b] -= 1
-    assert best_value is not None
-    return best_choice
+    load = factor_occurrences(word_map, degree)
+    horizon = max(1, -(-sum(load) // degree))
+    counts = two_layer_counts(word_map, degree)
+    return horizon, max(load) <= horizon and max(counts.first_of_pair + counts.second_of_pair) < horizon
 
 
 # ---------------------------------------------------------------------------

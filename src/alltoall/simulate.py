@@ -51,22 +51,6 @@ Packet = tuple[int, int, Sequence[int], Sequence[int], Sequence[int]]  # (source
 
 
 @dataclass(frozen=True)
-class TimedPath:
-    """One packet's route: steps are ((tail, index), time) in travel order."""
-
-    source: int
-    dest: int
-    steps: tuple[tuple[Edge, int], ...]
-
-    @property
-    def packet(self) -> Packet:
-        tails = tuple(tail for (tail, _), _ in self.steps)
-        ports = tuple(index for (_, index), _ in self.steps)
-        times = tuple(time for _, time in self.steps)
-        return self.source, self.dest, tails, ports, times
-
-
-@dataclass(frozen=True)
 class Expansion:
     """The packets of an expanded plan, generated on demand: one per (base, non-empty word)."""
 
@@ -139,8 +123,8 @@ def expand_factor_paths(host: Graph, word_map: WordMap, schedule: Schedule) -> E
     return Expansion(succ=succ, jobs=[(word, schedule.times[key]) for key, word in word_map.items() if word])
 
 
-def run_transpose(g: Graph, paths: Iterable[Packet | TimedPath]) -> TransposeTrace:
-    """Replay packets (or hand-built timed paths) on `g`; report conflicts and deliveries.
+def run_transpose(g: Graph, paths: Iterable[Packet]) -> TransposeTrace:
+    """Replay packets on `g`; report conflicts and deliveries.
 
     Structural breakage (an edge index off the graph, a path that teleports
     or runs backward in time) raises, because such a path is not a route at
@@ -161,10 +145,7 @@ def run_transpose(g: Graph, paths: Iterable[Packet | TimedPath]) -> TransposeTra
     conflicts: list[tuple[int, Edge, tuple[int, int], tuple[int, int]]] = []
     counts = array(code, [0]) * (n * n)
     horizon = 0
-    for packet in paths:
-        if isinstance(packet, TimedPath):
-            packet = packet.packet
-        source, dest, tails, ports, times = packet
+    for source, dest, tails, ports, times in paths:
         if not (0 <= source < n and 0 <= dest < n):
             raise InputError(f"packet {(source, dest)} does not run between two vertices of the graph")
         pid = source * n + dest + 1

@@ -26,13 +26,12 @@ from alltoall.factorization import (
 from alltoall.graphs import Digraph, as_digraph, digraph_from_arcs
 from alltoall.layers import average_diameter_bound, layer_profile
 from alltoall.scheduling import (
-    JobShopInstance,
+    DEFAULT_SCHEDULE_BUDGET,
     Schedule,
-    average_horizon,
     classify,
-    diameter_two_schedule,
     exact_min_schedule,
     factor_occurrences,
+    schedule_plan,
     tight_schedule_feasible,
     two_layer_counts,
     two_layer_time_bound,
@@ -209,10 +208,13 @@ def test_acceptance_06_two_layer_guarantee():
     with criterion(6, "diameter-2 schedules stay within 1 + max(M+N); Z5 within 4"):
         for name in ("k4", "z5-12", "z7-124"):
             g = fixtures.builtin_graph(name)
-            res = diameter_two_schedule(g)
-            trace = run_transpose(g, expand_factor_paths(g, res.word_map, res.schedule))
+            words = regular_bound_exact(g).witness.words
+            word_map, sched = schedule_plan(g, words, "exact", DEFAULT_SCHEDULE_BUDGET)
+            trace = run_transpose(g, expand_factor_paths(g, word_map, sched))
             assert trace.clean
-            assert trace.horizon <= 1 + res.counts.max_combined
+            # M+N: how often each generator opens or closes a two-letter word, counted by hand
+            pairs = [w for w in word_map.values() if len(w) == 2]
+            assert trace.horizon <= 1 + max(sum((a == j) + (b == j) for a, b in pairs) for j in range(g.degree))
             if name == "z5-12":
                 assert trace.horizon <= 4
         # the non-Cayley member goes through its searched factorization
@@ -228,19 +230,18 @@ def test_acceptance_06_two_layer_guarantee():
 
 # --- 7: feasibility predicate vs exhaustive search --------------------------
 
-def random_balanced_jobshop(rng) -> JobShopInstance:
-    """Random instance conditioned on no machine exceeding the average horizon."""
+def random_balanced_jobshop(rng) -> tuple[dict[int, tuple[int, ...]], int, int]:
+    """(word map, d, ceil(total letters / d)): random one- and two-letter words, no factor above the average."""
     while True:
         d = rng.randint(1, 4)
         s1 = rng.randint(0, 5)
         s2 = rng.randint(1, 8)
-        inst = JobShopInstance(
-            machine_count=d,
-            singles=tuple(rng.randrange(d) for _ in range(s1)),
-            pairs=tuple((rng.randrange(d), rng.randrange(d)) for _ in range(s2)),
-        )
-        if max(factor_occurrences(inst.as_word_map(), d)) <= average_horizon(inst):
-            return inst
+        singles = [(rng.randrange(d),) for _ in range(s1)]
+        pairs = [(rng.randrange(d), rng.randrange(d)) for _ in range(s2)]
+        word_map = dict(enumerate(singles + pairs))
+        horizon = max(1, -(-(s1 + 2 * s2) // d))
+        if max(factor_occurrences(word_map, d)) <= horizon:
+            return word_map, d, horizon
 
 
 def test_acceptance_07_feasibility_predicate():
@@ -248,15 +249,14 @@ def test_acceptance_07_feasibility_predicate():
     with criterion(7, "tight-horizon predicate matches exhaustive search on 120 instances"):
         saw_infeasible = 0
         for _ in range(120):
-            inst = random_balanced_jobshop(rng)
-            horizon, ok = tight_schedule_feasible(inst)
-            assert horizon == average_horizon(inst)
-            word_map = inst.as_word_map()
-            at_t = exact_min_schedule(word_map, inst.machine_count, t_max=horizon)
+            word_map, d, average = random_balanced_jobshop(rng)
+            horizon, ok = tight_schedule_feasible(word_map, d)
+            assert horizon == average
+            at_t = exact_min_schedule(word_map, d, t_max=horizon)
             assert (at_t.status == "optimal") == ok
             if not ok:
                 saw_infeasible += 1
-                bumped = exact_min_schedule(word_map, inst.machine_count, t_max=horizon + 1)
+                bumped = exact_min_schedule(word_map, d, t_max=horizon + 1)
                 assert bumped.status == "optimal"
                 assert bumped.makespan == horizon + 1
         assert saw_infeasible >= 1  # the interesting branch must be exercised

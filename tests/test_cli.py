@@ -9,7 +9,6 @@ import pytest
 from alltoall import fixtures, scheduling
 from alltoall.cli import main
 from alltoall.graphs import Digraph
-from alltoall.simulate import TimedPath
 from test_simulate import reference_replay
 
 
@@ -156,11 +155,12 @@ def reference_trace_csv(host, schedule_csv):
     paths = []
     for base in range(host.vertex_count):
         for target in sorted(letters):
-            v, steps = base, []
-            for _, j, t in sorted(letters[target]):
-                steps.append(((v, j), t))
+            v, tails = base, []
+            _, ports, times = zip(*sorted(letters[target]))
+            for j in ports:
+                tails.append(v)
                 v = host.successors(v)[j]
-            paths.append(TimedPath(source=base, dest=v, steps=tuple(steps)))
+            paths.append((base, v, tuple(tails), ports, times))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["time", "src", "dst", "gen", "packet_src", "packet_dst"])
@@ -325,6 +325,30 @@ def test_simulate_refuses_non_spanning_factorization(tmp_path, capsys):
                        "--factorization", str(fact))
     assert code == 1
     assert "refusing to expand an unverified factorization" in err
+
+
+@pytest.mark.parametrize("command", ["schedule", "simulate"])
+@pytest.mark.parametrize("field,entry,value", [
+    pytest.param("words", (0,), 5, id="word-not-a-list"),
+    pytest.param("words", (1, 0), "a", id="letter-not-an-integer"),
+    pytest.param("factors", (0,), 5, id="factor-not-a-list"),
+    pytest.param("factors", (0, None), 1.5, id="vertex-int-would-truncate-to-1"),
+])
+def test_malformed_factorization_artifacts_are_input_errors(tmp_path, capsys, command, field, entry, value):
+    doc = run_json(capsys, "factorize", "--builtin", "q3")
+    good, bad, sched = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "sched.csv"
+    good.write_text(json.dumps(doc))
+    run_json(capsys, "schedule", "--builtin", "q3", "--factorization", str(good), "--csv", str(sched))
+    *outer, last = entry
+    target = doc[field]
+    for i in outer:
+        target = target[i]
+    target[target.index(1) if last is None else last] = value
+    bad.write_text(json.dumps(doc))
+    extra = ["--schedule", str(sched)] if command == "simulate" else []
+    code, _, err = run(capsys, command, "--builtin", "q3", "--factorization", str(bad), *extra)
+    assert code == 1
+    assert err.startswith(f"error: {bad}: '{field}' entry ")
 
 
 def write_network(path, **fields):

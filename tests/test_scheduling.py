@@ -1,39 +1,36 @@
-"""Schedule validation, exact/greedy scheduling, and the diameter-2 route."""
+"""Schedule validation, exact/greedy/open-shop scheduling, the one entry point, and the diameter-2 case."""
 
 import itertools
-import os
+import json
 import random
-import subprocess
-import sys
-import textwrap
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alltoall import fixtures
-from alltoall.errors import InputError, UnsupportedGraphError
-from alltoall.graphs import build_cayley_coset_graph
-from alltoall.groups import CyclicGroup, GroupSpec, ProductGroup
-from alltoall.layers import layer_profile
+from alltoall.cli import main
+from alltoall.errors import InputError, SearchBudgetError, UnsupportedGraphError
+from alltoall.graphs import build_cayley_coset_graph, letters_commute
+from alltoall.groups import CyclicGroup, GroupSpec, PermutationGroup, ProductGroup
+from alltoall.layers import distances_from, layer_profile
 from alltoall.scheduling import (
-    JobShopInstance,
+    DEFAULT_SCHEDULE_BUDGET,
     Schedule,
-    _balance_pair_choices,
-    average_horizon,
     classify,
-    diameter_two_schedule,
     exact_min_schedule,
     factor_occurrences,
     greedy_schedule,
     open_shop_schedule,
+    schedule_plan,
     tight_schedule_feasible,
     two_layer_counts,
     two_layer_time_bound,
     validate_schedule,
 )
-from alltoall.words import bfs_word_set
-from test_graphs import abelian_specs
+from alltoall.simulate import expand_factor_paths, run_transpose
+from alltoall.words import bfs_word_set, regular_bound_exact
+from test_graphs import abelian_specs, star
 
 
 def corpus_word_map(name):
@@ -97,45 +94,45 @@ def test_exact_budget_starvation_is_reported():
     assert res.status == "budget"
 
 
+def jobs(singles, pairs):
+    """A word map of one-letter words on `singles` then two-letter words on `pairs`."""
+    return {k: tuple(w) for k, w in enumerate([(m,) for m in singles] + list(pairs))}
+
+
 def test_average_horizon_formula():
-    inst = JobShopInstance(machine_count=3, singles=(0, 1, 2), pairs=((0, 1), (2, 0), (1, 2)))
-    assert average_horizon(inst) == 3  # ceil((3 + 6)/3)
-    assert average_horizon(JobShopInstance(machine_count=4, singles=(), pairs=())) == 1
+    assert tight_schedule_feasible(jobs((0, 1, 2), ((0, 1), (2, 0), (1, 2))), 3)[0] == 3  # ceil((3 + 6)/3)
+    assert tight_schedule_feasible({}, 4)[0] == 1
 
 
 def test_tight_feasibility_spec_instances():
-    # the Z7 instance: every machine gets one single plus two pair steps
-    z7 = JobShopInstance(machine_count=3, singles=(0, 1, 2), pairs=((0, 1), (2, 0), (1, 2)))
-    assert tight_schedule_feasible(z7) == (3, True)
-    # machine 1 sees only second-of-pair steps: stuck at T+1
-    stuck = JobShopInstance(machine_count=2, singles=(), pairs=((0, 1), (0, 1)))
-    assert tight_schedule_feasible(stuck) == (2, False)
-    res = exact_min_schedule(stuck.as_word_map(), 2)
+    # the Z7 instance: every factor gets one single plus two pair letters
+    assert tight_schedule_feasible(jobs((0, 1, 2), ((0, 1), (2, 0), (1, 2))), 3) == (3, True)
+    # factor 1 sees only second-of-pair letters: stuck at T+1
+    stuck = jobs((), ((0, 1), (0, 1)))
+    assert tight_schedule_feasible(stuck, 2) == (2, False)
+    res = exact_min_schedule(stuck, 2)
     assert res.makespan == 3
     # swapping one pair breaks the exclusivity and T=2 works
-    ok = JobShopInstance(machine_count=2, singles=(), pairs=((0, 1), (1, 0)))
-    assert tight_schedule_feasible(ok) == (2, True)
+    assert tight_schedule_feasible(jobs((), ((0, 1), (1, 0))), 2) == (2, True)
 
 
 def iter_small_instances(d, max_singles, max_pairs):
-    machines = range(d)
+    factors = range(d)
     for s1 in range(max_singles + 1):
-        for singles in itertools.combinations_with_replacement(machines, s1):
+        for singles in itertools.combinations_with_replacement(factors, s1):
             for s2 in range(max_pairs + 1):
                 if s1 + s2 == 0:
                     continue
-                for pairs in itertools.combinations_with_replacement(
-                    itertools.product(machines, machines), s2
-                ):
-                    yield JobShopInstance(machine_count=d, singles=singles, pairs=tuple(pairs))
+                for pairs in itertools.combinations_with_replacement(itertools.product(factors, factors), s2):
+                    yield jobs(singles, pairs)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_tight_feasibility_matches_exact_search(d):
-    for inst in iter_small_instances(d, max_singles=2, max_pairs=2):
-        horizon, ok = tight_schedule_feasible(inst)
-        res = exact_min_schedule(inst.as_word_map(), d, t_max=horizon)
-        assert (res.status == "optimal") == ok, inst
+    for word_map in iter_small_instances(d, max_singles=2, max_pairs=2):
+        horizon, ok = tight_schedule_feasible(word_map, d)
+        res = exact_min_schedule(word_map, d, t_max=horizon)
+        assert (res.status == "optimal") == ok, word_map
 
 
 def test_two_layer_counts_and_invariant():
@@ -156,54 +153,48 @@ def test_two_layer_bound_with_no_pairs_is_one():
     assert two_layer_time_bound(counts) == 1
 
 
-def test_diameter_two_z7_hits_theta():
-    g = fixtures.builtin_graph("z7-124")
-    res = diameter_two_schedule(g)
-    assert res.makespan == 3
-    assert res.avg_time_bound == 3
-    assert res.counts.max_combined == 2  # theta - 1, so the bound is met
-    assert res.guarantee == 3
-    assert res.meets_lower_bound
+def builtin_schedule_summary(tmp_path, name):
+    """`schedule --builtin name`'s schedule.json: load-balanced words through the one entry point."""
+    out = tmp_path / "schedule.json"
+    assert main(["schedule", "--builtin", name, "--out", str(out)]) == 0
+    return json.loads(out.read_text())
 
 
-def test_diameter_two_z5_pays_one_extra():
-    g = fixtures.builtin_graph("z5-12")
-    res = diameter_two_schedule(g)
+def test_diameter_two_z7_hits_theta(tmp_path):
+    doc = builtin_schedule_summary(tmp_path, "z7-124")
+    # max(M+N) = 2 = theta - 1, so the two-layer bound meets theta
+    assert doc["makespan"] == doc["bounds"]["corollary6"] == doc["bounds"]["theta"] == 3
+
+
+def test_diameter_two_z5_pays_one_extra(tmp_path):
+    doc = builtin_schedule_summary(tmp_path, "z5-12")
     # vertex 4 = 2+2 forces generator 2 twice; best max(M+N) is 3 > theta-1
-    assert res.counts.max_combined == 3
-    assert res.guarantee == 4
-    assert res.makespan == 4
-    assert res.avg_time_bound == 3
-    assert not res.meets_lower_bound
+    assert doc["makespan"] == doc["bounds"]["corollary6"] == 4
+    assert doc["bounds"]["theta"] == 3
 
 
-def test_diameter_one_degenerates():
-    g = fixtures.builtin_graph("k4")
-    res = diameter_two_schedule(g)
-    assert res.makespan == 1
-    assert res.guarantee == 1
-
-
-def test_diameter_two_rejects_wide_graphs():
-    g = fixtures.builtin_graph("q3")  # diameter 3
-    with pytest.raises(UnsupportedGraphError):
-        diameter_two_schedule(g)
+def test_diameter_one_degenerates(tmp_path):
+    doc = builtin_schedule_summary(tmp_path, "k4")
+    assert doc["makespan"] == doc["bounds"]["corollary6"] == doc["bounds"]["theta"] == 1
 
 
 def test_diameter_two_rejects_nontrivial_subgroup():
-    g = fixtures.builtin_graph("petersen")
+    # the general path's word choosers read generator labels, which Petersen's coset graph does not have
     with pytest.raises(UnsupportedGraphError):
-        diameter_two_schedule(g)
+        regular_bound_exact(fixtures.builtin_graph("petersen"))
 
 
 def test_diameter_two_accepts_supplied_words():
     g = fixtures.builtin_graph("z7-124")
-    auto = diameter_two_schedule(g)
-    pairs = {v: w for v, w in auto.word_map.items() if len(w) == 2}
-    res = diameter_two_schedule(g, layer2_words=pairs)
-    assert res.makespan == 3
-    with pytest.raises(InputError):
-        diameter_two_schedule(g, layer2_words={v: (0, 0) for v in range(4, 7)})
+    words = dict(regular_bound_exact(g).witness.words)
+    assert {v for v, w in words.items() if len(w) == 2} == {4, 5, 6}
+    _, sched = schedule_plan(g, words, "exact", DEFAULT_SCHEDULE_BUDGET)
+    assert sched.makespan == 3
+    # words that miss their vertices still schedule; the replay finds the packets they lose
+    words.update({v: (0, 0) for v in range(4, 7)})
+    plan, sched = schedule_plan(g, words, "exact", DEFAULT_SCHEDULE_BUDGET)
+    trace = run_transpose(g, expand_factor_paths(g, plan, sched))
+    assert trace.undelivered and not trace.clean
 
 
 def test_classify_q3_all_true():
@@ -368,12 +359,32 @@ def test_open_shop_empty_input():
 
 
 # ---------------------------------------------------------------------------
-# two-letter word balancing
+# the one entry point
+# ---------------------------------------------------------------------------
+
+
+def test_schedule_plan_picks_the_scheduler_from_the_host():
+    q3, word_map = corpus_word_map("q3")
+    assert schedule_plan(q3, word_map, "greedy", 0) == (word_map, greedy_schedule(word_map, q3.degree))
+    assert schedule_plan(q3, word_map, "exact", 0) == open_shop_schedule(word_map, q3.degree)
+    star4 = star(4)
+    words = bfs_word_set(star4, mode="load-balanced").words
+    assert not letters_commute(star4)
+    exact = exact_min_schedule(words, star4.degree)
+    assert schedule_plan(star4, words, "exact", DEFAULT_SCHEDULE_BUDGET) == (words, exact.schedule)
+    with pytest.raises(SearchBudgetError, match=r"gave up \(budget\) after 5 nodes"):
+        schedule_plan(star4, words, "exact", 5)
+    with pytest.raises(InputError, match="unknown scheduling method"):
+        schedule_plan(star4, words, "fastest", DEFAULT_SCHEDULE_BUDGET)
+
+
+# ---------------------------------------------------------------------------
+# diameter 2 through the one entry point
 # ---------------------------------------------------------------------------
 
 
 def recursive_balance(vertices, options, degree):
-    """The balancing search as first written, one nested call per vertex."""
+    """Exhaustively pick one two-letter word per vertex minimizing max first+second load, one nested call per vertex."""
     order = sorted(vertices, key=lambda v: (len(options[v]), v))
     first, second = [0] * degree, [0] * degree
     best = {"value": None, "choice": None}
@@ -401,31 +412,37 @@ def recursive_balance(vertices, options, degree):
             second[b] -= 1
 
     dfs(0)
-    return best["choice"]
+    return best["value"]
 
 
-def test_balance_pair_choices_matches_the_recursive_search():
-    rng = random.Random(3)
-    for _ in range(300):
-        degree = rng.randint(1, 4)
-        vertices = rng.sample(range(20), rng.randint(1, 7))
-        options = {v: [(rng.randrange(degree), rng.randrange(degree)) for _ in range(rng.randint(1, 4))]
-                   for v in vertices}
-        assert _balance_pair_choices(vertices, options, degree) == recursive_balance(vertices, options, degree)
+def random_diameter_two_graphs(rng, count):
+    """(spec, Cayley graph) pairs of diameter <= 2 over cyclic groups, S3 and S4, distinct non-identity generators."""
+    graphs = []
+    while len(graphs) < count:
+        kind = rng.choice(["cyclic", "s3", "s4"])
+        if kind == "cyclic":
+            group = CyclicGroup(rng.randint(2, 30))
+            elements = list(range(1, group.modulus))
+        else:
+            group = PermutationGroup(3 if kind == "s3" else 4)
+            elements = [p for p in itertools.permutations(range(group.degree)) if p != group.identity]
+        spec = GroupSpec(group=group, generators=tuple(rng.sample(elements, rng.randint(1, min(len(elements), 8)))))
+        g = build_cayley_coset_graph(spec)
+        if layer_profile(g).diameter <= 2:
+            graphs.append((spec, g))
+    return graphs
 
 
-def test_balance_pair_choices_runs_on_an_explicit_stack():
-    # 3000 two-layer vertices with one word each: as deep as the vertex count, and over at once
-    script = textwrap.dedent("""
-        import sys
-        from alltoall.scheduling import _balance_pair_choices
-        sys.setrecursionlimit(100)
-        options = {v: [(v % 7, (v + 1) % 7)] for v in range(3000)}
-        chosen = _balance_pair_choices(list(options), options, 7)
-        print(chosen == {v: w[0] for v, w in options.items()})
-    """)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["True"]
+def test_general_path_on_random_diameter_two_cayley_graphs():
+    for spec, g in random_diameter_two_graphs(random.Random(5), 120):
+        dist = distances_from(g, 0)
+        two = [v for v in range(g.vertex_count) if dist[v] == 2]
+        options = {v: [(j, k) for j, mid in enumerate(g.edges[0]) for k, t in enumerate(g.edges[mid]) if t == v]
+                   for v in two}
+        # every generator carries one single, so the busiest generator's load is 1 + max(first + second)
+        bound = regular_bound_exact(g)
+        assert bound.exact
+        assert bound.value == 1 + recursive_balance(two, options, g.degree), spec
+        words, sched = schedule_plan(g, bound.witness.words, "exact", DEFAULT_SCHEDULE_BUDGET)
+        validate_schedule(words, sched, g.degree)
+        assert sched.makespan <= two_layer_time_bound(two_layer_counts(words, g.degree)), spec

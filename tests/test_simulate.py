@@ -12,7 +12,6 @@ from alltoall.graphs import Digraph, as_digraph
 from alltoall.scheduling import Schedule, exact_min_schedule, greedy_schedule
 from alltoall.simulate import (
     Expansion,
-    TimedPath,
     expand_factor_paths,
     run_transpose,
     trace_csv_rows,
@@ -82,8 +81,8 @@ def test_conflicts_are_recorded_not_raised():
     g = fixtures.builtin_graph("c4")
     # two packets claim edge (0, gen 0) in slot 1
     paths = [
-        TimedPath(source=0, dest=1, steps=(((0, 0), 1),)),
-        TimedPath(source=0, dest=1, steps=(((0, 0), 1),)),
+        (0, 1, (0,), (0,), (1,)),
+        (0, 1, (0,), (0,), (1,)),
     ]
     trace = run_transpose(g, paths)
     assert len(trace.conflicts) == 1
@@ -96,8 +95,8 @@ def test_conflicts_are_recorded_not_raised():
 def test_duplicate_delivery_marks_trace_dirty():
     g = fixtures.builtin_graph("c4")
     paths = [
-        TimedPath(source=0, dest=1, steps=(((0, 0), 1),)),
-        TimedPath(source=0, dest=1, steps=(((0, 0), 2),)),
+        (0, 1, (0,), (0,), (1,)),
+        (0, 1, (0,), (0,), (2,)),
     ]
     trace = run_transpose(g, paths)
     assert not trace.conflicts
@@ -107,7 +106,7 @@ def test_duplicate_delivery_marks_trace_dirty():
 
 def test_undelivered_pairs_listed():
     g = fixtures.builtin_graph("c4")
-    trace = run_transpose(g, [TimedPath(source=0, dest=1, steps=(((0, 0), 1),))])
+    trace = run_transpose(g, [(0, 1, (0,), (0,), (1,))])
     assert (2, 3) in trace.undelivered
     assert (0, 1) not in trace.undelivered
     assert len(trace.undelivered) == 11
@@ -115,16 +114,16 @@ def test_undelivered_pairs_listed():
 
 def test_structural_violations_raise():
     g = fixtures.builtin_graph("c4")
-    teleport = TimedPath(source=0, dest=2, steps=(((1, 0), 1),))
+    teleport = (0, 2, (1,), (0,), (1,))
     with pytest.raises(InputError, match="jumps"):
         run_transpose(g, [teleport])
-    bad_index = TimedPath(source=0, dest=1, steps=(((0, 5), 1),))
+    bad_index = (0, 1, (0,), (5,), (1,))
     with pytest.raises(InputError, match="out of range"):
         run_transpose(g, [bad_index])
-    stalled = TimedPath(source=0, dest=2, steps=(((0, 0), 1), ((1, 0), 1)))
+    stalled = (0, 2, (0, 1), (0, 0), (1, 1))
     with pytest.raises(InputError, match="back in time"):
         run_transpose(g, [stalled])
-    lost = TimedPath(source=0, dest=3, steps=(((0, 0), 1),))
+    lost = (0, 3, (0,), (0,), (1,))
     with pytest.raises(InputError, match="destination"):
         run_transpose(g, [lost])
 
@@ -133,7 +132,7 @@ def test_structural_violations_raise():
 def test_packets_off_the_graph_raise(source, dest):
     g = fixtures.builtin_graph("c4")
     with pytest.raises(InputError, match="two vertices"):
-        run_transpose(g, [TimedPath(source=source, dest=dest, steps=())])
+        run_transpose(g, [(source, dest, (), (), ())])
 
 
 def test_trace_rows_are_time_sorted_and_complete():
@@ -194,16 +193,16 @@ def test_word_set_with_slack_still_expands():
 
 
 def reference_replay(g, paths):
-    """A dict-of-dicts replay of timed paths: (horizon, conflicts, undelivered, deliveries, trace rows)."""
+    """A dict-of-dicts replay of packets: (horizon, conflicts, undelivered, deliveries, trace rows)."""
     occupancy = {}
     conflicts = []
     delivered = {}
     horizon = 0
-    for path in paths:
-        packet = (path.source, path.dest)
-        at = path.source
+    for source, dest, tails, ports, times in paths:
+        packet = (source, dest)
+        at = source
         last = 0
-        for (tail, index), time in path.steps:
+        for tail, index, time in zip(tails, ports, times):
             heads = g.successors(tail)
             assert tail == at and 0 <= index < len(heads) and time > last
             slot = occupancy.setdefault(time, {})
@@ -214,7 +213,7 @@ def reference_replay(g, paths):
             at = heads[index]
             last = time
             horizon = max(horizon, time)
-        assert at == path.dest
+        assert at == dest
         delivered[packet] = delivered.get(packet, 0) + 1
     n = g.vertex_count
     undelivered = tuple((i, j) for i in range(n) for j in range(n) if i != j and (i, j) not in delivered)
@@ -226,9 +225,9 @@ def reference_replay(g, paths):
     return horizon, conflicts, undelivered, delivered, rows
 
 
-def timed_paths(packets):
-    return [TimedPath(source=s, dest=d, steps=tuple(zip(zip(tails, ports), times)))
-            for s, d, tails, ports, times in packets]
+def packet_list(packets):
+    """The packets as a list of tuples, which always takes the packet-by-packet replay."""
+    return [(s, d, tuple(tails), tuple(ports), tuple(times)) for s, d, tails, ports, times in packets]
 
 
 def assert_replays_agree(g, paths, packets=None):
@@ -253,11 +252,11 @@ def unchecked_paths(g, word_map, rng, horizon):
     paths = []
     for base in range(g.vertex_count):
         for key, slots in times.items():
-            v, steps = base, []
-            for j, t in zip(word_map[key], slots):
-                steps.append(((v, j), t))
+            v, tails = base, []
+            for j in word_map[key]:
+                tails.append(v)
                 v = g.successors(v)[j]
-            paths.append(TimedPath(source=base, dest=v, steps=tuple(steps)))
+            paths.append((base, v, tuple(tails), word_map[key], tuple(slots)))
     rng.shuffle(paths)
     return paths
 
@@ -269,7 +268,7 @@ def test_flat_replay_matches_reference_on_valid_schedules(name):
     rng = random.Random(7)
     for _ in range(5):
         expanded = expand_factor_paths(g, ws.words, random_valid_schedule(ws.words, rng))
-        paths = timed_paths(expanded)
+        paths = packet_list(expanded)
         assert assert_replays_agree(g, paths, packets=expanded).clean
         assert_replays_agree(g, paths)
 
@@ -280,7 +279,7 @@ def test_flat_replay_matches_reference_over_factors():
     word_map = {i: w for i, w in enumerate(sf.words) if w}
     host = factor_digraph(sf.base)
     expanded = expand_factor_paths(host, word_map, greedy_schedule(word_map, sf.degree))
-    assert assert_replays_agree(host, timed_paths(expanded), packets=expanded).clean
+    assert assert_replays_agree(host, packet_list(expanded), packets=expanded).clean
 
 
 @pytest.mark.parametrize("name", ["c4", "z5-12", "z7-124", "q3"])
@@ -298,11 +297,11 @@ def test_flat_replay_matches_reference_on_conflicting_paths(name):
 def test_flat_replay_matches_reference_on_hand_built_conflicts():
     g = fixtures.builtin_graph("c4")
     paths = [
-        TimedPath(source=0, dest=2, steps=(((0, 0), 1), ((1, 0), 2))),
-        TimedPath(source=1, dest=2, steps=(((1, 0), 2),)),
-        TimedPath(source=3, dest=1, steps=(((3, 0), 1), ((0, 0), 2))),
-        TimedPath(source=0, dest=1, steps=(((0, 0), 1),)),
-        TimedPath(source=1, dest=3, steps=(((1, 0), 2), ((2, 0), 3))),
+        (0, 2, (0, 1), (0, 0), (1, 2)),
+        (1, 2, (1,), (0,), (2,)),
+        (3, 1, (3, 0), (0, 0), (1, 2)),
+        (0, 1, (0,), (0,), (1,)),
+        (1, 3, (1, 2), (0, 0), (2, 3)),
     ]
     trace = assert_replays_agree(g, paths)
     assert [c[3] for c in trace.conflicts] == [(1, 2), (0, 1), (1, 3)]
@@ -310,29 +309,29 @@ def test_flat_replay_matches_reference_on_hand_built_conflicts():
 
 def test_flat_replay_matches_reference_on_duplicated_and_missing_packets():
     g, ws, sched = scheduled_corpus("q3")
-    paths = timed_paths(expand_factor_paths(g, ws.words, sched))
+    paths = packet_list(expand_factor_paths(g, ws.words, sched))
     rng = random.Random(3)
     duplicated = paths + rng.sample(paths, 5)
     trace = assert_replays_agree(g, duplicated)
     assert len(trace.conflicts) >= 5 and not trace.undelivered
-    late = TimedPath(source=paths[9].source, dest=paths[9].dest,
-                     steps=tuple((edge, time + 100) for edge, time in paths[9].steps))
+    source, dest, tails, ports, times = paths[9]
+    late = (source, dest, tails, ports, tuple(time + 100 for time in times))
     trace = assert_replays_agree(g, paths + [late])
     assert not trace.conflicts and not trace.undelivered and not trace.clean
-    assert trace.deliveries(late.source, late.dest) == 2
+    assert trace.deliveries(source, dest) == 2
     missing = paths[:17] + paths[18:]
     trace = assert_replays_agree(g, missing)
-    assert trace.undelivered == ((paths[17].source, paths[17].dest),)
+    assert trace.undelivered == (paths[17][:2],)
     assert not trace.conflicts
 
 
 def test_flat_replay_matches_reference_on_an_irregular_host():
     g = Digraph(out=((1, 2), (2,), (0,)))
     paths = [
-        TimedPath(source=0, dest=2, steps=(((0, 1), 1),)),
-        TimedPath(source=0, dest=1, steps=(((0, 0), 2),)),
-        TimedPath(source=1, dest=0, steps=(((1, 0), 1), ((2, 0), 2))),
-        TimedPath(source=2, dest=1, steps=(((2, 0), 2), ((0, 0), 3))),
+        (0, 2, (0,), (1,), (1,)),
+        (0, 1, (0,), (0,), (2,)),
+        (1, 0, (1, 2), (0, 0), (1, 2)),
+        (2, 1, (2, 0), (0, 0), (2, 3)),
     ]
     trace = assert_replays_agree(g, paths)
     assert len(trace.conflicts) == 1
@@ -341,8 +340,8 @@ def test_flat_replay_matches_reference_on_an_irregular_host():
 def test_memory_follows_the_slots_used_not_the_horizon():
     g = fixtures.builtin_graph("q3")
     paths = [
-        TimedPath(source=0, dest=1, steps=(((0, 0), 1),)),
-        TimedPath(source=1, dest=0, steps=(((1, 0), 10**9),)),
+        (0, 1, (0,), (0,), (1,)),
+        (1, 0, (1,), (0,), (10**9,)),
     ]
     tracemalloc.start()
     try:
@@ -377,7 +376,7 @@ def assert_word_pass_agrees(g, expanded, monkeypatch):
     real = simulate._replay_by_word
     monkeypatch.setattr(simulate, "_replay_by_word", spy)
     fast = run_transpose(g, expanded)
-    slow = run_transpose(g, timed_paths(expanded))
+    slow = run_transpose(g, packet_list(expanded))
     assert len(settled) == 1
     assert fast.horizon == slow.horizon
     assert fast.conflicts == slow.conflicts
@@ -385,7 +384,7 @@ def assert_word_pass_agrees(g, expanded, monkeypatch):
     assert fast.counts == slow.counts
     assert trace_lines(fast, g) == trace_lines(slow, g)
     assert fast.clean == slow.clean
-    assert_replays_agree(g, timed_paths(expanded), packets=expanded)
+    assert_replays_agree(g, packet_list(expanded), packets=expanded)
     return fast, settled[0]
 
 
@@ -393,7 +392,7 @@ def assert_same_error(g, expanded, match):
     with pytest.raises(InputError, match=match) as fast:
         run_transpose(g, expanded)
     with pytest.raises(InputError) as slow:
-        run_transpose(g, timed_paths(expanded))
+        run_transpose(g, packet_list(expanded))
     assert str(fast.value) == str(slow.value)
 
 
