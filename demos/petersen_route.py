@@ -40,7 +40,7 @@ def main():
     print(f"word lengths: {dict(sorted(lengths.items()))} (all shortest: no slack needed)")
     print()
 
-    host = factor_digraph(sf.base)
+    host = factor_digraph(sf.factors)
     word_map, sched = schedule_plan(host, dict(enumerate(sf.words)), "exact", DEFAULT_SCHEDULE_BUDGET)
     print(f"exact schedule: makespan {sched.makespan}")
 

@@ -146,19 +146,24 @@ def _parse_words_doc(doc: dict, origin: str) -> dict[int, tuple[int, ...]]:
     return word_map
 
 
-def _parse_factorization_doc(doc: dict, origin: str):
+def _parse_factorization_doc(doc: dict, origin: str, n: int):
+    """(factors, words or None) of a factorization artifact for a graph on n vertices."""
     for field in ("n", "d", "factors"):
         if field not in doc:
             raise InputError(f"{origin}: missing '{field}'")
+    if doc["n"] != n:
+        raise InputError(f"{origin}: 'n' is {doc['n']!r}, the graph has {n} vertices")
     factors = doc["factors"]
     if not isinstance(factors, list) or len(factors) != doc["d"]:
         raise InputError(f"{origin}: 'factors' must list d={doc['d']} successor arrays")
     for j, succ in enumerate(factors):
         if not _int_list(succ):
             raise InputError(f"{origin}: 'factors' entry {j} must be a list of vertex indices")
+        if len(succ) != n:
+            raise InputError(f"{origin}: 'n' is {n}, but 'factors' entry {j} maps {len(succ)} vertices")
     words = doc.get("words")
     if words is not None:
-        if not isinstance(words, list) or len(words) != doc["n"]:
+        if not isinstance(words, list) or len(words) != n:
             raise InputError(f"{origin}: 'words' must hold one word per vertex")
         for v, word in enumerate(words):
             if not _int_list(word):
@@ -351,12 +356,12 @@ def cmd_factorize(args) -> int:
         if found is None:
             return 2
         sf, search = found
-        doc = _factorization_doc(sf.vertex_count, sf.base.factors, sf.words, search)
+        doc = _factorization_doc(sf.vertex_count, sf.factors, sf.words, search)
     elif cg is not None and cg.is_cayley:
         sf = spanning_factorization_from_cayley(cg, bfs_word_set(cg, mode=args.mode))
-        doc = _factorization_doc(dg.vertex_count, sf.base.factors, sf.words)
+        doc = _factorization_doc(dg.vertex_count, sf.factors, sf.words)
     else:
-        doc = _factorization_doc(dg.vertex_count, one_factorize(dg).factors, None)
+        doc = _factorization_doc(dg.vertex_count, one_factorize(dg), None)
     _emit_json(doc, args.out)
     return 0
 
@@ -365,10 +370,11 @@ def cmd_schedule(args) -> int:
     cg, dg = _load_graph(args)
     profile = layer_profile(cg if cg is not None else dg)
     if args.factorization:
-        f, listed = _parse_factorization_doc(_read_json(args.factorization), args.factorization)
+        factors, listed = _parse_factorization_doc(_read_json(args.factorization), args.factorization,
+                                                   dg.vertex_count)
         if listed is None:
             raise InputError(f"{args.factorization}: factor-only artifact has no words to schedule")
-        host, words = factor_digraph(f), dict(enumerate(listed))
+        host, words = factor_digraph(factors), dict(enumerate(listed))
     elif args.words:
         host, words = cg if cg is not None else dg, _parse_words_doc(_read_json(args.words), args.words)
     else:
@@ -386,16 +392,14 @@ def cmd_simulate(args) -> int:
     word_map, sched = _read_schedule_csv(args.schedule)
     profile = layer_profile(cg if cg is not None else dg)
     if args.factorization:
-        f, _ = _parse_factorization_doc(_read_json(args.factorization), args.factorization)
-        n = len(f.factors[0])
-        if n != dg.vertex_count:
-            raise InputError(f"factorization covers {n} vertices, graph has {dg.vertex_count}")
+        n = dg.vertex_count
+        factors, _ = _parse_factorization_doc(_read_json(args.factorization), args.factorization, n)
         # factors read from a file are trusted only once the words span from every base
         words = tuple(word_map.get(i, ()) for i in range(n))
-        check = verify_spanning(f.factors, words, n)
+        check = verify_spanning(factors, words, n)
         if not check.ok:
             raise InputError(f"refusing to expand an unverified factorization: {check.reason}")
-        host, word_map = factor_digraph(f), {i: w for i, w in enumerate(words) if w}
+        host, word_map = factor_digraph(factors), {i: w for i, w in enumerate(words) if w}
     elif cg is None:
         raise InputError("raw digraph schedules replay over factors; pass --factorization")
     else:
@@ -418,7 +422,7 @@ def cmd_pipeline(args) -> int:
         if found is None:
             return 2
         sf, search = found
-        host, words = factor_digraph(sf.base), dict(enumerate(sf.words))
+        host, words = factor_digraph(sf.factors), dict(enumerate(sf.words))
 
     # from here on a plan is words over the host's out-positions, whichever route made it
     degree = len(host.successors(0))
@@ -433,7 +437,7 @@ def cmd_pipeline(args) -> int:
         _emit_json(_words_doc(word_map, degree, theta), str(outdir / "words.json"))
     else:
         listed = [word_map.get(i, ()) for i in range(sf.vertex_count)]
-        _emit_json(_factorization_doc(sf.vertex_count, sf.base.factors, listed, search),
+        _emit_json(_factorization_doc(sf.vertex_count, sf.factors, listed, search),
                    str(outdir / "factorization.json"))
     if scheduled is None:
         return 2

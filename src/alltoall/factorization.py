@@ -3,10 +3,13 @@
 A d-regular digraph always splits into d arc-disjoint 1-factors (spanning
 subgraphs with in- and out-degree 1, i.e. vertex bijections): send each arc
 (u, v) to the bipartite graph on tails and heads and peel off d perfect
-matchings.  A spanning factorization additionally carries one word per
-vertex over the factor alphabet such that walking the words from ANY base
-hits every vertex exactly once -- the property that lets one timed word list
-serve all sources of an all-to-all exchange simultaneously.
+matchings.  A 1-factorization is its successor table alone: factors[j][u]
+is where factor j sends vertex u.  A spanning factorization additionally
+carries one word per vertex over the factor alphabet such that walking the
+words from ANY base hits every vertex exactly once -- the property that lets
+one timed word list serve all sources of an all-to-all exchange
+simultaneously.  The constructors establish these properties and do not
+re-check them; verify_spanning checks a factorization read from outside.
 """
 
 from __future__ import annotations
@@ -15,45 +18,31 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import InputError, StructureError, UnsupportedGraphError
-from .graphs import CosetGraph, Digraph, as_digraph, regular_degree
+from .graphs import CosetGraph, Digraph, regular_degree
 from .layers import distances_from
 from .words import WordSet, validate_word_set
 
 DEFAULT_SEARCH_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class OneFactorization:
-    """d vertex bijections that partition a digraph's arc multiset.
+Factors = tuple[tuple[int, ...], ...]  # factors[j][u]: where factor j sends vertex u
 
-    factors[j][u] is where factor j sends vertex u; factor_of[a] is the
-    factor that claimed arc a, indexed as in Digraph.arcs().
+
+def validate_one_factorization(g: Digraph, factors: Sequence[Sequence[int]]) -> None:
+    """Raise InputError unless the factors are bijections that partition g's arc multiset.
+
+    Every factor must be a bijection on g's vertices, and at every vertex
+    the factors' heads must equal g's out-heads as a multiset, so parallel
+    arcs and loops count with their multiplicity.
     """
-
-    factors: tuple[tuple[int, ...], ...]
-    factor_of: tuple[int, ...]
-
-
-def validate_one_factorization(g: Digraph, f: OneFactorization) -> None:
-    """Check both defining properties; raise InputError on any violation."""
     n = g.vertex_count
-    for j, succ in enumerate(f.factors):
+    for j, succ in enumerate(factors):
         if len(succ) != n or sorted(succ) != list(range(n)):
             raise InputError(f"factor {j} is not a bijection on {n} vertices: {succ}")
-    arcs = g.arcs()
-    if len(f.factor_of) != len(arcs):
-        raise InputError(f"factor_of labels {len(f.factor_of)} arcs, graph has {len(arcs)}")
-    claimed: dict[int, list[int]] = {}
-    for a, (u, v, _) in enumerate(arcs):
-        j = f.factor_of[a]
-        if not (0 <= j < len(f.factors)):
-            raise InputError(f"arc {a} assigned to nonexistent factor {j}")
-        if f.factors[j][u] != v:
-            raise InputError(f"arc {a} = ({u}, {v}) assigned to factor {j}, which sends {u} to {f.factors[j][u]}")
-        claimed.setdefault(u * len(f.factors) + j, []).append(a)
-    for slot, owners in claimed.items():
-        if len(owners) != 1:
-            raise InputError(f"factor {slot % len(f.factors)} claims {len(owners)} arcs out of vertex {slot // len(f.factors)}")
+    for u in range(n):
+        heads = sorted(succ[u] for succ in factors)
+        if heads != sorted(g.successors(u)):
+            raise InputError(f"the factors send vertex {u} to {heads}, its out-arcs go to {sorted(g.successors(u))}")
 
 
 def _perfect_matching(n: int, adj: list[list[tuple[int, int]]]) -> list[int] | None:
@@ -101,12 +90,13 @@ def _perfect_matching(n: int, adj: list[list[tuple[int, int]]]) -> list[int] | N
     return match_tail
 
 
-def one_factorize(g: Digraph) -> OneFactorization:
+def one_factorize(g: Digraph) -> Factors:
     """Split a d-regular digraph into d factors by repeated perfect matching.
 
     Each round matches every tail to a distinct head using only arcs not yet
     claimed; regularity guarantees a perfect matching exists at every round
-    (the remaining bipartite graph stays regular).
+    (the remaining bipartite graph stays regular); the d rounds claim every
+    arc once, so the factors partition g's arc multiset.
     """
     d = regular_degree(g)
     n = g.vertex_count
@@ -114,9 +104,8 @@ def one_factorize(g: Digraph) -> OneFactorization:
     remaining: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for a, (u, v, _) in enumerate(arcs):
         remaining[u].append((a, v))
-    factor_of = [-1] * len(arcs)
     factors: list[tuple[int, ...]] = []
-    for j in range(d):
+    for _ in range(d):
         matched = _perfect_matching(n, remaining)
         if matched is None:
             raise InputError(
@@ -126,12 +115,9 @@ def one_factorize(g: Digraph) -> OneFactorization:
         succ = [0] * n
         for u, arc_id in enumerate(matched):
             succ[u] = arcs[arc_id][1]
-            factor_of[arc_id] = j
             remaining[u] = [(a, v) for a, v in remaining[u] if a != arc_id]
         factors.append(tuple(succ))
-    result = OneFactorization(factors=tuple(factors), factor_of=tuple(factor_of))
-    validate_one_factorization(g, result)
-    return result
+    return tuple(factors)
 
 
 # ---------------------------------------------------------------------------
@@ -141,22 +127,22 @@ def one_factorize(g: Digraph) -> OneFactorization:
 
 @dataclass(frozen=True)
 class SpanningFactorization:
-    """A 1-factorization plus one word per vertex (words[0] is empty).
+    """A 1-factorization's successor table plus one word per vertex (words[0] is empty).
 
     The defining property: from every base vertex, walking all n words gives
     n pairwise-distinct endpoints.
     """
 
-    base: OneFactorization
+    factors: Factors
     words: tuple[tuple[int, ...], ...]
 
     @property
     def degree(self) -> int:
-        return len(self.base.factors)
+        return len(self.factors)
 
     @property
     def vertex_count(self) -> int:
-        return len(self.base.factors[0])
+        return len(self.factors[0])
 
 
 def walk_word(factors: Sequence[Sequence[int]], start: int, word: Sequence[int]) -> int:
@@ -167,13 +153,8 @@ def walk_word(factors: Sequence[Sequence[int]], start: int, word: Sequence[int])
     return v
 
 
-def factorization_from_successors(factors: Sequence[Sequence[int]]) -> OneFactorization:
-    """Rebuild a OneFactorization from stored successor arrays.
-
-    Each array must be a bijection on the common vertex set.  The arc-claim
-    table is laid out for factor_digraph's ordering (out-position = factor
-    index), which is the layout replays use.
-    """
+def factorization_from_successors(factors: Sequence[Sequence[int]]) -> Factors:
+    """The successor table of stored successor arrays, each checked to be a bijection on the common vertex set."""
     if not factors:
         raise StructureError("need at least one factor")
     n = len(factors[0])
@@ -183,19 +164,17 @@ def factorization_from_successors(factors: Sequence[Sequence[int]]) -> OneFactor
         if len(succ) != n or sorted(succ) != list(range(n)):
             raise StructureError(f"factor {j} is not a bijection on 0..{n - 1}")
         cleaned.append(succ)
-    factor_of = tuple(j for _ in range(n) for j in range(len(cleaned)))
-    return OneFactorization(factors=tuple(cleaned), factor_of=factor_of)
+    return tuple(cleaned)
 
 
-def factor_digraph(f: OneFactorization) -> Digraph:
+def factor_digraph(factors: Sequence[Sequence[int]]) -> Digraph:
     """The factorization's arc layout: out-position j at each vertex is factor j's arc.
 
     Same arc multiset as the factorized graph (the factors partition it),
     re-ordered so that factor indices work as out-arc positions; packets
     over factor words replay against this layout.
     """
-    n = len(f.factors[0])
-    return Digraph(out=tuple(tuple(succ[v] for succ in f.factors) for v in range(n)))
+    return Digraph(out=tuple(zip(*factors)))
 
 
 @dataclass(frozen=True)
@@ -238,8 +217,8 @@ def spanning_factorization_from_cayley(g: CosetGraph, ws: WordSet) -> SpanningFa
     """Generator classes as factors, the word set (plus empty word) as words.
 
     On a Cayley graph each generator's arcs form a bijection (right
-    multiplication), and endpoints from base v are v*g_i, distinct because
-    group elements are.  The verification guard stays on anyway.
+    multiplication), and once validate_word_set has passed, endpoints from
+    base v are v*g_i, distinct because group elements are.
     """
     if not g.is_cayley:
         raise UnsupportedGraphError(
@@ -247,16 +226,8 @@ def spanning_factorization_from_cayley(g: CosetGraph, ws: WordSet) -> SpanningFa
             "use the search for proper coset graphs"
         )
     validate_word_set(g, ws)
-    dg = as_digraph(g)
-    factors = tuple(tuple(g.edges[u][j] for u in range(g.vertex_count)) for j in range(g.degree))
-    factor_of = tuple(j for _, _, j in dg.arcs())
-    base = OneFactorization(factors=factors, factor_of=factor_of)
-    validate_one_factorization(dg, base)
     words = tuple(tuple(ws.words[v]) if v else () for v in range(g.vertex_count))
-    check = verify_spanning(factors, words, g.vertex_count)
-    if not check.ok:
-        raise AssertionError(f"Cayley spanning construction failed its own check: {check.reason}")
-    return SpanningFactorization(base=base, words=words)
+    return SpanningFactorization(tuple(zip(*g.edges)), words)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +252,7 @@ class SearchResult:
     reason: str
 
 
-def _iter_factorizations(g: Digraph, d: int) -> Iterator[OneFactorization]:
+def _iter_factorizations(g: Digraph, d: int) -> Iterator[Factors]:
     """All 1-factorizations, lazily, without repeating factor-order permutations.
 
     Factors are produced in increasing order of the arc they claim at vertex
@@ -319,18 +290,10 @@ def _iter_factorizations(g: Digraph, d: int) -> Iterator[OneFactorization]:
             if u >= 0:
                 head_used[arcs[picked.pop()][1]] = False
 
-    def build(level: int, prev_first: int, chosen: list[list[int]]) -> Iterator[OneFactorization]:
+    def build(level: int, prev_first: int, chosen: list[list[int]]) -> Iterator[Factors]:
         if level == d:
-            factor_of = [-1] * len(arcs)
-            factors = []
-            for j, picked in enumerate(chosen):
-                succ = [0] * n
-                for a in picked:
-                    u, v, _ = arcs[a]
-                    succ[u] = v
-                    factor_of[a] = j
-                factors.append(tuple(succ))
-            yield OneFactorization(factors=tuple(factors), factor_of=tuple(factor_of))
+            # a matching picks tails in index order, so arc picked[u] leaves tail u
+            yield tuple(tuple(arcs[a][1] for a in picked) for picked in chosen)
             return
         head_used = [False] * n
         for picked in matchings(head_used, prev_first):
@@ -376,7 +339,8 @@ def search_spanning_factorization(
     lists are found before longer ones.  Middle loop: 1-factorizations,
     enumerated lazily.  Inner search: assign words vertex by vertex in
     (distance, index) order, keeping per-base endpoint sets and failing a
-    candidate the moment any base sees a repeated endpoint.  The budget
+    candidate the moment any base sees a repeated endpoint, so a complete
+    assignment spans from every base without a further check.  The budget
     counts candidate-word attempts across everything; exhaustion reports
     failure rather than nonexistence.
     """
@@ -401,7 +365,7 @@ def search_spanning_factorization(
             def candidates(pos: int, slack_left: int) -> Iterator[tuple[int, tuple[int, ...]]]:
                 v = order[pos]
                 for extra in range(slack_left + 1):
-                    for word in _words_of_length(fact.factors, v, dist[v] + extra, cache):
+                    for word in _words_of_length(fact, v, dist[v] + extra, cache):
                         yield extra, word
 
             def assign(slack: int) -> bool:
@@ -421,7 +385,7 @@ def search_spanning_factorization(
                             out_of_budget = True
                             return False
                         nodes += 1
-                        endpoints = [walk_word(fact.factors, b, word) for b in range(n)]
+                        endpoints = [walk_word(fact, b, word) for b in range(n)]
                         if any(endpoints[b] in ends[b] for b in range(n)):
                             continue
                         for b in range(n):
@@ -441,11 +405,7 @@ def search_spanning_factorization(
                 return False
 
             if assign(slack):
-                words = tuple(chosen)
-                check = verify_spanning(fact.factors, words, n)
-                if not check.ok:
-                    raise AssertionError(f"search produced an invalid factorization: {check.reason}")
-                found = SpanningFactorization(base=fact, words=words)
+                found = SpanningFactorization(fact, tuple(chosen))
                 return SearchResult(
                     found=found, nodes=nodes, factorizations=factorizations,
                     best_depth=best_depth, reason="",

@@ -6,8 +6,9 @@ reports every collision and every missing delivery.
 
 Expansion translates a scheduled word list into per-pair packets: every base
 vertex runs the same words, a letter naming a generator of a Cayley graph or
-a factor of a spanning factorization alike.  It checks the schedule once and
-then generates the packets on demand, so no list of routes is ever built: a
+a factor of a spanning factorization alike.  It checks only that every word
+has one slot per letter, leaving slot order and conflicts to the replay, and
+generates the packets on demand, so no list of routes is ever built: a
 packet is (source, dest, tails, ports, times), the vertex it leaves in each
 step, the out-position it takes there and the slot it takes it in.
 
@@ -41,7 +42,6 @@ from itertools import chain, compress, repeat
 from operator import add, floordiv, lt, mod, not_, sub
 from typing import Iterable, Iterator, Sequence
 
-from . import scheduling
 from .errors import InputError
 from .graphs import Graph
 from .scheduling import Schedule, WordMap
@@ -115,12 +115,17 @@ def expand_factor_paths(host: Graph, word_map: WordMap, schedule: Schedule) -> E
     generators and a factorization's factors (laid out by factor_digraph)
     expand the same way.  The edge labels and times are copied unchanged
     from the base-0 word, which is exactly why a conflict-free labeling for
-    the base serves all bases at once.
+    the base serves all bases at once.  Raises InputError unless every
+    non-empty word has exactly one slot per letter.
     """
-    n = host.vertex_count
-    succ = [host.successors(v) for v in range(n)]
-    scheduling.validate_schedule(word_map, schedule, len(succ[0]))
-    return Expansion(succ=succ, jobs=[(word, schedule.times[key]) for key, word in word_map.items() if word])
+    jobs = []
+    for key, word in word_map.items():
+        if word:
+            slots = schedule.times.get(key, ())
+            if len(slots) != len(word):
+                raise InputError(f"word {key} has {len(word)} letters but {len(slots)} time slots")
+            jobs.append((word, slots))
+    return Expansion(succ=[host.successors(v) for v in range(host.vertex_count)], jobs=jobs)
 
 
 def run_transpose(g: Graph, paths: Iterable[Packet]) -> TransposeTrace:

@@ -58,6 +58,8 @@ def _parse_digraph_form(body: Any) -> Digraph:
     arcs = body["arcs"]
     if not isinstance(arcs, list):
         _fail("$.digraph.arcs", "must be a list of [src, dst] pairs")
+    if not arcs:
+        _fail("$.digraph.arcs", "must hold at least one arc; a digraph with no arcs has no exchange to schedule")
     for i, arc in enumerate(arcs):
         if not isinstance(arc, list) or len(arc) != 2 or not all(isinstance(x, int) for x in arc):
             _fail(f"$.digraph.arcs[{i}]", f"must be a [src, dst] integer pair, got {arc!r}")

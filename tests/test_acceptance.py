@@ -120,10 +120,10 @@ def test_acceptance_02_factorization_suite():
             assert time.perf_counter() - start < 1.0
             validate_one_factorization(g, f)
             # invariant 1: every factor is a bijection on the vertices
-            for succ in f.factors:
+            for succ in f:
                 assert sorted(succ) == list(range(n))
             # invariant 2: the factors partition the arc multiset
-            split = sorted((v, succ[v]) for succ in f.factors for v in range(n))
+            split = sorted((v, succ[v]) for succ in f for v in range(n))
             assert split == sorted((src, dst) for src, dst, _ in g.arcs())
 
 
@@ -178,9 +178,9 @@ def test_acceptance_04_factorization_labelings():
         plans.append(petersen_spanning())
         runs = clean = 0
         for sf in plans:
-            check = verify_spanning(sf.base.factors, sf.words, sf.vertex_count)
+            check = verify_spanning(sf.factors, sf.words, sf.vertex_count)
             assert check.ok
-            host = factor_digraph(sf.base)
+            host = factor_digraph(sf.factors)
             word_map = {i: w for i, w in enumerate(sf.words) if w}
             for _ in range(50):
                 trace = run_transpose(host, expand_factor_paths(host, word_map, random_schedule(word_map, rng)))
@@ -222,7 +222,7 @@ def test_acceptance_06_two_layer_guarantee():
         word_map = {i: w for i, w in enumerate(sf.words) if w}
         assert max(len(w) for w in word_map.values()) == 2
         sched = exact_min_schedule(word_map, sf.degree).schedule
-        host = factor_digraph(sf.base)
+        host = factor_digraph(sf.factors)
         trace = run_transpose(host, expand_factor_paths(host, word_map, sched))
         assert trace.clean
         assert trace.horizon <= two_layer_time_bound(two_layer_counts(word_map, sf.degree))

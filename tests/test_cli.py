@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 
@@ -134,14 +135,19 @@ def test_pipeline_z7(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("method", ["exact", "greedy"])
-def test_pipeline_checks_its_schedule_twice(tmp_path, capsys, monkeypatch, method):
-    # once in the scheduler and once in the expansion; the summary's flags trust both
+def test_pipeline_checks_its_schedule_once_in_the_scheduler(tmp_path, capsys, monkeypatch, method):
+    # the scheduler validates what it built; the replay judges it without that code
     real = scheduling.validate_schedule
-    calls = []
-    monkeypatch.setattr(scheduling, "validate_schedule", lambda *args: calls.append(args) or real(*args))
+    callers = []
+
+    def spy(*args):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return real(*args)
+
+    monkeypatch.setattr(scheduling, "validate_schedule", spy)
     code, _, err = run(capsys, "pipeline", "--builtin", "z7-124", "--method", method, "--outdir", str(tmp_path))
     assert code == 0, err
-    assert len(calls) == 2
+    assert callers == ["alltoall.scheduling"]
 
 
 
@@ -349,6 +355,64 @@ def test_malformed_factorization_artifacts_are_input_errors(tmp_path, capsys, co
     code, _, err = run(capsys, command, "--builtin", "q3", "--factorization", str(bad), *extra)
     assert code == 1
     assert err.startswith(f"error: {bad}: '{field}' entry ")
+
+
+def test_simulate_replays_a_double_booked_schedule(tmp_path, capsys):
+    sched, bad, trace = tmp_path / "sched.csv", tmp_path / "bad.csv", tmp_path / "trace.csv"
+    run_json(capsys, "schedule", "--builtin", "q3", "--csv", str(sched))
+    with open(sched, encoding="utf-8", newline="") as fh:
+        rows = [[int(x) for x in row] for row in list(csv.reader(fh))[1:]]
+    slots = {}
+    for target, pos, _, time in rows:
+        slots.setdefault(target, {})[pos] = time
+    # move one letter onto the slot of another word's letter over the same factor, keeping its word's slots rising
+    moved = next(
+        (row, other[3]) for row in rows for other in rows
+        if other[0] != row[0] and other[2] == row[2] and other[3] != row[3]
+        and slots[row[0]].get(row[1] - 1, 0) < other[3] < slots[row[0]].get(row[1] + 1, other[3] + 1)
+    )
+    moved[0][3] = moved[1]
+    bad.write_text("word_target,position,factor,time\n" + "".join(",".join(map(str, r)) + "\n" for r in rows))
+    code, out, err = run(capsys, "simulate", "--builtin", "q3", "--schedule", str(bad), "--trace", str(trace))
+    assert code == 2, err
+    assert json.loads(out)["conflicts"] >= 1
+    assert trace.read_text().startswith("time,src,dst,gen,packet_src,packet_dst\n")
+
+
+def factorization_with_n_off(capsys, which):
+    """A q3 artifact whose 'n' says 7, keeping its first 7 words, or z7-124's artifact, each read against q3."""
+    if which == "q3-n7":
+        doc = run_json(capsys, "factorize", "--builtin", "q3")
+        doc["n"], doc["words"] = 7, doc["words"][:7]
+        return doc
+    return run_json(capsys, "factorize", "--builtin", "z7-124")
+
+
+@pytest.mark.parametrize("command", ["schedule", "simulate"])
+@pytest.mark.parametrize("which", ["q3-n7", "z7-124"])
+def test_factorization_for_another_vertex_count_is_refused(tmp_path, capsys, command, which):
+    good, bad, sched = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "sched.csv"
+    good.write_text(json.dumps(run_json(capsys, "factorize", "--builtin", "q3")))
+    run_json(capsys, "schedule", "--builtin", "q3", "--factorization", str(good), "--csv", str(sched))
+    bad.write_text(json.dumps(factorization_with_n_off(capsys, which)))
+    extra = ["--schedule", str(sched)] if command == "simulate" else []
+    code, _, err = run(capsys, command, "--builtin", "q3", "--factorization", str(bad), *extra)
+    assert code == 1
+    assert err.startswith(f"error: {bad}: 'n' ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds",),
+    ("pipeline", "--outdir", "{out}"),
+    ("factorize", "--search"),
+])
+def test_digraph_without_arcs_is_an_input_error(tmp_path, capsys, argv):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"digraph": {"n": 1, "arcs": []}}))
+    argv = [a.replace("{out}", str(tmp_path / "out")) for a in argv]
+    code, _, err = run(capsys, argv[0], "--spec", str(spec), *argv[1:])
+    assert code == 1
+    assert err.startswith("error: $.digraph.arcs: ") and "Traceback" not in err
 
 
 def write_network(path, **fields):

@@ -1,5 +1,6 @@
 """1-factorizations and spanning factorizations."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -9,9 +10,8 @@ import textwrap
 import pytest
 
 from alltoall import fixtures
-from alltoall.errors import InputError, StructureError
+from alltoall.errors import ConnectivityError, InputError, StructureError
 from alltoall.factorization import (
-    OneFactorization,
     factor_digraph,
     factorization_from_successors,
     one_factorize,
@@ -21,8 +21,10 @@ from alltoall.factorization import (
     verify_spanning,
     walk_word,
 )
-from alltoall.graphs import as_digraph, digraph_from_arcs
+from alltoall.graphs import as_digraph, build_cayley_coset_graph, digraph_from_arcs
+from alltoall.groups import CyclicGroup, GroupSpec, PermutationGroup, ProductGroup
 from alltoall.words import bfs_word_set
+from test_graphs import kautz
 
 
 def random_regular_digraph(rng, n, d):
@@ -39,23 +41,23 @@ def test_directed_ring_has_one_factor():
     g = as_digraph(fixtures.builtin_graph("c4"))
     f = one_factorize(g)
     validate_one_factorization(g, f)
-    assert f.factors == ((1, 2, 3, 0),)
+    assert f == ((1, 2, 3, 0),)
 
 
 def test_bidirected_triangle_splits_into_rotations():
     g = digraph_from_arcs(3, [[0, 1], [0, 2], [1, 0], [1, 2], [2, 0], [2, 1]])
     f = one_factorize(g)
     validate_one_factorization(g, f)
-    assert sorted(f.factors) == [(1, 2, 0), (2, 0, 1)]
+    assert sorted(f) == [(1, 2, 0), (2, 0, 1)]
 
 
 def test_petersen_factorizes():
     g = as_digraph(fixtures.builtin_graph("petersen"))
     f = one_factorize(g)
     validate_one_factorization(g, f)
-    assert len(f.factors) == 3
+    assert len(f) == 3
     # the three factors partition all 30 arcs
-    claimed = {(u, succ[u]) for succ in f.factors for u in range(10)}
+    claimed = {(u, succ[u]) for succ in f for u in range(10)}
     assert len(claimed) == 30
 
 
@@ -67,17 +69,28 @@ def test_random_regular_digraphs_factorize():
         g = random_regular_digraph(rng, n, d)
         f = one_factorize(g)
         validate_one_factorization(g, f)
-        for succ in f.factors:
+        for succ in f:
             assert sorted(succ) == list(range(n))
 
 
 def test_validation_catches_bad_factorizations():
     g = digraph_from_arcs(3, [[0, 1], [1, 2], [2, 0]])
     with pytest.raises(InputError):
-        validate_one_factorization(g, OneFactorization(factors=((1, 1, 0),), factor_of=(0, 0, 0)))
+        validate_one_factorization(g, ((1, 1, 0),))
     # right bijection, wrong arcs
     with pytest.raises(InputError):
-        validate_one_factorization(g, OneFactorization(factors=((2, 0, 1),), factor_of=(0, 0, 0)))
+        validate_one_factorization(g, ((2, 0, 1),))
+    # parallel arcs and loops count: at each vertex two parallel arcs to the other vertex and one loop
+    g = digraph_from_arcs(2, [[0, 1], [0, 1], [0, 0], [1, 0], [1, 0], [1, 1]])
+    validate_one_factorization(g, one_factorize(g))
+    swap, stay = (1, 0), (0, 1)
+    validate_one_factorization(g, (swap, stay, swap))
+    # one of the two parallel arcs taken twice, the loop not at all
+    with pytest.raises(InputError):
+        validate_one_factorization(g, (swap, swap, swap))
+    # the loop taken twice: the same set of heads, not the same multiset
+    with pytest.raises(InputError):
+        validate_one_factorization(g, (swap, stay, stay))
 
 
 def test_walk_word_follows_factors():
@@ -94,7 +107,7 @@ def test_factor_digraph_reorders_but_keeps_arcs():
     assert sorted((u, v) for u, v, _ in fd.arcs()) == sorted((u, v) for u, v, _ in g.arcs())
     # out-position j is factor j's arc, which is what word replays assume
     for v in range(10):
-        assert fd.out[v] == tuple(succ[v] for succ in f.factors)
+        assert fd.out[v] == tuple(succ[v] for succ in f)
 
 
 def test_loader_round_trips_and_validates():
@@ -135,7 +148,35 @@ def test_cayley_construction_gives_shortest_words(name, lengths):
     g = fixtures.builtin_graph(name)
     sf = spanning_factorization_from_cayley(g, bfs_word_set(g, mode="load-balanced"))
     assert sorted(len(w) for w in sf.words) == lengths
-    assert verify_spanning(sf.base.factors, sf.words, g.vertex_count).ok
+    assert verify_spanning(sf.factors, sf.words, g.vertex_count).ok
+
+
+def random_cayley_spec(rng):
+    """A cyclic, product, S3 or S4 group with one to four generators; repeats and the identity allowed."""
+    kind = rng.choice(["cyclic", "product", "s3", "s4"])
+    if kind == "cyclic":
+        group = CyclicGroup(rng.randint(2, 40))
+        elements = list(range(group.modulus))
+    elif kind == "product":
+        group = ProductGroup([CyclicGroup(rng.randint(2, 4)), rng.choice((CyclicGroup(3), PermutationGroup(3)))])
+        elements = list(itertools.product(*(
+            range(f.modulus) if isinstance(f, CyclicGroup) else itertools.permutations(range(3))
+            for f in group.factors)))
+    else:
+        group = PermutationGroup(3 if kind == "s3" else 4)
+        elements = list(itertools.permutations(range(group.degree)))
+    return GroupSpec(group=group, generators=tuple(rng.choice(elements) for _ in range(rng.randint(1, 4))))
+
+
+def test_cayley_construction_spans_on_random_specs():
+    # the construction does not walk its words; this oracle walks every word from every base
+    rng = random.Random(2209)
+    for _ in range(120):
+        g = build_cayley_coset_graph(random_cayley_spec(rng))
+        sf = spanning_factorization_from_cayley(g, bfs_word_set(g, mode=rng.choice(["first-found", "load-balanced"])))
+        assert sf.factors == tuple(tuple(g.edges[u][j] for u in range(g.vertex_count)) for j in range(g.degree))
+        validate_one_factorization(as_digraph(g), sf.factors)
+        assert verify_spanning(sf.factors, sf.words, g.vertex_count).ok, g.spec
 
 
 def test_cayley_construction_needs_trivial_subgroup():
@@ -148,7 +189,7 @@ def test_search_finds_q3_quickly():
     g = as_digraph(fixtures.builtin_graph("q3"))
     res = search_spanning_factorization(g)
     assert res.found is not None
-    assert verify_spanning(res.found.base.factors, res.found.words, 8).ok
+    assert verify_spanning(res.found.factors, res.found.words, 8).ok
     assert sorted(len(w) for w in res.found.words) == [0, 1, 1, 1, 2, 2, 2, 3]
 
 
@@ -156,10 +197,29 @@ def test_search_finds_petersen_with_shortest_words():
     g = as_digraph(fixtures.builtin_graph("petersen"))
     res = search_spanning_factorization(g)
     assert res.found is not None
-    assert verify_spanning(res.found.base.factors, res.found.words, 10).ok
+    assert verify_spanning(res.found.factors, res.found.words, 10).ok
     # slack 0: every word length matches the BFS distance
     assert sorted(len(w) for w in res.found.words) == [0, 1, 1, 1, 2, 2, 2, 2, 2, 2]
     assert res.factorizations >= 1
+
+
+def test_search_results_span_on_kautz_and_random_digraphs():
+    # the search does not re-walk what it found; this oracle does, and checks that the factors partition the arcs
+    rng = random.Random(77)
+    graphs = [kautz(2, 2), kautz(3, 2)] + [random_regular_digraph(rng, rng.randint(2, 7), rng.randint(1, 3))
+                                            for _ in range(60)]
+    found = []
+    for i, g in enumerate(graphs):
+        try:
+            res = search_spanning_factorization(g, budget=20_000)
+        except ConnectivityError:  # no spanning word list reaches another component
+            continue
+        if res.found is None:
+            continue
+        found.append(i)
+        validate_one_factorization(g, res.found.factors)
+        assert verify_spanning(res.found.factors, res.found.words, g.vertex_count).ok
+    assert found[:2] == [0, 1] and len(found) >= 20
 
 
 def test_search_respects_budget():
@@ -193,7 +253,7 @@ def test_search_and_matching_run_on_explicit_stacks():
         res = search_spanning_factorization(cycle)
         print(res.nodes, res.factorizations, res.best_depth, res.found.words == tuple((0,) * k for k in range(n)))
         f = one_factorize(chain)
-        print(f.factors == (tuple(range(1, n)) + (0,), tuple(range(n))))
+        print(f == (tuple(range(1, n)) + (0,), tuple(range(n))))
     """)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

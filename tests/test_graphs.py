@@ -247,7 +247,7 @@ def test_non_commuting_hosts():
     for d, n in ((2, 2), (3, 2)):
         k = kautz(d, n)
         hosts.append(factor_digraph(one_factorize(k)))
-        hosts.append(factor_digraph(search_spanning_factorization(k).found.base))
+        hosts.append(factor_digraph(search_spanning_factorization(k).found.factors))
     for g in hosts:
         assert not letters_commute(g)
         assert not reorderings_agree(g)

@@ -1,7 +1,9 @@
 """Replay of scheduled exchanges: expansion, conflict detection, trace output."""
 
+import ast
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -50,7 +52,7 @@ def test_factor_expansion_petersen():
     assert sf is not None
     word_map = {i: w for i, w in enumerate(sf.words) if w}
     sched = exact_min_schedule(word_map, sf.degree).schedule
-    host = factor_digraph(sf.base)
+    host = factor_digraph(sf.factors)
     paths = expand_factor_paths(host, word_map, sched)
     assert len(paths) == 90
     trace = run_transpose(host, paths)
@@ -62,7 +64,7 @@ def test_factor_expansion_petersen():
 def test_cayley_plan_replays_alike_over_its_factors(name):
     # a Cayley word set is the spanning factorization whose factors are the generators
     g, ws, sched = scheduled_corpus(name)
-    host = factor_digraph(spanning_factorization_from_cayley(g, ws).base)
+    host = factor_digraph(spanning_factorization_from_cayley(g, ws).factors)
     over_graph = run_transpose(g, expand_factor_paths(g, ws.words, sched))
     over_factors = run_transpose(host, expand_factor_paths(host, ws.words, sched))
     assert over_graph.clean and over_factors.clean
@@ -72,9 +74,35 @@ def test_cayley_plan_replays_alike_over_its_factors(name):
 
 def test_expansion_rejects_invalid_schedule():
     g, ws, _ = scheduled_corpus("c4")
-    bad = Schedule(times={1: (1,), 2: (1, 2), 3: (1, 2, 3)})
-    with pytest.raises(InputError):
-        expand_factor_paths(g, ws.words, bad)
+    # every word takes generator 0 in slot 1: the expansion lets it through
+    # and the replay, not the scheduler's validation, finds the collisions
+    double_booked = Schedule(times={1: (1,), 2: (1, 2), 3: (1, 2, 3)})
+    trace = run_transpose(g, expand_factor_paths(g, ws.words, double_booked))
+    assert not trace.clean and trace.conflicts
+    # a word whose slots do not match its letters is no schedule of it at all
+    for short in ({1: (1,), 2: (2,), 3: (3, 4, 5)}, {1: (1,), 3: (2, 3, 4)}):
+        with pytest.raises(InputError, match="letters but"):
+            expand_factor_paths(g, ws.words, Schedule(times=short))
+    # slots that do not rise along a word are broken routes, which the replay raises on
+    with pytest.raises(InputError, match="back in time"):
+        run_transpose(g, expand_factor_paths(g, ws.words, Schedule(times={1: (1,), 2: (3, 2), 3: (4, 5, 6)})))
+
+
+def test_the_replay_borrows_no_scheduler_code():
+    # the replay is the independent oracle: from the scheduling module it may take the plan's types only
+    tree = ast.parse(Path(simulate.__file__).read_text(encoding="utf-8"))
+    taken = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module and node.module.split(".")[-1] == "scheduling":
+                taken.extend(alias.name for alias in node.names)
+            else:
+                assert "scheduling" not in [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            assert not any("scheduling" in alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            assert node.value.id != "scheduling", f"simulate.py reads scheduling.{node.attr}"
+    assert sorted(taken) == ["Schedule", "WordMap"]
 
 
 def test_conflicts_are_recorded_not_raised():
@@ -277,7 +305,7 @@ def test_flat_replay_matches_reference_over_factors():
     g = fixtures.builtin_graph("petersen")
     sf = search_spanning_factorization(as_digraph(g)).found
     word_map = {i: w for i, w in enumerate(sf.words) if w}
-    host = factor_digraph(sf.base)
+    host = factor_digraph(sf.factors)
     expanded = expand_factor_paths(host, word_map, greedy_schedule(word_map, sf.degree))
     assert assert_replays_agree(host, packet_list(expanded), packets=expanded).clean
 
@@ -471,7 +499,7 @@ def test_word_pass_settles_valid_schedules(name, monkeypatch):
 def test_word_pass_settles_valid_schedules_over_factors(monkeypatch):
     sf = search_spanning_factorization(as_digraph(fixtures.builtin_graph("petersen"))).found
     word_map = {i: w for i, w in enumerate(sf.words) if w}
-    host = factor_digraph(sf.base)
+    host = factor_digraph(sf.factors)
     rng = random.Random(29)
     for _ in range(5):
         sched = random_valid_schedule(word_map, rng)
