@@ -14,7 +14,6 @@ from collections import Counter
 
 from alltoall import fixtures
 from alltoall.factorization import factor_digraph, search_spanning_factorization
-from alltoall.graphs import as_digraph
 from alltoall.layers import average_diameter_bound, layer_profile
 from alltoall.scheduling import DEFAULT_SCHEDULE_BUDGET, schedule_plan
 from alltoall.simulate import expand_factor_paths, run_transpose
@@ -32,7 +31,7 @@ def main():
     print(f"representative-dependence probe: {fixtures.petersen_conjugation_check()}")
     print()
 
-    found = search_spanning_factorization(as_digraph(g))
+    found = search_spanning_factorization(g)
     assert found.found is not None, found.reason
     sf = found.found
     print(f"search visited {found.nodes} candidate words in {found.factorizations} factorization(s)")

@@ -36,21 +36,13 @@ from .errors import InfeasibleError, InputError, SearchBudgetError
 from .factorization import (
     DEFAULT_SEARCH_BUDGET,
     factor_digraph,
-    factorization_from_successors,
     one_factorize,
     search_spanning_factorization,
     spanning_factorization_from_cayley,
+    validate_one_factorization,
     verify_spanning,
 )
-from .graphs import (
-    CosetGraph,
-    Digraph,
-    Graph,
-    as_digraph,
-    build_cayley_coset_graph,
-    emit_adjacency,
-    regular_degree,
-)
+from .graphs import CosetGraph, Digraph, build_cayley_coset_graph, emit_adjacency, regular_degree
 from .groups import GroupSpec
 from .layers import average_diameter_bound, layer_profile
 from .scheduling import (
@@ -64,7 +56,7 @@ from .scheduling import (
 )
 from .simulate import expand_factor_paths, run_transpose, trace_csv_rows
 from .words import DEFAULT_SEARCH_BUDGET as DEFAULT_WORD_BUDGET
-from .words import bfs_word_set, regular_bound_exact
+from .words import WordSet, bfs_word_set, regular_bound_exact, validate_word_set
 
 
 # ---------------------------------------------------------------------------
@@ -87,17 +79,15 @@ def _add_graph_source(p: argparse.ArgumentParser) -> None:
     src.add_argument("--spec", metavar="FILE", help="JSON graph spec file")
 
 
-def _load_graph(args) -> tuple[CosetGraph | None, Digraph]:
-    """Resolve --builtin/--spec into (coset graph or None, digraph view)."""
+def _load_graph(args) -> Digraph:
+    """Resolve --builtin/--spec into a graph: a CosetGraph for the group form, a raw Digraph otherwise."""
     if args.builtin:
-        cg = fixtures.builtin_graph(args.builtin)
-        return cg, as_digraph(cg)
+        return fixtures.builtin_graph(args.builtin)
     parsed = specfile.load_spec_file(args.spec)
     if isinstance(parsed, GroupSpec):
-        cg = build_cayley_coset_graph(parsed)
-        return cg, as_digraph(cg)
+        return build_cayley_coset_graph(parsed)
     regular_degree(parsed)  # raw digraphs must be regular before anything else
-    return None, parsed
+    return parsed
 
 
 def _json_default(x):
@@ -131,7 +121,8 @@ def _int_list(x) -> bool:
     return isinstance(x, list) and all(isinstance(j, int) for j in x)
 
 
-def _parse_words_doc(doc: dict, origin: str) -> dict[int, tuple[int, ...]]:
+def _parse_words_doc(doc: dict, origin: str, g: Digraph) -> dict[int, tuple[int, ...]]:
+    """The words of a words artifact, each checked to walk on g from vertex 0 to its key vertex."""
     if "words" not in doc or not isinstance(doc["words"], dict):
         raise InputError(f"{origin}: missing 'words' object")
     word_map = {}
@@ -143,11 +134,16 @@ def _parse_words_doc(doc: dict, origin: str) -> dict[int, tuple[int, ...]]:
         if not _int_list(word):
             raise InputError(f"{origin}: word for vertex {key} must be a list of generator indices")
         word_map[v] = tuple(word)
+    try:
+        validate_word_set(g, WordSet(word_map, shortest=False))
+    except InputError as exc:
+        raise InputError(f"{origin}: {exc}") from None
     return word_map
 
 
-def _parse_factorization_doc(doc: dict, origin: str, n: int):
-    """(factors, words or None) of a factorization artifact for a graph on n vertices."""
+def _parse_factorization_doc(doc: dict, origin: str, g: Digraph):
+    """(factors, words or None) of a factorization artifact, checked to factorize g."""
+    n = g.vertex_count
     for field in ("n", "d", "factors"):
         if field not in doc:
             raise InputError(f"{origin}: missing '{field}'")
@@ -161,6 +157,11 @@ def _parse_factorization_doc(doc: dict, origin: str, n: int):
             raise InputError(f"{origin}: 'factors' entry {j} must be a list of vertex indices")
         if len(succ) != n:
             raise InputError(f"{origin}: 'n' is {n}, but 'factors' entry {j} maps {len(succ)} vertices")
+    factors = tuple(tuple(int(v) for v in succ) for succ in factors)
+    try:
+        validate_one_factorization(g, factors)
+    except InputError as exc:
+        raise InputError(f"{origin}: 'factors': {exc}") from None
     words = doc.get("words")
     if words is not None:
         if not isinstance(words, list) or len(words) != n:
@@ -168,8 +169,10 @@ def _parse_factorization_doc(doc: dict, origin: str, n: int):
         for v, word in enumerate(words):
             if not _int_list(word):
                 raise InputError(f"{origin}: 'words' entry {v} must be a list of factor indices")
+            if not all(0 <= j < len(factors) for j in word):
+                raise InputError(f"{origin}: 'words' entry {v} uses a factor outside 0..{len(factors) - 1}")
         words = [tuple(w) for w in words]
-    return factorization_from_successors(factors), words
+    return factors, words
 
 
 def _write_schedule_csv(path: str, word_map: dict[int, tuple[int, ...]], sched: Schedule) -> None:
@@ -239,9 +242,9 @@ def _factorization_doc(n: int, factors, words, search: dict | None = None) -> di
     return doc
 
 
-def _search_factorization(dg: Digraph, budget: int, max_slack: int):
+def _search_factorization(g: Digraph, budget: int, max_slack: int):
     """(spanning factorization, search counters), or None after reporting on stderr why none was found."""
-    res = search_spanning_factorization(dg, budget=budget, max_slack=max_slack)
+    res = search_spanning_factorization(g, budget=budget, max_slack=max_slack)
     if res.found is None:
         print(
             f"no spanning factorization found ({res.reason}): {res.nodes} nodes over "
@@ -274,7 +277,7 @@ def _schedule_summary(word_map, sched, degree, profile) -> dict:
     }
 
 
-def _schedule(host: Graph, word_map, degree, profile, method: str, budget: int, csv_path: str | None,
+def _schedule(host: Digraph, word_map, degree, profile, method: str, budget: int, csv_path: str | None,
               out: str | None):
     """Schedule the words with scheduling.schedule_plan and write the CSV rows (if asked) and the summary.
 
@@ -292,7 +295,7 @@ def _schedule(host: Graph, word_map, degree, profile, method: str, budget: int, 
     return word_map, sched
 
 
-def _replay(host: Graph, word_map, sched: Schedule, theta: int, trace_path: str | None, out: str | None,
+def _replay(host: Digraph, word_map, sched: Schedule, theta: int, trace_path: str | None, out: str | None,
             psi_w: int | None = None) -> tuple[dict, int]:
     """Expand and replay the schedule on `host`; write the trace (if asked) and the verdict.
 
@@ -320,8 +323,8 @@ def _replay(host: Graph, word_map, sched: Schedule, theta: int, trace_path: str 
 
 
 def cmd_bounds(args) -> int:
-    cg, dg = _load_graph(args)
-    profile = layer_profile(cg if cg is not None else dg)
+    g = _load_graph(args)
+    profile = layer_profile(g)
     doc = {
         "P": profile.vertex_count,
         "d": profile.degree,
@@ -330,19 +333,19 @@ def cmd_bounds(args) -> int:
         "theta": average_diameter_bound(profile),
     }
     if args.adjacency:
-        Path(args.adjacency).write_text(emit_adjacency(cg if cg is not None else dg), encoding="utf-8")
+        Path(args.adjacency).write_text(emit_adjacency(g), encoding="utf-8")
     _emit_json(doc, args.out)
     return 0
 
 
 def cmd_words(args) -> int:
-    cg, _ = _load_graph(args)
-    if cg is None:
+    g = _load_graph(args)
+    if not isinstance(g, CosetGraph):
         raise InputError("word sets need a group-form spec, not a raw digraph")
-    ws = bfs_word_set(cg, mode=args.mode)
-    doc = _words_doc(ws.words, cg.degree, average_diameter_bound(layer_profile(cg)))
+    ws = bfs_word_set(g, mode=args.mode)
+    doc = _words_doc(ws.words, g.degree, average_diameter_bound(layer_profile(g)))
     if args.exact:
-        bound = regular_bound_exact(cg, budget=args.budget)
+        bound = regular_bound_exact(g, budget=args.budget)
         doc["psi_exact"] = bound.value
         doc["exact"] = bound.exact
     _emit_json(doc, args.out)
@@ -350,82 +353,81 @@ def cmd_words(args) -> int:
 
 
 def cmd_factorize(args) -> int:
-    cg, dg = _load_graph(args)
+    g = _load_graph(args)
     if args.search:
-        found = _search_factorization(dg, args.budget, args.max_slack)
+        found = _search_factorization(g, args.budget, args.max_slack)
         if found is None:
             return 2
         sf, search = found
         doc = _factorization_doc(sf.vertex_count, sf.factors, sf.words, search)
-    elif cg is not None and cg.is_cayley:
-        sf = spanning_factorization_from_cayley(cg, bfs_word_set(cg, mode=args.mode))
-        doc = _factorization_doc(dg.vertex_count, sf.factors, sf.words)
+    elif isinstance(g, CosetGraph) and g.is_cayley:
+        sf = spanning_factorization_from_cayley(g, bfs_word_set(g, mode=args.mode))
+        doc = _factorization_doc(g.vertex_count, sf.factors, sf.words)
     else:
-        doc = _factorization_doc(dg.vertex_count, one_factorize(dg), None)
+        doc = _factorization_doc(g.vertex_count, one_factorize(g), None)
     _emit_json(doc, args.out)
     return 0
 
 
 def cmd_schedule(args) -> int:
-    cg, dg = _load_graph(args)
-    profile = layer_profile(cg if cg is not None else dg)
+    g = _load_graph(args)
+    profile = layer_profile(g)
     if args.factorization:
-        factors, listed = _parse_factorization_doc(_read_json(args.factorization), args.factorization,
-                                                   dg.vertex_count)
+        factors, listed = _parse_factorization_doc(_read_json(args.factorization), args.factorization, g)
         if listed is None:
             raise InputError(f"{args.factorization}: factor-only artifact has no words to schedule")
         host, words = factor_digraph(factors), dict(enumerate(listed))
     elif args.words:
-        host, words = cg if cg is not None else dg, _parse_words_doc(_read_json(args.words), args.words)
+        host, words = g, _parse_words_doc(_read_json(args.words), args.words, g)
     else:
-        if cg is None or not cg.is_cayley:
+        if not (isinstance(g, CosetGraph) and g.is_cayley):
             raise InputError("scheduling a coset graph or raw digraph needs --words or --factorization")
-        host, words = cg, bfs_word_set(cg, mode=args.mode).words
-    degree = len(host.successors(0))
+        host, words = g, bfs_word_set(g, mode=args.mode).words
+    degree = len(host.out[0])
     word_map = {k: w for k, w in words.items() if w}
     scheduled = _schedule(host, word_map, degree, profile, args.method, args.budget, args.csv, args.out)
     return 2 if scheduled is None else 0
 
 
 def cmd_simulate(args) -> int:
-    cg, dg = _load_graph(args)
+    g = _load_graph(args)
     word_map, sched = _read_schedule_csv(args.schedule)
-    profile = layer_profile(cg if cg is not None else dg)
+    profile = layer_profile(g)
     if args.factorization:
-        n = dg.vertex_count
-        factors, _ = _parse_factorization_doc(_read_json(args.factorization), args.factorization, n)
+        n = g.vertex_count
+        factors, _ = _parse_factorization_doc(_read_json(args.factorization), args.factorization, g)
         # factors read from a file are trusted only once the words span from every base
         words = tuple(word_map.get(i, ()) for i in range(n))
         check = verify_spanning(factors, words, n)
         if not check.ok:
             raise InputError(f"refusing to expand an unverified factorization: {check.reason}")
         host, word_map = factor_digraph(factors), {i: w for i, w in enumerate(words) if w}
-    elif cg is None:
+    elif not isinstance(g, CosetGraph):
         raise InputError("raw digraph schedules replay over factors; pass --factorization")
     else:
-        host = cg
+        host = g
     _, code = _replay(host, word_map, sched, average_diameter_bound(profile), args.trace, args.out)
     return code
 
 
 def cmd_pipeline(args) -> int:
-    cg, dg = _load_graph(args)
+    g = _load_graph(args)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    profile = layer_profile(cg if cg is not None else dg)
+    profile = layer_profile(g)
     theta = average_diameter_bound(profile)
-    cayley = cg is not None and cg.is_cayley and not args.search
+    cayley = isinstance(g, CosetGraph) and g.is_cayley and not args.search
     if cayley:
-        host, words = cg, bfs_word_set(cg, mode=args.mode).words
+        host, words = g, bfs_word_set(g, mode=args.mode).words
     else:
-        found = _search_factorization(dg, args.budget, args.max_slack)
+        found = _search_factorization(g, args.budget, args.max_slack)
         if found is None:
             return 2
         sf, search = found
         host, words = factor_digraph(sf.factors), dict(enumerate(sf.words))
 
     # from here on a plan is words over the host's out-positions, whichever route made it
-    degree = len(host.successors(0))
+    degree = len(host.out[0])
     word_map = {k: w for k, w in words.items() if w}
     psi_w = max(factor_occurrences(word_map, degree))
     scheduled = _schedule(host, word_map, degree, profile, args.method, args.schedule_budget,

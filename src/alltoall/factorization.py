@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import InputError, StructureError, UnsupportedGraphError
+from .errors import InputError, UnsupportedGraphError
 from .graphs import CosetGraph, Digraph, regular_degree
 from .layers import distances_from
 from .words import WordSet, validate_word_set
@@ -41,8 +41,8 @@ def validate_one_factorization(g: Digraph, factors: Sequence[Sequence[int]]) -> 
             raise InputError(f"factor {j} is not a bijection on {n} vertices: {succ}")
     for u in range(n):
         heads = sorted(succ[u] for succ in factors)
-        if heads != sorted(g.successors(u)):
-            raise InputError(f"the factors send vertex {u} to {heads}, its out-arcs go to {sorted(g.successors(u))}")
+        if heads != sorted(g.out[u]):
+            raise InputError(f"the factors send vertex {u} to {heads}, its out-arcs go to {sorted(g.out[u])}")
 
 
 def _perfect_matching(n: int, adj: list[list[tuple[int, int]]]) -> list[int] | None:
@@ -153,20 +153,6 @@ def walk_word(factors: Sequence[Sequence[int]], start: int, word: Sequence[int])
     return v
 
 
-def factorization_from_successors(factors: Sequence[Sequence[int]]) -> Factors:
-    """The successor table of stored successor arrays, each checked to be a bijection on the common vertex set."""
-    if not factors:
-        raise StructureError("need at least one factor")
-    n = len(factors[0])
-    cleaned = []
-    for j, succ in enumerate(factors):
-        succ = tuple(int(v) for v in succ)
-        if len(succ) != n or sorted(succ) != list(range(n)):
-            raise StructureError(f"factor {j} is not a bijection on 0..{n - 1}")
-        cleaned.append(succ)
-    return tuple(cleaned)
-
-
 def factor_digraph(factors: Sequence[Sequence[int]]) -> Digraph:
     """The factorization's arc layout: out-position j at each vertex is factor j's arc.
 
@@ -227,7 +213,7 @@ def spanning_factorization_from_cayley(g: CosetGraph, ws: WordSet) -> SpanningFa
         )
     validate_word_set(g, ws)
     words = tuple(tuple(ws.words[v]) if v else () for v in range(g.vertex_count))
-    return SpanningFactorization(tuple(zip(*g.edges)), words)
+    return SpanningFactorization(tuple(zip(*g.out)), words)
 
 
 # ---------------------------------------------------------------------------

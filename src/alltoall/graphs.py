@@ -1,10 +1,13 @@
-"""Directed graphs on group cosets, plus a plain digraph container.
+"""One graph type: a digraph held as its successor table.
 
-A coset graph has one vertex per left coset gH and an arc gH -> (g*d)H for
-each generator d.  The arc label is the generator's position in the input
-list, and labels stay attached through every later stage (word sets,
-factorizations, schedules), so "generator index" means the same thing
-everywhere.
+A Digraph's out[u] lists the heads of u's out-arcs, and every later stage
+(layers, words, factorizations, schedules, the replay) reads that table.  A
+CosetGraph is a Digraph with its group attached: one vertex per left coset
+gH and an arc gH -> (g*d)H for each generator d, at out-position d's place
+in the generator list.  Labels stay attached through every later stage, so
+"generator index" means the same thing everywhere.  The group matters only
+where a stage can use it: pair counts inferred from symmetry, and word sets
+read off generator labels on a Cayley graph.
 """
 
 from __future__ import annotations
@@ -40,52 +43,36 @@ class Digraph:
     def vertex_count(self) -> int:
         return len(self.out)
 
-    def successors(self, u: int) -> tuple[int, ...]:
-        return self.out[u]
-
     def arcs(self) -> list[tuple[int, int, int]]:
         """All arcs as (src, dst, label) with label = position at the source."""
         return [(u, v, j) for u, heads in enumerate(self.out) for j, v in enumerate(heads)]
 
-    def out_degrees(self) -> list[int]:
-        return [len(heads) for heads in self.out]
-
-    def in_degrees(self) -> list[int]:
-        degs = [0] * self.vertex_count
-        for heads in self.out:
-            for v in heads:
-                degs[v] += 1
-        return degs
-
 
 def regular_degree(g: Digraph) -> int:
     """Common in/out degree of a regular digraph; RegularityError otherwise."""
-    outs = g.out_degrees()
-    ins = g.in_degrees()
-    d = outs[0] if outs else 0
-    for u in range(g.vertex_count):
-        if outs[u] != d or ins[u] != d:
+    ins = [0] * g.vertex_count
+    for heads in g.out:
+        for v in heads:
+            ins[v] += 1
+    d = len(g.out[0]) if g.out else 0
+    for u, heads in enumerate(g.out):
+        if len(heads) != d or ins[u] != d:
             raise RegularityError(
-                f"vertex {u} has out-degree {outs[u]} and in-degree {ins[u]}; expected {d} for a regular digraph"
+                f"vertex {u} has out-degree {len(heads)} and in-degree {ins[u]}; expected {d} for a regular digraph"
             )
     return d
 
 
 @dataclass(frozen=True)
-class CosetGraph:
-    """Vertices are canonical coset representatives; edges follow generators.
+class CosetGraph(Digraph):
+    """A Digraph whose vertices are canonical coset representatives and whose arcs follow generators.
 
-    vertices[0] is the coset of the identity.  edges[u][j] is the vertex
+    vertices[0] is the coset of the identity.  out[u][j] is the vertex
     reached from u along generator j.
     """
 
     spec: GroupSpec
     vertices: tuple[Element, ...]
-    edges: tuple[tuple[int, ...], ...]
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.vertices)
 
     @property
     def degree(self) -> int:
@@ -95,22 +82,16 @@ class CosetGraph:
     def is_cayley(self) -> bool:
         return self.spec.has_trivial_subgroup
 
-    def successors(self, u: int) -> tuple[int, ...]:
-        return self.edges[u]
 
-
-Graph = CosetGraph | Digraph
-
-
-def letters_commute(g: Graph) -> bool:
+def letters_commute(g: Digraph) -> bool:
     """True when every two out-positions commute at every vertex.
 
-    That is succ[succ[v][a]][b] == succ[succ[v][b]][a] for all v and a < b,
+    That is out[out[v][a]][b] == out[out[v][b]][a] for all v and a < b,
     so any reordering of a word's letters ends where the word did, from
     every base.  Cayley graphs of abelian groups pass; a host whose vertices
     differ in out-degree fails.
     """
-    out = [g.successors(v) for v in range(g.vertex_count)]
+    out = g.out
     d = len(out[0]) if out else 0
     if any(len(row) != d for row in out):
         return False
@@ -179,23 +160,14 @@ def build_cayley_coset_graph(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) ->
         rows.append(tuple(vertex_of(group.compose(u, gen)) for gen in spec.generators))
     # no connectivity check: with DH = HD every element of <D, H> is (D-word)*h, so the walk reaches every coset
 
-    g = CosetGraph(spec=spec, vertices=tuple(vertices), edges=tuple(rows))
-    regular_degree(as_digraph(g))  # in-degree must match out-degree everywhere
+    g = CosetGraph(out=tuple(rows), spec=spec, vertices=tuple(vertices))
+    regular_degree(g)  # in-degree must match out-degree everywhere
     return g
 
 
-def as_digraph(g: CosetGraph) -> Digraph:
-    """Forget the group structure, keeping arcs in (vertex, generator) order."""
-    return Digraph(out=g.edges)
-
-
-def emit_adjacency(g: Graph) -> str:
+def emit_adjacency(g: Digraph) -> str:
     """Plain interchange dump: one 'src dst label' line per arc."""
-    if isinstance(g, CosetGraph):
-        rows = [(u, v, j) for u, heads in enumerate(g.edges) for j, v in enumerate(heads)]
-    else:
-        rows = g.arcs()
-    return "\n".join(f"{u} {v} {j}" for u, v, j in rows) + "\n"
+    return "\n".join(f"{u} {v} {j}" for u, v, j in g.arcs()) + "\n"
 
 
 def digraph_from_arcs(n: int, arcs: Iterable[Sequence[int]]) -> Digraph:

@@ -59,9 +59,6 @@ class CyclicGroup:
             raise StructureError(f"cyclic element descriptor must be an int, got {desc!r}")
         return desc % self.modulus
 
-    def to_descriptor(self, a: int) -> Any:
-        return a
-
     def __repr__(self) -> str:
         return f"CyclicGroup({self.modulus})"
 
@@ -108,9 +105,6 @@ class PermutationGroup:
             self.check_element(el)
             return el
         raise StructureError(f"permutation descriptor must be an image list or cycle string, got {desc!r}")
-
-    def to_descriptor(self, a: tuple[int, ...]) -> Any:
-        return list(a)
 
     def _parse_cycles(self, text: str) -> tuple[int, ...]:
         """Parse cycle notation with 1-based points: "(1 3)(2 4)" or "(13)(24)".
@@ -190,9 +184,6 @@ class ProductGroup:
         if not isinstance(desc, (list, tuple)) or len(desc) != len(self.factors):
             raise StructureError(f"product descriptor must list one entry per factor, got {desc!r}")
         return tuple(f.parse(x) for f, x in zip(self.factors, desc))
-
-    def to_descriptor(self, a: tuple) -> Any:
-        return [f.to_descriptor(x) for f, x in zip(self.factors, a)]
 
     def __repr__(self) -> str:
         return f"ProductGroup({list(self.factors)!r})"

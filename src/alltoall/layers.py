@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import ConnectivityError
-from .graphs import CosetGraph, Graph
+from .graphs import CosetGraph, Digraph
 
 
 @dataclass(frozen=True)
@@ -33,19 +33,15 @@ class LayerProfile:
     layer_sizes: tuple[int, ...]
     pair_counts: tuple[int, ...]
 
-    @property
-    def avg_time_bound(self) -> int:
-        return average_diameter_bound(self)
 
-
-def _bfs_distances(g: Graph, base: int) -> list[int]:
+def _bfs_distances(g: Digraph, base: int) -> list[int]:
     n = g.vertex_count
     dist = [-1] * n
     dist[base] = 0
     queue = deque([base])
     while queue:
         u = queue.popleft()
-        for v in g.successors(u):
+        for v in g.out[u]:
             if dist[v] < 0:
                 dist[v] = dist[u] + 1
                 queue.append(v)
@@ -57,12 +53,12 @@ def _bfs_distances(g: Graph, base: int) -> list[int]:
     return dist
 
 
-def distances_from(g: Graph, base: int = 0) -> list[int]:
+def distances_from(g: Digraph, base: int = 0) -> list[int]:
     """Shortest-path distance from `base` to every vertex (arcs have unit length)."""
     return _bfs_distances(g, base)
 
 
-def layer_profile(g: Graph, base: int = 0) -> LayerProfile:
+def layer_profile(g: Digraph, base: int = 0) -> LayerProfile:
     """Layer sizes from `base`; pair counts inferred on coset graphs, measured on raw digraphs.
 
     Left multiplication by a group element maps each coset's out-neighbours
@@ -72,7 +68,7 @@ def layer_profile(g: Graph, base: int = 0) -> LayerProfile:
     counts and diameter come from a BFS per source.
     """
     n = g.vertex_count
-    degree = len(g.successors(0))
+    degree = len(g.out[0])
     base_dist = _bfs_distances(g, base)
     sizes = [0] * (max(base_dist) + 1)
     for dv in base_dist:
@@ -115,14 +111,3 @@ def global_time_bound(profile: LayerProfile) -> int:
     total = sum(k * nk for k, nk in enumerate(profile.pair_counts))
     return -(-total // (profile.vertex_count * profile.degree))
 
-
-def ball(g: Graph, center: int, radius: int) -> frozenset[int]:
-    """Vertices within `radius` arcs of `center` (center included)."""
-    dist = _bfs_distances(g, center)
-    return frozenset(v for v, dv in enumerate(dist) if dv <= radius)
-
-
-def layer(g: Graph, center: int, radius: int) -> frozenset[int]:
-    """Vertices at exactly `radius` arcs from `center`."""
-    dist = _bfs_distances(g, center)
-    return frozenset(v for v, dv in enumerate(dist) if dv == radius)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import InputError, SearchBudgetError, UnsupportedGraphError
-from .graphs import Graph, letters_commute
+from .graphs import Digraph, letters_commute
 from .layers import LayerProfile, global_time_bound
 
 DEFAULT_SCHEDULE_BUDGET = 10_000_000
@@ -322,7 +322,7 @@ def exact_min_schedule(
 
 
 def schedule_plan(
-    host: Graph, word_map: WordMap, method: str, budget: int
+    host: Digraph, word_map: WordMap, method: str, budget: int
 ) -> tuple[dict[int, tuple[int, ...]], Schedule]:
     """Schedule a plan's words for replay on `host`, whichever route made them.
 
@@ -335,7 +335,7 @@ def schedule_plan(
     schedule; raises SearchBudgetError when the exact search gives up.
     """
     words = {k: tuple(w) for k, w in word_map.items() if len(w) > 0}
-    degree = len(host.successors(0))
+    degree = len(host.out[0])
     if method == "greedy":
         return words, greedy_schedule(words, degree)
     if method != "exact":

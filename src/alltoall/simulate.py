@@ -43,7 +43,7 @@ from operator import add, floordiv, lt, mod, not_, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
-from .graphs import Graph
+from .graphs import Digraph
 from .scheduling import Schedule, WordMap
 
 Edge = tuple[int, int]  # (tail vertex, generator/factor index)
@@ -108,7 +108,7 @@ class TransposeTrace:
         return not self.conflicts and not self.undelivered and max(self.counts, default=0) <= 1
 
 
-def expand_factor_paths(host: Graph, word_map: WordMap, schedule: Schedule) -> Expansion:
+def expand_factor_paths(host: Digraph, word_map: WordMap, schedule: Schedule) -> Expansion:
     """n*(n-1) packets, streamed: every base walks every non-empty word.
 
     Letter j of a word is out-position j of the host, so a Cayley graph's
@@ -125,10 +125,10 @@ def expand_factor_paths(host: Graph, word_map: WordMap, schedule: Schedule) -> E
             if len(slots) != len(word):
                 raise InputError(f"word {key} has {len(word)} letters but {len(slots)} time slots")
             jobs.append((word, slots))
-    return Expansion(succ=[host.successors(v) for v in range(host.vertex_count)], jobs=jobs)
+    return Expansion(succ=host.out, jobs=jobs)
 
 
-def run_transpose(g: Graph, paths: Iterable[Packet]) -> TransposeTrace:
+def run_transpose(g: Digraph, paths: Iterable[Packet]) -> TransposeTrace:
     """Replay packets on `g`; report conflicts and deliveries.
 
     Structural breakage (an edge index off the graph, a path that teleports
@@ -138,7 +138,7 @@ def run_transpose(g: Graph, paths: Iterable[Packet]) -> TransposeTrace:
     pass cannot settle is replayed packet by packet from the start.
     """
     n = g.vertex_count
-    succ = [g.successors(v) for v in range(n)]
+    succ = g.out
     d = max(map(len, succ), default=0)
     code = "i" if n * n < 2**31 else "q"
     if isinstance(paths, Expansion) and paths.succ == succ:
@@ -242,7 +242,7 @@ def _trace(n: int, d: int, conflicts, horizon: int, slots: dict[int, array], cou
     )
 
 
-def trace_csv_rows(trace: TransposeTrace, g: Graph) -> Iterator[str]:
+def trace_csv_rows(trace: TransposeTrace, g: Digraph) -> Iterator[str]:
     """The trace CSV's rows as text, one chunk per used slot, in (time, src, gen) order.
 
     A row reads "time,src,dst,gen,packet_src,packet_dst\n": in slot time
@@ -254,7 +254,7 @@ def trace_csv_rows(trace: TransposeTrace, g: Graph) -> Iterator[str]:
     dest = [f"{v}\n" for v in range(n)]
     # cell -> "tail,head,index,"; cells past an irregular host's out-degree are never occupied
     arc = [f"{tail},{heads[i] if i < len(heads) else -1},{i},"
-           for tail, heads in enumerate(map(g.successors, range(n))) for i in range(d)]
+           for tail, heads in enumerate(g.out) for i in range(d)]
     for time in sorted(trace.slots):
         row = trace.slots[time]
         keys = list(map(sub, compress(row, row), repeat(1)))

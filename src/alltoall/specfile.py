@@ -121,26 +121,3 @@ def load_spec_file(path: str) -> GroupSpec | Digraph:
         raise InputError(f"cannot read spec file {path}: {exc}") from exc
     return load_spec_text(text, origin=path)
 
-
-def spec_document(spec: GroupSpec) -> dict:
-    """Emit the group form back out; permutation elements as image arrays."""
-    g = spec.group
-    doc = {
-        "group": _group_descriptor(g),
-        "generators": [g.to_descriptor(x) for x in spec.generators],
-        "subgroup": [] if spec.has_trivial_subgroup else [g.to_descriptor(x) for x in spec.subgroup],
-    }
-    return doc
-
-
-def _group_descriptor(group) -> dict:
-    # groups know their own JSON shape; keep this in one place for emitters
-    from .groups import CyclicGroup, PermutationGroup, ProductGroup
-
-    if isinstance(group, CyclicGroup):
-        return {"kind": "cyclic", "modulus": group.modulus}
-    if isinstance(group, PermutationGroup):
-        return {"kind": "permutation", "degree": group.degree}
-    if isinstance(group, ProductGroup):
-        return {"kind": "product", "factors": [_group_descriptor(f) for f in group.factors]}
-    raise InputError(f"cannot serialize group {group!r}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from .errors import InputError, UnsupportedGraphError
-from .graphs import CosetGraph
+from .graphs import CosetGraph, Digraph
 from .layers import average_diameter_bound, distances_from, layer_profile
 from .scheduling import factor_occurrences
 
@@ -31,8 +31,9 @@ class WordSet:
     shortest: bool = True
 
 
-def validate_word_set(g: CosetGraph, ws: WordSet) -> None:
-    """Check every word walks from vertex 0 to its key vertex."""
+def validate_word_set(g: Digraph, ws: WordSet) -> None:
+    """Check every word walks from vertex 0 to its key vertex, over out-positions 0..d-1."""
+    d = len(g.out[0])
     dist = distances_from(g, 0)
     expected = set(range(1, g.vertex_count))
     if set(ws.words) != expected:
@@ -42,9 +43,9 @@ def validate_word_set(g: CosetGraph, ws: WordSet) -> None:
     for target, word in ws.words.items():
         v = 0
         for j in word:
-            if not (0 <= j < g.degree):
+            if not (0 <= j < d):
                 raise InputError(f"word for vertex {target} uses generator index {j} out of range")
-            v = g.edges[v][j]
+            v = g.out[v][j]
         if v != target:
             raise InputError(f"word {word} for vertex {target} ends at vertex {v}")
         if ws.shortest and len(word) != dist[target]:
@@ -78,7 +79,7 @@ def bfs_word_set(g: CosetGraph, mode: str = "first-found") -> WordSet:
         queue = deque([(0, ())])
         while queue:
             u, word = queue.popleft()
-            for j, v in enumerate(g.edges[u]):
+            for j, v in enumerate(g.out[u]):
                 if v not in seen:
                     seen.add(v)
                     words[v] = word + (j,)
@@ -99,7 +100,7 @@ def _balanced_word_set(g: CosetGraph) -> WordSet:
         best = None
         for u in parents[v]:
             word_u = words.get(u, ())
-            for j, t in enumerate(g.edges[u]):
+            for j, t in enumerate(g.out[u]):
                 if t != v:
                     continue
                 key = (counts[j], j)
@@ -115,7 +116,7 @@ def _balanced_word_set(g: CosetGraph) -> WordSet:
 def _shortest_parents(g: CosetGraph, dist: list[int]) -> list[list[int]]:
     """parents[v]: the vertices one layer closer to the base with an arc to v, increasing, no repeats."""
     parents: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for u, heads in enumerate(g.edges):
+    for u, heads in enumerate(g.out):
         for v in heads:
             if dist[v] == dist[u] + 1 and (not parents[v] or parents[v][-1] != u):
                 parents[v].append(u)
@@ -151,7 +152,7 @@ def _all_shortest_words(g: CosetGraph, dist: list[int], budget: int) -> dict[int
     while depth < max_depth:
         nxt: dict[int, list[tuple[int, ...]]] = {}
         for u, ws_u in frontier.items():
-            for j, v in enumerate(g.edges[u]):
+            for j, v in enumerate(g.out[u]):
                 if dist[v] != depth + 1:
                     continue
                 listed += len(ws_u) * (depth + 1)

@@ -23,7 +23,7 @@ from alltoall.factorization import (
     validate_one_factorization,
     verify_spanning,
 )
-from alltoall.graphs import Digraph, as_digraph, digraph_from_arcs
+from alltoall.graphs import Digraph, digraph_from_arcs
 from alltoall.layers import average_diameter_bound, layer_profile
 from alltoall.scheduling import (
     DEFAULT_SCHEDULE_BUDGET,
@@ -69,7 +69,7 @@ def oracle_theta(g) -> int:
         while frontier:
             nxt = []
             for v in frontier:
-                for w in g.successors(v):
+                for w in g.out[v]:
                     if w not in dist:
                         dist[w] = dist[v] + 1
                         nxt.append(w)
@@ -80,7 +80,7 @@ def oracle_theta(g) -> int:
             counts[d] = counts.get(d, 0) + 1
         per_source.append(tuple(sorted(counts.items())))
     assert len(set(per_source)) == 1, "corpus graphs should look alike from everywhere"
-    degree = len(g.successors(0))
+    degree = len(g.out[0])
     weighted = sum(k * nk for k, nk in per_source[0])
     return -(-weighted // degree)
 
@@ -163,7 +163,7 @@ def test_acceptance_03_cayley_labelings():
 
 def petersen_spanning():
     g = fixtures.builtin_graph("petersen")
-    found = search_spanning_factorization(as_digraph(g))
+    found = search_spanning_factorization(g)
     assert found.found is not None
     return found.found
 
@@ -306,7 +306,7 @@ def test_acceptance_10_petersen_fixture():
     with criterion(10, "Petersen coset fixture: 10 vertices, degree 3, probe holds"):
         g = fixtures.builtin_graph("petersen")
         assert g.vertex_count == 10
-        assert all(len(row) == 3 for row in g.edges)
+        assert all(len(row) == 3 for row in g.out)
         assert not g.is_cayley
         assert fixtures.petersen_conjugation_check()
 

@@ -8,7 +8,9 @@ import sys
 import pytest
 
 from alltoall import fixtures, scheduling
-from alltoall.cli import main
+from alltoall.cli import _parse_factorization_doc, main
+from alltoall.errors import InputError
+from alltoall.factorization import factor_digraph
 from alltoall.graphs import Digraph
 from test_simulate import reference_replay
 
@@ -165,7 +167,7 @@ def reference_trace_csv(host, schedule_csv):
             _, ports, times = zip(*sorted(letters[target]))
             for j in ports:
                 tails.append(v)
-                v = host.successors(v)[j]
+                v = host.out[v][j]
             paths.append((base, v, tuple(tails), ports, times))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -399,6 +401,60 @@ def test_factorization_for_another_vertex_count_is_refused(tmp_path, capsys, com
     code, _, err = run(capsys, command, "--builtin", "q3", "--factorization", str(bad), *extra)
     assert code == 1
     assert err.startswith(f"error: {bad}: 'n' ")
+
+
+def test_factorization_loader_round_trips_and_validates():
+    factors = [[1, 2, 0], [2, 0, 1]]
+    g = factor_digraph(factors)
+    doc = {"n": 3, "d": 2, "factors": factors, "words": [[], [0], [1]]}
+    assert _parse_factorization_doc(doc, "f.json", g) == (((1, 2, 0), (2, 0, 1)), [(), (0,), (1,)])
+    with pytest.raises(InputError, match=r"^f\.json: 'factors': factor 0 is not a bijection"):
+        _parse_factorization_doc({**doc, "d": 1, "factors": [[1, 1, 0]]}, "f.json", g)
+    with pytest.raises(InputError, match=r"^f\.json: 'factors': "):
+        _parse_factorization_doc({**doc, "d": 0, "factors": []}, "f.json", g)
+
+
+def factorization_off_the_graph(tmp_path, capsys, which):
+    """An artifact with q3's vertex count and degree that does not factorize q3, or whose words leave 0..d-1."""
+    if which == "z8-124":
+        spec = tmp_path / "z8.json"
+        spec.write_text(json.dumps({"group": {"kind": "cyclic", "modulus": 8}, "generators": [1, 2, 4]}))
+        return run_json(capsys, "factorize", "--spec", str(spec))
+    doc = run_json(capsys, "factorize", "--builtin", "q3")
+    if which == "not-a-bijection":
+        doc["factors"][0][0] = doc["factors"][0][1]
+    elif which == "no-factors":
+        doc["d"], doc["factors"] = 0, []
+    else:
+        doc["words"][1] = [7]
+    return doc
+
+
+@pytest.mark.parametrize("command", ["schedule", "simulate"])
+@pytest.mark.parametrize("which", ["z8-124", "not-a-bijection", "no-factors", "letter-7"])
+def test_factorization_off_the_graph_is_refused(tmp_path, capsys, command, which):
+    good, bad, sched, out = (tmp_path / name for name in ("good.json", "bad.json", "sched.csv", "out.csv"))
+    good.write_text(json.dumps(run_json(capsys, "factorize", "--builtin", "q3")))
+    run_json(capsys, "schedule", "--builtin", "q3", "--factorization", str(good), "--csv", str(sched))
+    bad.write_text(json.dumps(factorization_off_the_graph(tmp_path, capsys, which)))
+    extra = ["--schedule", str(sched), "--trace", str(out)] if command == "simulate" else ["--csv", str(out)]
+    code, _, err = run(capsys, command, "--builtin", "q3", "--factorization", str(bad), *extra)
+    assert code == 1
+    assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("words", [{"1": [0]}, {"1": [0], "99": [0]}, {"1": [0, 0, 0]}, None])
+def test_words_off_the_graph_are_refused(tmp_path, capsys, words):
+    doc, sched = tmp_path / "words.json", tmp_path / "sched.csv"
+    if words is None:  # every vertex keyed, but vertex 1's word walks to vertex 2
+        words = run_json(capsys, "words", "--builtin", "q3")["words"]
+        words["1"] = words["2"]
+    doc.write_text(json.dumps({"words": words}))
+    code, _, err = run(capsys, "schedule", "--builtin", "q3", "--words", str(doc), "--csv", str(sched))
+    assert code == 1
+    assert err.startswith(f"error: {doc}: ") and "Traceback" not in err
+    assert not sched.exists()
 
 
 @pytest.mark.parametrize("argv", [

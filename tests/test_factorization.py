@@ -10,10 +10,9 @@ import textwrap
 import pytest
 
 from alltoall import fixtures
-from alltoall.errors import ConnectivityError, InputError, StructureError
+from alltoall.errors import ConnectivityError, InputError
 from alltoall.factorization import (
     factor_digraph,
-    factorization_from_successors,
     one_factorize,
     search_spanning_factorization,
     spanning_factorization_from_cayley,
@@ -21,7 +20,7 @@ from alltoall.factorization import (
     verify_spanning,
     walk_word,
 )
-from alltoall.graphs import as_digraph, build_cayley_coset_graph, digraph_from_arcs
+from alltoall.graphs import build_cayley_coset_graph, digraph_from_arcs
 from alltoall.groups import CyclicGroup, GroupSpec, PermutationGroup, ProductGroup
 from alltoall.words import bfs_word_set
 from test_graphs import kautz
@@ -38,7 +37,7 @@ def random_regular_digraph(rng, n, d):
 
 
 def test_directed_ring_has_one_factor():
-    g = as_digraph(fixtures.builtin_graph("c4"))
+    g = fixtures.builtin_graph("c4")
     f = one_factorize(g)
     validate_one_factorization(g, f)
     assert f == ((1, 2, 3, 0),)
@@ -52,7 +51,7 @@ def test_bidirected_triangle_splits_into_rotations():
 
 
 def test_petersen_factorizes():
-    g = as_digraph(fixtures.builtin_graph("petersen"))
+    g = fixtures.builtin_graph("petersen")
     f = one_factorize(g)
     validate_one_factorization(g, f)
     assert len(f) == 3
@@ -101,22 +100,13 @@ def test_walk_word_follows_factors():
 
 
 def test_factor_digraph_reorders_but_keeps_arcs():
-    g = as_digraph(fixtures.builtin_graph("petersen"))
+    g = fixtures.builtin_graph("petersen")
     f = one_factorize(g)
     fd = factor_digraph(f)
     assert sorted((u, v) for u, v, _ in fd.arcs()) == sorted((u, v) for u, v, _ in g.arcs())
     # out-position j is factor j's arc, which is what word replays assume
     for v in range(10):
         assert fd.out[v] == tuple(succ[v] for succ in f)
-
-
-def test_loader_round_trips_and_validates():
-    f = factorization_from_successors([[1, 2, 0], [2, 0, 1]])
-    validate_one_factorization(factor_digraph(f), f)
-    with pytest.raises(StructureError):
-        factorization_from_successors([[1, 1, 0]])
-    with pytest.raises(StructureError):
-        factorization_from_successors([])
 
 
 def test_verify_spanning_accepts_distinct_endpoints():
@@ -174,8 +164,8 @@ def test_cayley_construction_spans_on_random_specs():
     for _ in range(120):
         g = build_cayley_coset_graph(random_cayley_spec(rng))
         sf = spanning_factorization_from_cayley(g, bfs_word_set(g, mode=rng.choice(["first-found", "load-balanced"])))
-        assert sf.factors == tuple(tuple(g.edges[u][j] for u in range(g.vertex_count)) for j in range(g.degree))
-        validate_one_factorization(as_digraph(g), sf.factors)
+        assert sf.factors == tuple(tuple(g.out[u][j] for u in range(g.vertex_count)) for j in range(g.degree))
+        validate_one_factorization(g, sf.factors)
         assert verify_spanning(sf.factors, sf.words, g.vertex_count).ok, g.spec
 
 
@@ -186,7 +176,7 @@ def test_cayley_construction_needs_trivial_subgroup():
 
 
 def test_search_finds_q3_quickly():
-    g = as_digraph(fixtures.builtin_graph("q3"))
+    g = fixtures.builtin_graph("q3")
     res = search_spanning_factorization(g)
     assert res.found is not None
     assert verify_spanning(res.found.factors, res.found.words, 8).ok
@@ -194,7 +184,7 @@ def test_search_finds_q3_quickly():
 
 
 def test_search_finds_petersen_with_shortest_words():
-    g = as_digraph(fixtures.builtin_graph("petersen"))
+    g = fixtures.builtin_graph("petersen")
     res = search_spanning_factorization(g)
     assert res.found is not None
     assert verify_spanning(res.found.factors, res.found.words, 10).ok
@@ -223,7 +213,7 @@ def test_search_results_span_on_kautz_and_random_digraphs():
 
 
 def test_search_respects_budget():
-    g = as_digraph(fixtures.builtin_graph("petersen"))
+    g = fixtures.builtin_graph("petersen")
     res = search_spanning_factorization(g, budget=1)
     assert res.found is None
     assert res.reason == "budget"

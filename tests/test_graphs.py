@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from alltoall import fixtures
 from alltoall.errors import ConnectivityError, CosetEdgeError, InputError, RegularityError, StructureError
 from alltoall.graphs import (
+    CosetGraph,
     Digraph,
-    as_digraph,
     build_cayley_coset_graph,
     digraph_from_arcs,
     emit_adjacency,
@@ -27,7 +27,7 @@ def test_c4_is_a_directed_ring():
     assert g.vertex_count == 4
     assert g.degree == 1
     assert g.is_cayley
-    assert g.edges == ((1,), (2,), (3,), (0,))
+    assert g.out == ((1,), (2,), (3,), (0,))
 
 
 def test_builtin_sizes_and_degrees():
@@ -51,7 +51,7 @@ def test_petersen_is_a_proper_coset_graph():
     assert not g.is_cayley
     assert g.vertex_count == 10
     # bidirected: every arc has its reverse
-    arcs = {(u, v) for u, heads in enumerate(g.edges) for v in heads}
+    arcs = {(u, v) for u, heads in enumerate(g.out) for v in heads}
     assert all((v, u) in arcs for u, v in arcs)
     assert len(arcs) == 30
 
@@ -78,7 +78,7 @@ def test_generator_inside_subgroup_collapses_to_one_coset():
     spec = GroupSpec(group=CyclicGroup(6), generators=(4,), subgroup=(0, 2, 4))
     g = build_cayley_coset_graph(spec)
     assert g.vertex_count == 1
-    assert g.edges == ((0,),)
+    assert g.out == ((0,),)
 
 
 def test_disconnected_raw_digraph_is_caught_downstream():
@@ -94,14 +94,14 @@ def test_vertex_zero_is_the_identity_coset():
     g = fixtures.builtin_graph("z7-124")
     assert g.vertices[0] == 0
     # neighbors of 0 are the generator cosets, in generator order
-    assert [g.vertices[v] for v in g.edges[0]] == [1, 2, 4]
+    assert [g.vertices[v] for v in g.out[0]] == [1, 2, 4]
 
 
 def test_each_generator_column_is_a_permutation_when_cayley():
     for name in ("c4", "k4", "z5-12", "z7-124", "q3"):
         g = fixtures.builtin_graph(name)
         for j in range(g.degree):
-            column = [g.edges[v][j] for v in range(g.vertex_count)]
+            column = [g.out[v][j] for v in range(g.vertex_count)]
             assert sorted(column) == list(range(g.vertex_count)), (name, j)
 
 
@@ -110,8 +110,8 @@ def test_generator_order_changes_labels_not_arcs():
     flipped = GroupSpec(group=base.group, generators=tuple(reversed(base.generators)))
     g1 = build_cayley_coset_graph(base)
     g2 = build_cayley_coset_graph(flipped)
-    arcs1 = {(g1.vertices[u], g1.vertices[v]) for u, hs in enumerate(g1.edges) for v in hs}
-    arcs2 = {(g2.vertices[u], g2.vertices[v]) for u, hs in enumerate(g2.edges) for v in hs}
+    arcs1 = {(g1.vertices[u], g1.vertices[v]) for u, hs in enumerate(g1.out) for v in hs}
+    arcs2 = {(g2.vertices[u], g2.vertices[v]) for u, hs in enumerate(g2.out) for v in hs}
     assert arcs1 == arcs2
 
 
@@ -119,7 +119,7 @@ def test_duplicate_generators_make_parallel_arcs():
     spec = GroupSpec(group=CyclicGroup(3), generators=(1, 1))
     g = build_cayley_coset_graph(spec)
     assert g.degree == 2
-    assert g.edges[0] == (1, 1)
+    assert g.out[0] == (1, 1)
 
 
 def test_regular_degree_checks_both_directions():
@@ -136,7 +136,7 @@ def test_digraph_from_arcs_validates_range():
         digraph_from_arcs(0, [])
     g = digraph_from_arcs(2, [[0, 1], [1, 0]])
     assert g.arcs() == [(0, 1, 0), (1, 0, 0)]
-    assert g.out_degrees() == [1, 1] and g.in_degrees() == [1, 1]
+    assert regular_degree(g) == 1
 
 
 def test_adjacency_dump_round_trips():
@@ -147,15 +147,17 @@ def test_adjacency_dump_round_trips():
     assert lines[0].split() == ["0", "1", "0"]
     n = g.vertex_count
     back = digraph_from_arcs(n, [tuple(map(int, ln.split()))[:2] for ln in lines])
-    assert back.out == as_digraph(g).out
+    assert back.out == g.out
 
 
-def test_as_digraph_preserves_arc_order():
+def test_coset_graph_is_a_digraph():
     g = fixtures.builtin_graph("q3")
-    dg = as_digraph(g)
-    assert isinstance(dg, Digraph)
-    assert dg.out == g.edges
-    assert regular_degree(dg) == 3
+    assert isinstance(g, CosetGraph) and isinstance(g, Digraph)
+    assert g.out == ((1, 2, 3), (0, 4, 5), (4, 0, 6), (5, 6, 0), (2, 1, 7), (3, 7, 1), (7, 3, 2), (6, 5, 4))
+    assert g.arcs()[:3] == [(0, 1, 0), (0, 2, 1), (0, 3, 2)]
+    assert regular_degree(g) == 3
+    with pytest.raises(StructureError):
+        CosetGraph(out=((1,),), spec=g.spec, vertices=g.vertices[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +167,11 @@ def test_as_digraph_preserves_arc_order():
 
 def reorderings_agree(g) -> bool:
     """Brute force: every ordering of every word of up to three letters ends at one vertex, from every vertex."""
-    d = len(g.successors(0))
+    d = len(g.out[0])
 
     def walk(v, word):
         for j in word:
-            v = g.successors(v)[j]
+            v = g.out[v][j]
         return v
 
     for v in range(g.vertex_count):

@@ -12,10 +12,8 @@ from alltoall.graphs import build_cayley_coset_graph, digraph_from_arcs
 from alltoall.groups import CyclicGroup, GroupSpec, PermutationGroup, ProductGroup
 from alltoall.layers import (
     average_diameter_bound,
-    ball,
     distances_from,
     global_time_bound,
-    layer,
     layer_profile,
 )
 
@@ -36,7 +34,7 @@ def layers_from(g, src):
     queue = deque([src])
     while queue:
         u = queue.popleft()
-        for v in g.successors(u):
+        for v in g.out[u]:
             if v not in dist:
                 dist[v] = dist[u] + 1
                 queue.append(v)
@@ -64,7 +62,6 @@ def test_profiles_match_hand_counts(name):
     assert p.layer_sizes == sizes
     assert p.diameter == len(sizes) - 1
     assert average_diameter_bound(p) == theta
-    assert p.avg_time_bound == theta
 
 
 @pytest.mark.parametrize("name", sorted(PROFILES))
@@ -188,21 +185,6 @@ def test_random_coset_graphs_look_alike_from_every_source():
         assert p.pair_counts == all_source_pair_counts(g), spec
         assert p.diameter == len(p.layer_sizes) - 1
     assert built >= 150
-
-
-def test_ball_and_layer_nest_and_partition():
-    g = fixtures.builtin_graph("q3")
-    prev = frozenset()
-    union = set()
-    for r in range(4):
-        b = ball(g, 0, r)
-        l = layer(g, 0, r)
-        assert prev <= b
-        assert l == b - prev
-        assert not (l & union)
-        union |= l
-        prev = b
-    assert union == set(range(8))
 
 
 def test_profile_includes_distance_zero():

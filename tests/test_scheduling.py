@@ -298,7 +298,7 @@ def assert_open_shop_schedule(word_map, degree):
 
 def walk(g, v, word):
     for j in word:
-        v = g.edges[v][j]
+        v = g.out[v][j]
     return v
 
 
@@ -437,7 +437,7 @@ def test_general_path_on_random_diameter_two_cayley_graphs():
     for spec, g in random_diameter_two_graphs(random.Random(5), 120):
         dist = distances_from(g, 0)
         two = [v for v in range(g.vertex_count) if dist[v] == 2]
-        options = {v: [(j, k) for j, mid in enumerate(g.edges[0]) for k, t in enumerate(g.edges[mid]) if t == v]
+        options = {v: [(j, k) for j, mid in enumerate(g.out[0]) for k, t in enumerate(g.out[mid]) if t == v]
                    for v in two}
         # every generator carries one single, so the busiest generator's load is 1 + max(first + second)
         bound = regular_bound_exact(g)

@@ -10,7 +10,7 @@ import pytest
 from alltoall import fixtures, simulate
 from alltoall.errors import InputError
 from alltoall.factorization import factor_digraph, search_spanning_factorization, spanning_factorization_from_cayley
-from alltoall.graphs import Digraph, as_digraph
+from alltoall.graphs import Digraph
 from alltoall.scheduling import Schedule, exact_min_schedule, greedy_schedule
 from alltoall.simulate import (
     Expansion,
@@ -47,7 +47,7 @@ def test_cayley_expansion_is_clean(name, paths, horizon):
 
 def test_factor_expansion_petersen():
     g = fixtures.builtin_graph("petersen")
-    found = search_spanning_factorization(as_digraph(g))
+    found = search_spanning_factorization(g)
     sf = found.found
     assert sf is not None
     word_map = {i: w for i, w in enumerate(sf.words) if w}
@@ -170,7 +170,7 @@ def test_trace_rows_are_time_sorted_and_complete():
     assert len(rows) == sum(len(row) - row.count(0) for row in trace.slots.values())
     assert [r[0] for r in rows] == sorted(r[0] for r in rows)
     for time, src, dst, gen, ps, pd in rows:
-        assert g.successors(src)[gen] == dst
+        assert g.out[src][gen] == dst
 
 
 def random_valid_schedule(word_map, rng):
@@ -231,7 +231,7 @@ def reference_replay(g, paths):
         at = source
         last = 0
         for tail, index, time in zip(tails, ports, times):
-            heads = g.successors(tail)
+            heads = g.out[tail]
             assert tail == at and 0 <= index < len(heads) and time > last
             slot = occupancy.setdefault(time, {})
             if (tail, index) in slot:
@@ -246,7 +246,7 @@ def reference_replay(g, paths):
     n = g.vertex_count
     undelivered = tuple((i, j) for i in range(n) for j in range(n) if i != j and (i, j) not in delivered)
     rows = [
-        (time, tail, g.successors(tail)[index], index, ps, pd)
+        (time, tail, g.out[tail][index], index, ps, pd)
         for time in sorted(occupancy)
         for (tail, index), (ps, pd) in sorted(occupancy[time].items())
     ]
@@ -283,7 +283,7 @@ def unchecked_paths(g, word_map, rng, horizon):
             v, tails = base, []
             for j in word_map[key]:
                 tails.append(v)
-                v = g.successors(v)[j]
+                v = g.out[v][j]
             paths.append((base, v, tuple(tails), word_map[key], tuple(slots)))
     rng.shuffle(paths)
     return paths
@@ -303,7 +303,7 @@ def test_flat_replay_matches_reference_on_valid_schedules(name):
 
 def test_flat_replay_matches_reference_over_factors():
     g = fixtures.builtin_graph("petersen")
-    sf = search_spanning_factorization(as_digraph(g)).found
+    sf = search_spanning_factorization(g).found
     word_map = {i: w for i, w in enumerate(sf.words) if w}
     host = factor_digraph(sf.factors)
     expanded = expand_factor_paths(host, word_map, greedy_schedule(word_map, sf.degree))
@@ -389,7 +389,7 @@ def test_memory_follows_the_slots_used_not_the_horizon():
 
 def expansion(g, jobs):
     """An Expansion built by hand, with no schedule check: the oracle sees plans a scheduler would refuse."""
-    return Expansion(succ=[g.successors(v) for v in range(g.vertex_count)], jobs=jobs)
+    return Expansion(succ=g.out, jobs=jobs)
 
 
 def assert_word_pass_agrees(g, expanded, monkeypatch):
@@ -481,7 +481,7 @@ def test_word_pass_counts_duplicate_deliveries(monkeypatch):
     jobs.append((jobs[0][0], (4,)))  # a second key carrying the first word, one slot later
     trace, settled = assert_word_pass_agrees(g, expansion(g, jobs), monkeypatch)
     assert settled and not trace.conflicts and not trace.clean
-    assert trace.deliveries(0, g.successors(0)[jobs[0][0][0]]) == 2
+    assert trace.deliveries(0, g.out[0][jobs[0][0][0]]) == 2
 
 
 @pytest.mark.parametrize("name", ["c4", "k4", "z5-12", "z7-124", "q3"])
@@ -497,7 +497,7 @@ def test_word_pass_settles_valid_schedules(name, monkeypatch):
 
 
 def test_word_pass_settles_valid_schedules_over_factors(monkeypatch):
-    sf = search_spanning_factorization(as_digraph(fixtures.builtin_graph("petersen"))).found
+    sf = search_spanning_factorization(fixtures.builtin_graph("petersen")).found
     word_map = {i: w for i, w in enumerate(sf.words) if w}
     host = factor_digraph(sf.factors)
     rng = random.Random(29)

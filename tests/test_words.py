@@ -40,7 +40,7 @@ def brute_force_regular_bound(g):
     for r in range(1, max(dist) + 1):
         nxt = {}
         for u, words in frontier.items():
-            for j, v in enumerate(g.edges[u]):
+            for j, v in enumerate(g.out[u]):
                 if dist[v] == r:
                     nxt.setdefault(v, []).extend(w + (j,) for w in words)
         for v, ws in nxt.items():
@@ -223,7 +223,7 @@ def naive_balanced_words(g):
         for u in range(g.vertex_count):
             if dist[u] != dist[v] - 1:
                 continue
-            for j, t in enumerate(g.edges[u]):
+            for j, t in enumerate(g.out[u]):
                 if t == v and (best is None or (counts[j], j) < best[0]):
                     best = ((counts[j], j), words[u] + (j,))
         words[v] = best[1]
