@@ -32,15 +32,14 @@ def main():
     print()
 
     found = search_spanning_factorization(g)
-    assert found.found is not None, found.reason
-    sf = found.found
+    assert found.factors is not None, found.reason
     print(f"search visited {found.nodes} candidate words in {found.factorizations} factorization(s)")
-    lengths = Counter(len(w) for w in sf.words)
+    lengths = Counter(len(w) for w in found.words)
     print(f"word lengths: {dict(sorted(lengths.items()))} (all shortest: no slack needed)")
     print()
 
-    host = factor_digraph(sf.factors)
-    word_map, sched = schedule_plan(host, dict(enumerate(sf.words)), "exact", DEFAULT_SCHEDULE_BUDGET)
+    host = factor_digraph(found.factors)
+    word_map, sched = schedule_plan(host, dict(enumerate(found.words)), "exact", DEFAULT_SCHEDULE_BUDGET)
     print(f"exact schedule: makespan {sched.makespan}")
 
     trace = run_transpose(host, expand_factor_paths(host, word_map, sched))

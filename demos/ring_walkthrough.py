@@ -35,22 +35,22 @@ def main():
 
     ws = bfs_word_set(g)
     print("shortest words from vertex 0 (one per destination):")
-    for v, w in sorted(ws.words.items()):
+    for v, w in sorted(ws.items()):
         print(f"  0 -> {v}: generators {list(w)}")
-    print(f"generator occurrences: {factor_occurrences(ws.words, g.degree)}")
+    print(f"generator occurrences: {factor_occurrences(ws, g.degree)}")
     print()
 
-    greedy = greedy_schedule(ws.words, g.degree)
-    show_schedule("greedy schedule", ws.words, greedy)
-    exact = exact_min_schedule(ws.words, g.degree)
-    show_schedule("exact schedule", ws.words, exact.schedule)
-    flags = classify(ws.words, exact.schedule, g.degree, profile)
+    greedy = greedy_schedule(ws, g.degree)
+    show_schedule("greedy schedule", ws, greedy)
+    exact = exact_min_schedule(ws, g.degree)
+    show_schedule("exact schedule", ws, exact.schedule)
+    flags = classify(ws, exact.schedule, g.degree, profile)
     print(f"  quality flags: {flags}")
     print()
 
     # with one generator there is no parallelism to exploit: the single
     # outgoing wire must carry all six word letters one at a time
-    trace = run_transpose(g, expand_factor_paths(g, ws.words, exact.schedule))
+    trace = run_transpose(g, expand_factor_paths(g, ws, exact.schedule))
     print(f"replay: clean={trace.clean}, horizon={trace.horizon} (theta was {theta})")
     print("slot-by-slot wire usage (time, src, dst, gen, packet):")
     for line in "".join(trace_csv_rows(trace, g)).splitlines():

@@ -11,7 +11,7 @@ The usual flow:
     spec = fixtures.builtin_spec("z7-124")
     g = graphs.build_cayley_coset_graph(spec)
     ws = words.bfs_word_set(g, mode="load-balanced")
-    plan, sched = scheduling.schedule_plan(g, ws.words, "exact", scheduling.DEFAULT_SCHEDULE_BUDGET)
+    plan, sched = scheduling.schedule_plan(g, ws, "exact", scheduling.DEFAULT_SCHEDULE_BUDGET)
     trace = simulate.run_transpose(g, simulate.expand_factor_paths(g, plan, sched))
     assert trace.clean
 """
@@ -21,7 +21,6 @@ from .errors import (
     CapacityError,
     ConnectivityError,
     CosetEdgeError,
-    InfeasibleError,
     InputError,
     RegularityError,
     SearchBudgetError,
@@ -44,7 +43,6 @@ __all__ = [
     "CapacityError",
     "ConnectivityError",
     "CosetEdgeError",
-    "InfeasibleError",
     "InputError",
     "RegularityError",
     "SearchBudgetError",

@@ -32,13 +32,12 @@ from pathlib import Path
 
 from . import fixtures, specfile
 from .costmodel import CostParams, compare_networks
-from .errors import InfeasibleError, InputError, SearchBudgetError
+from .errors import InputError, SearchBudgetError
 from .factorization import (
     DEFAULT_SEARCH_BUDGET,
     factor_digraph,
     one_factorize,
     search_spanning_factorization,
-    spanning_factorization_from_cayley,
     validate_one_factorization,
     verify_spanning,
 )
@@ -55,8 +54,7 @@ from .scheduling import (
     two_layer_time_bound,
 )
 from .simulate import expand_factor_paths, run_transpose, trace_csv_rows
-from .words import DEFAULT_SEARCH_BUDGET as DEFAULT_WORD_BUDGET
-from .words import WordSet, bfs_word_set, regular_bound_exact, validate_word_set
+from .words import DEFAULT_WORD_BUDGET, bfs_word_set, regular_bound_exact, validate_word_set
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +133,7 @@ def _parse_words_doc(doc: dict, origin: str, g: Digraph) -> dict[int, tuple[int,
             raise InputError(f"{origin}: word for vertex {key} must be a list of generator indices")
         word_map[v] = tuple(word)
     try:
-        validate_word_set(g, WordSet(word_map, shortest=False))
+        validate_word_set(g, word_map)
     except InputError as exc:
         raise InputError(f"{origin}: {exc}") from None
     return word_map
@@ -243,16 +241,18 @@ def _factorization_doc(n: int, factors, words, search: dict | None = None) -> di
 
 
 def _search_factorization(g: Digraph, budget: int, max_slack: int):
-    """(spanning factorization, search counters), or None after reporting on stderr why none was found."""
+    """(factors, words, search counters), or None after reporting on stderr why none was found."""
     res = search_spanning_factorization(g, budget=budget, max_slack=max_slack)
-    if res.found is None:
+    if res.factors is None:
+        # exhausting one slack leaves larger ones untried, so say which was exhausted
+        reason = res.reason if res.reason == "budget" else f"{res.reason} within max_slack {max_slack}"
         print(
-            f"no spanning factorization found ({res.reason}): {res.nodes} nodes over "
+            f"no spanning factorization found ({reason}): {res.nodes} nodes over "
             f"{res.factorizations} factorizations, deepest word prefix {res.best_depth}",
             file=sys.stderr,
         )
         return None
-    return res.found, {"nodes": res.nodes, "factorizations": res.factorizations}
+    return res.factors, res.words, {"nodes": res.nodes, "factorizations": res.factorizations}
 
 
 def _schedule_summary(word_map, sched, degree, profile) -> dict:
@@ -342,8 +342,7 @@ def cmd_words(args) -> int:
     g = _load_graph(args)
     if not isinstance(g, CosetGraph):
         raise InputError("word sets need a group-form spec, not a raw digraph")
-    ws = bfs_word_set(g, mode=args.mode)
-    doc = _words_doc(ws.words, g.degree, average_diameter_bound(layer_profile(g)))
+    doc = _words_doc(bfs_word_set(g, mode=args.mode), g.degree, average_diameter_bound(layer_profile(g)))
     if args.exact:
         bound = regular_bound_exact(g, budget=args.budget)
         doc["psi_exact"] = bound.value
@@ -358,11 +357,12 @@ def cmd_factorize(args) -> int:
         found = _search_factorization(g, args.budget, args.max_slack)
         if found is None:
             return 2
-        sf, search = found
-        doc = _factorization_doc(sf.vertex_count, sf.factors, sf.words, search)
+        doc = _factorization_doc(g.vertex_count, *found)
     elif isinstance(g, CosetGraph) and g.is_cayley:
-        sf = spanning_factorization_from_cayley(g, bfs_word_set(g, mode=args.mode))
-        doc = _factorization_doc(g.vertex_count, sf.factors, sf.words)
+        # the generators are the factors, and the word set (plus the base's empty word) spans
+        words = bfs_word_set(g, mode=args.mode)
+        listed = [words.get(v, ()) for v in range(g.vertex_count)]
+        doc = _factorization_doc(g.vertex_count, tuple(zip(*g.out)), listed)
     else:
         doc = _factorization_doc(g.vertex_count, one_factorize(g), None)
     _emit_json(doc, args.out)
@@ -382,7 +382,7 @@ def cmd_schedule(args) -> int:
     else:
         if not (isinstance(g, CosetGraph) and g.is_cayley):
             raise InputError("scheduling a coset graph or raw digraph needs --words or --factorization")
-        host, words = g, bfs_word_set(g, mode=args.mode).words
+        host, words = g, bfs_word_set(g, mode=args.mode)
     degree = len(host.out[0])
     word_map = {k: w for k, w in words.items() if w}
     scheduled = _schedule(host, word_map, degree, profile, args.method, args.budget, args.csv, args.out)
@@ -398,9 +398,10 @@ def cmd_simulate(args) -> int:
         factors, _ = _parse_factorization_doc(_read_json(args.factorization), args.factorization, g)
         # factors read from a file are trusted only once the words span from every base
         words = tuple(word_map.get(i, ()) for i in range(n))
-        check = verify_spanning(factors, words, n)
-        if not check.ok:
-            raise InputError(f"refusing to expand an unverified factorization: {check.reason}")
+        try:
+            verify_spanning(factors, words, n)
+        except InputError as exc:
+            raise InputError(f"refusing to expand an unverified factorization: {exc}") from None
         host, word_map = factor_digraph(factors), {i: w for i, w in enumerate(words) if w}
     elif not isinstance(g, CosetGraph):
         raise InputError("raw digraph schedules replay over factors; pass --factorization")
@@ -418,13 +419,13 @@ def cmd_pipeline(args) -> int:
     theta = average_diameter_bound(profile)
     cayley = isinstance(g, CosetGraph) and g.is_cayley and not args.search
     if cayley:
-        host, words = g, bfs_word_set(g, mode=args.mode).words
+        host, words = g, bfs_word_set(g, mode=args.mode)
     else:
         found = _search_factorization(g, args.budget, args.max_slack)
         if found is None:
             return 2
-        sf, search = found
-        host, words = factor_digraph(sf.factors), dict(enumerate(sf.words))
+        factors, listed, search = found
+        host, words = factor_digraph(factors), dict(enumerate(listed))
 
     # from here on a plan is words over the host's out-positions, whichever route made it
     degree = len(host.out[0])
@@ -438,8 +439,8 @@ def cmd_pipeline(args) -> int:
     if cayley:
         _emit_json(_words_doc(word_map, degree, theta), str(outdir / "words.json"))
     else:
-        listed = [word_map.get(i, ()) for i in range(sf.vertex_count)]
-        _emit_json(_factorization_doc(sf.vertex_count, sf.factors, listed, search),
+        listed = [word_map.get(i, ()) for i in range(g.vertex_count)]
+        _emit_json(_factorization_doc(g.vertex_count, factors, listed, search),
                    str(outdir / "factorization.json"))
     if scheduled is None:
         return 2
@@ -597,7 +598,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SearchBudgetError, InfeasibleError) as exc:
+    except SearchBudgetError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
 

@@ -39,7 +39,3 @@ class UnsupportedGraphError(InputError):
 
 class SearchBudgetError(RuntimeError):
     """An exhaustive search ran out of its node budget before deciding."""
-
-
-class InfeasibleError(RuntimeError):
-    """No object with the requested property exists within the given limits."""

@@ -8,8 +8,11 @@ is where factor j sends vertex u.  A spanning factorization additionally
 carries one word per vertex over the factor alphabet such that walking the
 words from ANY base hits every vertex exactly once -- the property that lets
 one timed word list serve all sources of an all-to-all exchange
-simultaneously.  The constructors establish these properties and do not
-re-check them; verify_spanning checks a factorization read from outside.
+simultaneously.  There is no type for the pair: a Cayley graph's generator
+table transposed, tuple(zip(*g.out)), with a words.bfs_word_set word set
+is one, and the search returns its factors and words side by side.  The
+constructors establish these properties and do not re-check them;
+verify_spanning checks a factorization read from outside.
 """
 
 from __future__ import annotations
@@ -17,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import InputError, UnsupportedGraphError
-from .graphs import CosetGraph, Digraph, regular_degree
+from .errors import InputError
+from .graphs import Digraph, regular_degree
 from .layers import distances_from
-from .words import WordSet, validate_word_set
 
 DEFAULT_SEARCH_BUDGET = 1_000_000
 
@@ -125,26 +127,6 @@ def one_factorize(g: Digraph) -> Factors:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpanningFactorization:
-    """A 1-factorization's successor table plus one word per vertex (words[0] is empty).
-
-    The defining property: from every base vertex, walking all n words gives
-    n pairwise-distinct endpoints.
-    """
-
-    factors: Factors
-    words: tuple[tuple[int, ...], ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.factors)
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.factors[0])
-
-
 def walk_word(factors: Sequence[Sequence[int]], start: int, word: Sequence[int]) -> int:
     """Endpoint of following `word`'s factors in order from `start`."""
     v = start
@@ -163,57 +145,22 @@ def factor_digraph(factors: Sequence[Sequence[int]]) -> Digraph:
     return Digraph(out=tuple(zip(*factors)))
 
 
-@dataclass(frozen=True)
-class SpanningCheck:
-    """verify_spanning outcome; witness is (base, i, j) for a collision."""
-
-    ok: bool
-    witness: tuple[int, int, int] | None
-    reason: str
-
-
-def verify_spanning(factors: Sequence[Sequence[int]], words: Sequence[Sequence[int]], n: int) -> SpanningCheck:
-    """Walk every word from every base and look for endpoint collisions."""
+def verify_spanning(factors: Sequence[Sequence[int]], words: Sequence[Sequence[int]], n: int) -> None:
+    """Walk every word from every base; raise InputError at the first endpoint collision or bad word."""
     if len(words) != n:
-        return SpanningCheck(
-            ok=False,
-            witness=None,
-            reason=f"word list has {len(words)} words for {n} vertices; endpoints cannot cover the graph",
-        )
+        raise InputError(f"word list has {len(words)} words for {n} vertices; endpoints cannot cover the graph")
     d = len(factors)
     for i, word in enumerate(words):
         for j in word:
             if not (0 <= j < d):
-                return SpanningCheck(ok=False, witness=None, reason=f"word {i} uses factor {j}, out of range")
+                raise InputError(f"word {i} uses factor {j}, out of range")
     for base in range(n):
         seen: dict[int, int] = {}
         for i, word in enumerate(words):
             end = walk_word(factors, base, word)
             if end in seen:
-                return SpanningCheck(
-                    ok=False,
-                    witness=(base, seen[end], i),
-                    reason=f"words {seen[end]} and {i} both end at {end} from base {base}",
-                )
+                raise InputError(f"words {seen[end]} and {i} both end at {end} from base {base}")
             seen[end] = i
-    return SpanningCheck(ok=True, witness=None, reason="")
-
-
-def spanning_factorization_from_cayley(g: CosetGraph, ws: WordSet) -> SpanningFactorization:
-    """Generator classes as factors, the word set (plus empty word) as words.
-
-    On a Cayley graph each generator's arcs form a bijection (right
-    multiplication), and once validate_word_set has passed, endpoints from
-    base v are v*g_i, distinct because group elements are.
-    """
-    if not g.is_cayley:
-        raise UnsupportedGraphError(
-            "generator classes are only bijections over a trivial subgroup; "
-            "use the search for proper coset graphs"
-        )
-    validate_word_set(g, ws)
-    words = tuple(tuple(ws.words[v]) if v else () for v in range(g.vertex_count))
-    return SpanningFactorization(tuple(zip(*g.out)), words)
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +172,15 @@ def spanning_factorization_from_cayley(g: CosetGraph, ws: WordSet) -> SpanningFa
 class SearchResult:
     """Outcome of search_spanning_factorization.
 
-    found is None on failure; reason says why ("budget" or "exhausted");
-    best_depth reports the deepest word prefix ever assigned, factorizations
-    how many 1-factorizations were word-searched, nodes the total search
-    nodes spent.
+    factors and words are the spanning factorization found, words[v] the
+    word for vertex v (words[0] is empty), both None on failure; reason
+    says why ("budget" or "exhausted"); best_depth reports the deepest word
+    prefix ever assigned, factorizations how many 1-factorizations were
+    word-searched, nodes the total search nodes spent.
     """
 
-    found: SpanningFactorization | None
+    factors: Factors | None
+    words: tuple[tuple[int, ...], ...] | None
     nodes: int
     factorizations: int
     best_depth: int
@@ -391,17 +340,16 @@ def search_spanning_factorization(
                 return False
 
             if assign(slack):
-                found = SpanningFactorization(fact, tuple(chosen))
                 return SearchResult(
-                    found=found, nodes=nodes, factorizations=factorizations,
+                    factors=fact, words=tuple(chosen), nodes=nodes, factorizations=factorizations,
                     best_depth=best_depth, reason="",
                 )
             if out_of_budget:
                 return SearchResult(
-                    found=None, nodes=nodes, factorizations=factorizations,
+                    factors=None, words=None, nodes=nodes, factorizations=factorizations,
                     best_depth=best_depth, reason="budget",
                 )
     return SearchResult(
-        found=None, nodes=nodes, factorizations=factorizations,
+        factors=None, words=None, nodes=nodes, factorizations=factorizations,
         best_depth=best_depth, reason="exhausted",
     )

@@ -1,46 +1,45 @@
 """Routing word sets for Cayley graphs and the per-generator load bound.
 
-A word set assigns each non-base vertex a generator word spelling a path
-from the base.  The schedule length of the induced exchange is at least the
-busiest generator's total occurrence count, so the interesting quantity is
-how evenly a word set spreads its letters.
+A word set is a dict from each non-base vertex to a generator word, the
+out-positions of a path from vertex 0.  On a Cayley graph the same words
+route from every base, so a word set with the generator table transposed,
+tuple(zip(*g.out)), is a spanning factorization.  The schedule length of
+the induced exchange is at least the busiest generator's total occurrence
+count, so the interesting quantity is how evenly a word set spreads its
+letters.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from .errors import InputError, UnsupportedGraphError
 from .graphs import CosetGraph, Digraph
 from .layers import average_diameter_bound, distances_from, layer_profile
-from .scheduling import factor_occurrences
+from .scheduling import WordMap, factor_occurrences
 
-DEFAULT_SEARCH_BUDGET = 10_000_000
+DEFAULT_WORD_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class WordSet:
-    """One generator word per non-base vertex, keyed by vertex index.
+def _listed(keys: set[int]) -> str:
+    """The ten smallest keys as a list, with a count of the rest."""
+    keys = sorted(keys)
+    more = f", ... {len(keys) - 10} more" if len(keys) > 10 else ""
+    return "[" + ", ".join(map(str, keys[:10])) + more + "]"
 
-    `shortest` records whether every word has minimum possible length; the
-    builders below always produce shortest words, but hand-built sets with
-    slack are allowed wherever a WordSet is accepted.
+
+def validate_word_set(g: Digraph, words: WordMap) -> None:
+    """Check every word walks from vertex 0 to its key vertex, over out-positions 0..d-1.
+
+    Words need not be shortest: a schedule serves any word set that walks.
     """
-
-    words: dict[int, tuple[int, ...]]
-    shortest: bool = True
-
-
-def validate_word_set(g: Digraph, ws: WordSet) -> None:
-    """Check every word walks from vertex 0 to its key vertex, over out-positions 0..d-1."""
     d = len(g.out[0])
-    dist = distances_from(g, 0)
     expected = set(range(1, g.vertex_count))
-    if set(ws.words) != expected:
+    if set(words) != expected:
         raise InputError(
-            f"word set must cover exactly the non-base vertices; got keys {sorted(ws.words)}"
+            "word set must cover exactly the non-base vertices; "
+            f"missing {_listed(expected - set(words))}, extra {_listed(set(words) - expected)}"
         )
-    for target, word in ws.words.items():
+    for target, word in words.items():
         v = 0
         for j in word:
             if not (0 <= j < d):
@@ -48,11 +47,6 @@ def validate_word_set(g: Digraph, ws: WordSet) -> None:
             v = g.out[v][j]
         if v != target:
             raise InputError(f"word {word} for vertex {target} ends at vertex {v}")
-        if ws.shortest and len(word) != dist[target]:
-            raise InputError(
-                f"word {word} for vertex {target} has length {len(word)}, "
-                f"shortest is {dist[target]}"
-            )
 
 
 def _require_cayley(g: CosetGraph) -> None:
@@ -63,54 +57,33 @@ def _require_cayley(g: CosetGraph) -> None:
         )
 
 
-def bfs_word_set(g: CosetGraph, mode: str = "first-found") -> WordSet:
-    """Assign shortest words by breadth-first search from vertex 0.
+def bfs_word_set(g: CosetGraph, mode: str = "first-found") -> dict[int, tuple[int, ...]]:
+    """Assign shortest words in (distance, index) order, each extending a parent's word by one arc.
 
-    "first-found" keeps whatever word discovers a vertex first.
-    "load-balanced" grows words greedily in distance order: each vertex
-    extends a parent word one layer down, entering through the generator
-    with the currently smallest total occurrence count (ties to the smaller
-    generator index), so the result is deterministic.
+    A vertex's candidates are the arcs into it from the layer above,
+    parents in increasing index, then out-positions in increasing order.
+    "first-found" takes the first candidate.  Since build_cayley_coset_graph
+    numbers vertices in breadth-first discovery order, scanning generators
+    in input order, that is the word breadth-first search from vertex 0
+    discovers the vertex by.  "load-balanced" takes the candidate whose
+    generator has the smallest total occurrence count so far, ties to the
+    smaller generator index and then the smaller parent, so the busiest
+    generator stays low.
     """
     _require_cayley(g)
-    if mode == "first-found":
-        words: dict[int, tuple[int, ...]] = {}
-        seen = {0}
-        queue = deque([(0, ())])
-        while queue:
-            u, word = queue.popleft()
-            for j, v in enumerate(g.out[u]):
-                if v not in seen:
-                    seen.add(v)
-                    words[v] = word + (j,)
-                    queue.append((v, words[v]))
-        return WordSet(words=words, shortest=True)
-    if mode == "load-balanced":
-        return _balanced_word_set(g)
-    raise InputError(f"unknown word-set mode {mode!r}")
-
-
-def _balanced_word_set(g: CosetGraph) -> WordSet:
+    if mode not in ("first-found", "load-balanced"):
+        raise InputError(f"unknown word-set mode {mode!r}")
     dist = distances_from(g, 0)
+    parents = _shortest_parents(g, dist)
     counts = [0] * g.degree
     words: dict[int, tuple[int, ...]] = {}
-    parents = _shortest_parents(g, dist)
-    order = sorted(range(1, g.vertex_count), key=lambda v: (dist[v], v))
-    for v in order:
-        best = None
-        for u in parents[v]:
-            word_u = words.get(u, ())
-            for j, t in enumerate(g.out[u]):
-                if t != v:
-                    continue
-                key = (counts[j], j)
-                if best is None or key < best[0]:
-                    best = (key, word_u + (j,))
-        assert best is not None
-        words[v] = best[1]
-        for letter in best[1]:
+    for v in sorted(range(1, g.vertex_count), key=lambda v: (dist[v], v)):
+        arcs = [(counts[j], j, u) for u in parents[v] for j, t in enumerate(g.out[u]) if t == v]
+        _, j, u = arcs[0] if mode == "first-found" else min(arcs)
+        words[v] = words.get(u, ()) + (j,)
+        for letter in words[v]:
             counts[letter] += 1
-    return WordSet(words=words, shortest=True)
+    return words
 
 
 def _shortest_parents(g: CosetGraph, dist: list[int]) -> list[list[int]]:
@@ -123,15 +96,9 @@ def _shortest_parents(g: CosetGraph, dist: list[int]) -> list[list[int]]:
     return parents
 
 
-def max_occurrence(ws: WordSet, degree: int) -> int:
-    """The busiest generator's count: a lower bound on any schedule for ws."""
-    counts = factor_occurrences(ws.words, degree)
-    return max(counts) if counts else 0
-
-
 @dataclass(frozen=True)
 class RegularBound:
-    """Result of minimizing max_occurrence over shortest word sets.
+    """Result of minimizing the busiest generator's count over shortest word sets.
 
     `exact` is False when the search budget ran out; `value` is then only
     the best found, still an upper bound on the true minimum.
@@ -139,7 +106,7 @@ class RegularBound:
 
     value: int
     exact: bool
-    witness: WordSet
+    witness: dict[int, tuple[int, ...]]
 
 
 def _all_shortest_words(g: CosetGraph, dist: list[int], budget: int) -> dict[int, list[tuple[int, ...]]] | None:
@@ -168,7 +135,7 @@ def _all_shortest_words(g: CosetGraph, dist: list[int], budget: int) -> dict[int
     return options
 
 
-def regular_bound_exact(g: CosetGraph, budget: int = DEFAULT_SEARCH_BUDGET) -> RegularBound:
+def regular_bound_exact(g: CosetGraph, budget: int = DEFAULT_WORD_BUDGET) -> RegularBound:
     """Minimize the busiest generator count over all shortest word sets.
 
     Depth-first search over per-vertex word choices, vertices in (distance,
@@ -184,9 +151,8 @@ def regular_bound_exact(g: CosetGraph, budget: int = DEFAULT_SEARCH_BUDGET) -> R
     profile = layer_profile(g)
     floor = average_diameter_bound(profile)
 
-    greedy = _balanced_word_set(g)
-    incumbent_value = max_occurrence(greedy, g.degree)
-    incumbent = greedy
+    incumbent = bfs_word_set(g, mode="load-balanced")
+    incumbent_value = max(factor_occurrences(incumbent, g.degree))
     if incumbent_value <= floor:
         return RegularBound(value=incumbent_value, exact=True, witness=incumbent)
 
@@ -208,7 +174,7 @@ def regular_bound_exact(g: CosetGraph, budget: int = DEFAULT_SEARCH_BUDGET) -> R
             value = max(counts)
             if value < incumbent_value:
                 incumbent_value = value
-                incumbent = WordSet(words=dict(chosen), shortest=True)
+                incumbent = dict(chosen)
             if incumbent_value <= floor:
                 break
             pos -= 1

@@ -19,7 +19,6 @@ from alltoall.factorization import (
     factor_digraph,
     one_factorize,
     search_spanning_factorization,
-    spanning_factorization_from_cayley,
     validate_one_factorization,
     verify_spanning,
 )
@@ -37,7 +36,7 @@ from alltoall.scheduling import (
     two_layer_time_bound,
 )
 from alltoall.simulate import expand_factor_paths, run_transpose
-from alltoall.words import bfs_word_set, max_occurrence, regular_bound_exact
+from alltoall.words import bfs_word_set, regular_bound_exact
 
 
 @contextmanager
@@ -155,7 +154,7 @@ def test_acceptance_03_cayley_labelings():
             for mode in ("first-found", "load-balanced"):
                 ws = bfs_word_set(g, mode=mode)
                 for _ in range(25):
-                    trace = run_transpose(g, expand_factor_paths(g, ws.words, random_schedule(ws.words, rng)))
+                    trace = run_transpose(g, expand_factor_paths(g, ws, random_schedule(ws, rng)))
                     runs += 1
                     clean += trace.clean
         assert runs == 200 and clean == runs
@@ -164,8 +163,8 @@ def test_acceptance_03_cayley_labelings():
 def petersen_spanning():
     g = fixtures.builtin_graph("petersen")
     found = search_spanning_factorization(g)
-    assert found.found is not None
-    return found.found
+    assert found.factors is not None
+    return found.factors, found.words
 
 
 def test_acceptance_04_factorization_labelings():
@@ -174,14 +173,14 @@ def test_acceptance_04_factorization_labelings():
         plans = []
         for name in ("c4", "z7-124", "q3"):
             g = fixtures.builtin_graph(name)
-            plans.append(spanning_factorization_from_cayley(g, bfs_word_set(g)))
+            words = bfs_word_set(g)
+            plans.append((tuple(zip(*g.out)), tuple(words.get(v, ()) for v in range(g.vertex_count))))
         plans.append(petersen_spanning())
         runs = clean = 0
-        for sf in plans:
-            check = verify_spanning(sf.factors, sf.words, sf.vertex_count)
-            assert check.ok
-            host = factor_digraph(sf.factors)
-            word_map = {i: w for i, w in enumerate(sf.words) if w}
+        for factors, words in plans:
+            verify_spanning(factors, words, len(factors[0]))
+            host = factor_digraph(factors)
+            word_map = {i: w for i, w in enumerate(words) if w}
             for _ in range(50):
                 trace = run_transpose(host, expand_factor_paths(host, word_map, random_schedule(word_map, rng)))
                 runs += 1
@@ -208,7 +207,7 @@ def test_acceptance_06_two_layer_guarantee():
     with criterion(6, "diameter-2 schedules stay within 1 + max(M+N); Z5 within 4"):
         for name in ("k4", "z5-12", "z7-124"):
             g = fixtures.builtin_graph(name)
-            words = regular_bound_exact(g).witness.words
+            words = regular_bound_exact(g).witness
             word_map, sched = schedule_plan(g, words, "exact", DEFAULT_SCHEDULE_BUDGET)
             trace = run_transpose(g, expand_factor_paths(g, word_map, sched))
             assert trace.clean
@@ -218,14 +217,14 @@ def test_acceptance_06_two_layer_guarantee():
             if name == "z5-12":
                 assert trace.horizon <= 4
         # the non-Cayley member goes through its searched factorization
-        sf = petersen_spanning()
-        word_map = {i: w for i, w in enumerate(sf.words) if w}
+        factors, words = petersen_spanning()
+        word_map = {i: w for i, w in enumerate(words) if w}
         assert max(len(w) for w in word_map.values()) == 2
-        sched = exact_min_schedule(word_map, sf.degree).schedule
-        host = factor_digraph(sf.factors)
+        sched = exact_min_schedule(word_map, len(factors)).schedule
+        host = factor_digraph(factors)
         trace = run_transpose(host, expand_factor_paths(host, word_map, sched))
         assert trace.clean
-        assert trace.horizon <= two_layer_time_bound(two_layer_counts(word_map, sf.degree))
+        assert trace.horizon <= two_layer_time_bound(two_layer_counts(word_map, len(factors)))
 
 
 # --- 7: feasibility predicate vs exhaustive search --------------------------
@@ -269,20 +268,20 @@ def test_acceptance_08_exact_schedules_and_chain():
         for name, tau in (("q3", 4), ("c4", 6)):
             g = fixtures.builtin_graph(name)
             ws = bfs_word_set(g, mode="load-balanced")
-            res = exact_min_schedule(ws.words, g.degree)
+            res = exact_min_schedule(ws, g.degree)
             assert res.makespan == tau
             if name == "q3":
-                flags = classify(ws.words, res.schedule, g.degree, layer_profile(g))
+                flags = classify(ws, res.schedule, g.degree, layer_profile(g))
                 assert flags.balanced and flags.short and flags.optimal and flags.minimum
         for name in ("c4", "k4", "z5-12", "z7-124", "q3"):
             g = fixtures.builtin_graph(name)
             profile = layer_profile(g)
             for mode in ("first-found", "load-balanced"):
                 ws = bfs_word_set(g, mode=mode)
-                occ = factor_occurrences(ws.words, g.degree)
+                occ = factor_occurrences(ws, g.degree)
                 total = sum(occ)
                 avg_load = -(-total // g.degree)
-                res = exact_min_schedule(ws.words, g.degree)
+                res = exact_min_schedule(ws, g.degree)
                 assert average_diameter_bound(profile) <= avg_load <= max(occ) <= res.makespan
 
 
@@ -296,7 +295,7 @@ def test_acceptance_09_bound_chain():
             exact = regular_bound_exact(g)
             assert exact.exact
             for mode in ("first-found", "load-balanced"):
-                psi_w = max_occurrence(bfs_word_set(g, mode=mode), g.degree)
+                psi_w = max(factor_occurrences(bfs_word_set(g, mode=mode), g.degree))
                 assert theta <= exact.value <= psi_w
 
 

@@ -12,6 +12,7 @@ from alltoall.cli import _parse_factorization_doc, main
 from alltoall.errors import InputError
 from alltoall.factorization import factor_digraph
 from alltoall.graphs import Digraph
+from test_graphs import kautz
 from test_simulate import reference_replay
 
 
@@ -120,6 +121,15 @@ def test_factorize_search_starved(capsys):
     code, _, err = run(capsys, "factorize", "--builtin", "petersen", "--search", "--budget", "1")
     assert code == 2
     assert "budget" in err
+
+
+def test_factorize_search_exhausted_names_its_slack(tmp_path, capsys):
+    # Kautz K(2,3) has no spanning factorization with shortest words; that rules out slack 0 only
+    spec, g = tmp_path / "kautz.json", kautz(2, 3)
+    spec.write_text(json.dumps({"digraph": {"n": g.vertex_count, "arcs": [[u, v] for u, v, _ in g.arcs()]}}))
+    code, _, err = run(capsys, "factorize", "--spec", str(spec), "--search", "--max-slack", "0")
+    assert code == 2
+    assert err.startswith("no spanning factorization found (exhausted within max_slack 0): ")
 
 
 def test_pipeline_z7(tmp_path, capsys):
@@ -444,8 +454,13 @@ def test_factorization_off_the_graph_is_refused(tmp_path, capsys, command, which
     assert not out.exists()
 
 
-@pytest.mark.parametrize("words", [{"1": [0]}, {"1": [0], "99": [0]}, {"1": [0, 0, 0]}, None])
-def test_words_off_the_graph_are_refused(tmp_path, capsys, words):
+@pytest.mark.parametrize("words,reason", [
+    ({"1": [0]}, "missing [2, 3, 4, 5, 6, 7], extra []"),
+    ({"1": [0], "99": [0]}, "missing [2, 3, 4, 5, 6, 7], extra [99]"),
+    ({"1": [0, 0, 0]}, "missing [2, 3, 4, 5, 6, 7], extra []"),
+    (None, "word (1,) for vertex 1 ends at vertex 2"),
+], ids=["words0", "words1", "words2", "None"])
+def test_words_off_the_graph_are_refused(tmp_path, capsys, words, reason):
     doc, sched = tmp_path / "words.json", tmp_path / "sched.csv"
     if words is None:  # every vertex keyed, but vertex 1's word walks to vertex 2
         words = run_json(capsys, "words", "--builtin", "q3")["words"]
@@ -454,6 +469,7 @@ def test_words_off_the_graph_are_refused(tmp_path, capsys, words):
     code, _, err = run(capsys, "schedule", "--builtin", "q3", "--words", str(doc), "--csv", str(sched))
     assert code == 1
     assert err.startswith(f"error: {doc}: ") and "Traceback" not in err
+    assert err.rstrip("\n").endswith(reason)
     assert not sched.exists()
 
 

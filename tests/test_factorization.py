@@ -15,7 +15,6 @@ from alltoall.factorization import (
     factor_digraph,
     one_factorize,
     search_spanning_factorization,
-    spanning_factorization_from_cayley,
     validate_one_factorization,
     verify_spanning,
     walk_word,
@@ -111,22 +110,23 @@ def test_factor_digraph_reorders_but_keeps_arcs():
 
 def test_verify_spanning_accepts_distinct_endpoints():
     factors = ((1, 2, 0), (2, 0, 1))
-    words = ((), (0,), (1,))
-    check = verify_spanning(factors, words, 3)
-    assert check.ok and check.witness is None
+    verify_spanning(factors, ((), (0,), (1,)), 3)
 
 
 def test_verify_spanning_reports_collisions():
     factors = ((1, 2, 0), (2, 0, 1))
     # (0,1) walks back to the start, colliding with the empty word
-    check = verify_spanning(factors, ((), (0, 1), (1,)), 3)
-    assert not check.ok
-    base, i, j = check.witness
-    assert i != j
+    with pytest.raises(InputError, match="words 0 and 1 both end at 0 from base 0"):
+        verify_spanning(factors, ((), (0, 1), (1,)), 3)
     # short word lists fail by pigeonhole before any walking
-    short = verify_spanning(factors, ((), (0,)), 3)
-    assert not short.ok and short.witness is None
-    assert "2 words" in short.reason
+    with pytest.raises(InputError, match="2 words"):
+        verify_spanning(factors, ((), (0,)), 3)
+
+
+def cayley_factorization(g, mode):
+    """A Cayley graph's generator columns as factors, its word set plus the base's empty word as words."""
+    words = bfs_word_set(g, mode=mode)
+    return tuple(zip(*g.out)), tuple(words.get(v, ()) for v in range(g.vertex_count))
 
 
 @pytest.mark.parametrize("name,lengths", [
@@ -136,9 +136,9 @@ def test_verify_spanning_reports_collisions():
 ])
 def test_cayley_construction_gives_shortest_words(name, lengths):
     g = fixtures.builtin_graph(name)
-    sf = spanning_factorization_from_cayley(g, bfs_word_set(g, mode="load-balanced"))
-    assert sorted(len(w) for w in sf.words) == lengths
-    assert verify_spanning(sf.factors, sf.words, g.vertex_count).ok
+    factors, words = cayley_factorization(g, "load-balanced")
+    assert sorted(len(w) for w in words) == lengths
+    verify_spanning(factors, words, g.vertex_count)
 
 
 def random_cayley_spec(rng):
@@ -163,33 +163,26 @@ def test_cayley_construction_spans_on_random_specs():
     rng = random.Random(2209)
     for _ in range(120):
         g = build_cayley_coset_graph(random_cayley_spec(rng))
-        sf = spanning_factorization_from_cayley(g, bfs_word_set(g, mode=rng.choice(["first-found", "load-balanced"])))
-        assert sf.factors == tuple(tuple(g.out[u][j] for u in range(g.vertex_count)) for j in range(g.degree))
-        validate_one_factorization(g, sf.factors)
-        assert verify_spanning(sf.factors, sf.words, g.vertex_count).ok, g.spec
-
-
-def test_cayley_construction_needs_trivial_subgroup():
-    g = fixtures.builtin_graph("petersen")
-    with pytest.raises(InputError):
-        spanning_factorization_from_cayley(g, None)
+        factors, words = cayley_factorization(g, rng.choice(["first-found", "load-balanced"]))
+        validate_one_factorization(g, factors)
+        verify_spanning(factors, words, g.vertex_count)
 
 
 def test_search_finds_q3_quickly():
     g = fixtures.builtin_graph("q3")
     res = search_spanning_factorization(g)
-    assert res.found is not None
-    assert verify_spanning(res.found.factors, res.found.words, 8).ok
-    assert sorted(len(w) for w in res.found.words) == [0, 1, 1, 1, 2, 2, 2, 3]
+    assert res.factors is not None
+    verify_spanning(res.factors, res.words, 8)
+    assert sorted(len(w) for w in res.words) == [0, 1, 1, 1, 2, 2, 2, 3]
 
 
 def test_search_finds_petersen_with_shortest_words():
     g = fixtures.builtin_graph("petersen")
     res = search_spanning_factorization(g)
-    assert res.found is not None
-    assert verify_spanning(res.found.factors, res.found.words, 10).ok
+    assert res.factors is not None
+    verify_spanning(res.factors, res.words, 10)
     # slack 0: every word length matches the BFS distance
-    assert sorted(len(w) for w in res.found.words) == [0, 1, 1, 1, 2, 2, 2, 2, 2, 2]
+    assert sorted(len(w) for w in res.words) == [0, 1, 1, 1, 2, 2, 2, 2, 2, 2]
     assert res.factorizations >= 1
 
 
@@ -204,18 +197,18 @@ def test_search_results_span_on_kautz_and_random_digraphs():
             res = search_spanning_factorization(g, budget=20_000)
         except ConnectivityError:  # no spanning word list reaches another component
             continue
-        if res.found is None:
+        if res.factors is None:
             continue
         found.append(i)
-        validate_one_factorization(g, res.found.factors)
-        assert verify_spanning(res.found.factors, res.found.words, g.vertex_count).ok
+        validate_one_factorization(g, res.factors)
+        verify_spanning(res.factors, res.words, g.vertex_count)
     assert found[:2] == [0, 1] and len(found) >= 20
 
 
 def test_search_respects_budget():
     g = fixtures.builtin_graph("petersen")
     res = search_spanning_factorization(g, budget=1)
-    assert res.found is None
+    assert res.factors is None and res.words is None
     assert res.reason == "budget"
 
 
@@ -223,8 +216,8 @@ def test_search_exhaustion_is_not_budget():
     # a single directed 2-cycle has exactly one factorization and it spans
     g = digraph_from_arcs(2, [[0, 1], [1, 0]])
     res = search_spanning_factorization(g)
-    assert res.found is not None
-    assert res.found.words == ((), (0,))
+    assert res.factors == ((1, 0),)
+    assert res.words == ((), (0,))
 
 
 def test_search_and_matching_run_on_explicit_stacks():
@@ -241,7 +234,7 @@ def test_search_and_matching_run_on_explicit_stacks():
         chain = Digraph(out=tuple((v, v + 1) for v in range(n - 1)) + ((0, n - 1),))
         sys.setrecursionlimit(100)
         res = search_spanning_factorization(cycle)
-        print(res.nodes, res.factorizations, res.best_depth, res.found.words == tuple((0,) * k for k in range(n)))
+        print(res.nodes, res.factorizations, res.best_depth, res.words == tuple((0,) * k for k in range(n)))
         f = one_factorize(chain)
         print(f == (tuple(range(1, n)) + (0,), tuple(range(n))))
     """)

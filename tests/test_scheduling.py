@@ -36,7 +36,7 @@ from test_graphs import abelian_specs, star
 def corpus_word_map(name):
     g = fixtures.builtin_graph(name)
     ws = bfs_word_set(g, mode="load-balanced")
-    return g, {v: w for v, w in ws.words.items() if w}
+    return g, {v: w for v, w in ws.items() if w}
 
 
 def test_validate_schedule_accepts_and_rejects():
@@ -186,7 +186,7 @@ def test_diameter_two_rejects_nontrivial_subgroup():
 
 def test_diameter_two_accepts_supplied_words():
     g = fixtures.builtin_graph("z7-124")
-    words = dict(regular_bound_exact(g).witness.words)
+    words = dict(regular_bound_exact(g).witness)
     assert {v for v, w in words.items() if len(w) == 2} == {4, 5, 6}
     _, sched = schedule_plan(g, words, "exact", DEFAULT_SCHEDULE_BUDGET)
     assert sched.makespan == 3
@@ -308,7 +308,7 @@ def test_open_shop_on_shuffled_words_of_abelian_graphs(spec, seed):
     g = build_cayley_coset_graph(spec)
     rng = random.Random(seed)
     word_map = {}
-    for v, w in bfs_word_set(g, mode="load-balanced").words.items():
+    for v, w in bfs_word_set(g, mode="load-balanced").items():
         letters = list(w)
         rng.shuffle(letters)
         word_map[v] = tuple(letters)
@@ -345,7 +345,7 @@ def hypercube(k):
 def test_open_shop_colours_where_greedy_misses_the_floor():
     # Q5: greedy needs 18 slots, the floor is theta = 16
     g = hypercube(5)
-    word_map = dict(bfs_word_set(g, mode="load-balanced").words)
+    word_map = dict(bfs_word_set(g, mode="load-balanced"))
     assert greedy_schedule(word_map, g.degree).makespan == 18
     words, sched = assert_open_shop_schedule(word_map, g.degree)
     assert sched.makespan == 16
@@ -368,7 +368,7 @@ def test_schedule_plan_picks_the_scheduler_from_the_host():
     assert schedule_plan(q3, word_map, "greedy", 0) == (word_map, greedy_schedule(word_map, q3.degree))
     assert schedule_plan(q3, word_map, "exact", 0) == open_shop_schedule(word_map, q3.degree)
     star4 = star(4)
-    words = bfs_word_set(star4, mode="load-balanced").words
+    words = bfs_word_set(star4, mode="load-balanced")
     assert not letters_commute(star4)
     exact = exact_min_schedule(words, star4.degree)
     assert schedule_plan(star4, words, "exact", DEFAULT_SCHEDULE_BUDGET) == (words, exact.schedule)
@@ -443,6 +443,6 @@ def test_general_path_on_random_diameter_two_cayley_graphs():
         bound = regular_bound_exact(g)
         assert bound.exact
         assert bound.value == 1 + recursive_balance(two, options, g.degree), spec
-        words, sched = schedule_plan(g, bound.witness.words, "exact", DEFAULT_SCHEDULE_BUDGET)
+        words, sched = schedule_plan(g, bound.witness, "exact", DEFAULT_SCHEDULE_BUDGET)
         validate_schedule(words, sched, g.degree)
         assert sched.makespan <= two_layer_time_bound(two_layer_counts(words, g.degree)), spec

@@ -9,7 +9,7 @@ import pytest
 
 from alltoall import fixtures, simulate
 from alltoall.errors import InputError
-from alltoall.factorization import factor_digraph, search_spanning_factorization, spanning_factorization_from_cayley
+from alltoall.factorization import factor_digraph, search_spanning_factorization
 from alltoall.graphs import Digraph
 from alltoall.scheduling import Schedule, exact_min_schedule, greedy_schedule
 from alltoall.simulate import (
@@ -18,7 +18,7 @@ from alltoall.simulate import (
     run_transpose,
     trace_csv_rows,
 )
-from alltoall.words import WordSet, bfs_word_set
+from alltoall.words import bfs_word_set
 
 
 def trace_lines(trace, g):
@@ -29,14 +29,14 @@ def trace_lines(trace, g):
 def scheduled_corpus(name):
     g = fixtures.builtin_graph(name)
     ws = bfs_word_set(g, mode="load-balanced")
-    res = exact_min_schedule(ws.words, g.degree)
+    res = exact_min_schedule(ws, g.degree)
     return g, ws, res.schedule
 
 
 @pytest.mark.parametrize("name,paths,horizon", [("c4", 12, 6), ("z7-124", 42, 3), ("q3", 56, 4)])
 def test_cayley_expansion_is_clean(name, paths, horizon):
     g, ws, sched = scheduled_corpus(name)
-    expanded = expand_factor_paths(g, ws.words, sched)
+    expanded = expand_factor_paths(g, ws, sched)
     assert len(expanded) == g.vertex_count * (g.vertex_count - 1)
     assert len(expanded) == paths
     trace = run_transpose(g, expanded)
@@ -48,11 +48,10 @@ def test_cayley_expansion_is_clean(name, paths, horizon):
 def test_factor_expansion_petersen():
     g = fixtures.builtin_graph("petersen")
     found = search_spanning_factorization(g)
-    sf = found.found
-    assert sf is not None
-    word_map = {i: w for i, w in enumerate(sf.words) if w}
-    sched = exact_min_schedule(word_map, sf.degree).schedule
-    host = factor_digraph(sf.factors)
+    assert found.factors is not None
+    word_map = {i: w for i, w in enumerate(found.words) if w}
+    sched = exact_min_schedule(word_map, len(found.factors)).schedule
+    host = factor_digraph(found.factors)
     paths = expand_factor_paths(host, word_map, sched)
     assert len(paths) == 90
     trace = run_transpose(host, paths)
@@ -64,9 +63,9 @@ def test_factor_expansion_petersen():
 def test_cayley_plan_replays_alike_over_its_factors(name):
     # a Cayley word set is the spanning factorization whose factors are the generators
     g, ws, sched = scheduled_corpus(name)
-    host = factor_digraph(spanning_factorization_from_cayley(g, ws).factors)
-    over_graph = run_transpose(g, expand_factor_paths(g, ws.words, sched))
-    over_factors = run_transpose(host, expand_factor_paths(host, ws.words, sched))
+    host = factor_digraph(tuple(zip(*g.out)))
+    over_graph = run_transpose(g, expand_factor_paths(g, ws, sched))
+    over_factors = run_transpose(host, expand_factor_paths(host, ws, sched))
     assert over_graph.clean and over_factors.clean
     assert over_graph.horizon == over_factors.horizon
     assert trace_lines(over_graph, g) == trace_lines(over_factors, host)
@@ -77,15 +76,15 @@ def test_expansion_rejects_invalid_schedule():
     # every word takes generator 0 in slot 1: the expansion lets it through
     # and the replay, not the scheduler's validation, finds the collisions
     double_booked = Schedule(times={1: (1,), 2: (1, 2), 3: (1, 2, 3)})
-    trace = run_transpose(g, expand_factor_paths(g, ws.words, double_booked))
+    trace = run_transpose(g, expand_factor_paths(g, ws, double_booked))
     assert not trace.clean and trace.conflicts
     # a word whose slots do not match its letters is no schedule of it at all
     for short in ({1: (1,), 2: (2,), 3: (3, 4, 5)}, {1: (1,), 3: (2, 3, 4)}):
         with pytest.raises(InputError, match="letters but"):
-            expand_factor_paths(g, ws.words, Schedule(times=short))
+            expand_factor_paths(g, ws, Schedule(times=short))
     # slots that do not rise along a word are broken routes, which the replay raises on
     with pytest.raises(InputError, match="back in time"):
-        run_transpose(g, expand_factor_paths(g, ws.words, Schedule(times={1: (1,), 2: (3, 2), 3: (4, 5, 6)})))
+        run_transpose(g, expand_factor_paths(g, ws, Schedule(times={1: (1,), 2: (3, 2), 3: (4, 5, 6)})))
 
 
 def test_the_replay_borrows_no_scheduler_code():
@@ -165,7 +164,7 @@ def test_packets_off_the_graph_raise(source, dest):
 
 def test_trace_rows_are_time_sorted_and_complete():
     g, ws, sched = scheduled_corpus("z7-124")
-    trace = run_transpose(g, expand_factor_paths(g, ws.words, sched))
+    trace = run_transpose(g, expand_factor_paths(g, ws, sched))
     rows = trace_lines(trace, g)
     assert len(rows) == sum(len(row) - row.count(0) for row in trace.slots.values())
     assert [r[0] for r in rows] == sorted(r[0] for r in rows)
@@ -200,17 +199,17 @@ def test_any_valid_labeling_expands_cleanly(name):
     ws = bfs_word_set(g, mode="load-balanced")
     rng = random.Random(hash(name) & 0xFFFF)
     for _ in range(20):
-        sched = random_valid_schedule(ws.words, rng)
-        trace = run_transpose(g, expand_factor_paths(g, ws.words, sched))
+        sched = random_valid_schedule(ws, rng)
+        trace = run_transpose(g, expand_factor_paths(g, ws, sched))
         assert trace.clean
 
 
 def test_word_set_with_slack_still_expands():
     # non-shortest words are allowed as long as the schedule is valid
     g = fixtures.builtin_graph("c4")
-    ws = WordSet(words={1: (0,), 2: (0, 0), 3: (0, 0, 0, 0, 0, 0, 0)}, shortest=False)
-    sched = greedy_schedule(ws.words, g.degree)
-    trace = run_transpose(g, expand_factor_paths(g, ws.words, sched))
+    ws = {1: (0,), 2: (0, 0), 3: (0, 0, 0, 0, 0, 0, 0)}
+    sched = greedy_schedule(ws, g.degree)
+    trace = run_transpose(g, expand_factor_paths(g, ws, sched))
     assert trace.clean
     assert trace.horizon == sched.makespan
 
@@ -295,7 +294,7 @@ def test_flat_replay_matches_reference_on_valid_schedules(name):
     ws = bfs_word_set(g, mode="load-balanced")
     rng = random.Random(7)
     for _ in range(5):
-        expanded = expand_factor_paths(g, ws.words, random_valid_schedule(ws.words, rng))
+        expanded = expand_factor_paths(g, ws, random_valid_schedule(ws, rng))
         paths = packet_list(expanded)
         assert assert_replays_agree(g, paths, packets=expanded).clean
         assert_replays_agree(g, paths)
@@ -303,10 +302,10 @@ def test_flat_replay_matches_reference_on_valid_schedules(name):
 
 def test_flat_replay_matches_reference_over_factors():
     g = fixtures.builtin_graph("petersen")
-    sf = search_spanning_factorization(g).found
-    word_map = {i: w for i, w in enumerate(sf.words) if w}
-    host = factor_digraph(sf.factors)
-    expanded = expand_factor_paths(host, word_map, greedy_schedule(word_map, sf.degree))
+    found = search_spanning_factorization(g)
+    word_map = {i: w for i, w in enumerate(found.words) if w}
+    host = factor_digraph(found.factors)
+    expanded = expand_factor_paths(host, word_map, greedy_schedule(word_map, len(found.factors)))
     assert assert_replays_agree(host, packet_list(expanded), packets=expanded).clean
 
 
@@ -318,7 +317,7 @@ def test_flat_replay_matches_reference_on_conflicting_paths(name):
     conflicts = 0
     for horizon in (3, 5, 12):
         for _ in range(3):
-            conflicts += len(assert_replays_agree(g, unchecked_paths(g, ws.words, rng, horizon)).conflicts)
+            conflicts += len(assert_replays_agree(g, unchecked_paths(g, ws, rng, horizon)).conflicts)
     assert conflicts
 
 
@@ -337,7 +336,7 @@ def test_flat_replay_matches_reference_on_hand_built_conflicts():
 
 def test_flat_replay_matches_reference_on_duplicated_and_missing_packets():
     g, ws, sched = scheduled_corpus("q3")
-    paths = packet_list(expand_factor_paths(g, ws.words, sched))
+    paths = packet_list(expand_factor_paths(g, ws, sched))
     rng = random.Random(3)
     duplicated = paths + rng.sample(paths, 5)
     trace = assert_replays_agree(g, duplicated)
@@ -434,7 +433,7 @@ def kautz_2_2():
 @pytest.mark.parametrize("name", ["c4", "z5-12", "z7-124", "q3"])
 def test_word_pass_refuses_conflicting_slots(name, monkeypatch):
     g = fixtures.builtin_graph(name)
-    words = list(bfs_word_set(g, mode="load-balanced").words.values())
+    words = list(bfs_word_set(g, mode="load-balanced").values())
     rng = random.Random(17)
     refused = 0
     for horizon in (3, 5, 12):
@@ -477,7 +476,7 @@ def test_word_pass_on_an_irregular_host(monkeypatch):
 def test_word_pass_counts_duplicate_deliveries(monkeypatch):
     g = fixtures.builtin_graph("z7-124")
     ws = bfs_word_set(g, mode="load-balanced")
-    jobs = [(w, tuple(range(1, len(w) + 1))) for w in ws.words.values() if len(w) == 1]
+    jobs = [(w, tuple(range(1, len(w) + 1))) for w in ws.values() if len(w) == 1]
     jobs.append((jobs[0][0], (4,)))  # a second key carrying the first word, one slot later
     trace, settled = assert_word_pass_agrees(g, expansion(g, jobs), monkeypatch)
     assert settled and not trace.conflicts and not trace.clean
@@ -490,16 +489,16 @@ def test_word_pass_settles_valid_schedules(name, monkeypatch):
     ws = bfs_word_set(g, mode="load-balanced")
     rng = random.Random(23)
     for _ in range(5):
-        sched = random_valid_schedule(ws.words, rng)
-        jobs = [(w, sched.times[key]) for key, w in ws.words.items()]
+        sched = random_valid_schedule(ws, rng)
+        jobs = [(w, sched.times[key]) for key, w in ws.items()]
         trace, settled = assert_word_pass_agrees(g, expansion(g, jobs), monkeypatch)
         assert settled and trace.clean
 
 
 def test_word_pass_settles_valid_schedules_over_factors(monkeypatch):
-    sf = search_spanning_factorization(fixtures.builtin_graph("petersen")).found
-    word_map = {i: w for i, w in enumerate(sf.words) if w}
-    host = factor_digraph(sf.factors)
+    found = search_spanning_factorization(fixtures.builtin_graph("petersen"))
+    word_map = {i: w for i, w in enumerate(found.words) if w}
+    host = factor_digraph(found.factors)
     rng = random.Random(29)
     for _ in range(5):
         sched = random_valid_schedule(word_map, rng)

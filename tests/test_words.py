@@ -2,10 +2,12 @@
 
 import itertools
 import os
+import random
 import subprocess
 import sys
 import textwrap
 import tracemalloc
+from collections import deque
 
 import pytest
 
@@ -16,13 +18,8 @@ from alltoall.groups import CyclicGroup, GroupSpec
 from alltoall.specfile import parse_spec_document
 from alltoall.layers import average_diameter_bound, distances_from, layer_profile
 from alltoall.scheduling import factor_occurrences
-from alltoall.words import (
-    WordSet,
-    bfs_word_set,
-    max_occurrence,
-    regular_bound_exact,
-    validate_word_set,
-)
+from alltoall.words import bfs_word_set, regular_bound_exact, validate_word_set
+from test_factorization import random_cayley_spec
 
 CAYLEY_CORPUS = ("c4", "k4", "z5-12", "z7-124", "q3")
 
@@ -64,20 +61,19 @@ def test_word_sets_validate(name, mode):
     g = fixtures.builtin_graph(name)
     ws = bfs_word_set(g, mode=mode)
     validate_word_set(g, ws)
-    assert set(ws.words) == set(range(1, g.vertex_count))
+    assert set(ws) == set(range(1, g.vertex_count))
 
 
 def test_balanced_occurrences_on_z7():
     g = fixtures.builtin_graph("z7-124")
     ws = bfs_word_set(g, mode="load-balanced")
-    assert sorted(factor_occurrences(ws.words, g.degree)) == [3, 3, 3]
-    assert max_occurrence(ws, g.degree) == 3
+    assert sorted(factor_occurrences(ws, g.degree)) == [3, 3, 3]
 
 
 def test_balanced_occurrences_on_q3():
     g = fixtures.builtin_graph("q3")
     ws = bfs_word_set(g, mode="load-balanced")
-    assert factor_occurrences(ws.words, g.degree) == [4, 4, 4]
+    assert factor_occurrences(ws, g.degree) == [4, 4, 4]
 
 
 def test_z5_imbalance_is_forced():
@@ -85,25 +81,28 @@ def test_z5_imbalance_is_forced():
     # times in any word set, and the shortest-word structure forces 4
     g = fixtures.builtin_graph("z5-12")
     ws = bfs_word_set(g, mode="load-balanced")
-    assert sorted(factor_occurrences(ws.words, g.degree)) == [2, 4]
+    assert sorted(factor_occurrences(ws, g.degree)) == [2, 4]
 
 
 def test_validate_rejects_broken_sets():
     g = fixtures.builtin_graph("z7-124")
-    good = bfs_word_set(g).words
+    good = bfs_word_set(g)
     missing = dict(good)
     del missing[3]
-    with pytest.raises(InputError):
-        validate_word_set(g, WordSet(words=missing))
+    with pytest.raises(InputError, match=r"missing \[3\], extra \[\]"):
+        validate_word_set(g, missing)
     wrong = dict(good)
     wrong[1] = wrong[2]  # walks to vertex 2, claims vertex 1
     with pytest.raises(InputError):
-        validate_word_set(g, WordSet(words=wrong))
-    # a longer-than-shortest word fails the shortest check but passes without it
+        validate_word_set(g, wrong)
+    # a longer-than-shortest word still walks to its key, which is all a schedule needs
     slack = dict(good)
     slack[1] = (0, 0, 0, 0, 0, 0, 0, 0)  # 8 steps around Z7 via +1 lands on 1
-    with pytest.raises(InputError):
-        validate_word_set(g, WordSet(words=slack, shortest=True))
+    validate_word_set(g, slack)
+    # past ten keys the error counts the rest instead of listing them
+    ring = build_cayley_coset_graph(GroupSpec(group=CyclicGroup(30), generators=(1,)))
+    with pytest.raises(InputError, match=r"missing \[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, \.\.\. 19 more\], extra \[\]$"):
+        validate_word_set(ring, {})
 
 
 def test_word_sets_need_trivial_subgroup():
@@ -119,7 +118,7 @@ def test_exact_bound_matches_brute_force(name):
     assert bound.exact
     assert bound.value == brute_force_regular_bound(g)
     validate_word_set(g, bound.witness)
-    assert max_occurrence(bound.witness, g.degree) == bound.value
+    assert max(factor_occurrences(bound.witness, g.degree)) == bound.value
 
 
 @pytest.mark.parametrize("name,psi", [("c4", 6), ("k4", 1), ("z5-12", 4), ("z7-124", 3), ("q3", 4)])
@@ -134,7 +133,7 @@ def test_bound_chain_theta_psi_psiw(name, mode):
     g = fixtures.builtin_graph(name)
     theta = average_diameter_bound(layer_profile(g))
     psi = regular_bound_exact(g).value
-    psi_w = max_occurrence(bfs_word_set(g, mode=mode), g.degree)
+    psi_w = max(factor_occurrences(bfs_word_set(g, mode=mode), g.degree))
     assert theta <= psi <= psi_w
 
 
@@ -171,8 +170,8 @@ def test_word_listing_is_bounded_by_the_budget():
     finally:
         tracemalloc.stop()
     assert not bound.exact
-    assert bound.value == max_occurrence(greedy, g.degree) == 520
-    assert bound.witness.words == greedy.words
+    assert bound.value == max(factor_occurrences(greedy, g.degree)) == 520
+    assert bound.witness == greedy
     assert peak < 4 * 2**20  # listing all of them takes ~30 MB
 
 
@@ -188,8 +187,8 @@ def test_word_listing_budget_counts_letters():
     finally:
         tracemalloc.stop()
     assert not bound.exact
-    assert bound.value == max_occurrence(greedy, g.degree)
-    assert bound.witness.words == greedy.words
+    assert bound.value == max(factor_occurrences(greedy, g.degree))
+    assert bound.witness == greedy
     assert peak < 2 * 2**20
 
 
@@ -201,10 +200,11 @@ def test_search_budget_counts_letters():
     script = textwrap.dedent("""
         from alltoall.graphs import build_cayley_coset_graph
         from alltoall.groups import CyclicGroup, GroupSpec
-        from alltoall.words import bfs_word_set, max_occurrence, regular_bound_exact
+        from alltoall.scheduling import factor_occurrences
+        from alltoall.words import bfs_word_set, regular_bound_exact
         g = build_cayley_coset_graph(GroupSpec(group=CyclicGroup(402), generators=(1, 201)))
         bound = regular_bound_exact(g, budget=3_000_000)
-        print(bound.exact, bound.value, max_occurrence(bfs_word_set(g, mode="load-balanced"), g.degree))
+        print(bound.exact, bound.value, max(factor_occurrences(bfs_word_set(g, mode="load-balanced"), g.degree)))
     """)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -212,6 +212,22 @@ def test_search_budget_counts_letters():
     assert done.returncode == 0, done.stderr
     exact, value, greedy = done.stdout.split()
     assert exact == "False" and value == greedy
+
+
+def bfs_first_found_words(g):
+    """The first-found rule as a breadth-first search: each vertex keeps the word that discovers it."""
+    words: dict[int, tuple[int, ...]] = {}
+    seen = {0}
+    queue = deque([(0, ())])
+    while queue:
+        u, word = queue.popleft()
+        for j, v in enumerate(g.out[u]):
+            if v not in seen:
+                seen.add(v)
+                words[v] = word + (j,)
+                queue.append((v, words[v]))
+    return words
+
 
 def naive_balanced_words(g):
     """The load-balanced rule with parents found by scanning every vertex."""
@@ -233,14 +249,31 @@ def naive_balanced_words(g):
     return words
 
 
+def multigraph_z9():
+    # a repeated generator puts the same parent twice in an edge list
+    return build_cayley_coset_graph(parse_spec_document({"group": {"kind": "cyclic", "modulus": 9},
+                                                         "generators": [1, 1, 3]}))
+
+
 @pytest.mark.parametrize("name", CAYLEY_CORPUS)
 def test_balanced_words_match_the_scan_over_all_parents(name):
     g = fixtures.builtin_graph(name)
-    assert bfs_word_set(g, mode="load-balanced").words == naive_balanced_words(g)
+    assert bfs_word_set(g, mode="load-balanced") == naive_balanced_words(g)
 
 
 def test_balanced_words_match_the_scan_on_a_multigraph():
-    # a repeated generator puts the same parent twice in an edge list
-    g = build_cayley_coset_graph(parse_spec_document({"group": {"kind": "cyclic", "modulus": 9},
-                                                      "generators": [1, 1, 3]}))
-    assert bfs_word_set(g, mode="load-balanced").words == naive_balanced_words(g)
+    assert bfs_word_set(multigraph_z9(), mode="load-balanced") == naive_balanced_words(multigraph_z9())
+
+
+@pytest.mark.parametrize("name", CAYLEY_CORPUS)
+def test_first_found_words_match_the_breadth_first_search(name):
+    g = fixtures.builtin_graph(name)
+    assert bfs_word_set(g, mode="first-found") == bfs_first_found_words(g)
+
+
+def test_first_found_words_match_the_search_on_a_multigraph_and_random_specs():
+    # vertex numbers are breadth-first discovery order, which is what makes the two rules agree
+    rng = random.Random(4011)
+    graphs = [multigraph_z9()] + [build_cayley_coset_graph(random_cayley_spec(rng)) for _ in range(120)]
+    for g in graphs:
+        assert bfs_word_set(g, mode="first-found") == bfs_first_found_words(g), g.spec
