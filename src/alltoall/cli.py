@@ -53,7 +53,7 @@ from .scheduling import (
     two_layer_counts,
     two_layer_time_bound,
 )
-from .simulate import expand_factor_paths, run_transpose, trace_csv_rows
+from .simulate import Expansion, expand_factor_paths, run_transpose
 from .words import DEFAULT_WORD_BUDGET, bfs_word_set, regular_bound_exact, validate_word_set
 
 
@@ -212,10 +212,28 @@ def _read_schedule_csv(path: str) -> tuple[dict[int, tuple[int, ...]], Schedule]
     return word_map, Schedule(times=times)
 
 
-def _write_trace_csv(path: str, trace, host) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("time,src,dst,gen,packet_src,packet_dst\n")
-        fh.writelines(trace_csv_rows(trace, host))
+def _replay_to_file(host: Digraph, paths: Expansion, path: str):
+    """run_transpose with the trace written to `path`, created at the replay's first write.
+
+    The replay writes nothing before it has settled the whole plan, so a
+    replay that raises leaves no file behind.
+    """
+    fh = None
+
+    def sink(text: str) -> None:
+        nonlocal fh
+        if fh is None:
+            fh = open(path, "w", encoding="utf-8", newline="")
+            fh.write("time,src,dst,gen,packet_src,packet_dst\n")
+        fh.write(text)
+
+    try:
+        trace = run_transpose(host, paths, sink)
+        sink("")  # a replay with no rows still leaves the header
+    finally:
+        if fh is not None:
+            fh.close()
+    return trace
 
 
 def _words_doc(words: dict[int, tuple[int, ...]], degree: int, theta: int) -> dict:
@@ -301,7 +319,8 @@ def _replay(host: Digraph, word_map, sched: Schedule, theta: int, trace_path: st
 
     Returns the verdict and the exit code: 0 for a clean replay, 2 otherwise.
     """
-    trace = run_transpose(host, expand_factor_paths(host, word_map, sched))
+    paths = expand_factor_paths(host, word_map, sched)
+    trace = _replay_to_file(host, paths, trace_path) if trace_path else run_transpose(host, paths)
     verdict = {
         "tau": trace.horizon,
         "conflicts": len(trace.conflicts),
@@ -311,8 +330,6 @@ def _replay(host: Digraph, word_map, sched: Schedule, theta: int, trace_path: st
     if psi_w is not None:
         verdict["psi_W"] = psi_w
     verdict["optimal"] = bool(trace.clean and trace.horizon == theta)
-    if trace_path:
-        _write_trace_csv(trace_path, trace, host)
     _emit_json(verdict, out)
     return verdict, 0 if trace.clean else 2
 
@@ -396,6 +413,9 @@ def cmd_simulate(args) -> int:
     if args.factorization:
         n = g.vertex_count
         factors, _ = _parse_factorization_doc(_read_json(args.factorization), args.factorization, g)
+        stray = sorted(k for k in word_map if not 0 <= k < n)
+        if stray:
+            raise InputError(f"{args.schedule}: word key {stray[0]} is not a vertex of the {n}-vertex graph")
         # factors read from a file are trusted only once the words span from every base
         words = tuple(word_map.get(i, ()) for i in range(n))
         try:

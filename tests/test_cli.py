@@ -391,6 +391,67 @@ def test_simulate_replays_a_double_booked_schedule(tmp_path, capsys):
     assert trace.read_text().startswith("time,src,dst,gen,packet_src,packet_dst\n")
 
 
+def plan_files(tmp_path, capsys, name):
+    """(schedule CSV, extra simulate arguments) of a builtin's plan: petersen over factors, others over generators."""
+    sched = tmp_path / "sched.csv"
+    if name != "petersen":
+        run_json(capsys, "schedule", "--builtin", name, "--csv", str(sched))
+        return sched, []
+    fact = tmp_path / "fact.json"
+    fact.write_text(json.dumps(run_json(capsys, "factorize", "--builtin", name, "--search")))
+    run_json(capsys, "schedule", "--builtin", name, "--factorization", str(fact), "--csv", str(sched))
+    return sched, ["--factorization", str(fact)]
+
+
+def trace_rows_per_letter(trace_csv, schedule_csv, vertex_count):
+    """trace.csv's data rows against P times the schedule's letters, one schedule row each."""
+    letters = len(schedule_csv.read_text().splitlines()) - 1
+    return len(trace_csv.read_text().splitlines()) - 1, vertex_count * letters
+
+
+@pytest.mark.parametrize("name", ["q3", "z7-124", "petersen"])
+def test_every_trace_holds_one_row_per_base_and_letter(tmp_path, capsys, name):
+    n = fixtures.builtin_graph(name).vertex_count
+    code, _, err = run(capsys, "pipeline", "--builtin", name, "--outdir", str(tmp_path / "out"))
+    assert code == 0, err
+    rows, expected = trace_rows_per_letter(tmp_path / "out" / "trace.csv", tmp_path / "out" / "schedule.csv", n)
+    assert rows == expected
+    sched, extra = plan_files(tmp_path, capsys, name)
+    trace = tmp_path / "trace.csv"
+    run_json(capsys, "simulate", "--builtin", name, "--schedule", str(sched), *extra, "--trace", str(trace))
+    rows, expected = trace_rows_per_letter(trace, sched, n)
+    assert rows == expected
+
+
+def test_simulate_leaves_no_trace_of_a_broken_route(tmp_path, capsys):
+    sched, bad, trace = tmp_path / "sched.csv", tmp_path / "bad.csv", tmp_path / "trace.csv"
+    run_json(capsys, "schedule", "--builtin", "q3", "--csv", str(sched))
+    rows = sched.read_text().splitlines()
+    word = next(r.split(",")[0] for r in rows[1:] if r.split(",")[1] == "1")
+    # the word's second letter takes its first letter's slot: no route runs back in time
+    first = next(r for r in rows[1:] if r.startswith(f"{word},0,"))
+    rows = [r if not r.startswith(f"{word},1,") else ",".join(r.split(",")[:3] + first.split(",")[3:])
+            for r in rows]
+    bad.write_text("\n".join(rows) + "\n")
+    code, _, err = run(capsys, "simulate", "--builtin", "q3", "--schedule", str(bad), "--trace", str(trace))
+    assert code == 1
+    assert "back in time" in err and "Traceback" not in err
+    assert not trace.exists()
+
+
+def test_simulate_refuses_schedule_rows_off_the_factorization(tmp_path, capsys):
+    fact, sched, trace = tmp_path / "fact.json", tmp_path / "sched.csv", tmp_path / "trace.csv"
+    fact.write_text(json.dumps(run_json(capsys, "factorize", "--builtin", "q3")))
+    run_json(capsys, "schedule", "--builtin", "q3", "--factorization", str(fact), "--csv", str(sched))
+    with open(sched, "a", encoding="utf-8") as fh:
+        fh.write("99,0,0,9\n")  # a word keyed past the graph's 8 vertices
+    code, _, err = run(capsys, "simulate", "--builtin", "q3", "--schedule", str(sched),
+                       "--factorization", str(fact), "--trace", str(trace))
+    assert code == 1
+    assert err == f"error: {sched}: word key 99 is not a vertex of the 8-vertex graph\n"
+    assert not trace.exists()
+
+
 def factorization_with_n_off(capsys, which):
     """A q3 artifact whose 'n' says 7, keeping its first 7 words, or z7-124's artifact, each read against q3."""
     if which == "q3-n7":

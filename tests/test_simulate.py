@@ -16,14 +16,20 @@ from alltoall.simulate import (
     Expansion,
     expand_factor_paths,
     run_transpose,
-    trace_csv_rows,
 )
 from alltoall.words import bfs_word_set
 
 
-def trace_lines(trace, g):
-    """trace_csv_rows' text parsed back into (time, src, dst, gen, packet_src, packet_dst) tuples."""
-    return [tuple(map(int, line.split(","))) for line in "".join(trace_csv_rows(trace, g)).splitlines()]
+def replay_text(g, paths):
+    """The trace of run_transpose with a sink, and the text written to that sink."""
+    chunks = []
+    trace = run_transpose(g, paths, chunks.append)
+    return trace, "".join(chunks)
+
+
+def trace_lines(text):
+    """Trace text parsed back into (time, src, dst, gen, packet_src, packet_dst) tuples."""
+    return [tuple(map(int, line.split(","))) for line in text.splitlines()]
 
 
 def scheduled_corpus(name):
@@ -64,11 +70,11 @@ def test_cayley_plan_replays_alike_over_its_factors(name):
     # a Cayley word set is the spanning factorization whose factors are the generators
     g, ws, sched = scheduled_corpus(name)
     host = factor_digraph(tuple(zip(*g.out)))
-    over_graph = run_transpose(g, expand_factor_paths(g, ws, sched))
-    over_factors = run_transpose(host, expand_factor_paths(host, ws, sched))
+    over_graph, graph_text = replay_text(g, expand_factor_paths(g, ws, sched))
+    over_factors, factor_text = replay_text(host, expand_factor_paths(host, ws, sched))
     assert over_graph.clean and over_factors.clean
     assert over_graph.horizon == over_factors.horizon
-    assert trace_lines(over_graph, g) == trace_lines(over_factors, host)
+    assert graph_text == factor_text
 
 
 def test_expansion_rejects_invalid_schedule():
@@ -164,10 +170,12 @@ def test_packets_off_the_graph_raise(source, dest):
 
 def test_trace_rows_are_time_sorted_and_complete():
     g, ws, sched = scheduled_corpus("z7-124")
-    trace = run_transpose(g, expand_factor_paths(g, ws, sched))
-    rows = trace_lines(trace, g)
-    assert len(rows) == sum(len(row) - row.count(0) for row in trace.slots.values())
-    assert [r[0] for r in rows] == sorted(r[0] for r in rows)
+    _, text = replay_text(g, expand_factor_paths(g, ws, sched))
+    rows = trace_lines(text)
+    # every letter of every word crosses one arc from each of the n bases
+    assert len(rows) == g.vertex_count * sum(map(len, ws.values()))
+    order = [(time, src, gen) for time, src, _, gen, _, _ in rows]
+    assert order == sorted(set(order))  # (slot, tail, out-position) order, each arc once a slot
     for time, src, dst, gen, ps, pd in rows:
         assert g.out[src][gen] == dst
 
@@ -260,7 +268,7 @@ def packet_list(packets):
 def assert_replays_agree(g, paths, packets=None):
     """run_transpose over `packets` (default: the paths themselves) matches the reference over `paths`."""
     horizon, conflicts, undelivered, delivered, rows = reference_replay(g, paths)
-    trace = run_transpose(g, paths if packets is None else packets)
+    trace, text = replay_text(g, paths if packets is None else packets)
     n = g.vertex_count
     assert trace.horizon == horizon
     assert list(trace.conflicts) == conflicts
@@ -268,7 +276,7 @@ def assert_replays_agree(g, paths, packets=None):
     counts = {(s, d): trace.deliveries(s, d) for s in range(n) for d in range(n) if trace.deliveries(s, d)}
     assert counts == delivered
     assert trace.delivered_pairs == len(delivered)
-    assert trace_lines(trace, g) == rows
+    assert trace_lines(text) == rows
     assert trace.clean == (not conflicts and not undelivered and all(c == 1 for c in delivered.values()))
     return trace
 
@@ -364,20 +372,27 @@ def test_flat_replay_matches_reference_on_an_irregular_host():
     assert len(trace.conflicts) == 1
 
 
+def replay_with_peak(g, paths):
+    """replay_text, plus the peak memory it allocated."""
+    tracemalloc.start()
+    try:
+        trace, text = replay_text(g, paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return trace, text, peak
+
+
 def test_memory_follows_the_slots_used_not_the_horizon():
     g = fixtures.builtin_graph("q3")
     paths = [
         (0, 1, (0,), (0,), (1,)),
         (1, 0, (1,), (0,), (10**9,)),
     ]
-    tracemalloc.start()
-    try:
-        trace = assert_replays_agree(g, paths)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    assert_replays_agree(g, paths)
+    trace, text, peak = replay_with_peak(g, paths)
     assert trace.horizon == 10**9
-    assert sorted(trace.slots) == [1, 10**9]
+    assert [row[0] for row in trace_lines(text)] == [1, 10**9]
     assert peak < 2**20
 
 
@@ -391,28 +406,41 @@ def expansion(g, jobs):
     return Expansion(succ=g.out, jobs=jobs)
 
 
-def assert_word_pass_agrees(g, expanded, monkeypatch):
-    """The replay of an Expansion equals the packet-by-packet one; returns it and whether the word pass settled it."""
-    settled = []
+def replay_watched(g, expanded):
+    """(trace, text, settled) of the replay of an Expansion with a sink; settled when the word pass took it.
 
-    def spy(*args):
-        result = real(*args)
-        settled.append(result is not None)
-        return result
+    The log holds the sink's writes and a None where the packet-by-packet
+    replay starts walking the packets, which it does only for a plan the
+    word pass gave up on; that pass must give up before it writes anything.
+    """
+    log = []
 
-    real = simulate._replay_by_word
-    monkeypatch.setattr(simulate, "_replay_by_word", spy)
-    fast = run_transpose(g, expanded)
-    slow = run_transpose(g, packet_list(expanded))
-    assert len(settled) == 1
+    class Watched(Expansion):
+        def __iter__(self):
+            log.append(None)
+            return super().__iter__()
+
+    trace = run_transpose(g, Watched(expanded.succ, expanded.jobs), log.append)
+    settled = None not in log
+    assert settled or log[0] is None, "the word pass wrote rows before handing the plan on"
+    return trace, "".join(filter(None, log)), settled
+
+
+def assert_word_pass_agrees(g, expanded):
+    """The replay of an Expansion equals the packet-by-packet one, trace text included.
+
+    Returns it and whether the word pass settled it.
+    """
+    fast, fast_text, settled = replay_watched(g, expanded)
+    slow, slow_text = replay_text(g, packet_list(expanded))
     assert fast.horizon == slow.horizon
     assert fast.conflicts == slow.conflicts
     assert fast.undelivered == slow.undelivered
     assert fast.counts == slow.counts
-    assert trace_lines(fast, g) == trace_lines(slow, g)
+    assert fast_text == slow_text
     assert fast.clean == slow.clean
     assert_replays_agree(g, packet_list(expanded), packets=expanded)
-    return fast, settled[0]
+    return fast, settled
 
 
 def assert_same_error(g, expanded, match):
@@ -431,7 +459,7 @@ def kautz_2_2():
 
 
 @pytest.mark.parametrize("name", ["c4", "z5-12", "z7-124", "q3"])
-def test_word_pass_refuses_conflicting_slots(name, monkeypatch):
+def test_word_pass_refuses_conflicting_slots(name):
     g = fixtures.builtin_graph(name)
     words = list(bfs_word_set(g, mode="load-balanced").values())
     rng = random.Random(17)
@@ -439,20 +467,20 @@ def test_word_pass_refuses_conflicting_slots(name, monkeypatch):
     for horizon in (3, 5, 12):
         for _ in range(3):
             jobs = [(w, tuple(sorted(rng.sample(range(1, horizon + 1), len(w))))) for w in words]
-            trace, settled = assert_word_pass_agrees(g, expansion(g, jobs), monkeypatch)
+            trace, settled = assert_word_pass_agrees(g, expansion(g, jobs))
             assert settled == (not trace.conflicts)
             refused += not settled
     assert refused
 
 
-def test_word_pass_refuses_columns_that_are_not_permutations(monkeypatch):
+def test_word_pass_refuses_columns_that_are_not_permutations():
     g = kautz_2_2()
     rng = random.Random(5)
     conflicts = 0
     for _ in range(10):
         words = [tuple(rng.randrange(2) for _ in range(rng.randint(1, 3))) for _ in range(5)]
         jobs = [(w, tuple(range(1 + k, 1 + k + len(w)))) for k, w in enumerate(words)]
-        trace, settled = assert_word_pass_agrees(g, expansion(g, jobs), monkeypatch)
+        trace, settled = assert_word_pass_agrees(g, expansion(g, jobs))
         assert not settled
         conflicts += len(trace.conflicts)
     assert conflicts
@@ -464,38 +492,38 @@ def test_word_pass_leaves_broken_slots_to_the_packet_replay(times):
     assert_same_error(g, expansion(g, [((0,), (1,)), ((0, 1), times)]), "back in time")
 
 
-def test_word_pass_on_an_irregular_host(monkeypatch):
+def test_word_pass_on_an_irregular_host():
     g = Digraph(out=((1, 2), (2,), (0,)))
     # position 0 is a permutation held by every vertex: the word pass settles it
-    trace, settled = assert_word_pass_agrees(g, expansion(g, [((0,), (1,)), ((0, 0), (2, 3))]), monkeypatch)
+    trace, settled = assert_word_pass_agrees(g, expansion(g, [((0,), (1,)), ((0, 0), (2, 3))]))
     assert settled and trace.clean
     # position 1 exists at vertex 0 only
     assert_same_error(g, expansion(g, [((0,), (1,)), ((1,), (2,))]), "out of range")
 
 
-def test_word_pass_counts_duplicate_deliveries(monkeypatch):
+def test_word_pass_counts_duplicate_deliveries():
     g = fixtures.builtin_graph("z7-124")
     ws = bfs_word_set(g, mode="load-balanced")
     jobs = [(w, tuple(range(1, len(w) + 1))) for w in ws.values() if len(w) == 1]
     jobs.append((jobs[0][0], (4,)))  # a second key carrying the first word, one slot later
-    trace, settled = assert_word_pass_agrees(g, expansion(g, jobs), monkeypatch)
+    trace, settled = assert_word_pass_agrees(g, expansion(g, jobs))
     assert settled and not trace.conflicts and not trace.clean
     assert trace.deliveries(0, g.out[0][jobs[0][0][0]]) == 2
 
 
 @pytest.mark.parametrize("name", ["c4", "k4", "z5-12", "z7-124", "q3"])
-def test_word_pass_settles_valid_schedules(name, monkeypatch):
+def test_word_pass_settles_valid_schedules(name):
     g = fixtures.builtin_graph(name)
     ws = bfs_word_set(g, mode="load-balanced")
     rng = random.Random(23)
     for _ in range(5):
         sched = random_valid_schedule(ws, rng)
         jobs = [(w, sched.times[key]) for key, w in ws.items()]
-        trace, settled = assert_word_pass_agrees(g, expansion(g, jobs), monkeypatch)
+        trace, settled = assert_word_pass_agrees(g, expansion(g, jobs))
         assert settled and trace.clean
 
 
-def test_word_pass_settles_valid_schedules_over_factors(monkeypatch):
+def test_word_pass_settles_valid_schedules_over_factors():
     found = search_spanning_factorization(fixtures.builtin_graph("petersen"))
     word_map = {i: w for i, w in enumerate(found.words) if w}
     host = factor_digraph(found.factors)
@@ -503,5 +531,50 @@ def test_word_pass_settles_valid_schedules_over_factors(monkeypatch):
     for _ in range(5):
         sched = random_valid_schedule(word_map, rng)
         jobs = [(w, sched.times[key]) for key, w in word_map.items()]
-        trace, settled = assert_word_pass_agrees(host, expansion(host, jobs), monkeypatch)
+        trace, settled = assert_word_pass_agrees(host, expansion(host, jobs))
         assert settled and trace.clean
+
+
+def builtin_plans(name):
+    """(host, words) of a builtin's plans: over a searched spanning factorization, and over its generators."""
+    g = fixtures.builtin_graph(name)
+    found = search_spanning_factorization(g)
+    plans = [(factor_digraph(found.factors), {i: w for i, w in enumerate(found.words) if w})]
+    if g.is_cayley:
+        plans.append((g, bfs_word_set(g, mode="load-balanced")))
+    return plans
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.BUILTIN_SPECS))
+def test_streamed_trace_matches_the_packet_replay_on_every_builtin(name):
+    rng = random.Random(31)
+    for host, word_map in builtin_plans(name):
+        degree = len(host.out[0])
+        schedules = [greedy_schedule(word_map, degree), exact_min_schedule(word_map, degree).schedule]
+        schedules += [random_valid_schedule(word_map, rng) for _ in range(3)]
+        for sched in schedules:
+            trace, settled = assert_word_pass_agrees(host, expand_factor_paths(host, word_map, sched))
+            assert settled and trace.clean
+
+
+def test_a_double_booked_last_slot_falls_back_before_any_row_is_written():
+    g, ws, sched = scheduled_corpus("q3")
+    jobs = list(expand_factor_paths(g, ws, sched).jobs)
+    last = max(times[-1] for _, times in jobs)
+    word = next(word for word, times in jobs if times[-1] == last)
+    # a lone letter on a (slot, position) the plan already uses, in its last slot
+    jobs.append(((word[-1],), (last,)))
+    trace, settled = assert_word_pass_agrees(g, expansion(g, jobs))
+    assert not settled and trace.conflicts
+    assert {conflict[0] for conflict in trace.conflicts} == {last}
+
+
+def test_a_lone_letter_at_slot_10_9_writes_two_slots_in_memory_that_ignores_the_horizon():
+    g = fixtures.builtin_graph("q3")
+    expanded = expansion(g, [((0,), (1,)), ((1,), (10**9,))])
+    trace, settled = assert_word_pass_agrees(g, expanded)
+    assert settled and trace.horizon == 10**9
+    _, text, peak = replay_with_peak(g, expanded)
+    assert sorted({row[0] for row in trace_lines(text)}) == [1, 10**9]
+    assert len(trace_lines(text)) == 2 * g.vertex_count
+    assert peak < 2**20
