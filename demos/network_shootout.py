@@ -26,7 +26,7 @@ ITERATIONS = 16
 
 def measured_tau(name):
     g = fixtures.builtin_graph(name)
-    words, sched = schedule_plan(g, bfs_word_set(g, mode="load-balanced"), "exact", DEFAULT_SCHEDULE_BUDGET)
+    words, sched = schedule_plan(g, bfs_word_set(g), "exact", DEFAULT_SCHEDULE_BUDGET)
     trace = run_transpose(g, expand_factor_paths(g, words, sched))
     assert trace.clean
     return g, trace.horizon

@@ -10,7 +10,7 @@ The usual flow:
 
     spec = fixtures.builtin_spec("z7-124")
     g = graphs.build_cayley_coset_graph(spec)
-    ws = words.bfs_word_set(g, mode="load-balanced")
+    ws = words.bfs_word_set(g)
     plan, sched = scheduling.schedule_plan(g, ws, "exact", scheduling.DEFAULT_SCHEDULE_BUDGET)
     trace = simulate.run_transpose(g, simulate.expand_factor_paths(g, plan, sched))
     assert trace.clean

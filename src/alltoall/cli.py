@@ -359,7 +359,7 @@ def cmd_words(args) -> int:
     g = _load_graph(args)
     if not isinstance(g, CosetGraph):
         raise InputError("word sets need a group-form spec, not a raw digraph")
-    doc = _words_doc(bfs_word_set(g, mode=args.mode), g.degree, average_diameter_bound(layer_profile(g)))
+    doc = _words_doc(bfs_word_set(g), g.degree, average_diameter_bound(layer_profile(g)))
     if args.exact:
         bound = regular_bound_exact(g, budget=args.budget)
         doc["psi_exact"] = bound.value
@@ -377,7 +377,7 @@ def cmd_factorize(args) -> int:
         doc = _factorization_doc(g.vertex_count, *found)
     elif isinstance(g, CosetGraph) and g.is_cayley:
         # the generators are the factors, and the word set (plus the base's empty word) spans
-        words = bfs_word_set(g, mode=args.mode)
+        words = bfs_word_set(g)
         listed = [words.get(v, ()) for v in range(g.vertex_count)]
         doc = _factorization_doc(g.vertex_count, tuple(zip(*g.out)), listed)
     else:
@@ -399,7 +399,7 @@ def cmd_schedule(args) -> int:
     else:
         if not (isinstance(g, CosetGraph) and g.is_cayley):
             raise InputError("scheduling a coset graph or raw digraph needs --words or --factorization")
-        host, words = g, bfs_word_set(g, mode=args.mode)
+        host, words = g, bfs_word_set(g)
     degree = len(host.out[0])
     word_map = {k: w for k, w in words.items() if w}
     scheduled = _schedule(host, word_map, degree, profile, args.method, args.budget, args.csv, args.out)
@@ -410,6 +410,7 @@ def cmd_simulate(args) -> int:
     g = _load_graph(args)
     word_map, sched = _read_schedule_csv(args.schedule)
     profile = layer_profile(g)
+    host = g
     if args.factorization:
         n = g.vertex_count
         factors, _ = _parse_factorization_doc(_read_json(args.factorization), args.factorization, g)
@@ -423,10 +424,6 @@ def cmd_simulate(args) -> int:
         except InputError as exc:
             raise InputError(f"refusing to expand an unverified factorization: {exc}") from None
         host, word_map = factor_digraph(factors), {i: w for i, w in enumerate(words) if w}
-    elif not isinstance(g, CosetGraph):
-        raise InputError("raw digraph schedules replay over factors; pass --factorization")
-    else:
-        host = g
     _, code = _replay(host, word_map, sched, average_diameter_bound(profile), args.trace, args.out)
     return code
 
@@ -437,9 +434,9 @@ def cmd_pipeline(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     profile = layer_profile(g)
     theta = average_diameter_bound(profile)
-    cayley = isinstance(g, CosetGraph) and g.is_cayley and not args.search
+    cayley = isinstance(g, CosetGraph) and g.is_cayley
     if cayley:
-        host, words = g, bfs_word_set(g, mode=args.mode)
+        host, words = g, bfs_word_set(g)
     else:
         found = _search_factorization(g, args.budget, args.max_slack)
         if found is None:
@@ -541,7 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("words", help="shortest-word set and occupancy")
     _add_graph_source(p)
-    p.add_argument("--mode", choices=("first-found", "load-balanced"), default="load-balanced")
     p.add_argument("--exact", action="store_true", help="also search for the exact regular bound")
     p.add_argument("--budget", type=int, default=DEFAULT_WORD_BUDGET,
                    help="node budget for --exact; also caps the letters of the words it lists")
@@ -555,8 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     p.add_argument("--max-slack", type=int, default=2,
                    help="extra total word length allowed beyond the BFS floor")
-    p.add_argument("--mode", choices=("first-found", "load-balanced"), default="load-balanced",
-                   help="word choice for the Cayley construction")
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=cmd_factorize)
 
@@ -565,8 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group()
     src.add_argument("--words", metavar="FILE", help="words artifact from the words subcommand")
     src.add_argument("--factorization", metavar="FILE", help="artifact from the factorize subcommand")
-    p.add_argument("--mode", choices=("first-found", "load-balanced"), default="load-balanced",
-                   help="word choice when neither artifact is given")
     p.add_argument("--method", choices=("exact", "greedy"), default="exact")
     p.add_argument("--budget", type=int, default=DEFAULT_SCHEDULE_BUDGET)
     p.add_argument("--csv", metavar="FILE", help="write schedule rows here")
@@ -577,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p)
     p.add_argument("--schedule", metavar="FILE", required=True, help="schedule CSV to replay")
     p.add_argument("--factorization", metavar="FILE",
-                   help="replay over these factors instead of generator labels")
+                   help="replay over these factors instead of the graph's own out-positions")
     p.add_argument("--trace", metavar="FILE", help="write the trace CSV here")
     p.add_argument("--out", metavar="FILE", help="write the JSON verdict here instead of stdout")
     p.set_defaults(func=cmd_simulate)
@@ -585,10 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="full chain with a final verdict line")
     _add_graph_source(p)
     p.add_argument("--outdir", metavar="DIR", default="out", help="artifact directory (default: out)")
-    p.add_argument("--mode", choices=("first-found", "load-balanced"), default="load-balanced")
     p.add_argument("--method", choices=("exact", "greedy"), default="exact")
-    p.add_argument("--search", action="store_true",
-                   help="force the spanning-factorization route even for Cayley graphs")
     p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET,
                    help="node budget for the factorization search")
     p.add_argument("--max-slack", type=int, default=2)
@@ -621,6 +610,9 @@ def main(argv=None) -> int:
     except SearchBudgetError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # every input is read through InputError, so this is an output
+        print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -58,8 +58,8 @@ def distances_from(g: Digraph, base: int = 0) -> list[int]:
     return _bfs_distances(g, base)
 
 
-def layer_profile(g: Digraph, base: int = 0) -> LayerProfile:
-    """Layer sizes from `base`; pair counts inferred on coset graphs, measured on raw digraphs.
+def layer_profile(g: Digraph) -> LayerProfile:
+    """Layer sizes from vertex 0; pair counts inferred on coset graphs, measured on raw digraphs.
 
     Left multiplication by a group element maps each coset's out-neighbours
     onto the out-neighbours of its image, so on a coset graph every source
@@ -69,7 +69,7 @@ def layer_profile(g: Digraph, base: int = 0) -> LayerProfile:
     """
     n = g.vertex_count
     degree = len(g.out[0])
-    base_dist = _bfs_distances(g, base)
+    base_dist = _bfs_distances(g, 0)
     sizes = [0] * (max(base_dist) + 1)
     for dv in base_dist:
         sizes[dv] += 1
@@ -79,7 +79,7 @@ def layer_profile(g: Digraph, base: int = 0) -> LayerProfile:
     else:
         pair_counts = [0] * len(sizes)
         for src in range(n):
-            dist = base_dist if src == base else _bfs_distances(g, src)
+            dist = base_dist if src == 0 else _bfs_distances(g, src)
             local = max(dist)
             if local >= len(pair_counts):
                 pair_counts.extend([0] * (local + 1 - len(pair_counts)))
@@ -104,10 +104,4 @@ def average_diameter_bound(profile: LayerProfile) -> int:
     """
     total = sum(k * nk for k, nk in enumerate(profile.layer_sizes))
     return -(-total // profile.degree)
-
-
-def global_time_bound(profile: LayerProfile) -> int:
-    """ceil(total pair work / total arc capacity); never exceeds the average bound."""
-    total = sum(k * nk for k, nk in enumerate(profile.pair_counts))
-    return -(-total // (profile.vertex_count * profile.degree))
 

@@ -37,7 +37,7 @@ from typing import Mapping, Sequence
 
 from .errors import InputError, SearchBudgetError, UnsupportedGraphError
 from .graphs import Digraph, letters_commute
-from .layers import LayerProfile, global_time_bound
+from .layers import LayerProfile, average_diameter_bound
 
 DEFAULT_SCHEDULE_BUDGET = 10_000_000
 
@@ -214,9 +214,8 @@ def _swap_path(at_factor, at_word, free, j: int, a: int, b: int) -> None:
 class MinScheduleResult:
     """Outcome of the exact makespan search.
 
-    status is "optimal" (schedule proven shortest), "infeasible" (no valid
-    labeling within t_max exists), or "budget" (undecided: the node budget
-    ran out first).
+    status is "optimal" (schedule proven shortest) or "budget" (undecided:
+    the node budget ran out first).
     """
 
     status: str
@@ -287,38 +286,33 @@ def _feasible_at(jobs: list[tuple[int, tuple[int, ...]]], degree: int, horizon: 
 def exact_min_schedule(
     word_map: WordMap,
     degree: int,
-    t_max: int | None = None,
     budget: int = DEFAULT_SCHEDULE_BUDGET,
 ) -> MinScheduleResult:
     """Search for the shortest valid labeling, horizon by horizon.
 
-    Tries every makespan from the trivial lower bound (busiest factor count,
-    but at least the longest word) up to t_max; the first feasible horizon
-    is optimal.  Branch and bound inside each horizon; the budget is shared
-    across horizons, and running out yields status "budget" rather than a
-    wrong verdict.
+    Tries every makespan up from the trivial lower bound (busiest factor
+    count, but at least the longest word); the first feasible horizon is
+    optimal.  One horizon always is: at the total letter count, the serial
+    schedule fits.  Branch and bound inside each horizon; the budget is
+    shared across horizons, and running out yields status "budget" rather
+    than a wrong verdict.
     """
     jobs = sorted(((k, tuple(w)) for k, w in word_map.items() if len(w) > 0), key=lambda kw: (-len(kw[1]), kw[0]))
     if not jobs:
         return MinScheduleResult(status="optimal", schedule=Schedule(times={}), makespan=0, nodes=0)
     counts = factor_occurrences(word_map, degree)
     floor = max(max(counts), max(len(w) for _, w in jobs))
-    if t_max is None:
-        t_max = sum(len(w) for _, w in jobs)
-    if t_max < floor:
-        return MinScheduleResult(status="infeasible", schedule=None, makespan=None, nodes=0)
     budget_box = [budget]
-    for horizon in range(floor, t_max + 1):
-        assignment = _feasible_at(jobs, degree, horizon, budget_box)
-        if assignment is not None:
-            schedule = Schedule(times=assignment)
-            validate_schedule(word_map, schedule, degree)
-            return MinScheduleResult(
-                status="optimal", schedule=schedule, makespan=schedule.makespan, nodes=budget - budget_box[0]
-            )
+    horizon = floor
+    while (assignment := _feasible_at(jobs, degree, horizon, budget_box)) is None:
         if budget_box[0] <= 0:
             return MinScheduleResult(status="budget", schedule=None, makespan=None, nodes=budget)
-    return MinScheduleResult(status="infeasible", schedule=None, makespan=None, nodes=budget - budget_box[0])
+        horizon += 1
+    schedule = Schedule(times=assignment)
+    validate_schedule(word_map, schedule, degree)
+    return MinScheduleResult(
+        status="optimal", schedule=schedule, makespan=schedule.makespan, nodes=budget - budget_box[0]
+    )
 
 
 def schedule_plan(
@@ -415,11 +409,12 @@ class ScheduleFlags:
     """How a word collection and its schedule relate to the graph's bounds.
 
     Four nested equalities along the chain
-        global pair bound <= ceil(total count / d) <= max count <= makespan:
+        theta <= ceil(total count / d) <= max count <= makespan,
+    where theta is layers.average_diameter_bound of the base's layers:
     balanced closes the middle gap (no factor above average), short closes
-    the left gap (total work at the graph's floor), optimal closes both
-    (max count down at the global bound), minimum closes the right gap
-    (the schedule wastes no slot on its busiest factor).
+    the left gap (total work at the base's floor), optimal closes both
+    (max count down at theta), minimum closes the right gap (the schedule
+    wastes no slot on its busiest factor).
     """
 
     balanced: bool
@@ -432,24 +427,26 @@ def classify(word_map: WordMap, schedule: Schedule, degree: int, profile: LayerP
     """Flags plus a consistency check of the bound chain they rely on.
 
     `schedule` must already be valid for `word_map`, as greedy_schedule and
-    exact_min_schedule results are.  The chain global <= ceil(total/d) <=
-    max count <= makespan must hold for any valid schedule of base-0 words;
-    a violation means a bug upstream, so it raises.
+    exact_min_schedule results are.  The chain theta <= ceil(total/d) <=
+    max count <= makespan must hold for any valid schedule of words that
+    reach every vertex from the base, since such words carry at least the
+    base's distance sum in letters; a violation means a bug upstream, so it
+    raises.
     """
     counts = factor_occurrences(word_map, degree)
     total = sum(counts)
     max_count = max(counts) if counts else 0
     avg_count = -(-total // degree) if degree else 0
-    global_bound = global_time_bound(profile)
+    theta = average_diameter_bound(profile)
     makespan = schedule.makespan
-    if not (global_bound <= avg_count <= max_count <= makespan):
+    if not (theta <= avg_count <= max_count <= makespan):
         raise InputError(
-            f"bound chain violated: global={global_bound}, ceil(total/d)={avg_count}, "
+            f"bound chain violated: theta={theta}, ceil(total/d)={avg_count}, "
             f"max={max_count}, makespan={makespan}"
         )
     return ScheduleFlags(
         balanced=max_count == avg_count,
-        short=avg_count == global_bound,
-        optimal=max_count == global_bound,
+        short=avg_count == theta,
+        optimal=max_count == theta,
         minimum=makespan == max_count,
     )

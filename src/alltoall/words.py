@@ -57,29 +57,21 @@ def _require_cayley(g: CosetGraph) -> None:
         )
 
 
-def bfs_word_set(g: CosetGraph, mode: str = "first-found") -> dict[int, tuple[int, ...]]:
+def bfs_word_set(g: CosetGraph) -> dict[int, tuple[int, ...]]:
     """Assign shortest words in (distance, index) order, each extending a parent's word by one arc.
 
-    A vertex's candidates are the arcs into it from the layer above,
-    parents in increasing index, then out-positions in increasing order.
-    "first-found" takes the first candidate.  Since build_cayley_coset_graph
-    numbers vertices in breadth-first discovery order, scanning generators
-    in input order, that is the word breadth-first search from vertex 0
-    discovers the vertex by.  "load-balanced" takes the candidate whose
-    generator has the smallest total occurrence count so far, ties to the
-    smaller generator index and then the smaller parent, so the busiest
-    generator stays low.
+    A vertex's candidates are the arcs into it from the layer above.  Each
+    vertex takes the candidate whose generator has the smallest total
+    occurrence count so far, ties to the smaller generator index and then
+    the smaller parent, so the busiest generator stays low.
     """
     _require_cayley(g)
-    if mode not in ("first-found", "load-balanced"):
-        raise InputError(f"unknown word-set mode {mode!r}")
     dist = distances_from(g, 0)
     parents = _shortest_parents(g, dist)
     counts = [0] * g.degree
     words: dict[int, tuple[int, ...]] = {}
     for v in sorted(range(1, g.vertex_count), key=lambda v: (dist[v], v)):
-        arcs = [(counts[j], j, u) for u in parents[v] for j, t in enumerate(g.out[u]) if t == v]
-        _, j, u = arcs[0] if mode == "first-found" else min(arcs)
+        _, j, u = min([(counts[j], j, u) for u in parents[v] for j, t in enumerate(g.out[u]) if t == v])
         words[v] = words.get(u, ()) + (j,)
         for letter in words[v]:
             counts[letter] += 1
@@ -139,7 +131,7 @@ def regular_bound_exact(g: CosetGraph, budget: int = DEFAULT_WORD_BUDGET) -> Reg
     """Minimize the busiest generator count over all shortest word sets.
 
     Depth-first search over per-vertex word choices, vertices in (distance,
-    index) order, seeded with the load-balanced greedy answer and pruned
+    index) order, seeded with the bfs_word_set answer and pruned
     against both the incumbent and the averaged lower bound.  The budget
     caps, separately, the letters of the shortest words listed before the
     search and the letters of the words the search tries, since trying a
@@ -151,7 +143,7 @@ def regular_bound_exact(g: CosetGraph, budget: int = DEFAULT_WORD_BUDGET) -> Reg
     profile = layer_profile(g)
     floor = average_diameter_bound(profile)
 
-    incumbent = bfs_word_set(g, mode="load-balanced")
+    incumbent = bfs_word_set(g)
     incumbent_value = max(factor_occurrences(incumbent, g.degree))
     if incumbent_value <= floor:
         return RegularBound(value=incumbent_value, exact=True, witness=incumbent)

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import sys
+from collections import deque
 
 import pytest
 
@@ -212,6 +213,18 @@ def hypercube_spec(path, k):
     return str(path)
 
 
+def hypercube_digraph(k):
+    """Q_k without its group: out-position j of u flips bit j."""
+    return Digraph(out=tuple(tuple(u ^ (1 << j) for j in range(k)) for u in range(1 << k)))
+
+
+def digraph_spec(path, g):
+    """g as a raw-digraph spec file, its arcs in (u, j) order so that out-position j stays j."""
+    arcs = [[u, v] for u, heads in enumerate(g.out) for v in heads]
+    path.write_text(json.dumps({"digraph": {"n": g.vertex_count, "arcs": arcs}}))
+    return str(path)
+
+
 def schedule_csv_words(path):
     words = {}
     with open(path, encoding="utf-8", newline="") as fh:
@@ -242,9 +255,10 @@ def test_pipeline_words_artifact_holds_the_scheduled_letter_order(tmp_path, caps
 
 
 def test_pipeline_factorization_artifact_holds_the_scheduled_letter_order(tmp_path, capsys):
-    spec = hypercube_spec(tmp_path / "q4.json", 4)
+    # a raw digraph takes the search route, here to factors whose letters commute
+    spec = digraph_spec(tmp_path / "q4.json", hypercube_digraph(4))
     out = tmp_path / "out"
-    code, stdout, err = run(capsys, "pipeline", "--spec", spec, "--search", "--outdir", str(out))
+    code, stdout, err = run(capsys, "pipeline", "--spec", spec, "--outdir", str(out))
     assert code == 0, err
     assert stdout.strip().splitlines()[-1] == "tau=8 theta=8 psi_W=8 optimal=true"
     listed = json.loads((out / "factorization.json").read_text())["words"]
@@ -269,6 +283,68 @@ def test_schedule_reorders_words_without_rewriting_its_input(tmp_path, capsys):
     assert {k: sorted(w) for k, w in scheduled.items()} == {k: sorted(w) for k, w in given.items()}
     verdict = run_json(capsys, "simulate", "--spec", spec, "--schedule", str(sched))
     assert verdict == {"tau": 16, "conflicts": 0, "undelivered": 0, "theta": 16, "optimal": True}
+
+
+def bfs_words_doc(g):
+    """A words artifact: breadth-first words from vertex 0 over g's out-positions."""
+    words = {0: []}
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for j, v in enumerate(g.out[u]):
+            if v not in words:
+                words[v] = words[u] + [j]
+                queue.append(v)
+    return {"words": {str(v): w for v, w in words.items() if v}}
+
+
+@pytest.mark.parametrize("name,code,verdict", [
+    ("q4", 0, {"tau": 8, "conflicts": 0, "undelivered": 0, "theta": 8, "optimal": True}),
+    ("kautz-2-2", 2, None),
+])
+def test_simulate_replays_a_raw_digraph_plan_on_the_graph(tmp_path, capsys, name, code, verdict):
+    # without --factorization the graph is the host, as it was for schedule --words
+    g = kautz(2, 2) if name == "kautz-2-2" else hypercube_digraph(4)
+    spec = digraph_spec(tmp_path / "spec.json", g)
+    words, sched = tmp_path / "words.json", tmp_path / "sched.csv"
+    words.write_text(json.dumps(bfs_words_doc(g)))
+    run_json(capsys, "schedule", "--spec", spec, "--words", str(words), "--csv", str(sched))
+    got, out, err = run(capsys, "simulate", "--spec", spec, "--schedule", str(sched))
+    assert got == code, err
+    doc = json.loads(out)
+    if verdict is not None:
+        assert doc == verdict
+    else:  # the same words from another base miss some vertices: the replay says so
+        assert doc["undelivered"] > 0 and not doc["optimal"]
+
+
+def test_schedule_on_a_raw_digraph_that_is_not_vertex_transitive(tmp_path, capsys):
+    # vertex 0 is closer to the rest than the average vertex, so the all-pairs bound (8) exceeds theta (7)
+    arcs = [[0, 1], [0, 4], [1, 5], [1, 6], [2, 0], [2, 3], [3, 2], [3, 4],
+            [4, 2], [4, 7], [5, 6], [5, 7], [6, 0], [6, 3], [7, 1], [7, 5]]
+    spec, words = tmp_path / "spec.json", tmp_path / "words.json"
+    spec.write_text(json.dumps({"digraph": {"n": 8, "arcs": arcs}}))
+    words.write_text(json.dumps({"words": {"1": [0], "4": [1], "5": [0, 0], "6": [0, 1], "2": [1, 0],
+                                           "7": [1, 1], "3": [0, 1, 1]}}))
+    doc = run_json(capsys, "schedule", "--spec", str(spec), "--words", str(words))
+    assert doc["makespan"] == 7
+    assert doc["bounds"]["theta"] == 7
+    assert doc["flags"] == {"balanced": True, "short": True, "optimal": True, "minimum": True}
+
+
+@pytest.mark.parametrize("argv", [
+    ("words", "--builtin", "q3", "--mode", "load-balanced"),
+    ("factorize", "--builtin", "q3", "--mode", "load-balanced"),
+    ("schedule", "--builtin", "q3", "--mode", "load-balanced"),
+    ("pipeline", "--builtin", "q3", "--mode", "load-balanced", "--outdir", "{out}"),
+    ("pipeline", "--builtin", "q3", "--search", "--outdir", "{out}"),
+], ids=["words-mode", "factorize-mode", "schedule-mode", "pipeline-mode", "pipeline-search"])
+def test_removed_route_options_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code, _, err = run(capsys, *(a.replace("{out}", str(out)) for a in argv))
+    assert code == 1
+    assert "unrecognized arguments: " in err
+    assert not out.exists()
 
 
 def test_pipeline_petersen_takes_factor_route(tmp_path, capsys):
@@ -546,6 +622,37 @@ def test_digraph_without_arcs_is_an_input_error(tmp_path, capsys, argv):
     code, _, err = run(capsys, argv[0], "--spec", str(spec), *argv[1:])
     assert code == 1
     assert err.startswith("error: $.digraph.arcs: ") and "Traceback" not in err
+
+
+# each output flag, with the command line around it; {bad} is the path that cannot be written
+OUTPUT_FLAGS = {
+    "bounds-out": ("bounds", "--builtin", "q3", "--out", "{bad}"),
+    "bounds-adjacency": ("bounds", "--builtin", "q3", "--adjacency", "{bad}"),
+    "words-out": ("words", "--builtin", "q3", "--out", "{bad}"),
+    "factorize-out": ("factorize", "--builtin", "q3", "--out", "{bad}"),
+    "schedule-csv": ("schedule", "--builtin", "q3", "--csv", "{bad}"),
+    "schedule-out": ("schedule", "--builtin", "q3", "--out", "{bad}"),
+    "simulate-trace": ("simulate", "--builtin", "q3", "--schedule", "{sched}", "--trace", "{bad}"),
+    "simulate-out": ("simulate", "--builtin", "q3", "--schedule", "{sched}", "--out", "{bad}"),
+    "pipeline-outdir": ("pipeline", "--builtin", "q3", "--outdir", "{bad}"),
+    "compare-ranking": ("compare", "{a}", "{b}", "--gamma-max", "40000", "--ranking", "{bad}"),
+    "compare-out": ("compare", "{a}", "{b}", "--gamma-max", "40000", "--out", "{bad}"),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(OUTPUT_FLAGS))
+def test_unwritable_output_is_an_error_naming_its_path(tmp_path, capsys, flag):
+    sched = tmp_path / "q3.csv"
+    run_json(capsys, "schedule", "--builtin", "q3", "--csv", str(sched))
+    # an output directory that is a file cannot be made; a file in a missing directory cannot be opened
+    bad = tmp_path / "taken" if flag == "pipeline-outdir" else tmp_path / "nodir" / "f"
+    (tmp_path / "taken").write_text("")
+    fill = {"{bad}": str(bad), "{sched}": str(sched),
+            "{a}": write_network(tmp_path / "a.json", P=4096, d=8, D=6, rho=64),
+            "{b}": write_network(tmp_path / "b.json", P=1024, d=10, D=5, rho=64)}
+    code, _, err = run(capsys, *(fill.get(a, a) for a in OUTPUT_FLAGS[flag]))
+    assert code == 1
+    assert err.startswith(f"error: cannot write {bad}: ") and "Traceback" not in err
 
 
 def write_network(path, **fields):

@@ -123,9 +123,9 @@ def test_verify_spanning_reports_collisions():
         verify_spanning(factors, ((), (0,)), 3)
 
 
-def cayley_factorization(g, mode):
+def cayley_factorization(g):
     """A Cayley graph's generator columns as factors, its word set plus the base's empty word as words."""
-    words = bfs_word_set(g, mode=mode)
+    words = bfs_word_set(g)
     return tuple(zip(*g.out)), tuple(words.get(v, ()) for v in range(g.vertex_count))
 
 
@@ -136,7 +136,7 @@ def cayley_factorization(g, mode):
 ])
 def test_cayley_construction_gives_shortest_words(name, lengths):
     g = fixtures.builtin_graph(name)
-    factors, words = cayley_factorization(g, "load-balanced")
+    factors, words = cayley_factorization(g)
     assert sorted(len(w) for w in words) == lengths
     verify_spanning(factors, words, g.vertex_count)
 
@@ -163,7 +163,7 @@ def test_cayley_construction_spans_on_random_specs():
     rng = random.Random(2209)
     for _ in range(120):
         g = build_cayley_coset_graph(random_cayley_spec(rng))
-        factors, words = cayley_factorization(g, rng.choice(["first-found", "load-balanced"]))
+        factors, words = cayley_factorization(g)
         validate_one_factorization(g, factors)
         verify_spanning(factors, words, g.vertex_count)
 

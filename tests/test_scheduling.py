@@ -35,7 +35,7 @@ from test_graphs import abelian_specs, star
 
 def corpus_word_map(name):
     g = fixtures.builtin_graph(name)
-    ws = bfs_word_set(g, mode="load-balanced")
+    ws = bfs_word_set(g)
     return g, {v: w for v, w in ws.items() if w}
 
 
@@ -83,11 +83,6 @@ def test_exact_never_beats_greedy_backwards(name):
     assert exact.makespan <= greedy.makespan
 
 
-def test_exact_infeasible_below_floor():
-    res = exact_min_schedule({1: (0,), 2: (0,)}, degree=1, t_max=1)
-    assert res.status == "infeasible"
-
-
 def test_exact_budget_starvation_is_reported():
     _, word_map = corpus_word_map("q3")
     res = exact_min_schedule(word_map, 3, budget=0)
@@ -131,8 +126,7 @@ def iter_small_instances(d, max_singles, max_pairs):
 def test_tight_feasibility_matches_exact_search(d):
     for word_map in iter_small_instances(d, max_singles=2, max_pairs=2):
         horizon, ok = tight_schedule_feasible(word_map, d)
-        res = exact_min_schedule(word_map, d, t_max=horizon)
-        assert (res.status == "optimal") == ok, word_map
+        assert (exact_min_schedule(word_map, d).makespan <= horizon) == ok, word_map
 
 
 def test_two_layer_counts_and_invariant():
@@ -308,7 +302,7 @@ def test_open_shop_on_shuffled_words_of_abelian_graphs(spec, seed):
     g = build_cayley_coset_graph(spec)
     rng = random.Random(seed)
     word_map = {}
-    for v, w in bfs_word_set(g, mode="load-balanced").items():
+    for v, w in bfs_word_set(g).items():
         letters = list(w)
         rng.shuffle(letters)
         word_map[v] = tuple(letters)
@@ -345,7 +339,7 @@ def hypercube(k):
 def test_open_shop_colours_where_greedy_misses_the_floor():
     # Q5: greedy needs 18 slots, the floor is theta = 16
     g = hypercube(5)
-    word_map = dict(bfs_word_set(g, mode="load-balanced"))
+    word_map = dict(bfs_word_set(g))
     assert greedy_schedule(word_map, g.degree).makespan == 18
     words, sched = assert_open_shop_schedule(word_map, g.degree)
     assert sched.makespan == 16
@@ -368,7 +362,7 @@ def test_schedule_plan_picks_the_scheduler_from_the_host():
     assert schedule_plan(q3, word_map, "greedy", 0) == (word_map, greedy_schedule(word_map, q3.degree))
     assert schedule_plan(q3, word_map, "exact", 0) == open_shop_schedule(word_map, q3.degree)
     star4 = star(4)
-    words = bfs_word_set(star4, mode="load-balanced")
+    words = bfs_word_set(star4)
     assert not letters_commute(star4)
     exact = exact_min_schedule(words, star4.degree)
     assert schedule_plan(star4, words, "exact", DEFAULT_SCHEDULE_BUDGET) == (words, exact.schedule)

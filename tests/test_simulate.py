@@ -34,7 +34,7 @@ def trace_lines(text):
 
 def scheduled_corpus(name):
     g = fixtures.builtin_graph(name)
-    ws = bfs_word_set(g, mode="load-balanced")
+    ws = bfs_word_set(g)
     res = exact_min_schedule(ws, g.degree)
     return g, ws, res.schedule
 
@@ -204,7 +204,7 @@ def test_any_valid_labeling_expands_cleanly(name):
     # the heart of the construction: conflict-freedom for the base labeling
     # transfers to all shifted copies, however wasteful the labeling is
     g = fixtures.builtin_graph(name)
-    ws = bfs_word_set(g, mode="load-balanced")
+    ws = bfs_word_set(g)
     rng = random.Random(hash(name) & 0xFFFF)
     for _ in range(20):
         sched = random_valid_schedule(ws, rng)
@@ -299,7 +299,7 @@ def unchecked_paths(g, word_map, rng, horizon):
 @pytest.mark.parametrize("name", ["c4", "z5-12", "z7-124", "q3"])
 def test_flat_replay_matches_reference_on_valid_schedules(name):
     g = fixtures.builtin_graph(name)
-    ws = bfs_word_set(g, mode="load-balanced")
+    ws = bfs_word_set(g)
     rng = random.Random(7)
     for _ in range(5):
         expanded = expand_factor_paths(g, ws, random_valid_schedule(ws, rng))
@@ -320,7 +320,7 @@ def test_flat_replay_matches_reference_over_factors():
 @pytest.mark.parametrize("name", ["c4", "z5-12", "z7-124", "q3"])
 def test_flat_replay_matches_reference_on_conflicting_paths(name):
     g = fixtures.builtin_graph(name)
-    ws = bfs_word_set(g, mode="load-balanced")
+    ws = bfs_word_set(g)
     rng = random.Random(11)
     conflicts = 0
     for horizon in (3, 5, 12):
@@ -461,7 +461,7 @@ def kautz_2_2():
 @pytest.mark.parametrize("name", ["c4", "z5-12", "z7-124", "q3"])
 def test_word_pass_refuses_conflicting_slots(name):
     g = fixtures.builtin_graph(name)
-    words = list(bfs_word_set(g, mode="load-balanced").values())
+    words = list(bfs_word_set(g).values())
     rng = random.Random(17)
     refused = 0
     for horizon in (3, 5, 12):
@@ -503,7 +503,7 @@ def test_word_pass_on_an_irregular_host():
 
 def test_word_pass_counts_duplicate_deliveries():
     g = fixtures.builtin_graph("z7-124")
-    ws = bfs_word_set(g, mode="load-balanced")
+    ws = bfs_word_set(g)
     jobs = [(w, tuple(range(1, len(w) + 1))) for w in ws.values() if len(w) == 1]
     jobs.append((jobs[0][0], (4,)))  # a second key carrying the first word, one slot later
     trace, settled = assert_word_pass_agrees(g, expansion(g, jobs))
@@ -514,7 +514,7 @@ def test_word_pass_counts_duplicate_deliveries():
 @pytest.mark.parametrize("name", ["c4", "k4", "z5-12", "z7-124", "q3"])
 def test_word_pass_settles_valid_schedules(name):
     g = fixtures.builtin_graph(name)
-    ws = bfs_word_set(g, mode="load-balanced")
+    ws = bfs_word_set(g)
     rng = random.Random(23)
     for _ in range(5):
         sched = random_valid_schedule(ws, rng)
@@ -541,7 +541,7 @@ def builtin_plans(name):
     found = search_spanning_factorization(g)
     plans = [(factor_digraph(found.factors), {i: w for i, w in enumerate(found.words) if w})]
     if g.is_cayley:
-        plans.append((g, bfs_word_set(g, mode="load-balanced")))
+        plans.append((g, bfs_word_set(g)))
     return plans
 
 

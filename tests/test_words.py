@@ -7,7 +7,6 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
-from collections import deque
 
 import pytest
 
@@ -55,24 +54,28 @@ def brute_force_regular_bound(g):
     return best
 
 
-@pytest.mark.parametrize("mode", ["first-found", "load-balanced"])
+# the word sets the library makes: the load-balanced choice and the exact bound's witness
+WORD_SETS = {"load-balanced": bfs_word_set, "exact": lambda g: regular_bound_exact(g).witness}
+
+
+@pytest.mark.parametrize("rule", list(WORD_SETS))
 @pytest.mark.parametrize("name", CAYLEY_CORPUS)
-def test_word_sets_validate(name, mode):
+def test_word_sets_validate(name, rule):
     g = fixtures.builtin_graph(name)
-    ws = bfs_word_set(g, mode=mode)
+    ws = WORD_SETS[rule](g)
     validate_word_set(g, ws)
     assert set(ws) == set(range(1, g.vertex_count))
 
 
 def test_balanced_occurrences_on_z7():
     g = fixtures.builtin_graph("z7-124")
-    ws = bfs_word_set(g, mode="load-balanced")
+    ws = bfs_word_set(g)
     assert sorted(factor_occurrences(ws, g.degree)) == [3, 3, 3]
 
 
 def test_balanced_occurrences_on_q3():
     g = fixtures.builtin_graph("q3")
-    ws = bfs_word_set(g, mode="load-balanced")
+    ws = bfs_word_set(g)
     assert factor_occurrences(ws, g.degree) == [4, 4, 4]
 
 
@@ -80,7 +83,7 @@ def test_z5_imbalance_is_forced():
     # five vertices, two generators: some generator must appear ceil(6/2)=3
     # times in any word set, and the shortest-word structure forces 4
     g = fixtures.builtin_graph("z5-12")
-    ws = bfs_word_set(g, mode="load-balanced")
+    ws = bfs_word_set(g)
     assert sorted(factor_occurrences(ws, g.degree)) == [2, 4]
 
 
@@ -127,13 +130,13 @@ def test_exact_bound_values(name, psi):
     assert regular_bound_exact(g).value == psi
 
 
-@pytest.mark.parametrize("mode", ["first-found", "load-balanced"])
+@pytest.mark.parametrize("rule", list(WORD_SETS))
 @pytest.mark.parametrize("name", CAYLEY_CORPUS)
-def test_bound_chain_theta_psi_psiw(name, mode):
+def test_bound_chain_theta_psi_psiw(name, rule):
     g = fixtures.builtin_graph(name)
     theta = average_diameter_bound(layer_profile(g))
     psi = regular_bound_exact(g).value
-    psi_w = max(factor_occurrences(bfs_word_set(g, mode=mode), g.degree))
+    psi_w = max(factor_occurrences(WORD_SETS[rule](g), g.degree))
     assert theta <= psi <= psi_w
 
 
@@ -162,7 +165,7 @@ def torus(m):
 def test_word_listing_is_bounded_by_the_budget():
     # the 16x16 torus has 194,440 shortest words; its greedy seed (520) sits above theta (512)
     g = torus(16)
-    greedy = bfs_word_set(g, mode="load-balanced")
+    greedy = bfs_word_set(g)
     tracemalloc.start()
     try:
         bound = regular_bound_exact(g, budget=2000)
@@ -179,7 +182,7 @@ def test_word_listing_budget_counts_letters():
     # Z402 {1, 201} has 20,501 shortest words but ~2.75M letters (~22 MB listed);
     # a budget of 40,000 must stop the listing, not admit every word
     g = build_cayley_coset_graph(GroupSpec(group=CyclicGroup(402), generators=(1, 201)))
-    greedy = bfs_word_set(g, mode="load-balanced")
+    greedy = bfs_word_set(g)
     tracemalloc.start()
     try:
         bound = regular_bound_exact(g, budget=40000)
@@ -204,7 +207,7 @@ def test_search_budget_counts_letters():
         from alltoall.words import bfs_word_set, regular_bound_exact
         g = build_cayley_coset_graph(GroupSpec(group=CyclicGroup(402), generators=(1, 201)))
         bound = regular_bound_exact(g, budget=3_000_000)
-        print(bound.exact, bound.value, max(factor_occurrences(bfs_word_set(g, mode="load-balanced"), g.degree)))
+        print(bound.exact, bound.value, max(factor_occurrences(bfs_word_set(g), g.degree)))
     """)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -212,21 +215,6 @@ def test_search_budget_counts_letters():
     assert done.returncode == 0, done.stderr
     exact, value, greedy = done.stdout.split()
     assert exact == "False" and value == greedy
-
-
-def bfs_first_found_words(g):
-    """The first-found rule as a breadth-first search: each vertex keeps the word that discovers it."""
-    words: dict[int, tuple[int, ...]] = {}
-    seen = {0}
-    queue = deque([(0, ())])
-    while queue:
-        u, word = queue.popleft()
-        for j, v in enumerate(g.out[u]):
-            if v not in seen:
-                seen.add(v)
-                words[v] = word + (j,)
-                queue.append((v, words[v]))
-    return words
 
 
 def naive_balanced_words(g):
@@ -258,22 +246,16 @@ def multigraph_z9():
 @pytest.mark.parametrize("name", CAYLEY_CORPUS)
 def test_balanced_words_match_the_scan_over_all_parents(name):
     g = fixtures.builtin_graph(name)
-    assert bfs_word_set(g, mode="load-balanced") == naive_balanced_words(g)
+    assert bfs_word_set(g) == naive_balanced_words(g)
 
 
 def test_balanced_words_match_the_scan_on_a_multigraph():
-    assert bfs_word_set(multigraph_z9(), mode="load-balanced") == naive_balanced_words(multigraph_z9())
+    assert bfs_word_set(multigraph_z9()) == naive_balanced_words(multigraph_z9())
 
 
-@pytest.mark.parametrize("name", CAYLEY_CORPUS)
-def test_first_found_words_match_the_breadth_first_search(name):
-    g = fixtures.builtin_graph(name)
-    assert bfs_word_set(g, mode="first-found") == bfs_first_found_words(g)
 
-
-def test_first_found_words_match_the_search_on_a_multigraph_and_random_specs():
-    # vertex numbers are breadth-first discovery order, which is what makes the two rules agree
+def test_balanced_words_match_the_scan_on_random_specs():
     rng = random.Random(4011)
-    graphs = [multigraph_z9()] + [build_cayley_coset_graph(random_cayley_spec(rng)) for _ in range(120)]
-    for g in graphs:
-        assert bfs_word_set(g, mode="first-found") == bfs_first_found_words(g), g.spec
+    for _ in range(120):
+        g = build_cayley_coset_graph(random_cayley_spec(rng))
+        assert bfs_word_set(g) == naive_balanced_words(g), g.spec
