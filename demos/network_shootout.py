@@ -51,7 +51,7 @@ def main():
 
     print(f"{'name':8} {'P':>3} {'d':>2} {'P*d':>4} {'tau':>4} {'ideal tau':>9}")
     for name, p in params.items():
-        ideal = model_times(p, mode="ideal")
+        ideal = model_times(p)
         print(f"{name:8} {p.processors:>3} {p.degree:>2} {p.processors * p.degree:>4}"
               f" {taus[name]:>4} {str(ideal.tau):>9}")
     print()

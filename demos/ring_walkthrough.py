@@ -40,7 +40,7 @@ def main():
     print(f"generator occurrences: {factor_occurrences(ws, g.degree)}")
     print()
 
-    greedy = greedy_schedule(ws, g.degree)
+    greedy = greedy_schedule(ws)
     show_schedule("greedy schedule", ws, greedy)
     exact = exact_min_schedule(ws, g.degree)
     show_schedule("exact schedule", ws, exact.schedule)

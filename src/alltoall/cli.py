@@ -43,7 +43,7 @@ from .factorization import (
 )
 from .graphs import CosetGraph, Digraph, build_cayley_coset_graph, emit_adjacency, regular_degree
 from .groups import GroupSpec
-from .layers import average_diameter_bound, layer_profile
+from .layers import average_diameter_bound, diameter, layer_profile
 from .scheduling import (
     DEFAULT_SCHEDULE_BUDGET,
     Schedule,
@@ -215,8 +215,8 @@ def _read_schedule_csv(path: str) -> tuple[dict[int, tuple[int, ...]], Schedule]
 def _replay_to_file(host: Digraph, paths: Expansion, path: str):
     """run_transpose with the trace written to `path`, created at the replay's first write.
 
-    The replay writes nothing before it has settled the whole plan, so a
-    replay that raises leaves no file behind.
+    The replay checks the whole plan before it writes anything, so a replay
+    that raises leaves no file behind.
     """
     fh = None
 
@@ -345,7 +345,7 @@ def cmd_bounds(args) -> int:
     doc = {
         "P": profile.vertex_count,
         "d": profile.degree,
-        "D": profile.diameter,
+        "D": diameter(g, profile),
         "n": list(profile.layer_sizes),
         "theta": average_diameter_bound(profile),
     }

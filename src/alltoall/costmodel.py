@@ -76,7 +76,7 @@ def network_cost(processors, degree, cost_ratio):
 
 @dataclass(frozen=True)
 class TimeBreakdown:
-    """Compute, exchange, and total time; optimistic marks the ideal-tau mode."""
+    """Compute, exchange, and total time; optimistic marks an ideal tau, D*P/d, in place of a measured one."""
 
     compute: float
     exchange: float
@@ -85,11 +85,11 @@ class TimeBreakdown:
     optimistic: bool
 
 
-def model_times(params: CostParams, tau=None, mode: str = "measured") -> TimeBreakdown:
+def model_times(params: CostParams, tau=None) -> TimeBreakdown:
     """T_p = N*M*alpha(N)/P and T_c = M*(N/P)^2 * tau.
 
-    mode "measured" uses the supplied tau (e.g. from the simulator); mode
-    "ideal" optimistically takes tau = D*P/d, which simplifies T_c to
+    A supplied tau (e.g. from the simulator) is used as measured; with none,
+    the model optimistically takes tau = D*P/d, which simplifies T_c to
     M*N^2*D/(P*d).  Results carry the optimistic flag so downstream output
     can label them.
     """
@@ -97,19 +97,12 @@ def model_times(params: CostParams, tau=None, mode: str = "measured") -> TimeBre
     n = params.matrix_dim
     m = params.iterations
     compute = _div(n * m * params.alpha(), p)
-    if mode == "measured":
-        if tau is None:
-            raise InputError("measured mode needs a tau value (simulator output)")
-        exchange = _div(m * n * n * tau, p * p)
-        optimistic = False
-    elif mode == "ideal":
-        if tau is not None:
-            raise InputError("ideal mode derives tau itself; do not pass one")
+    optimistic = tau is None
+    if optimistic:
         tau = _div(params.avg_diameter * p, params.degree)
         exchange = _div(m * n * n * params.avg_diameter, p * params.degree)
-        optimistic = True
     else:
-        raise InputError(f"unknown mode {mode!r}")
+        exchange = _div(m * n * n * tau, p * p)
     return TimeBreakdown(
         compute=compute, exchange=exchange, total=compute + exchange, tau=tau, optimistic=optimistic
     )
@@ -208,10 +201,7 @@ def compare_networks(
         if not (wire_cost < gamma_max):
             eliminated.append((name, wire_cost))
             continue
-        if measured:
-            times = model_times(params, tau=taus[name], mode="measured")
-        else:
-            times = model_times(params, mode="ideal")
+        times = model_times(params, tau=taus[name] if measured else None)
         survivors.append(RankedNetwork(name=name, params=params, wire_cost=wire_cost, times=times))
     survivors.sort(key=lambda r: (-r.params.processors, r.times.total, r.name))
     if not survivors:

@@ -6,7 +6,7 @@ CosetGraph is a Digraph with its group attached: one vertex per left coset
 gH and an arc gH -> (g*d)H for each generator d, at out-position d's place
 in the generator list.  Labels stay attached through every later stage, so
 "generator index" means the same thing everywhere.  The group matters only
-where a stage can use it: pair counts inferred from symmetry, and word sets
+where a stage can use it: the diameter inferred from symmetry, and word sets
 read off generator labels on a Cayley graph.
 """
 

@@ -20,18 +20,12 @@ class LayerProfile:
     """Layer sizes and the derived time bound for one graph.
 
     layer_sizes[k] is the number of vertices at distance exactly k from the
-    base (so layer_sizes[0] == 1).  pair_counts[k] is the number of ordered
-    vertex pairs at distance k.  On a coset graph it is inferred from
-    symmetry as vertex_count * layer_sizes[k]; on a raw digraph it is
-    measured over all sources, since those need not look alike.  diameter
-    is the largest distance between any ordered pair.
+    base, vertex 0 (so layer_sizes[0] == 1).
     """
 
     vertex_count: int
     degree: int
-    diameter: int
     layer_sizes: tuple[int, ...]
-    pair_counts: tuple[int, ...]
 
 
 def _bfs_distances(g: Digraph, base: int) -> list[int]:
@@ -59,40 +53,27 @@ def distances_from(g: Digraph, base: int = 0) -> list[int]:
 
 
 def layer_profile(g: Digraph) -> LayerProfile:
-    """Layer sizes from vertex 0; pair counts inferred on coset graphs, measured on raw digraphs.
-
-    Left multiplication by a group element maps each coset's out-neighbours
-    onto the out-neighbours of its image, so on a coset graph every source
-    sees the base's layers and one BFS decides the profile.  A raw digraph
-    (a Kautz graph, say) need not look alike from every vertex, so its pair
-    counts and diameter come from a BFS per source.
-    """
-    n = g.vertex_count
-    degree = len(g.out[0])
+    """Layer sizes from vertex 0: one BFS."""
     base_dist = _bfs_distances(g, 0)
     sizes = [0] * (max(base_dist) + 1)
     for dv in base_dist:
         sizes[dv] += 1
+    return LayerProfile(vertex_count=g.vertex_count, degree=len(g.out[0]), layer_sizes=tuple(sizes))
 
+
+def diameter(g: Digraph, profile: LayerProfile) -> int:
+    """The largest distance between any ordered pair of vertices.
+
+    Left multiplication by a group element maps each coset's out-neighbours
+    onto the out-neighbours of its image, so on a coset graph every source
+    sees the base's layers and the profile decides it.  A raw digraph (a
+    Kautz graph, say) need not look alike from every vertex, so there it
+    takes a BFS per source.
+    """
+    base = len(profile.layer_sizes) - 1
     if isinstance(g, CosetGraph):
-        pair_counts = [n * s for s in sizes]
-    else:
-        pair_counts = [0] * len(sizes)
-        for src in range(n):
-            dist = base_dist if src == 0 else _bfs_distances(g, src)
-            local = max(dist)
-            if local >= len(pair_counts):
-                pair_counts.extend([0] * (local + 1 - len(pair_counts)))
-            for dv in dist:
-                pair_counts[dv] += 1
-
-    return LayerProfile(
-        vertex_count=n,
-        degree=degree,
-        diameter=len(pair_counts) - 1,
-        layer_sizes=tuple(sizes),
-        pair_counts=tuple(pair_counts),
-    )
+        return base
+    return max([base] + [max(_bfs_distances(g, src)) for src in range(1, g.vertex_count)])
 
 
 def average_diameter_bound(profile: LayerProfile) -> int:

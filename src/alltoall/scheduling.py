@@ -60,7 +60,11 @@ class Schedule:
 
 
 def validate_schedule(word_map: WordMap, schedule: Schedule, degree: int) -> None:
-    """Raise InputError unless `schedule` is a valid labeling of `word_map`."""
+    """Raise InputError unless `schedule` is a valid labeling of `word_map`.
+
+    The schedulers build valid labelings and do not call this; the tests
+    hold their output to it.
+    """
     if set(schedule.times) != {k for k, w in word_map.items() if len(w) > 0}:
         raise InputError("schedule must label exactly the non-empty words")
     used: set[tuple[int, int]] = set()
@@ -93,8 +97,12 @@ def factor_occurrences(word_map: WordMap, degree: int) -> list[int]:
     return counts
 
 
-def _greedy_times(word_map: WordMap) -> dict[int, tuple[int, ...]]:
-    """greedy_schedule's labeling, before validation."""
+def greedy_schedule(word_map: WordMap) -> Schedule:
+    """Longest words first, each letter at the earliest legal slot.
+
+    Deterministic: ties between equal-length words break on the key.  The
+    result is always valid but not always the shortest possible.
+    """
     order = sorted((k for k, w in word_map.items() if len(w) > 0), key=lambda k: (-len(word_map[k]), k))
     # after[j][t], for a slot t that factor j uses, points at a later slot that
     # is free or used; following the pointers ends at j's first free slot >= t
@@ -113,18 +121,7 @@ def _greedy_times(word_map: WordMap) -> dict[int, tuple[int, ...]]:
             nxt[t] = t + 1
             slots.append(t)
         times[key] = tuple(slots)
-    return times
-
-
-def greedy_schedule(word_map: WordMap, degree: int) -> Schedule:
-    """Longest words first, each letter at the earliest legal slot.
-
-    Deterministic: ties between equal-length words break on the key.  The
-    result is always valid but not always the shortest possible.
-    """
-    schedule = Schedule(times=_greedy_times(word_map))
-    validate_schedule(word_map, schedule, degree)
-    return schedule
+    return Schedule(times=times)
 
 
 def open_shop_schedule(word_map: WordMap, degree: int) -> tuple[dict[int, tuple[int, ...]], Schedule]:
@@ -142,10 +139,8 @@ def open_shop_schedule(word_map: WordMap, degree: int) -> tuple[dict[int, tuple[
     if not words:
         return words, Schedule(times={})
     floor = max(max(factor_occurrences(words, degree)), max(len(w) for w in words.values()))
-    times = _greedy_times(words)
-    if max(slots[-1] for slots in times.values()) == floor:
-        schedule = Schedule(times=times)
-        validate_schedule(words, schedule, degree)
+    schedule = greedy_schedule(words)
+    if schedule.makespan == floor:
         return words, schedule
 
     # at_factor[j][c] is the word whose letter on factor j has colour c (-1: none);
@@ -174,9 +169,7 @@ def open_shop_schedule(word_map: WordMap, degree: int) -> tuple[dict[int, tuple[
         order = sorted(colours)
         new_words[k] = tuple(colours[c] for c in order)
         times[k] = tuple(c + 1 for c in order)
-    schedule = Schedule(times=times)
-    validate_schedule(new_words, schedule, degree)
-    return new_words, schedule
+    return new_words, Schedule(times=times)
 
 
 def _swap_path(at_factor, at_word, free, j: int, a: int, b: int) -> None:
@@ -309,7 +302,6 @@ def exact_min_schedule(
             return MinScheduleResult(status="budget", schedule=None, makespan=None, nodes=budget)
         horizon += 1
     schedule = Schedule(times=assignment)
-    validate_schedule(word_map, schedule, degree)
     return MinScheduleResult(
         status="optimal", schedule=schedule, makespan=schedule.makespan, nodes=budget - budget_box[0]
     )
@@ -331,7 +323,7 @@ def schedule_plan(
     words = {k: tuple(w) for k, w in word_map.items() if len(w) > 0}
     degree = len(host.out[0])
     if method == "greedy":
-        return words, greedy_schedule(words, degree)
+        return words, greedy_schedule(words)
     if method != "exact":
         raise InputError(f"unknown scheduling method {method!r}")
     if letters_commute(host):

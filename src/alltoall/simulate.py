@@ -1,90 +1,68 @@
-"""Expand schedules into a stream of packets and replay them slot by slot.
+"""Expand schedules into jobs for every base and replay them slot by slot.
 
 The replay is the package's oracle: it knows nothing about how a schedule
-was built, it just moves packets along their claimed edges slot by slot and
+was built, it just moves packets along their claimed arcs slot by slot and
 reports every collision and every missing delivery.
 
-Expansion translates a scheduled word list into per-pair packets: every base
-vertex runs the same words, a letter naming a generator of a Cayley graph or
-a factor of a spanning factorization alike.  It checks only that every word
-has one slot per letter, leaving slot order and conflicts to the replay, and
-generates the packets on demand, so no list of routes is ever built: a
-packet is (source, dest, tails, ports, times), the vertex it leaves in each
-step, the out-position it takes there and the slot it takes it in.
+Expansion pairs each scheduled word with its slots, one job per word: every
+base vertex runs the same jobs, a letter naming a generator of a Cayley
+graph or a factor of a spanning factorization alike.  It checks only that
+every word has one slot per letter, leaving slot order and conflicts to the
+replay.  The packets are never listed: packet (base, dest) of a job leaves
+`base`, crosses out-position word[i] in slot slots[i] and ends at `dest`.
+
+run_transpose replays a regular host in one pass over the letters of all
+jobs in (slot, out-position, job) order.  Before it writes anything it
+checks that every word's slots rise from 1 and that every letter is an
+out-position of the host, and raises on the first broken letter of base 0's
+packets, which on a regular host is where every base breaks.  A job's n
+packets start at the n bases, so their tails stay distinct as long as each
+column of heads they cross is a permutation.  A job is clean when no other
+letter claims the (slot, out-position) of any of its letters and every
+column before its last letter is a permutation: each of its letters then
+fills the slot's column of cells row[j::d] in one assignment, ordered by
+tail.  Every letter of any other job records its n packets as claimants of
+their cells, and when the slot closes the claimant with the smallest
+(base, job) owns each cell; every other claimant is a conflict.  Conflicts
+are reported in the order of the losing packet's (base, job, letter).
 
 The replay can write the trace as text to a sink, a callable taking str:
 one line "time,src,dst,gen,packet_src,packet_dst" per occupied arc and
-slot, in (slot, tail, out-position) order.  Deliveries are counted in one
-flat n*n array.
-
-An Expansion is replayed a word at a time first: one letter moves the word's
-n packets, one from each base, across one out-position in one slot.  When
-that out-position's column of heads is a permutation, the n tails are
-distinct and the letter fills the slot's column of cells row[j::d] in one
-assignment, ordered by tail.  This pass still walks every packet on the
-replayed graph and reads no scheduler code.  Before it writes anything it
-checks the whole plan, and it gives up when some word's slots do not rise
-from 1, when a letter is not an out-position of every vertex or names a
-column that is not a permutation, or when two letters claim the same
-(slot, out-position).  Otherwise it walks the letters in (slot,
-out-position) order.  A word in flight carries one label per tail, the
-"src,dst" line end of the packet there, built once when the word's first
-letter comes up and dropped after its last; each slot's row of labels is
-written out and dropped as soon as the slot closes.  Memory therefore
-follows the words in flight, not the horizon or the slots used, and with
-no sink the pass keeps no labels or rows at all.
-
-Whatever the word pass gives up on is replayed packet by packet, the only
-path that records conflicts and raises on broken routes, so a plan the fast
-pass refuses gets exactly the verdict, conflicts and errors it would get
-alone.  Hand-built packet lists always take that path.  It keeps one
-integer row of n*d cells per slot used, created on first use; cell
-tail*d + index holds the packet id source*n + dest + 1 of the first packet
-to cross that arc in that slot, 0 meaning free.  A lone packet in slot
-10**9 costs one row.  The rows go to the sink, in the same format, once
-the replay has finished without raising.
+slot, in (slot, tail, out-position) order.  A job in flight carries one
+label per tail (the "src,dst" line end of its packet there) or, when dirty,
+the tail and destination of each base's packet, from its first letter to
+its last; each slot's row is written out and dropped as soon as the slot
+closes.  Memory therefore follows the jobs in flight and the open slot, not
+the horizon or the slots used.  With no sink, a clean job is only walked
+once for its deliveries, and only dirty jobs are held.  Deliveries are
+counted in one flat n*n array.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import compress, count, repeat
-from operator import add, eq, lt, not_
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import chain, compress, count, repeat
+from operator import add, eq, itemgetter, lt, not_
+from typing import Callable, Sequence
 
 from .errors import InputError
-from .graphs import Digraph
+from .graphs import Digraph, regular_degree
 from .scheduling import Schedule, WordMap
 
 Edge = tuple[int, int]  # (tail vertex, generator/factor index)
-Packet = tuple[int, int, Sequence[int], Sequence[int], Sequence[int]]  # (source, dest, tails, ports, times)
 Sink = Callable[[str], object]  # takes the trace text, one or more whole rows at a time
 
 
 @dataclass(frozen=True)
 class Expansion:
-    """The packets of an expanded plan, generated on demand: one per (base, non-empty word)."""
+    """A plan ready to replay: every base runs every (word, slots) job, one packet per (base, job)."""
 
     succ: Sequence[Sequence[int]]
     jobs: Sequence[tuple[Sequence[int], Sequence[int]]]  # (word, its slots)
 
     def __len__(self) -> int:
         return len(self.succ) * len(self.jobs)
-
-    def __iter__(self) -> Iterator[Packet]:
-        succ = self.succ
-        for base in range(len(succ)):
-            for word, slots in self.jobs:
-                v = base
-                tails = []
-                for j in word:
-                    tails.append(v)
-                    heads = succ[v]
-                    if not 0 <= j < len(heads):
-                        break  # the replay reports the missing arc at tail v
-                    v = heads[j]
-                yield base, v, tails, word, slots
 
 
 @dataclass(frozen=True)
@@ -116,7 +94,7 @@ class TransposeTrace:
 
 
 def expand_factor_paths(host: Digraph, word_map: WordMap, schedule: Schedule) -> Expansion:
-    """n*(n-1) packets, streamed: every base walks every non-empty word.
+    """The plan's jobs, one per non-empty word: every base runs each, n*(n-1) packets in all.
 
     Letter j of a word is out-position j of the host, so a Cayley graph's
     generators and a factorization's factors (laid out by factor_digraph)
@@ -135,98 +113,42 @@ def expand_factor_paths(host: Digraph, word_map: WordMap, schedule: Schedule) ->
     return Expansion(succ=host.out, jobs=jobs)
 
 
-def run_transpose(g: Digraph, paths: Iterable[Packet], sink: Sink | None = None) -> TransposeTrace:
-    """Replay packets on `g`; report conflicts and deliveries, and write the trace rows to `sink`.
+def run_transpose(g: Digraph, expansion: Expansion, sink: Sink | None = None) -> TransposeTrace:
+    """Replay every base's copy of every job on `g`; report conflicts and deliveries, and write the trace to `sink`.
 
-    Structural breakage (an edge index off the graph, a path that teleports
-    or runs backward in time) raises, because such a path is not a route at
-    all; contention and missing packets are findings, recorded in the trace.
-    An Expansion over `g` first gets the word-by-word pass; whatever that
-    pass cannot settle is replayed packet by packet from the start.  Either
-    way nothing reaches the sink from a replay that raises.
+    Broken routes (a letter that is no out-position of `g`, slots that are
+    not one per letter or do not rise along a word) raise InputError before
+    anything reaches the sink, because such a job is not a route at all;
+    contention and missing packets are findings, recorded in the trace.
     """
     n = g.vertex_count
     succ = g.out
-    d = max(map(len, succ), default=0)
-    code = "i" if n * n < 2**31 else "q"
-    if isinstance(paths, Expansion) and paths.succ == succ:
-        replayed = _replay_by_word(paths.jobs, succ, d, code, sink)
-        if replayed is not None:
-            return _trace(n, (), *replayed)
-    free = array(code, [0]) * (n * d)
-    slots: dict[int, array] = {}
-    conflicts: list[tuple[int, Edge, tuple[int, int], tuple[int, int]]] = []
-    counts = array(code, [0]) * (n * n)
-    horizon = 0
-    for source, dest, tails, ports, times in paths:
-        if not (0 <= source < n and 0 <= dest < n):
-            raise InputError(f"packet {(source, dest)} does not run between two vertices of the graph")
-        pid = source * n + dest + 1
-        at = source
-        last_time = 0
-        for tail, index, time in zip(tails, ports, times):
-            if tail != at:
-                raise InputError(f"packet {(source, dest)} jumps from {at} to edge tail {tail}")
-            heads = succ[tail]
-            if not 0 <= index < len(heads):
-                raise InputError(f"edge index {index} out of range at vertex {tail}")
-            if time <= last_time:
-                raise InputError(f"packet {(source, dest)} goes back in time at {tail}: {time} after {last_time}")
-            row = slots.get(time)
-            if row is None:
-                row = slots[time] = free[:]
-            cell = tail * d + index
-            first = row[cell]
-            if first:
-                conflicts.append((time, (tail, index), divmod(first - 1, n), (source, dest)))
-            else:
-                row[cell] = pid
-            at = heads[index]
-            last_time = time
-        if at != dest:
-            raise InputError(f"packet {(source, dest)} ends at {at}, not its destination")
-        counts[pid - 1] += 1
-        if last_time > horizon:
-            horizon = last_time
-    if sink is not None:
-        _write_id_rows(slots, succ, d, sink)
-    return _trace(n, tuple(conflicts), horizon, counts)
-
-
-def _replay_by_word(jobs, succ, d: int, code: str, sink: Sink | None) -> tuple[int, array] | None:
-    """(horizon, counts) of the replay run a word at a time, or None, before any output, where it gives up.
-
-    A word's n packets start at the n bases, so their tails stay distinct
-    for as long as each letter's column of heads is a permutation; and
-    since this pass writes whole columns only, a column is free in a slot
-    exactly when no other letter claims that (slot, position).
-    """
-    n = len(succ)
-    # the out-positions every vertex has, each as its column of heads
-    columns = [[heads[j] for heads in succ] for j in range(min(map(len, succ), default=0))]
+    d = regular_degree(g)
+    jobs = expansion.jobs
+    columns = [[heads[j] for heads in succ] for j in range(d)]
     # inverse[j][w] = the tail column j sends to w; None when column j is not a permutation
     inverse = [sorted(range(n), key=col.__getitem__) if len(set(col)) == n else None for col in columns]
     letters = []  # (slot, position, job, letter index) of every letter
     horizon = 0
     for w, (word, times) in enumerate(jobs):
-        if len(times) != len(word):
-            return None
         if word:
-            if not (0 < times[0] and all(map(lt, times, times[1:])) and 0 <= min(word) and max(word) < len(columns)):
-                return None
-            if any(inverse[j] is None for j in word):
-                return None
+            if not (len(times) == len(word) and 0 < times[0] and all(map(lt, times, times[1:]))
+                    and 0 <= min(word) and max(word) < d):
+                _check_route(succ, word, times)
             horizon = max(horizon, times[-1])
             letters += zip(times, word, repeat(w), count())
     letters.sort()
+    # a job is dirty when its tails can meet or a letter of it shares its (slot, position)
+    dirty = {w for w, (word, _) in enumerate(jobs) if any(inverse[j] is None for j in word[:-1])}
     claims = [letter[:2] for letter in letters]
-    if any(map(eq, claims, claims[1:])):
-        return None
+    for i in compress(count(), map(eq, claims, claims[1:])):
+        dirty.update((letters[i][2], letters[i + 1][2]))
+    del claims
 
-    counts = array(code, [0]) * (n * n)
+    counts = array("i" if n * n < 2**31 else "q", [0]) * (n * n)
 
     def walk(word) -> list[int]:
-        """Where the word takes each source, counted as a delivery."""
+        """Where the word takes each base, counted as a delivery."""
         dests = range(n)
         for j in word:
             dests = list(map(columns[j].__getitem__, dests))
@@ -234,37 +156,90 @@ def _replay_by_word(jobs, succ, d: int, code: str, sink: Sink | None) -> tuple[i
             counts[key] += 1
         return dests
 
-    for word, _ in jobs:
-        if sink is None or not word:
-            walk(word)  # with a sink, a word with letters is walked at its first letter
-    if sink is None:
-        return horizon, counts
+    if sink is None:  # a clean job is only its deliveries
+        letters = [letter for letter in letters if letter[2] in dirty]
+    for w, (word, _) in enumerate(jobs):
+        if not word or (sink is None and w not in dirty):
+            walk(word)  # any other job is walked at its first letter
     source = [f"{v}," for v in range(n)]
     dest = [f"{v}\n" for v in range(n)]
-    arc = _arc_text(succ, d)
-    free = [""] * (n * d)
-    in_flight: dict[int, list[str]] = {}  # job -> the label at each tail, between its first and last letter
-    row, current, filled = free, 0, 0
-    for time, j, w, k in letters:
+    arc = _arc_text(succ) if sink is not None else []
+    free = [""] * len(arc)
+    conflicts: list = []  # (base, job, letter index, conflict) of every losing packet
+    in_flight: dict = {}  # job -> clean: the label at each tail; dirty: (each base's tail, each base's dest)
+    row, current, filled, claimants = free, 0, 0, []
+    for time, j, w, k in chain(letters, [(None, 0, 0, 0)]):  # the slot None closes the last slot
         if time != current:
-            if current:
+            owners = _settle(current, claimants, n, d, conflicts) if claimants else {}
+            if current and sink is not None:
+                for cell, packet in owners.items():
+                    row[cell] = "%d,%d\n" % packet
                 sink(_slot_text(current, arc, row, filled == d))  # a letter at every position fills every cell
-            row, current, filled = free[:], time, 0
+            if time is None:
+                break
+            row, current, filled, claimants = free[:], time, 0, []
         word = jobs[w][0]
-        labels = in_flight.pop(w) if k else list(map(add, source, map(dest.__getitem__, walk(word))))
-        row[j::d] = labels
-        filled += 1
-        if k + 1 < len(word):
-            in_flight[w] = list(map(labels.__getitem__, inverse[j]))
-    if current:
-        sink(_slot_text(current, arc, row, filled == d))
-    return horizon, counts
+        if w in dirty:
+            at, dests = in_flight.pop(w) if k else (range(n), walk(word))
+            claimants.append((w, k, j, at, dests))
+            if k + 1 < len(word):
+                in_flight[w] = (list(map(columns[j].__getitem__, at)), dests)
+        else:
+            labels = in_flight.pop(w) if k else list(map(add, source, map(dest.__getitem__, walk(word))))
+            row[j::d] = labels
+            filled += 1
+            if k + 1 < len(word):
+                in_flight[w] = list(map(labels.__getitem__, inverse[j]))
+    conflicts.sort()
+    missing = compress(range(n * n), map(not_, counts))
+    return TransposeTrace(
+        horizon=horizon,
+        conflicts=tuple(conflict for *_, conflict in conflicts),
+        undelivered=tuple(divmod(k, n) for k in missing if k % (n + 1)),
+        vertex_count=n,
+        counts=counts,
+    )
 
 
-def _arc_text(succ, d: int) -> list[str]:
-    """cell -> "tail,head,index,"; cells past an irregular host's out-degree are never occupied."""
-    return [f"{tail},{heads[i] if i < len(heads) else -1},{i},"
-            for tail, heads in enumerate(succ) for i in range(d)]
+def _check_route(succ, word, times) -> None:
+    """Raise InputError at the first broken letter of base 0's packet: off the host, or a slot that does not rise."""
+    if len(times) != len(word):
+        raise InputError(f"a job has {len(word)} letters but {len(times)} time slots")
+    dest = 0  # where the packet's walk ends, stopping at the first letter off the host
+    for j in word:
+        if not 0 <= j < len(succ[dest]):
+            break
+        dest = succ[dest][j]
+    v = last = 0
+    for j, time in zip(word, times):
+        if not 0 <= j < len(succ[v]):
+            raise InputError(f"edge index {j} out of range at vertex {v}")
+        if time <= last:
+            raise InputError(f"packet {(0, dest)} goes back in time at {v}: {time} after {last}")
+        v, last = succ[v][j], time
+
+
+def _settle(time: int, claimants: list, n: int, d: int, conflicts: list) -> dict[int, tuple[int, int]]:
+    """cell -> (base, dest) of the packet that owns it in this slot; the other claimants become conflicts.
+
+    Of the packets claiming one cell, the one with the smallest (base, job)
+    owns it.  A job has at most one letter in a slot, since its slots rise.
+    """
+    claimants.sort(key=itemgetter(0))
+    owners: dict[int, tuple[int, int]] = {}
+    for base in range(n):
+        for w, k, j, at, dests in claimants:
+            tail = at[base]
+            packet = (base, dests[base])
+            first = owners.setdefault(tail * d + j, packet)
+            if first is not packet:
+                conflicts.append((base, w, k, (time, (tail, j), first, packet)))
+    return owners
+
+
+def _arc_text(succ) -> list[str]:
+    """cell -> "tail,head,index," for every arc, in cell order."""
+    return [f"{tail},{head},{i}," for tail, heads in enumerate(succ) for i, head in enumerate(heads)]
 
 
 def _slot_text(time: int, arc: list[str], row: list, full: bool) -> str:
@@ -275,23 +250,3 @@ def _slot_text(time: int, arc: list[str], row: list, full: bool) -> str:
     pieces[1::3] = arc
     pieces[2::3] = row
     return "".join(pieces)
-
-
-def _write_id_rows(slots: dict[int, array], succ, d: int, sink: Sink) -> None:
-    """The packet-by-packet replay's rows of packet ids, as trace text, one slot at a time."""
-    n = len(succ)
-    arc = _arc_text(succ, d)
-    for time in sorted(slots):
-        labels = ["%d,%d\n" % divmod(pid - 1, n) if pid else "" for pid in slots[time]]
-        sink(_slot_text(time, arc, labels, False))
-
-
-def _trace(n: int, conflicts, horizon: int, counts: array) -> TransposeTrace:
-    missing = compress(range(n * n), map(not_, counts))
-    return TransposeTrace(
-        horizon=horizon,
-        conflicts=conflicts,
-        undelivered=tuple(divmod(k, n) for k in missing if k % (n + 1)),
-        vertex_count=n,
-        counts=counts,
-    )

@@ -319,15 +319,15 @@ def test_acceptance_11_cost_model():
         # set 1: everything divides, results are exact integers
         p1 = CostParams(processors=8, degree=4, avg_diameter=2, cost_ratio=9,
                         matrix_dim=16, iterations=3)
-        t1 = model_times(p1, tau=4, mode="measured")
+        t1 = model_times(p1, tau=4)
         assert (t1.compute, t1.exchange, t1.total) == (96, 48, 144)
-        ideal1 = model_times(p1, mode="ideal")
+        ideal1 = model_times(p1)
         assert ideal1.tau == 4 and ideal1.exchange == 48
 
         # set 2: awkward divisors stay exact rationals
         p2 = CostParams(processors=12, degree=4, avg_diameter=3, cost_ratio=2,
                         matrix_dim=5, iterations=7)
-        t2 = model_times(p2, tau=2, mode="measured")
+        t2 = model_times(p2, tau=2)
         assert t2.compute == Fraction(175, 12)
         assert t2.exchange == Fraction(175, 72)
         assert t2.total == Fraction(1225, 72)

@@ -48,7 +48,7 @@ def test_alpha_monomial():
 
 def test_measured_times_are_exact_integers():
     p = params(processors=8, matrix_dim=16, iterations=3, avg_diameter=2, degree=4)
-    out = model_times(p, tau=4, mode="measured")
+    out = model_times(p, tau=4)
     assert out.compute == 16 * 3 * 16 // 8
     assert out.exchange == 3 * 16 * 16 * 4 // 64
     assert out.total == out.compute + out.exchange
@@ -58,7 +58,7 @@ def test_measured_times_are_exact_integers():
 
 def test_measured_times_keep_fractions_exact():
     p = params(processors=12, matrix_dim=5, iterations=7, avg_diameter=3, degree=4)
-    out = model_times(p, tau=2, mode="measured")
+    out = model_times(p, tau=2)
     assert out.compute == Fraction(5 * 7 * 5, 12)
     assert out.exchange == Fraction(7 * 25 * 2, 144)
     assert isinstance(out.compute, Fraction)
@@ -66,22 +66,12 @@ def test_measured_times_keep_fractions_exact():
 
 def test_ideal_times_and_tau():
     p = params(processors=8, matrix_dim=16, iterations=3, avg_diameter=2, degree=4)
-    out = model_times(p, mode="ideal")
+    out = model_times(p)
     assert out.tau == 4  # D*P/d = 2*8/4
     assert out.exchange == 3 * 16 * 16 * 2 // (8 * 4)
     assert out.optimistic
-    measured = model_times(p, tau=4, mode="measured")
+    measured = model_times(p, tau=4)
     assert out.exchange == measured.exchange  # same tau, same cost
-
-
-def test_mode_errors():
-    p = params()
-    with pytest.raises(InputError):
-        model_times(p, mode="measured")  # tau required
-    with pytest.raises(InputError):
-        model_times(p, tau=3, mode="ideal")  # tau forbidden
-    with pytest.raises(InputError):
-        model_times(p, tau=3, mode="guess")
 
 
 def test_regime_reduced_form():

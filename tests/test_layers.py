@@ -12,6 +12,7 @@ from alltoall.graphs import build_cayley_coset_graph, digraph_from_arcs
 from alltoall.groups import CyclicGroup, GroupSpec, PermutationGroup, ProductGroup
 from alltoall.layers import (
     average_diameter_bound,
+    diameter,
     distances_from,
     layer_profile,
 )
@@ -57,9 +58,10 @@ def all_source_pair_counts(g):
 @pytest.mark.parametrize("name", sorted(PROFILES))
 def test_profiles_match_hand_counts(name):
     sizes, theta = PROFILES[name]
-    p = layer_profile(fixtures.builtin_graph(name))
+    g = fixtures.builtin_graph(name)
+    p = layer_profile(g)
     assert p.layer_sizes == sizes
-    assert p.diameter == len(sizes) - 1
+    assert diameter(g, p) == len(sizes) - 1
     assert average_diameter_bound(p) == theta
 
 
@@ -67,8 +69,7 @@ def test_profiles_match_hand_counts(name):
 def test_vertex_symmetric_pair_counts_are_uniform(name):
     g = fixtures.builtin_graph(name)
     p = layer_profile(g)
-    assert p.pair_counts == all_source_pair_counts(g)
-    assert p.pair_counts == tuple(p.vertex_count * s for s in p.layer_sizes)
+    assert all_source_pair_counts(g) == tuple(p.vertex_count * s for s in p.layer_sizes)
 
 
 def test_layer_sizes_sum_to_vertex_count():
@@ -100,22 +101,22 @@ def test_disconnected_graph_raises():
 
 
 def test_asymmetric_digraph_profile_uses_all_sources():
-    # 1-regular: one 4-cycle; per-source profiles agree so this passes, and
-    # the pair counts aggregate all ordered pairs
+    # 1-regular: one 4-cycle, which looks alike from every source
     g = digraph_from_arcs(4, [[0, 1], [1, 2], [2, 3], [3, 0]])
     p = layer_profile(g)
-    assert p.pair_counts == (4, 4, 4, 4)
+    assert p.layer_sizes == (1, 1, 1, 1)
+    assert diameter(g, p) == 3
 
 
 def test_raw_digraph_with_uneven_sources_counts_every_source():
     # a digraph wearing no symmetry: vertex 0 sees layers (1,2,1), vertex 3
-    # sees (1,1,2) and vertices 1 and 2 see (1,1,1,1), so pair counts and the
-    # diameter must come from every source, not from the base's layers
+    # sees (1,1,2) and vertices 1 and 2 see (1,1,1,1), so the diameter must
+    # come from every source, not from the base's layers
     g = digraph_from_arcs(4, [[0, 1], [0, 2], [1, 2], [2, 3], [3, 0]])
     p = layer_profile(g)
     assert p.layer_sizes == (1, 2, 1)
-    assert p.pair_counts == all_source_pair_counts(g) == (4, 5, 5, 2)
-    assert p.diameter == 3
+    assert all_source_pair_counts(g) == (4, 5, 5, 2)
+    assert diameter(g, p) == 3
 
 
 def _closure(group, gens):
@@ -178,12 +179,11 @@ def test_random_coset_graphs_look_alike_from_every_source():
         p = layer_profile(g)
         for src in range(g.vertex_count):
             assert layers_from(g, src) == p.layer_sizes, (spec, src)
-        assert p.pair_counts == all_source_pair_counts(g), spec
-        assert p.diameter == len(p.layer_sizes) - 1
+        assert all_source_pair_counts(g) == tuple(g.vertex_count * s for s in p.layer_sizes), spec
+        assert diameter(g, p) == len(p.layer_sizes) - 1
     assert built >= 150
 
 
 def test_profile_includes_distance_zero():
     p = layer_profile(fixtures.builtin_graph("z7-124"))
     assert p.layer_sizes[0] == 1
-    assert p.pair_counts[0] == p.vertex_count

@@ -55,7 +55,7 @@ def test_validate_schedule_accepts_and_rejects():
 
 def test_greedy_on_c4_matches_hand_run():
     _, word_map = corpus_word_map("c4")
-    sched = greedy_schedule(word_map, degree=1)
+    sched = greedy_schedule(word_map)
     assert sched.times[3] == (1, 2, 3)
     assert sched.times[2] == (4, 5)
     assert sched.times[1] == (6,)
@@ -63,7 +63,7 @@ def test_greedy_on_c4_matches_hand_run():
 
 
 def test_greedy_empty_input():
-    assert greedy_schedule({}, degree=2).makespan == 0
+    assert greedy_schedule({}).makespan == 0
 
 
 @pytest.mark.parametrize("name,tau", [("q3", 4), ("c4", 6), ("z7-124", 3), ("k4", 1)])
@@ -78,7 +78,7 @@ def test_exact_minimum_values(name, tau):
 @pytest.mark.parametrize("name", ["c4", "k4", "z5-12", "z7-124", "q3"])
 def test_exact_never_beats_greedy_backwards(name):
     g, word_map = corpus_word_map(name)
-    greedy = greedy_schedule(word_map, g.degree)
+    greedy = greedy_schedule(word_map)
     exact = exact_min_schedule(word_map, g.degree)
     assert exact.makespan <= greedy.makespan
 
@@ -213,7 +213,7 @@ def test_classify_flags_unbalanced_choice():
 
     g = build_cayley_coset_graph(GroupSpec(group=CyclicGroup(6), generators=(1, 2, 3)))
     word_map = {1: (0,), 2: (1,), 3: (2,), 4: (1, 1), 5: (1, 2)}
-    sched = greedy_schedule(word_map, 3)
+    sched = greedy_schedule(word_map)
     flags = classify(word_map, sched, 3, layer_profile(g))
     assert factor_occurrences(word_map, 3) == [1, 4, 2]
     assert not flags.balanced
@@ -225,7 +225,7 @@ def test_classify_guards_the_chain():
     # must be reported as an internal inconsistency, not silently classified
     profile = layer_profile(fixtures.builtin_graph("z7-124"))
     word_map = {1: (0,)}
-    sched = greedy_schedule(word_map, 3)
+    sched = greedy_schedule(word_map)
     with pytest.raises(InputError):
         classify(word_map, sched, 3, profile)
 
@@ -260,7 +260,7 @@ def random_word_map(rng, degree, words, longest):
 @pytest.mark.parametrize("name", sorted(fixtures.BUILTIN_SPECS.keys() - {"petersen"}))
 def test_greedy_matches_the_scanning_greedy_on_builtins(name):
     g, word_map = corpus_word_map(name)
-    assert greedy_schedule(word_map, g.degree).times == scanning_greedy_times(word_map)
+    assert greedy_schedule(word_map).times == scanning_greedy_times(word_map)
 
 
 def test_greedy_matches_the_scanning_greedy_on_random_word_maps():
@@ -268,7 +268,9 @@ def test_greedy_matches_the_scanning_greedy_on_random_word_maps():
     for _ in range(200):
         degree = rng.randint(1, 4)
         word_map = random_word_map(rng, degree, rng.randint(0, 40), rng.randint(1, 8))
-        assert greedy_schedule(word_map, degree).times == scanning_greedy_times(word_map)
+        sched = greedy_schedule(word_map)
+        validate_schedule(word_map, sched, degree)
+        assert sched.times == scanning_greedy_times(word_map)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +329,7 @@ def test_open_shop_keeps_greedy_when_it_meets_the_floor():
         g, word_map = corpus_word_map(name)
         words, sched = open_shop_schedule(word_map, g.degree)
         assert words == word_map
-        assert sched == greedy_schedule(word_map, g.degree)
+        assert sched == greedy_schedule(word_map)
 
 
 def hypercube(k):
@@ -340,7 +342,7 @@ def test_open_shop_colours_where_greedy_misses_the_floor():
     # Q5: greedy needs 18 slots, the floor is theta = 16
     g = hypercube(5)
     word_map = dict(bfs_word_set(g))
-    assert greedy_schedule(word_map, g.degree).makespan == 18
+    assert greedy_schedule(word_map).makespan == 18
     words, sched = assert_open_shop_schedule(word_map, g.degree)
     assert sched.makespan == 16
     assert words != word_map  # some letters moved
@@ -359,7 +361,7 @@ def test_open_shop_empty_input():
 
 def test_schedule_plan_picks_the_scheduler_from_the_host():
     q3, word_map = corpus_word_map("q3")
-    assert schedule_plan(q3, word_map, "greedy", 0) == (word_map, greedy_schedule(word_map, q3.degree))
+    assert schedule_plan(q3, word_map, "greedy", 0) == (word_map, greedy_schedule(word_map))
     assert schedule_plan(q3, word_map, "exact", 0) == open_shop_schedule(word_map, q3.degree)
     star4 = star(4)
     words = bfs_word_set(star4)
@@ -422,7 +424,7 @@ def random_diameter_two_graphs(rng, count):
             elements = [p for p in itertools.permutations(range(group.degree)) if p != group.identity]
         spec = GroupSpec(group=group, generators=tuple(rng.sample(elements, rng.randint(1, min(len(elements), 8)))))
         g = build_cayley_coset_graph(spec)
-        if layer_profile(g).diameter <= 2:
+        if max(distances_from(g, 0)) <= 2:
             graphs.append((spec, g))
     return graphs
 
