@@ -12,10 +12,11 @@ read off generator labels on a Cayley graph.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, count, filterfalse
 from typing import Iterable, Sequence
 
-from . import groups
 from .errors import CapacityError, CosetEdgeError, RegularityError, StructureError
 from .groups import Element, GroupSpec
 
@@ -34,7 +35,9 @@ class Digraph:
 
     def __post_init__(self):
         n = len(self.out)
-        for u, heads in enumerate(self.out):
+        if min(chain.from_iterable(self.out), default=0) >= 0 and max(chain.from_iterable(self.out), default=-1) < n:
+            return
+        for u, heads in enumerate(self.out):  # name the first arc out of range
             for v in heads:
                 if not (0 <= v < n):
                     raise StructureError(f"arc ({u}, {v}) leaves the vertex range 0..{n - 1}")
@@ -50,12 +53,12 @@ class Digraph:
 
 def regular_degree(g: Digraph) -> int:
     """Common in/out degree of a regular digraph; RegularityError otherwise."""
-    ins = [0] * g.vertex_count
-    for heads in g.out:
-        for v in heads:
-            ins[v] += 1
+    ins = Counter(chain.from_iterable(g.out))
     d = len(g.out[0]) if g.out else 0
-    for u, heads in enumerate(g.out):
+    # n*d arcs whose heads each count d cover every vertex, so the two set checks suffice
+    if set(map(len, g.out)) <= {d} and set(ins.values()) <= {d}:
+        return d
+    for u, heads in enumerate(g.out):  # name the first vertex that is off
         if len(heads) != d or ins[u] != d:
             raise RegularityError(
                 f"vertex {u} has out-degree {len(heads)} and in-degree {ins[u]}; expected {d} for a regular digraph"
@@ -119,7 +122,11 @@ def build_cayley_coset_graph(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) ->
     """Check the coset condition, then walk the cosets from the identity coset.
 
     Vertex order is breadth-first from the identity coset with generators
-    scanned in input order, so builds are reproducible.  The walk reaches
+    scanned in input order, so builds are reproducible.  The walk takes a
+    queue slice at a time: every vertex queued so far is translated by each
+    generator in one batch, and the images are read in (vertex, generator)
+    order, so new cosets get the numbers a vertex-at-a-time walk would give
+    them.  A coset's vertex is labelled by its least element.  The walk reaches
     every coset of the group that the generators and the subgroup generate,
     and raises CapacityError once it would hold more than `cap` elements
     (cosets times |H|), so a typo in a modulus cannot silently eat memory.
@@ -131,38 +138,53 @@ def build_cayley_coset_graph(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) ->
             "subgroup as a set, so coset adjacency depends on representatives"
         )
 
-    rep_cache: dict[Element, Element] = {}
+    sub, d = spec.subgroup, spec.degree
+    index: dict[Element, int] = {}  # every element of every coset found so far -> its vertex
     vertices: list[Element] = []
-    vertex_index: dict[Element, int] = {}
 
-    def vertex_of(el: Element) -> int:
-        rep = rep_cache.get(el)
-        if rep is None:
-            rep = groups.coset_canonicalize(group, el, spec.subgroup)
-            for member in groups.coset_elements(group, el, spec.subgroup):
-                rep_cache[member] = rep
-        t = vertex_index.get(rep)
-        if t is None:
-            if (len(vertices) + 1) * len(spec.subgroup) > cap:
-                raise CapacityError(
-                    f"group enumeration exceeded cap of {cap} elements; "
-                    f"raise the cap if the group really is this large"
-                )
-            t = vertex_index[rep] = len(vertices)
-            vertices.append(rep)
-        return t
+    def number(fresh: list[Element]) -> None:
+        """Number the cosets of `fresh` that have no vertex yet, in first-seen order."""
+        if len(sub) == 1:  # a Cayley graph: each element is a coset of its own
+            if len(vertices) + len(fresh) > cap:
+                raise _capacity_error(cap)
+            index.update(zip(fresh, count(len(vertices))))
+            vertices.extend(fresh)
+            return
+        # row i of the columns is the coset fresh[i]H; its minimum is the canonical representative
+        identity = group.identity
+        columns = [fresh if h == identity else group.translate(fresh, h) for h in sub]
+        for el, members in zip(fresh, zip(*columns)):
+            if el in index:  # an earlier element of this batch lies in the same coset
+                continue
+            if (len(vertices) + 1) * len(sub) > cap:
+                raise _capacity_error(cap)
+            index.update(dict.fromkeys(members, len(vertices)))
+            vertices.append(min(members))
 
-    vertex_of(group.identity)
-    rows: list[tuple[int, ...]] = []
-    # the vertex list is the breadth-first queue: rows[u] is filled in discovery order
-    while len(rows) < len(vertices):
-        u = vertices[len(rows)]
-        rows.append(tuple(vertex_of(group.compose(u, gen)) for gen in spec.generators))
+    number([group.identity])
+    translate, known, vertex_of = group.translate, index.__contains__, index.__getitem__
+    heads: list[int] = []  # arc (u, j) at u * d + j
+    # the vertex list is the breadth-first queue
+    done = 0
+    while done < len(vertices):
+        queue = vertices[done:]
+        done = len(vertices)
+        images: list[Element] = [None] * (len(queue) * d)
+        for j, gen in enumerate(spec.generators):
+            images[j::d] = translate(queue, gen)
+        number(list(dict.fromkeys(filterfalse(known, images))))
+        heads += map(vertex_of, images)
     # no connectivity check: with DH = HD every element of <D, H> is (D-word)*h, so the walk reaches every coset
 
-    g = CosetGraph(out=tuple(rows), spec=spec, vertices=tuple(vertices))
+    g = CosetGraph(out=tuple(zip(*[iter(heads)] * d)), spec=spec, vertices=tuple(vertices))
     regular_degree(g)  # in-degree must match out-degree everywhere
     return g
+
+
+def _capacity_error(cap: int) -> CapacityError:
+    return CapacityError(
+        f"group enumeration exceeded cap of {cap} elements; raise the cap if the group really is this large"
+    )
 
 
 def emit_adjacency(g: Digraph) -> str:

@@ -1,14 +1,23 @@
 """Cayley coset graph construction and digraph plumbing."""
 
 from itertools import permutations, product
+from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from alltoall import fixtures
-from alltoall.errors import ConnectivityError, CosetEdgeError, InputError, RegularityError, StructureError
+from alltoall.errors import (
+    CapacityError,
+    ConnectivityError,
+    CosetEdgeError,
+    InputError,
+    RegularityError,
+    StructureError,
+)
 from alltoall.graphs import (
+    DEFAULT_ELEMENT_CAP,
     CosetGraph,
     Digraph,
     build_cayley_coset_graph,
@@ -19,7 +28,14 @@ from alltoall.graphs import (
     validate_coset_condition,
 )
 from alltoall.factorization import factor_digraph, one_factorize, search_spanning_factorization
-from alltoall.groups import CyclicGroup, GroupSpec, PermutationGroup, ProductGroup
+from alltoall.groups import (
+    CyclicGroup,
+    GroupSpec,
+    PermutationGroup,
+    ProductGroup,
+    coset_canonicalize,
+    coset_elements,
+)
 
 
 def test_c4_is_a_directed_ring():
@@ -127,6 +143,21 @@ def test_regular_degree_checks_both_directions():
     with pytest.raises(RegularityError) as ei:
         regular_degree(digraph_from_arcs(3, [[0, 1], [0, 2], [1, 2]]))
     assert "vertex" in str(ei.value)
+
+
+def test_range_and_regularity_errors_name_the_first_offender():
+    with pytest.raises(StructureError, match=r"arc \(1, 3\) leaves the vertex range 0..2"):
+        Digraph(out=((0,), (3, -1), (7,)))
+    with pytest.raises(StructureError, match=r"arc \(0, -1\)"):
+        Digraph(out=((-1,), (9,)))
+    assert Digraph(out=()).vertex_count == 0
+    # vertex 1 is the first whose in-degree is off; vertex 2 is off too
+    with pytest.raises(RegularityError, match="vertex 1 has out-degree 1 and in-degree 0; expected 1"):
+        regular_degree(Digraph(out=((0,), (2,), (2,))))
+    with pytest.raises(RegularityError, match="vertex 2 has out-degree 2 and in-degree 2; expected 1"):
+        regular_degree(Digraph(out=((1,), (0,), (2, 2))))
+    assert regular_degree(Digraph(out=((), ()))) == 0
+    assert regular_degree(Digraph(out=((1, 1), (0, 0)))) == 2
 
 
 def test_digraph_from_arcs_validates_range():
@@ -257,3 +288,179 @@ def test_non_commuting_hosts():
 
 def test_irregular_host_does_not_commute():
     assert not letters_commute(digraph_from_arcs(2, [[0, 1], [0, 0], [1, 0]]))
+
+
+# ---------------------------------------------------------------------------
+# the batched build against the per-arc build it replaced
+# ---------------------------------------------------------------------------
+
+
+def per_arc_build(spec, cap=DEFAULT_ELEMENT_CAP):
+    """Reference: breadth-first over the cosets, one arc and one compose at a time; returns (out, vertices)."""
+    group = spec.group
+    rep_cache, vertices, vertex_index = {}, [], {}
+
+    def vertex_of(el):
+        rep = rep_cache.get(el)
+        if rep is None:
+            rep = coset_canonicalize(group, el, spec.subgroup)
+            for member in coset_elements(group, el, spec.subgroup):
+                rep_cache[member] = rep
+        t = vertex_index.get(rep)
+        if t is None:
+            if (len(vertices) + 1) * len(spec.subgroup) > cap:
+                raise CapacityError(
+                    f"group enumeration exceeded cap of {cap} elements; "
+                    f"raise the cap if the group really is this large"
+                )
+            t = vertex_index[rep] = len(vertices)
+            vertices.append(rep)
+        return t
+
+    vertex_of(group.identity)
+    rows = []
+    while len(rows) < len(vertices):
+        u = vertices[len(rows)]
+        rows.append(tuple(vertex_of(group.compose(u, gen)) for gen in spec.generators))
+    return tuple(rows), tuple(vertices)
+
+
+def built(spec, cap=DEFAULT_ELEMENT_CAP):
+    g = build_cayley_coset_graph(spec, cap)
+    return g.out, g.vertices
+
+
+def outcome(build, spec, cap):
+    try:
+        return build(spec, cap)
+    except CapacityError as e:
+        return "CapacityError", str(e)
+
+
+def order(group):
+    if isinstance(group, CyclicGroup):
+        return group.modulus
+    if isinstance(group, PermutationGroup):
+        return factorial(group.degree)
+    return prod(order(f) for f in group.factors)
+
+
+def elements(group):
+    """Strategy for the elements of `group`."""
+    if isinstance(group, CyclicGroup):
+        return st.integers(0, group.modulus - 1)
+    if isinstance(group, PermutationGroup):
+        return st.permutations(range(group.degree)).map(tuple)
+    return st.tuples(*(elements(f) for f in group.factors))
+
+
+def generated(group, gens):
+    """The subgroup generated by `gens`, found breadth-first."""
+    members, frontier = {group.identity}, [group.identity]
+    while frontier:
+        reached = []
+        for a in frontier:
+            for gen in gens:
+                c = group.compose(a, gen)
+                if c not in members:
+                    members.add(c)
+                    reached.append(c)
+        frontier = reached
+    return members
+
+
+small_factors = st.one_of(st.integers(2, 6).map(CyclicGroup), st.integers(1, 4).map(PermutationGroup))
+group_kinds = st.one_of(
+    st.integers(2, 60).map(CyclicGroup),
+    st.integers(1, 5).map(PermutationGroup),
+    st.lists(small_factors, min_size=1, max_size=3).map(ProductGroup).filter(lambda g: order(g) <= 600),
+    # a product with a product factor
+    st.tuples(small_factors, st.lists(small_factors, min_size=1, max_size=2).map(ProductGroup))
+    .map(ProductGroup).filter(lambda g: order(g) <= 600),
+)
+
+
+@st.composite
+def coset_specs(draw):
+    """A group, one to four generators, and the subgroup generated by up to two elements.
+
+    With a proper subgroup the generators are closed under conjugation by it
+    (h^-1 d h), which gives DH = HD, the condition for well-defined coset arcs.
+    """
+    group = draw(group_kinds)
+    gens = draw(st.lists(elements(group), min_size=1, max_size=4))
+    sub = sorted(generated(group, draw(st.lists(elements(group), max_size=2))))
+    assume(len(sub) <= 24)
+    if len(sub) > 1:
+        inv, compose = group.inverse, group.compose
+        gens = list(dict.fromkeys(compose(compose(inv(h), d), h) for d in gens for h in sub))
+        assume(len(gens) <= 24)
+    return GroupSpec(group=group, generators=tuple(gens), subgroup=tuple(draw(st.permutations(sub))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=coset_specs())
+def test_batched_build_matches_the_per_arc_build(spec):
+    assert validate_coset_condition(spec.group, spec.generators, spec.subgroup)
+    assert built(spec) == per_arc_build(spec)
+
+
+@pytest.mark.parametrize("name", ["c4", "k4", "z5-12", "z7-124", "q3", "petersen"])
+def test_builtins_match_the_per_arc_build(name):
+    spec = fixtures.builtin_spec(name)
+    assert built(spec) == per_arc_build(spec)
+
+
+def test_larger_graphs_match_the_per_arc_build():
+    q7 = GroupSpec(group=ProductGroup([CyclicGroup(2)] * 7),
+                   generators=tuple(tuple(int(i == j) for i in range(7)) for j in range(7)))
+    torus = GroupSpec(group=ProductGroup([CyclicGroup(12)] * 2), generators=((1, 0), (11, 0), (0, 1), (0, 11)))
+    for spec in (q7, star(5).spec, torus, GroupSpec(group=CyclicGroup(256), generators=(1, 16))):
+        assert built(spec) == per_arc_build(spec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_translate_is_compose_per_element(data):
+    group = data.draw(group_kinds)
+    batch = data.draw(st.lists(elements(group), max_size=8))
+    b = data.draw(st.one_of(st.just(group.identity), elements(group)))
+    assert group.translate(batch, b) == [group.compose(a, b) for a in batch]
+
+
+def test_translate_of_an_empty_batch_is_empty():
+    for group in (CyclicGroup(5), PermutationGroup(3), ProductGroup([CyclicGroup(2), PermutationGroup(3)]),
+                  ProductGroup([ProductGroup([CyclicGroup(3)])])):
+        assert group.translate([], group.identity) == []
+
+
+def mid_batch_counts(out):
+    """Coset counts k with cosets k and k + 1 found in one queue slice, so a cap of k cosets is crossed mid-batch.
+
+    The build's queue slices are the distance layers from vertex 0.
+    """
+    seen, layer, ends = {0}, [0], []
+    while layer:
+        ends.append(len(seen))
+        layer = [v for u in layer for v in out[u] if v not in seen and not seen.add(v)]
+    return [k for lo, hi in zip(ends, ends[1:]) for k in range(lo + 1, hi)]
+
+
+@pytest.mark.parametrize("spec", [
+    star(5).spec,
+    GroupSpec(group=CyclicGroup(1000), generators=(1, 10)),
+    fixtures.petersen_spec(),
+    GroupSpec(group=CyclicGroup(600), generators=(3, 30), subgroup=(0, 200, 400)),
+], ids=["star5", "z1000", "petersen", "z600-mod-200"])
+def test_cap_crossed_mid_batch_matches_the_per_arc_build(spec):
+    out, vertices = per_arc_build(spec)
+    h = len(spec.subgroup)
+    ks = mid_batch_counts(out)
+    assert ks, "no queue slice finds two new cosets"
+    for k in (ks[0], ks[len(ks) // 2], ks[-1]):
+        for cap in (k * h - 1, k * h, k * h + h - 1):
+            expected = outcome(per_arc_build, spec, cap)
+            assert expected[0] == "CapacityError"
+            assert outcome(built, spec, cap) == expected
+    assert outcome(built, spec, len(vertices) * h - 1) == outcome(per_arc_build, spec, len(vertices) * h - 1)
+    assert built(spec, len(vertices) * h) == (out, vertices)
