@@ -323,7 +323,7 @@ def _replay(host: Digraph, word_map, sched: Schedule, theta: int, trace_path: st
     trace = _replay_to_file(host, paths, trace_path) if trace_path else run_transpose(host, paths)
     verdict = {
         "tau": trace.horizon,
-        "conflicts": len(trace.conflicts),
+        "conflicts": trace.conflict_count,
         "undelivered": len(trace.undelivered),
         "theta": theta,
     }

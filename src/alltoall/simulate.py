@@ -15,16 +15,30 @@ run_transpose replays a regular host in one pass over the letters of all
 jobs in (slot, out-position, job) order.  Before it writes anything it
 checks that every word's slots rise from 1 and that every letter is an
 out-position of the host, and raises on the first broken letter of base 0's
-packets, which on a regular host is where every base breaks.  A job's n
-packets start at the n bases, so their tails stay distinct as long as each
-column of heads they cross is a permutation.  A job is clean when no other
-letter claims the (slot, out-position) of any of its letters and every
-column before its last letter is a permutation: each of its letters then
-fills the slot's column of cells row[j::d] in one assignment, ordered by
-tail.  Every letter of any other job records its n packets as claimants of
-their cells, and when the slot closes the claimant with the smallest
-(base, job) owns each cell; every other claimant is a conflict.  Conflicts
-are reported in the order of the losing packet's (base, job, letter).
+packets, which on a regular host is where every base breaks.
+
+It then finds where every job takes every base by walking the jobs' words,
+sorted, as a prefix trie: a stack holds one list of dests per depth, and
+each new trie node maps its parent's list through one column of heads, so a
+prefix that words share is walked once for all of them and for all n bases
+at once.  Each job's row of dests lands in one job-major table,
+dests[job*n + base], two bytes a cell while n fits.  Deliveries are checked
+a base at a time on that table's column dests[base::n]: a base is served
+when its column holds n-1 distinct values, none of them the base itself.
+Only a column that fails is read for its missing pairs.
+
+A job's n packets start at the n bases, so their tails stay distinct as
+long as each column of heads they cross is a permutation.  A job is clean
+when no other letter claims the (slot, out-position) of any of its letters
+and every column before its last letter is a permutation: each of its
+letters then fills the slot's column of cells row[j::d] in one assignment,
+ordered by tail.  Every letter of any other job records its n packets, with
+their dests read off the table, as claimants of their cells, and when the
+slot closes the claimant with the smallest (base, job) owns each cell;
+every other claimant is a conflict.  All conflicts are counted, and the
+first CONFLICT_WITNESSES of them in the order of the losing packet's (base,
+job, letter) are kept as witnesses, so a plan that double-books everything
+holds no more of them than that.
 
 The replay can write the trace as text to a sink, a callable taking str:
 one line "time,src,dst,gen,packet_src,packet_dst" per occupied arc and
@@ -32,18 +46,18 @@ slot, in (slot, tail, out-position) order.  A job in flight carries one
 label per tail (the "src,dst" line end of its packet there) or, when dirty,
 the tail and destination of each base's packet, from its first letter to
 its last; each slot's row is written out and dropped as soon as the slot
-closes.  Memory therefore follows the jobs in flight and the open slot, not
-the horizon or the slots used.  With no sink, a clean job is only walked
-once for its deliveries, and only dirty jobs are held.  Deliveries are
-counted in one flat n*n array.
+closes.  Memory therefore follows the table, the jobs in flight and the
+open slot, not the horizon or the slots used.  With no sink only the dirty
+jobs' letters are replayed: a clean job is just its row of the table.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from heapq import heappush, heapreplace
 from itertools import chain, compress, count, repeat
-from operator import add, eq, itemgetter, lt, not_
+from operator import add, eq, itemgetter, lt, ne
 from typing import Callable, Sequence
 
 from .errors import InputError
@@ -52,6 +66,8 @@ from .scheduling import Schedule, WordMap
 
 Edge = tuple[int, int]  # (tail vertex, generator/factor index)
 Sink = Callable[[str], object]  # takes the trace text, one or more whole rows at a time
+
+CONFLICT_WITNESSES = 1000  # conflicts a replay keeps, the first in (base, job, letter) order
 
 
 @dataclass(frozen=True)
@@ -69,28 +85,28 @@ class Expansion:
 class TransposeTrace:
     """The verdict of a replay; the per-slot rows went to the replay's sink, if it had one.
 
-    counts[source*vertex_count + dest] is how often that packet arrived.  A
-    clean exchange has no conflicts, no undelivered pairs, and every
-    delivery count equal to one.
+    dests[job*vertex_count + base] is where the job takes base's packet.
+    conflicts holds the first CONFLICT_WITNESSES of the conflict_count
+    losing packets, in (base, job, letter) order.  A clean exchange has no
+    conflicts, no undelivered pairs, and no pair delivered twice.
     """
 
     horizon: int
     conflicts: tuple[tuple[int, Edge, tuple[int, int], tuple[int, int]], ...]
+    conflict_count: int
     undelivered: tuple[tuple[int, int], ...]
+    delivered_pairs: int  # (source, dest) pairs that arrived at least once
     vertex_count: int
-    counts: array
+    dests: array
 
     def deliveries(self, source: int, dest: int) -> int:
-        return self.counts[source * self.vertex_count + dest]
-
-    @property
-    def delivered_pairs(self) -> int:
-        """How many (source, dest) pairs arrived at least once."""
-        return len(self.counts) - self.counts.count(0)
+        """How often packet (source, dest) arrived."""
+        return self.dests[source::self.vertex_count].count(dest)
 
     @property
     def clean(self) -> bool:
-        return not self.conflicts and not self.undelivered and max(self.counts, default=0) <= 1
+        # every arrival is a distinct pair exactly when the pairs number the packets
+        return not self.conflict_count and not self.undelivered and self.delivered_pairs == len(self.dests)
 
 
 def expand_factor_paths(host: Digraph, word_map: WordMap, schedule: Schedule) -> Expansion:
@@ -145,32 +161,29 @@ def run_transpose(g: Digraph, expansion: Expansion, sink: Sink | None = None) ->
         dirty.update((letters[i][2], letters[i + 1][2]))
     del claims
 
-    counts = array("i" if n * n < 2**31 else "q", [0]) * (n * n)
+    table = _walk_trie([tuple(word) for word, _ in jobs], columns, n)
+    undelivered = []
+    delivered_pairs = 0
+    for base in range(n):
+        seen = set(table[base::n])
+        delivered_pairs += len(seen)
+        if len(seen) != n - 1 or base in seen:
+            undelivered += zip(repeat(base), sorted(set(range(n)).difference(seen, (base,))))
 
-    def walk(word) -> list[int]:
-        """Where the word takes each base, counted as a delivery."""
-        dests = range(n)
-        for j in word:
-            dests = list(map(columns[j].__getitem__, dests))
-        for key in map(add, range(0, n * n, n), dests):
-            counts[key] += 1
-        return dests
-
-    if sink is None:  # a clean job is only its deliveries
+    if sink is None:  # a clean job is only its row of the table
         letters = [letter for letter in letters if letter[2] in dirty]
-    for w, (word, _) in enumerate(jobs):
-        if not word or (sink is None and w not in dirty):
-            walk(word)  # any other job is walked at its first letter
     source = [f"{v}," for v in range(n)]
     dest = [f"{v}\n" for v in range(n)]
     arc = _arc_text(succ) if sink is not None else []
     free = [""] * len(arc)
-    conflicts: list = []  # (base, job, letter index, conflict) of every losing packet
+    witnesses: list = []  # heap of (-base, -job, -letter index, conflict) of the first losing packets
+    conflict_count = 0
     in_flight: dict = {}  # job -> clean: the label at each tail; dirty: (each base's tail, each base's dest)
     row, current, filled, claimants = free, 0, 0, []
     for time, j, w, k in chain(letters, [(None, 0, 0, 0)]):  # the slot None closes the last slot
         if time != current:
-            owners = _settle(current, claimants, n, d, conflicts) if claimants else {}
+            owners = _settle(current, claimants, n, d, witnesses) if claimants else {}
+            conflict_count += len(claimants) * n - len(owners)  # every claim but the cell's first loses
             if current and sink is not None:
                 for cell, packet in owners.items():
                     row[cell] = "%d,%d\n" % packet
@@ -180,25 +193,53 @@ def run_transpose(g: Digraph, expansion: Expansion, sink: Sink | None = None) ->
             row, current, filled, claimants = free[:], time, 0, []
         word = jobs[w][0]
         if w in dirty:
-            at, dests = in_flight.pop(w) if k else (range(n), walk(word))
+            at, dests = in_flight.pop(w) if k else (range(n), table[w * n:w * n + n])
             claimants.append((w, k, j, at, dests))
             if k + 1 < len(word):
                 in_flight[w] = (list(map(columns[j].__getitem__, at)), dests)
         else:
-            labels = in_flight.pop(w) if k else list(map(add, source, map(dest.__getitem__, walk(word))))
+            labels = in_flight.pop(w) if k else list(map(add, source, map(dest.__getitem__, table[w * n:w * n + n])))
             row[j::d] = labels
             filled += 1
             if k + 1 < len(word):
                 in_flight[w] = list(map(labels.__getitem__, inverse[j]))
-    conflicts.sort()
-    missing = compress(range(n * n), map(not_, counts))
+    witnesses.sort(reverse=True)
     return TransposeTrace(
         horizon=horizon,
-        conflicts=tuple(conflict for *_, conflict in conflicts),
-        undelivered=tuple(divmod(k, n) for k in missing if k % (n + 1)),
+        conflicts=tuple(conflict for *_, conflict in witnesses),
+        conflict_count=conflict_count,
+        undelivered=tuple(undelivered),
+        delivered_pairs=delivered_pairs,
         vertex_count=n,
-        counts=counts,
+        dests=table,
     )
+
+
+def _dests_typecode(n: int) -> str:
+    """The array typecode of a dests table on n vertices: two bytes a cell while every vertex fits."""
+    return "H" if n <= 1 << 16 else "i"
+
+
+def _walk_trie(words: list[tuple[int, ...]], columns: list[list[int]], n: int) -> array:
+    """dests[w*n + base] = where words[w] takes base, walking each node of the words' prefix trie once.
+
+    Sorted, the words below one trie node come one after another, so the
+    stack keeps the dests lists of the prefix a word shares with the word
+    before it and maps only the letters after that prefix, one column of
+    heads over the parent's list per letter.
+    """
+    table = array(_dests_typecode(n), [0]) * (len(words) * n)
+    stack: list = [range(n)]  # stack[k]: where the first k letters of the last word take each base
+    last: tuple[int, ...] = ()
+    for w in sorted(range(len(words)), key=words.__getitem__):
+        word = words[w]
+        shared = next(compress(count(), map(ne, word, last)), min(len(word), len(last)))
+        del stack[shared + 1:]
+        for j in word[shared:]:
+            stack.append(list(map(columns[j].__getitem__, stack[-1])))
+        table[w * n:w * n + n] = array(table.typecode, stack[-1])
+        last = word
+    return table
 
 
 def _check_route(succ, word, times) -> None:
@@ -219,11 +260,14 @@ def _check_route(succ, word, times) -> None:
         v, last = succ[v][j], time
 
 
-def _settle(time: int, claimants: list, n: int, d: int, conflicts: list) -> dict[int, tuple[int, int]]:
-    """cell -> (base, dest) of the packet that owns it in this slot; the other claimants become conflicts.
+def _settle(time: int, claimants: list, n: int, d: int, witnesses: list) -> dict[int, tuple[int, int]]:
+    """cell -> (base, dest) of the packet that owns it in this slot; the other claimants are conflicts.
 
     Of the packets claiming one cell, the one with the smallest (base, job)
     owns it.  A job has at most one letter in a slot, since its slots rise.
+    A conflict joins the witnesses, a heap of at most CONFLICT_WITNESSES
+    negated (base, job, letter) keys whose top is the last one kept, while
+    it is among the first so far.
     """
     claimants.sort(key=itemgetter(0))
     owners: dict[int, tuple[int, int]] = {}
@@ -233,7 +277,11 @@ def _settle(time: int, claimants: list, n: int, d: int, conflicts: list) -> dict
             packet = (base, dests[base])
             first = owners.setdefault(tail * d + j, packet)
             if first is not packet:
-                conflicts.append((base, w, k, (time, (tail, j), first, packet)))
+                witness = (-base, -w, -k, (time, (tail, j), first, packet))
+                if len(witnesses) < CONFLICT_WITNESSES:
+                    heappush(witnesses, witness)
+                elif witness > witnesses[0]:
+                    heapreplace(witnesses, witness)
     return owners
 
 

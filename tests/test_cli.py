@@ -467,6 +467,27 @@ def test_simulate_replays_a_double_booked_schedule(tmp_path, capsys):
     assert trace.read_text().startswith("time,src,dst,gen,packet_src,packet_dst\n")
 
 
+@pytest.mark.parametrize("plan,code", [("clean", 0), ("double-booked", 2), ("undelivered", 2)])
+def test_simulate_gives_the_same_verdict_with_and_without_a_trace(tmp_path, capsys, plan, code):
+    sched, bad = tmp_path / "sched.csv", tmp_path / "bad.csv"
+    run_json(capsys, "schedule", "--builtin", "q3", "--csv", str(sched))
+    header, *rows = [line.split(",") for line in sched.read_text().splitlines()]
+    if plan == "double-booked":  # a one-letter word moves onto the slot of another word's letter over its factor
+        lone = next(r for r in rows if [x[0] for x in rows].count(r[0]) == 1)
+        lone[3] = next(r[3] for r in rows if r[0] != lone[0] and r[2] == lone[2])
+    elif plan == "undelivered":
+        rows = [r for r in rows if r[0] != rows[-1][0]]
+    bad.write_text("".join(",".join(r) + "\n" for r in [header, *rows]))
+    runs = []
+    for extra in ([], ["--trace", str(tmp_path / "trace.csv")]):
+        verdict = tmp_path / f"verdict{len(runs)}.json"
+        got, _, err = run(capsys, "simulate", "--builtin", "q3", "--schedule", str(bad), "--out", str(verdict), *extra)
+        runs.append((got, verdict.read_bytes()))
+    assert runs[0] == runs[1] and runs[0][0] == code
+    doc = json.loads(runs[0][1])
+    assert (doc["conflicts"] > 0, doc["undelivered"] > 0) == (plan == "double-booked", plan == "undelivered")
+
+
 def plan_files(tmp_path, capsys, name):
     """(schedule CSV, extra simulate arguments) of a builtin's plan: petersen over factors, others over generators."""
     sched = tmp_path / "sched.csv"

@@ -2,6 +2,7 @@
 
 import ast
 import random
+from array import array
 import tracemalloc
 from pathlib import Path
 
@@ -14,13 +15,23 @@ from alltoall.errors import InputError
 from alltoall.factorization import factor_digraph, search_spanning_factorization
 from alltoall.graphs import Digraph, build_cayley_coset_graph
 from alltoall.groups import CyclicGroup, GroupSpec
-from alltoall.scheduling import Schedule, exact_min_schedule, greedy_schedule
+from alltoall.scheduling import (
+    DEFAULT_SCHEDULE_BUDGET,
+    Schedule,
+    exact_min_schedule,
+    greedy_schedule,
+    schedule_plan,
+)
 from alltoall.simulate import (
+    CONFLICT_WITNESSES,
     Expansion,
+    _dests_typecode,
     expand_factor_paths,
     run_transpose,
 )
 from alltoall.words import bfs_word_set
+from test_graphs import star
+from test_scheduling import hypercube
 
 
 def replay_text(g, paths):
@@ -272,7 +283,8 @@ def assert_replays_agree(g, expanded):
     trace, text = replay_text(g, expanded)
     n = g.vertex_count
     assert trace.horizon == horizon
-    assert list(trace.conflicts) == conflicts
+    assert list(trace.conflicts) == conflicts[:CONFLICT_WITNESSES]
+    assert trace.conflict_count == len(conflicts)
     assert trace.undelivered == undelivered
     counts = {(s, d): trace.deliveries(s, d) for s in range(n) for d in range(n) if trace.deliveries(s, d)}
     assert counts == delivered
@@ -531,3 +543,130 @@ def test_a_lone_letter_at_slot_10_9_writes_two_slots_in_memory_that_ignores_the_
     assert sorted({row[0] for row in trace_lines(text)}) == [1, 10**9]
     assert len(trace_lines(text)) == 2 * g.vertex_count
     assert peak < 2**20
+
+
+# ---------------------------------------------------------------------------
+# the prefix-trie walk, the per-base delivery check and the bounded witnesses
+# ---------------------------------------------------------------------------
+
+
+def one_after_another(words):
+    """A job per word, each word's letters in the slots right after the previous word's: no two letters meet."""
+    jobs, time = [], 1
+    for word in words:
+        jobs.append((word, tuple(range(time, time + len(word)))))
+        time += len(word)
+    return jobs
+
+
+def assert_table_walks_every_word(g, expanded, trace):
+    """The trace's dests table holds, job by job, where each job's word takes each base."""
+    n = g.vertex_count
+    assert list(trace.dests) == [walk(g, b, word) for word, _ in expanded.jobs for b in range(n)]
+
+
+def q3_words_shuffled():
+    # job order differs from word order, so the table must be filled job by job, not in trie order
+    words = list(bfs_word_set(fixtures.builtin_graph("q3")).values())
+    random.Random(41).shuffle(words)
+    return words
+
+
+@pytest.mark.parametrize("case", ["shared prefixes", "repeated word", "not prefix-closed", "empty word",
+                                  "missing pair"])
+def test_trie_walk_and_column_check_match_the_reference(case):
+    g = fixtures.builtin_graph("q3")
+    words = q3_words_shuffled()
+    if case == "repeated word":
+        words.insert(2, words[5])
+    elif case == "not prefix-closed":
+        g = hypercube(4)
+        plan, _ = schedule_plan(g, bfs_word_set(g), "exact", DEFAULT_SCHEDULE_BUDGET)
+        words = list(plan.values())
+        assert any(len(w) > 1 and w[:-1] not in plan.values() for w in words)
+    elif case == "empty word":
+        words.insert(3, ())
+    elif case == "missing pair":
+        gone = words.pop(4)
+    expanded = expansion(g, one_after_another(words))
+    trace = assert_replays_agree(g, expanded)
+    assert_table_walks_every_word(g, expanded, trace)
+    n = g.vertex_count
+    if case == "repeated word":
+        assert not trace.clean and trace.deliveries(1, walk(g, 1, words[2])) == 2
+        assert trace.delivered_pairs == n * (n - 1)
+    elif case == "empty word":  # every base delivers to itself once, as every other pair
+        assert trace.clean and trace.deliveries(5, 5) == 1
+        assert trace.delivered_pairs == n * n
+    elif case == "missing pair":
+        assert trace.undelivered == tuple((b, walk(g, b, gone)) for b in range(n))
+        assert trace.delivered_pairs == n * (n - 2)
+    else:
+        assert trace.clean and trace.delivered_pairs == n * (n - 1)
+
+
+class CountingColumn(list):
+    """A column of heads that counts the lookups made through it."""
+
+    lookups = 0
+
+    def __getitem__(self, index):
+        self.lookups += 1
+        return super().__getitem__(index)
+
+
+def test_trie_walk_maps_each_trie_node_once():
+    g = hypercube(4)
+    plan, _ = schedule_plan(g, bfs_word_set(g), "exact", DEFAULT_SCHEDULE_BUDGET)
+    words = list(plan.values())
+    random.Random(43).shuffle(words)
+    words += words[:3]  # a repeated word is a node walked already
+    n = g.vertex_count
+    columns = [CountingColumn(heads[j] for heads in g.out) for j in range(g.degree)]
+    table = simulate._walk_trie(words, columns, n)
+    assert list(table) == [walk(g, b, word) for word in words for b in range(n)]
+    nodes = {word[:k] for word in words for k in range(1, len(word) + 1)}
+    assert sum(column.lookups for column in columns) == n * len(nodes) < n * sum(map(len, words))
+
+
+def test_one_vertex_delivers_to_itself():
+    g = Digraph(out=((0,),))
+    once = assert_replays_agree(g, expansion(g, [((0,), (1,))]))
+    assert once.clean and once.delivered_pairs == 1 and once.deliveries(0, 0) == 1 and not once.undelivered
+    twice = assert_replays_agree(g, expansion(g, [((0,), (1,)), ((0, 0), (2, 3))]))
+    assert not twice.clean and twice.deliveries(0, 0) == 2 and not twice.conflicts
+    nothing = assert_replays_agree(g, expansion(g, []))
+    assert nothing.clean and nothing.delivered_pairs == 0
+
+
+def test_dests_table_takes_four_bytes_a_cell_only_past_65536_vertices():
+    assert _dests_typecode(1) == _dests_typecode(1 << 16) == "H"
+    assert _dests_typecode((1 << 16) + 1) == "i"
+    # the last vertex of each size fits its table's cells
+    assert array(_dests_typecode(1 << 16), [(1 << 16) - 1])[0] == (1 << 16) - 1
+    assert array(_dests_typecode(1 << 20), [(1 << 20) - 1])[0] == (1 << 20) - 1
+    with pytest.raises(OverflowError):
+        array(_dests_typecode(1 << 16), [1 << 16])
+
+
+def test_a_doubled_plan_counts_every_conflict_and_keeps_the_first_as_witnesses():
+    g = build_cayley_coset_graph(GroupSpec(group=CyclicGroup(128), generators=(1, 16)))
+    ws = bfs_word_set(g)
+    jobs = list(expand_factor_paths(g, ws, greedy_schedule(ws)).jobs)
+    doubled = expansion(g, jobs + jobs)  # every letter shares its (slot, position) with its twin
+    _, conflicts, _, _, _ = reference_replay(g, packets(g, doubled))
+    assert len(conflicts) > CONFLICT_WITNESSES
+    trace = run_transpose(g, doubled)
+    assert trace.conflict_count == len(conflicts)
+    assert list(trace.conflicts) == conflicts[:CONFLICT_WITNESSES]
+    assert not trace.undelivered and trace.delivered_pairs == 128 * 127 and not trace.clean
+    assert replay_text(g, doubled)[0] == trace
+
+
+def test_star6_greedy_plan_replays_in_less_memory_than_a_counts_array():
+    g = star(6)
+    ws = bfs_word_set(g)
+    trace, _, peak = replay_with_peak(g, expand_factor_paths(g, ws, greedy_schedule(ws)), sink=False)
+    assert trace.clean and trace.delivered_pairs == 720 * 719
+    # an n*n array of 4-byte delivery counts
+    assert peak < 720 * 720 * 4
