@@ -28,6 +28,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import fixtures, specfile
@@ -95,11 +96,45 @@ def _json_default(x):
 
 
 def _emit_json(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, default=_json_default) + "\n"
+    text = _dumps(doc, "") + "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+_all_ints = {int}.issuperset  # over the types of a list's items; a bool is not a plain int
+
+
+def _dumps(x, pad: str) -> str:
+    """json.dumps(x, indent=2, default=_json_default), byte for byte, for x nested at indent `pad`.
+
+    An indent sends json.dumps to its pure-Python encoder.  Here only the
+    layout is Python: every scalar goes through the C-level encoder, and a
+    list of plain ints is one join.
+    """
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = pad + "  "
+        items = [_json_key(k) + ": " + _dumps(v, inner) for k, v in x.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = pad + "  "
+        items = map(str, x) if _all_ints(map(type, x)) else [_dumps(v, inner) for v in x]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    return json.dumps(x, default=_json_default)
+
+
+def _json_key(k) -> str:
+    """A dict key as json writes it: a str as it is, an int, float, bool or None key as its JSON text."""
+    if not isinstance(k, str):
+        if not (isinstance(k, (int, float)) or k is None):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+        k = json.dumps(k)
+    return encode_basestring_ascii(k)
 
 
 def _read_json(path: str) -> dict:
@@ -239,7 +274,7 @@ def _replay_to_file(host: Digraph, paths: Expansion, path: str):
 def _words_doc(words: dict[int, tuple[int, ...]], degree: int, theta: int) -> dict:
     occ = factor_occurrences(words, degree)
     return {
-        "words": {str(v): list(w) for v, w in sorted(words.items())},
+        "words": {str(v): w for v, w in sorted(words.items())},
         "occurrences": occ,
         "psi_W": max(occ),
         "theta": theta,
@@ -250,8 +285,8 @@ def _factorization_doc(n: int, factors, words, search: dict | None = None) -> di
     doc = {
         "n": n,
         "d": len(factors),
-        "factors": [list(succ) for succ in factors],
-        "words": None if words is None else [list(w) for w in words],
+        "factors": factors,
+        "words": words,
     }
     if search is not None:
         doc["search"] = search

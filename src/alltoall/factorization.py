@@ -23,6 +23,7 @@ from typing import Iterator, Sequence
 from .errors import InputError
 from .graphs import Digraph, regular_degree
 from .layers import distances_from
+from .simulate import _walk_trie
 
 DEFAULT_SEARCH_BUDGET = 1_000_000
 
@@ -146,7 +147,12 @@ def factor_digraph(factors: Sequence[Sequence[int]]) -> Digraph:
 
 
 def verify_spanning(factors: Sequence[Sequence[int]], words: Sequence[Sequence[int]], n: int) -> None:
-    """Walk every word from every base; raise InputError at the first endpoint collision or bad word."""
+    """Raise InputError at a bad word, or at the first pair of words that end together from some base.
+
+    The words are walked once from all bases together, as the replay walks
+    them: a prefix they share is walked once.  Only a base whose ends
+    collide is walked again word by word, to name its first collision.
+    """
     if len(words) != n:
         raise InputError(f"word list has {len(words)} words for {n} vertices; endpoints cannot cover the graph")
     d = len(factors)
@@ -154,7 +160,10 @@ def verify_spanning(factors: Sequence[Sequence[int]], words: Sequence[Sequence[i
         for j in word:
             if not (0 <= j < d):
                 raise InputError(f"word {i} uses factor {j}, out of range")
+    ends = _walk_trie([tuple(word) for word in words], factors, n)
     for base in range(n):
+        if len(set(ends[base::n])) == n:
+            continue
         seen: dict[int, int] = {}
         for i, word in enumerate(words):
             end = walk_word(factors, base, word)

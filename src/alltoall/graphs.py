@@ -123,8 +123,8 @@ def build_cayley_coset_graph(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) ->
 
     Vertex order is breadth-first from the identity coset with generators
     scanned in input order, so builds are reproducible.  The walk takes a
-    queue slice at a time: every vertex queued so far is translated by each
-    generator in one batch, and the images are read in (vertex, generator)
+    queue slice at a time: every vertex queued so far is translated by all
+    generators in one call, and the images are read in (vertex, generator)
     order, so new cosets get the numbers a vertex-at-a-time walk would give
     them.  A coset's vertex is labelled by its least element.  The walk reaches
     every coset of the group that the generators and the subgroup generate,
@@ -151,9 +151,7 @@ def build_cayley_coset_graph(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) ->
             vertices.extend(fresh)
             return
         # row i of the columns is the coset fresh[i]H; its minimum is the canonical representative
-        identity = group.identity
-        columns = [fresh if h == identity else group.translate(fresh, h) for h in sub]
-        for el, members in zip(fresh, zip(*columns)):
+        for el, members in zip(fresh, zip(*group.translate(fresh, sub))):
             if el in index:  # an earlier element of this batch lies in the same coset
                 continue
             if (len(vertices) + 1) * len(sub) > cap:
@@ -170,8 +168,8 @@ def build_cayley_coset_graph(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) ->
         queue = vertices[done:]
         done = len(vertices)
         images: list[Element] = [None] * (len(queue) * d)
-        for j, gen in enumerate(spec.generators):
-            images[j::d] = translate(queue, gen)
+        for j, column in enumerate(translate(queue, spec.generators)):
+            images[j::d] = column
         number(list(dict.fromkeys(filterfalse(known, images))))
         heads += map(vertex_of, images)
     # no connectivity check: with DH = HD every element of <D, H> is (D-word)*h, so the walk reaches every coset

@@ -14,9 +14,10 @@ Elements are checked where they enter: `parse`, the generators of a
 GroupSpec and `validate_subgroup`.  compose and inverse do arithmetic only,
 since composing valid elements cannot produce an invalid one.
 
-`translate(elements, b)` is the batched right action, equal to
-[compose(a, b) for a in elements] but without a method call per element, so
-a graph build pays interpreter overhead per batch rather than per arc.
+`translate(elements, bs)` is the batched right action, one image list per
+right factor b in bs, each equal to [compose(a, b) for a in elements] but
+without a method call per element, so a graph build pays interpreter
+overhead per batch rather than per arc.
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ class CyclicGroup:
     def compose(self, a: int, b: int) -> int:
         return (a + b) % self.modulus
 
-    def translate(self, elements: Sequence[int], b: int) -> list[int]:
+    def translate(self, elements: Sequence[int], bs: Sequence[int]) -> list[list[int]]:
         m = self.modulus
-        return [(a + b) % m for a in elements]
+        return [[(a + b) % m for a in elements] for b in bs]
 
     def inverse(self, a: int) -> int:
         return (-a) % self.modulus
@@ -95,9 +96,10 @@ class PermutationGroup:
     def compose(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         return tuple(b[a[x]] for x in range(self.degree))
 
-    def translate(self, elements: Sequence[tuple[int, ...]], b: Sequence[int]) -> list[tuple[int, ...]]:
-        # column x of the images is b applied to column x of the elements
-        return list(zip(*[map(b.__getitem__, col) for col in zip(*elements)]))
+    def translate(self, elements: Sequence[tuple[int, ...]], bs: Sequence[Sequence[int]]) -> list[list[tuple]]:
+        # column x of the images is b applied to column x of the elements; the columns are cut once for every b
+        cols = list(zip(*elements))
+        return [list(zip(*[map(b.__getitem__, col) for col in cols])) for b in bs]
 
     def inverse(self, a: Sequence[int]) -> tuple[int, ...]:
         out = [0] * self.degree
@@ -183,10 +185,16 @@ class ProductGroup:
     def compose(self, a: tuple, b: tuple) -> tuple:
         return tuple(f.compose(x, y) for f, x, y in zip(self.factors, a, b))
 
-    def translate(self, elements: Sequence[tuple], b: tuple) -> list[tuple]:
-        # one column per factor; a factor whose part of b is its identity keeps its column
-        cols = [col if y == f.identity else f.translate(col, y) for f, col, y in zip(self.factors, zip(*elements), b)]
-        return list(zip(*cols))
+    def translate(self, elements: Sequence[tuple], bs: Sequence[tuple]) -> list[list[tuple]]:
+        if not elements:
+            return [[] for _ in bs]
+        # per factor, its column translated by each distinct part of the bs; an identity part keeps the column
+        per_factor = []
+        for f, col, parts in zip(self.factors, zip(*elements), zip(*bs)):
+            moved = [y for y in dict.fromkeys(parts) if y != f.identity]
+            images = dict(zip(moved, f.translate(col, moved)))
+            per_factor.append([images.get(y, col) for y in parts])
+        return [list(zip(*cols)) for cols in zip(*per_factor)]
 
     def inverse(self, a: tuple) -> tuple:
         return tuple(f.inverse(x) for f, x in zip(self.factors, a))

@@ -144,6 +144,8 @@ def run_transpose(g: Digraph, expansion: Expansion, sink: Sink | None = None) ->
     columns = [[heads[j] for heads in succ] for j in range(d)]
     # inverse[j][w] = the tail column j sends to w; None when column j is not a permutation
     inverse = [sorted(range(n), key=col.__getitem__) if len(set(col)) == n else None for col in columns]
+    # move[j](labels) re-indexes labels by tail to the tails column j takes them to; itemgetter(i) gives no tuple
+    move = [itemgetter(*inv) if inv and n > 1 else tuple for inv in inverse]
     letters = []  # (slot, position, job, letter index) of every letter
     horizon = 0
     for w, (word, times) in enumerate(jobs):
@@ -202,7 +204,7 @@ def run_transpose(g: Digraph, expansion: Expansion, sink: Sink | None = None) ->
             row[j::d] = labels
             filled += 1
             if k + 1 < len(word):
-                in_flight[w] = list(map(labels.__getitem__, inverse[j]))
+                in_flight[w] = move[j](labels)
     witnesses.sort(reverse=True)
     return TransposeTrace(
         horizon=horizon,

@@ -5,11 +5,14 @@ import io
 import json
 import sys
 from collections import deque
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alltoall import fixtures, scheduling
-from alltoall.cli import _parse_factorization_doc, main
+from alltoall.cli import _dumps, _json_default, _parse_factorization_doc, main
 from alltoall.errors import InputError
 from alltoall.factorization import factor_digraph
 from alltoall.graphs import Digraph
@@ -735,3 +738,87 @@ def test_help_exits_zero(capsys):
         main(["--help"])
     assert info.value.code == 0
     assert "pipeline" in capsys.readouterr().out
+
+
+def assert_two_space_layout(path):
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n", path
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.BUILTIN_SPECS))
+def test_every_json_artifact_keeps_the_two_space_layout(tmp_path, capsys, name):
+    src = ("--builtin", name)
+    runs = [("pipeline", *src, "--method", m, "--outdir", str(tmp_path / m)) for m in ("exact", "greedy")]
+    runs += [(command, *src, "--out", str(tmp_path / f"{command}.json")) for command in ("bounds", "factorize")]
+    if fixtures.builtin_graph(name).is_cayley:
+        runs.append(("words", *src, "--out", str(tmp_path / "words.json")))
+    else:
+        runs.append(("factorize", *src, "--search", "--out", str(tmp_path / "search.json")))
+    for argv in runs:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+    artifacts = sorted(tmp_path.rglob("*.json"))
+    assert len(artifacts) == 9
+    for path in artifacts:
+        assert_two_space_layout(path)
+
+
+def test_compare_artifact_keeps_the_two_space_layout(tmp_path, capsys):
+    a = write_network(tmp_path / "a.json", P=4096, d=8, D=6, rho=64, tau=2048)
+    b = write_network(tmp_path / "b.json", P=1024, d=10, D=5, rho=64, tau=12.5)
+    out = tmp_path / "verdict.json"
+    code, _, err = run(capsys, "compare", a, b, "--gamma-max", "40000", "--matrix-dim", "256",
+                       "--iterations", "4", "--measured", "--out", str(out))
+    assert code == 0, err
+    assert json.loads(out.read_text())["ranking"]
+    assert_two_space_layout(out)
+    code, _, _ = run(capsys, "compare", a, b, "--gamma-max", "2", "--matrix-dim", "16", "--iterations", "1",
+                     "--out", str(out))
+    assert code == 2 and json.loads(out.read_text())["eliminated"]
+    assert_two_space_layout(out)
+
+
+json_keys = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.sampled_from([-0.0, 1e300, float("inf")]), st.text(),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=1000),
+)
+json_docs = st.recursive(
+    json_scalars,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=5), st.lists(kids, max_size=5).map(tuple),
+        st.dictionaries(json_keys, kids, max_size=5), st.lists(st.one_of(st.integers(), st.booleans()), max_size=5),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=json_docs)
+def test_dumps_writes_what_json_dumps_with_an_indent_writes(doc):
+    assert _dumps(doc, "") + "\n" == json.dumps(doc, indent=2, default=_json_default) + "\n"
+
+
+def test_dumps_refuses_what_json_dumps_refuses():
+    for doc in ({(1, 2): 0}, {Fraction(1, 2): 0}, {"a": {1, 2}}, [object()]):
+        with pytest.raises(TypeError) as ours:
+            _dumps(doc, "")
+        with pytest.raises(TypeError) as theirs:
+            json.dumps(doc, indent=2, default=_json_default)
+        assert str(ours.value) == str(theirs.value)
+
+
+def test_a_large_words_artifact_never_reaches_the_pure_python_encoder(tmp_path, capsys, monkeypatch):
+    spec = tmp_path / "z1024.json"
+    spec.write_text(json.dumps({"group": {"kind": "cyclic", "modulus": 1024}, "generators": [1, 32]}))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder was called")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError):  # the guard bites where an indent is asked of json itself
+        json.dumps({"words": [1]}, indent=2)
+    out = tmp_path / "words.json"
+    code, _, err = run(capsys, "words", "--spec", str(spec), "--out", str(out))
+    assert code == 0, err
+    assert len(json.loads(out.read_text())["words"]) == 1023

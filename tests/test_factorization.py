@@ -8,6 +8,8 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alltoall import fixtures
 from alltoall.errors import ConnectivityError, InputError
@@ -121,6 +123,48 @@ def test_verify_spanning_reports_collisions():
     # short word lists fail by pigeonhole before any walking
     with pytest.raises(InputError, match="2 words"):
         verify_spanning(factors, ((), (0,)), 3)
+
+
+def first_collision(factors, words, n):
+    """The message of the first collision met walking every word from every base in turn, or None."""
+    for base in range(n):
+        seen = {}
+        for i, word in enumerate(words):
+            end = walk_word(factors, base, word)
+            if end in seen:
+                return f"words {seen[end]} and {i} both end at {end} from base {base}"
+            seen[end] = i
+    return None
+
+
+def test_verify_spanning_names_the_first_collision_of_a_later_base():
+    factors = ((1, 0, 2, 3), (2, 3, 1, 0))
+    words = ((), (1, 0), (0, 1), (0,))
+    # bases 0 and 1 are spanned; from base 2, word 3 returns to the base
+    with pytest.raises(InputError, match=r"^words 0 and 3 both end at 2 from base 2$"):
+        verify_spanning(factors, words, 4)
+
+
+@st.composite
+def factor_word_lists(draw):
+    n = draw(st.integers(1, 7))
+    d = draw(st.integers(1, 3))
+    factors = tuple(tuple(draw(st.permutations(range(n)))) for _ in range(d))
+    words = draw(st.lists(st.lists(st.integers(0, d - 1), max_size=4).map(tuple), min_size=n, max_size=n))
+    return factors, words, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=factor_word_lists())
+def test_verify_spanning_names_the_collision_a_word_by_word_walk_meets_first(case):
+    factors, words, n = case
+    expected = first_collision(factors, words, n)
+    if expected is None:
+        verify_spanning(factors, words, n)
+    else:
+        with pytest.raises(InputError) as info:
+            verify_spanning(factors, words, n)
+        assert str(info.value) == expected
 
 
 def cayley_factorization(g):

@@ -424,14 +424,15 @@ def test_larger_graphs_match_the_per_arc_build():
 def test_translate_is_compose_per_element(data):
     group = data.draw(group_kinds)
     batch = data.draw(st.lists(elements(group), max_size=8))
-    b = data.draw(st.one_of(st.just(group.identity), elements(group)))
-    assert group.translate(batch, b) == [group.compose(a, b) for a in batch]
+    bs = data.draw(st.lists(st.one_of(st.just(group.identity), elements(group)), max_size=5))
+    assert group.translate(batch, bs) == [[group.compose(a, b) for a in batch] for b in bs]
 
 
 def test_translate_of_an_empty_batch_is_empty():
     for group in (CyclicGroup(5), PermutationGroup(3), ProductGroup([CyclicGroup(2), PermutationGroup(3)]),
                   ProductGroup([ProductGroup([CyclicGroup(3)])])):
-        assert group.translate([], group.identity) == []
+        assert group.translate([], [group.identity, group.identity]) == [[], []]
+        assert group.translate([group.identity], []) == []
 
 
 def mid_batch_counts(out):
