@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -209,13 +210,15 @@ def _parse_factorization_doc(doc: dict, origin: str, g: Digraph):
 
 
 def _write_schedule_csv(path: str, word_map: dict[int, tuple[int, ...]], sched: Schedule) -> None:
+    """One row per letter, as csv.writer would write them, built as one string and written at once."""
+    times = sched.times
+    text = "".join([
+        f"{target},{pos},{j},{t}\n"
+        for target in sorted(times)
+        for pos, (j, t) in enumerate(zip(word_map[target], times[target]))
+    ])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["word_target", "position", "factor", "time"])
-        for target in sorted(sched.times):
-            word = word_map[target]
-            for pos, (j, t) in enumerate(zip(word, sched.times[target])):
-                w.writerow([target, pos, j, t])
+        fh.write("word_target,position,factor,time\n" + text)
 
 
 def _read_schedule_csv(path: str) -> tuple[dict[int, tuple[int, ...]], Schedule]:
@@ -634,9 +637,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on the first call and reused, so in-process callers of main pay for it once."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

@@ -32,7 +32,9 @@ guarantees for them as counts over the same word maps.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
 
 from .errors import InputError, SearchBudgetError, UnsupportedGraphError
@@ -88,6 +90,10 @@ def validate_schedule(word_map: WordMap, schedule: Schedule, degree: int) -> Non
 
 def factor_occurrences(word_map: WordMap, degree: int) -> list[int]:
     """Total occurrence count of each factor (or generator) index across all words."""
+    counts = Counter(chain.from_iterable(word_map.values()))
+    if all(0 <= j < degree for j in counts):
+        return [counts[j] for j in range(degree)]
+    # a letter is out of range: count letter by letter so that the error names the first one
     counts = [0] * degree
     for word in word_map.values():
         for j in word:
@@ -285,23 +291,36 @@ def exact_min_schedule(
 
     Tries every makespan up from the trivial lower bound (busiest factor
     count, but at least the longest word); the first feasible horizon is
-    optimal.  One horizon always is: at the total letter count, the serial
-    schedule fits.  Branch and bound inside each horizon; the budget is
-    shared across horizons, and running out yields status "budget" rather
-    than a wrong verdict.
+    optimal.  Branch and bound inside each horizon; the budget is shared
+    across horizons, and running out yields status "budget" rather than a
+    wrong verdict.
+
+    greedy_schedule runs first, and horizons from its makespan up are not
+    searched.  At a horizon greedy fits in, the search's first path is
+    greedy's (each letter at its earliest legal slot, words in the same
+    order, never pruned), so greedy's schedule is charged one node per
+    letter: the result, nodes and budget verdict included, is the one the
+    search alone would give.
     """
     jobs = sorted(((k, tuple(w)) for k, w in word_map.items() if len(w) > 0), key=lambda kw: (-len(kw[1]), kw[0]))
     if not jobs:
         return MinScheduleResult(status="optimal", schedule=Schedule(times={}), makespan=0, nodes=0)
     counts = factor_occurrences(word_map, degree)
     floor = max(max(counts), max(len(w) for _, w in jobs))
+    greedy = greedy_schedule(word_map)
     budget_box = [budget]
-    horizon = floor
-    while (assignment := _feasible_at(jobs, degree, horizon, budget_box)) is None:
+    for horizon in range(floor, greedy.makespan):
+        assignment = _feasible_at(jobs, degree, horizon, budget_box)
+        if assignment is not None:
+            schedule = Schedule(times=assignment)
+            break
         if budget_box[0] <= 0:
-            return MinScheduleResult(status="budget", schedule=None, makespan=None, nodes=budget)
-        horizon += 1
-    schedule = Schedule(times=assignment)
+            break
+    else:
+        budget_box[0] -= sum(counts)
+        schedule = greedy
+    if budget_box[0] <= 0:
+        return MinScheduleResult(status="budget", schedule=None, makespan=None, nodes=budget)
     return MinScheduleResult(
         status="optimal", schedule=schedule, makespan=schedule.makespan, nodes=budget - budget_box[0]
     )

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line frontend, in-process via main(argv)."""
 
 import csv
+import importlib.util
 import io
 import json
 import sys
@@ -11,8 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alltoall import fixtures, scheduling
-from alltoall.cli import _dumps, _json_default, _parse_factorization_doc, main
+from alltoall import cli, fixtures, scheduling
+from alltoall.cli import (
+    _dumps,
+    _json_default,
+    _parse_factorization_doc,
+    _read_schedule_csv,
+    _write_schedule_csv,
+    main,
+)
 from alltoall.errors import InputError
 from alltoall.factorization import factor_digraph
 from alltoall.graphs import Digraph
@@ -822,3 +830,114 @@ def test_a_large_words_artifact_never_reaches_the_pure_python_encoder(tmp_path, 
     code, _, err = run(capsys, "words", "--spec", str(spec), "--out", str(out))
     assert code == 0, err
     assert len(json.loads(out.read_text())["words"]) == 1023
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+def fresh_run(capsys, *argv):
+    """run() through a parser built for this call alone, as a one-command process gets."""
+    cli._parser.cache_clear()
+    return run(capsys, *argv)
+
+
+def files(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_a_reused_parser_gives_pipeline_its_defaults_back(tmp_path, capsys):
+    spec = hypercube_spec(tmp_path / "q5.json", 5)  # greedy needs 18 slots here, the exact default 16
+    fresh = fresh_run(capsys, "pipeline", "--spec", spec, "--outdir", str(tmp_path / "fresh"))
+    greedy = run(capsys, "pipeline", "--spec", spec, "--method", "greedy", "--outdir", str(tmp_path / "greedy"))
+    again = run(capsys, "pipeline", "--spec", spec, "--outdir", str(tmp_path / "again"))
+    assert fresh[0] == greedy[0] == 0
+    assert greedy[1] != fresh[1] and files(tmp_path / "greedy") != files(tmp_path / "fresh")
+    assert again == fresh
+    assert files(tmp_path / "again") == files(tmp_path / "fresh")
+
+
+def test_a_reused_parser_forgets_the_last_trace(tmp_path, capsys):
+    sched = tmp_path / "sched.csv"
+    run_json(capsys, "schedule", "--builtin", "q3", "--csv", str(sched))
+    trace = tmp_path / "trace.csv"
+    run_json(capsys, "simulate", "--builtin", "q3", "--schedule", str(sched), "--trace", str(trace))
+    trace.unlink()
+    before = files(tmp_path)
+    verdict = run_json(capsys, "simulate", "--builtin", "q3", "--schedule", str(sched))
+    assert verdict["conflicts"] == 0
+    assert files(tmp_path) == before
+
+
+def test_a_valid_command_after_a_usage_error_and_help_runs_as_it_does_alone(capsys):
+    alone = fresh_run(capsys, "bounds", "--builtin", "petersen")
+    assert fresh_run(capsys, "bounds", "--builtin", "nope")[0] == 1
+    code, out, _ = run(capsys, "pipeline", "--help")
+    assert code == 0 and "--schedule-budget" in out
+    assert run(capsys, "bounds", "--builtin", "petersen") == alone
+
+
+def test_main_builds_the_parser_once_and_importing_builds_none(monkeypatch, capsys):
+    built = []
+    real = cli.build_parser
+
+    def spy():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(4):
+            assert run(capsys, "bounds", "--builtin", "c4")[0] == 0
+        assert run(capsys, "bogus-subcommand")[0] == 1
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+    spec = importlib.util.find_spec("alltoall.cli")
+    fresh = importlib.util.module_from_spec(spec)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "build_parser" and frame.f_code.co_filename == spec.origin:
+            calls.append(1)
+
+    sys.setprofile(profile)
+    try:
+        spec.loader.exec_module(fresh)
+    finally:
+        sys.setprofile(None)
+    assert calls == [] and fresh.main is not cli.main
+
+
+# ---------------------------------------------------------------------------
+# schedule.csv
+# ---------------------------------------------------------------------------
+
+
+def csv_module_schedule(path, word_map, sched):
+    """schedule.csv as csv.writer writes it, one writerow per letter."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["word_target", "position", "factor", "time"])
+        for target in sorted(sched.times):
+            for pos, (j, t) in enumerate(zip(word_map[target], sched.times[target])):
+                w.writerow([target, pos, j, t])
+
+
+letter_rows = st.lists(st.tuples(st.integers(-3, 10**6), st.integers(-3, 10**9)), min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(plan=st.dictionaries(st.integers(-5, 10**6), letter_rows, max_size=8))
+def test_schedule_csv_is_what_the_csv_module_writes_and_reads_back(tmp_path_factory, plan):
+    word_map = {k: tuple(j for j, _ in rows) for k, rows in plan.items()}
+    sched = scheduling.Schedule(times={k: tuple(t for _, t in rows) for k, rows in plan.items()})
+    base = tmp_path_factory.getbasetemp()
+    ours, theirs = base / "ours.csv", base / "theirs.csv"
+    _write_schedule_csv(str(ours), word_map, sched)
+    csv_module_schedule(str(theirs), word_map, sched)
+    assert ours.read_bytes() == theirs.read_bytes()
+    assert _read_schedule_csv(str(ours)) == (word_map, sched)

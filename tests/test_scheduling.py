@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alltoall import fixtures
+from alltoall import fixtures, scheduling
 from alltoall.cli import main
 from alltoall.errors import InputError, SearchBudgetError, UnsupportedGraphError
 from alltoall.graphs import build_cayley_coset_graph, letters_commute
@@ -87,6 +87,64 @@ def test_exact_budget_starvation_is_reported():
     _, word_map = corpus_word_map("q3")
     res = exact_min_schedule(word_map, 3, budget=0)
     assert res.status == "budget"
+
+
+def horizon_loop(word_map, degree, budget):
+    """exact_min_schedule as first written: every horizon from the floor up goes to the search."""
+    jobs = sorted(((k, tuple(w)) for k, w in word_map.items() if w), key=lambda kw: (-len(kw[1]), kw[0]))
+    if not jobs:
+        return scheduling.MinScheduleResult(status="optimal", schedule=Schedule(times={}), makespan=0, nodes=0)
+    floor = max(max(factor_occurrences(word_map, degree)), max(len(w) for _, w in jobs))
+    budget_box = [budget]
+    horizon = floor
+    while (assignment := scheduling._feasible_at(jobs, degree, horizon, budget_box)) is None:
+        if budget_box[0] <= 0:
+            return scheduling.MinScheduleResult(status="budget", schedule=None, makespan=None, nodes=budget)
+        horizon += 1
+    schedule = Schedule(times=assignment)
+    return scheduling.MinScheduleResult(
+        status="optimal", schedule=schedule, makespan=schedule.makespan, nodes=budget - budget_box[0])
+
+
+small_word_maps = st.integers(1, 4).flatmap(lambda degree: st.tuples(
+    st.just(degree),
+    st.dictionaries(st.integers(0, 30), st.lists(st.integers(0, degree - 1), max_size=4).map(tuple), max_size=6),
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=small_word_maps, budget=st.integers(-1, 400))
+def test_greedy_seeded_search_gives_what_the_horizon_loop_gives(case, budget):
+    degree, word_map = case
+    assert exact_min_schedule(word_map, degree, budget) == horizon_loop(word_map, degree, budget)
+
+
+def test_exact_takes_greedy_without_searching_when_greedy_meets_the_floor(monkeypatch):
+    star5 = star(5)
+    words = bfs_word_set(star5)
+    monkeypatch.setattr(scheduling, "_feasible_at", None)  # any search would fail on the call
+    res = exact_min_schedule(words, star5.degree)
+    assert (res.status, res.makespan) == ("optimal", 111)
+    assert res.schedule == greedy_schedule(words)
+    assert res.nodes == sum(map(len, words.values()))  # one per letter, as the search's first path would spend
+
+
+def test_exact_searches_only_below_greedy(monkeypatch):
+    # the floor is 2, but the two words cannot both start on factor 0 at slot 1: greedy's 3 is optimal
+    word_map = {1: (0, 1), 2: (0, 1)}
+    greedy = greedy_schedule(word_map)
+    assert greedy.makespan == 3
+    tried = []
+    real = scheduling._feasible_at
+
+    def spy(jobs, degree, horizon, budget):
+        tried.append(horizon)
+        return real(jobs, degree, horizon, budget)
+
+    monkeypatch.setattr(scheduling, "_feasible_at", spy)
+    res = exact_min_schedule(word_map, 2)
+    assert tried == [2]
+    assert (res.status, res.schedule) == ("optimal", greedy)
 
 
 def jobs(singles, pairs):
@@ -218,6 +276,31 @@ def test_classify_flags_unbalanced_choice():
     assert factor_occurrences(word_map, 3) == [1, 4, 2]
     assert not flags.balanced
     assert flags.short  # ceil(7/3) = 3 still equals the global bound
+
+
+def loop_occurrences(word_map, degree):
+    """factor_occurrences as first written: letter by letter, range-checking each."""
+    counts = [0] * degree
+    for word in word_map.values():
+        for j in word:
+            if not (0 <= j < degree):
+                raise InputError(f"factor index {j} out of range for degree {degree}")
+            counts[j] += 1
+    return counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(degree=st.integers(0, 5),
+       word_map=st.dictionaries(st.integers(0, 20), st.lists(st.integers(-2, 6), max_size=5).map(tuple), max_size=8))
+def test_factor_occurrences_counts_and_refuses_as_the_letter_loop_does(degree, word_map):
+    try:
+        expected = loop_occurrences(word_map, degree)
+    except InputError as exc:
+        with pytest.raises(InputError) as ours:
+            factor_occurrences(word_map, degree)
+        assert str(ours.value) == str(exc)
+    else:
+        assert factor_occurrences(word_map, degree) == expected
 
 
 def test_classify_guards_the_chain():
