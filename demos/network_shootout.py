@@ -14,7 +14,7 @@ from alltoall import fixtures
 from alltoall.costmodel import CostParams, compare_networks, model_times
 from alltoall.layers import layer_profile
 from alltoall.scheduling import DEFAULT_SCHEDULE_BUDGET, schedule_plan
-from alltoall.simulate import expand_factor_paths, run_transpose
+from alltoall.simulate import run_transpose
 from alltoall.words import bfs_word_set
 
 CANDIDATES = ("c4", "k4", "z5-12", "z7-124", "q3")
@@ -27,7 +27,7 @@ ITERATIONS = 16
 def measured_tau(name):
     g = fixtures.builtin_graph(name)
     words, sched = schedule_plan(g, bfs_word_set(g), "exact", DEFAULT_SCHEDULE_BUDGET)
-    trace = run_transpose(g, expand_factor_paths(g, words, sched))
+    trace = run_transpose(g, words, sched)
     assert trace.clean
     return g, trace.horizon
 

@@ -16,7 +16,7 @@ from alltoall import fixtures
 from alltoall.factorization import factor_digraph, search_spanning_factorization
 from alltoall.layers import average_diameter_bound, layer_profile
 from alltoall.scheduling import DEFAULT_SCHEDULE_BUDGET, schedule_plan
-from alltoall.simulate import expand_factor_paths, run_transpose
+from alltoall.simulate import run_transpose
 
 
 def main():
@@ -42,7 +42,7 @@ def main():
     word_map, sched = schedule_plan(host, dict(enumerate(found.words)), "exact", DEFAULT_SCHEDULE_BUDGET)
     print(f"exact schedule: makespan {sched.makespan}")
 
-    trace = run_transpose(host, expand_factor_paths(host, word_map, sched))
+    trace = run_transpose(host, word_map, sched)
     print(f"replay of all {trace.delivered_pairs} pairs: clean={trace.clean}, horizon={trace.horizon}")
     if trace.horizon == theta:
         print("the exchange meets the averaged distance bound exactly")

@@ -10,7 +10,7 @@ bigger machine.
 from alltoall import fixtures
 from alltoall.layers import average_diameter_bound, layer_profile
 from alltoall.scheduling import classify, exact_min_schedule, factor_occurrences, greedy_schedule
-from alltoall.simulate import expand_factor_paths, run_transpose
+from alltoall.simulate import run_transpose
 from alltoall.words import bfs_word_set
 
 
@@ -52,7 +52,7 @@ def main():
     # outgoing wire must carry all six word letters one at a time
     # the replay writes its trace rows, slot by slot, to any callable that takes text
     rows = []
-    trace = run_transpose(g, expand_factor_paths(g, ws, exact.schedule), rows.append)
+    trace = run_transpose(g, ws, exact.schedule, rows.append)
     print(f"replay: clean={trace.clean}, horizon={trace.horizon} (theta was {theta})")
     print("slot-by-slot wire usage (time, src, dst, gen, packet):")
     for line in "".join(rows).splitlines():

@@ -12,7 +12,7 @@ The usual flow:
     g = graphs.build_cayley_coset_graph(spec)
     ws = words.bfs_word_set(g)
     plan, sched = scheduling.schedule_plan(g, ws, "exact", scheduling.DEFAULT_SCHEDULE_BUDGET)
-    trace = simulate.run_transpose(g, simulate.expand_factor_paths(g, plan, sched))
+    trace = simulate.run_transpose(g, plan, sched)
     assert trace.clean
 """
 

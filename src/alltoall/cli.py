@@ -55,7 +55,7 @@ from .scheduling import (
     two_layer_counts,
     two_layer_time_bound,
 )
-from .simulate import Expansion, expand_factor_paths, run_transpose
+from .simulate import run_transpose
 from .words import DEFAULT_WORD_BUDGET, bfs_word_set, regular_bound_exact, validate_word_set
 
 
@@ -146,6 +146,8 @@ def _read_json(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise InputError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected a JSON object")
     return doc
@@ -250,7 +252,7 @@ def _read_schedule_csv(path: str) -> tuple[dict[int, tuple[int, ...]], Schedule]
     return word_map, Schedule(times=times)
 
 
-def _replay_to_file(host: Digraph, paths: Expansion, path: str):
+def _replay_to_file(host: Digraph, word_map, sched: Schedule, path: str):
     """run_transpose with the trace written to `path`, created at the replay's first write.
 
     The replay checks the whole plan before it writes anything, so a replay
@@ -266,7 +268,7 @@ def _replay_to_file(host: Digraph, paths: Expansion, path: str):
         fh.write(text)
 
     try:
-        trace = run_transpose(host, paths, sink)
+        trace = run_transpose(host, word_map, sched, sink)
         sink("")  # a replay with no rows still leaves the header
     finally:
         if fh is not None:
@@ -353,12 +355,14 @@ def _schedule(host: Digraph, word_map, degree, profile, method: str, budget: int
 
 def _replay(host: Digraph, word_map, sched: Schedule, theta: int, trace_path: str | None, out: str | None,
             psi_w: int | None = None) -> tuple[dict, int]:
-    """Expand and replay the schedule on `host`; write the trace (if asked) and the verdict.
+    """Replay the schedule on `host`; write the trace (if asked) and the verdict.
 
     Returns the verdict and the exit code: 0 for a clean replay, 2 otherwise.
     """
-    paths = expand_factor_paths(host, word_map, sched)
-    trace = _replay_to_file(host, paths, trace_path) if trace_path else run_transpose(host, paths)
+    if trace_path:
+        trace = _replay_to_file(host, word_map, sched, trace_path)
+    else:
+        trace = run_transpose(host, word_map, sched)
     verdict = {
         "tau": trace.horizon,
         "conflicts": trace.conflict_count,
@@ -439,8 +443,7 @@ def cmd_schedule(args) -> int:
             raise InputError("scheduling a coset graph or raw digraph needs --words or --factorization")
         host, words = g, bfs_word_set(g)
     degree = len(host.out[0])
-    word_map = {k: w for k, w in words.items() if w}
-    scheduled = _schedule(host, word_map, degree, profile, args.method, args.budget, args.csv, args.out)
+    scheduled = _schedule(host, words, degree, profile, args.method, args.budget, args.csv, args.out)
     return 2 if scheduled is None else 0
 
 
@@ -461,7 +464,7 @@ def cmd_simulate(args) -> int:
             verify_spanning(factors, words, n)
         except InputError as exc:
             raise InputError(f"refusing to expand an unverified factorization: {exc}") from None
-        host, word_map = factor_digraph(factors), {i: w for i, w in enumerate(words) if w}
+        host, word_map = factor_digraph(factors), dict(enumerate(words))
     _, code = _replay(host, word_map, sched, average_diameter_bound(profile), args.trace, args.out)
     return code
 
@@ -484,12 +487,10 @@ def cmd_pipeline(args) -> int:
 
     # from here on a plan is words over the host's out-positions, whichever route made it
     degree = len(host.out[0])
-    word_map = {k: w for k, w in words.items() if w}
-    psi_w = max(factor_occurrences(word_map, degree))
-    scheduled = _schedule(host, word_map, degree, profile, args.method, args.schedule_budget,
+    psi_w = max(factor_occurrences(words, degree))
+    scheduled = _schedule(host, words, degree, profile, args.method, args.schedule_budget,
                           str(outdir / "schedule.csv"), str(outdir / "schedule.json"))
-    if scheduled is not None:
-        word_map, sched = scheduled
+    word_map, sched = scheduled or (words, None)
     # the words artifact holds the words in their scheduled letter order, or as chosen if scheduling failed
     if cayley:
         _emit_json(_words_doc(word_map, degree, theta), str(outdir / "words.json"))
@@ -512,17 +513,28 @@ def _number(text: str):
         return float(text)
 
 
+def _float_range_number(x) -> bool:
+    """A JSON number a float can hold: no boolean, and no NaN or infinity, which json.load also accepts."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
 def cmd_compare(args) -> int:
     if len(args.networks) < 2:
         raise InputError(f"need at least two network files, got {len(args.networks)}")
     candidates: list[tuple[str, CostParams]] = []
     taus: dict[str, float] = {}
+    numbers = ("P", "d", "D", "rho", "tau") if args.measured else ("P", "d", "D", "rho")
     for path in args.networks:
         doc = _read_json(path)
         for field in ("P", "d", "D", "rho"):
             if field not in doc:
                 raise InputError(f"{path}: missing '{field}'")
+        for field in numbers:
+            if field in doc and not _float_range_number(doc[field]):
+                raise InputError(f"{path}: '{field}' must be a number in float range, got {doc[field]!r}")
         name = doc.get("name", Path(path).stem)
+        if not isinstance(name, str):
+            raise InputError(f"{path}: 'name' must be a string, got {name!r}")
         params = CostParams(
             processors=doc["P"],
             degree=doc["d"],
@@ -534,7 +546,10 @@ def cmd_compare(args) -> int:
         candidates.append((name, params))
         if "tau" in doc:
             taus[name] = doc["tau"]
-    verdict = compare_networks(candidates, gamma_max=args.gamma_max, taus=taus if args.measured else None)
+    try:
+        verdict = compare_networks(candidates, gamma_max=args.gamma_max, taus=taus if args.measured else None)
+    except (OverflowError, ZeroDivisionError) as exc:  # finite inputs whose products leave float range
+        raise InputError(f"the networks' numbers leave floating-point range: {exc}") from None
     if args.ranking:
         with open(args.ranking, "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")

@@ -1,21 +1,25 @@
-"""Expand schedules into jobs for every base and replay them slot by slot.
+"""Replay a scheduled plan from every base at once, slot by slot.
 
 The replay is the package's oracle: it knows nothing about how a schedule
 was built, it just moves packets along their claimed arcs slot by slot and
 reports every collision and every missing delivery.
 
-Expansion pairs each scheduled word with its slots, one job per word: every
-base vertex runs the same jobs, a letter naming a generator of a Cayley
-graph or a factor of a spanning factorization alike.  It checks only that
-every word has one slot per letter, leaving slot order and conflicts to the
-replay.  The packets are never listed: packet (base, dest) of a job leaves
-`base`, crosses out-position word[i] in slot slots[i] and ends at `dest`.
+run_transpose takes a plan as the scheduler returns it, a word map and its
+schedule.  Each non-empty word is a job, in map order, with the slots the
+schedule gives its key: every base vertex runs the same jobs, a letter
+naming a generator of a Cayley graph or a factor of a spanning
+factorization alike.  Each base copies the base-0 word's letters and slots
+unchanged, which is why a conflict-free labeling for the base serves all
+bases at once.  The packets are never listed: packet (base, dest) of
+a job leaves `base`, crosses out-position word[i] in slot slots[i] and ends
+at `dest`.
 
-run_transpose replays a regular host in one pass over the letters of all
-jobs in (slot, out-position, job) order.  Before it writes anything it
-checks that every word's slots rise from 1 and that every letter is an
-out-position of the host, and raises on the first broken letter of base 0's
-packets, which on a regular host is where every base breaks.
+The replay is one pass over the letters of all jobs in (slot, out-position,
+job) order on a regular host.  Before it writes anything it checks that
+every word has one slot per letter, that its slots rise from 1 and that
+every letter is an out-position of the host, and raises on the first
+broken word in map order, at the first broken letter of base 0's packet,
+which on a regular host is where every base breaks.
 
 It then finds where every job takes every base by walking the jobs' words,
 sorted, as a prefix trie: a stack holds one list of dests per depth, and
@@ -58,7 +62,7 @@ from dataclasses import dataclass
 from heapq import heappush, heapreplace
 from itertools import chain, compress, count, repeat
 from operator import add, eq, itemgetter, lt, ne
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import InputError
 from .graphs import Digraph, regular_degree
@@ -68,17 +72,6 @@ Edge = tuple[int, int]  # (tail vertex, generator/factor index)
 Sink = Callable[[str], object]  # takes the trace text, one or more whole rows at a time
 
 CONFLICT_WITNESSES = 1000  # conflicts a replay keeps, the first in (base, job, letter) order
-
-
-@dataclass(frozen=True)
-class Expansion:
-    """A plan ready to replay: every base runs every (word, slots) job, one packet per (base, job)."""
-
-    succ: Sequence[Sequence[int]]
-    jobs: Sequence[tuple[Sequence[int], Sequence[int]]]  # (word, its slots)
-
-    def __len__(self) -> int:
-        return len(self.succ) * len(self.jobs)
 
 
 @dataclass(frozen=True)
@@ -109,61 +102,45 @@ class TransposeTrace:
         return not self.conflict_count and not self.undelivered and self.delivered_pairs == len(self.dests)
 
 
-def expand_factor_paths(host: Digraph, word_map: WordMap, schedule: Schedule) -> Expansion:
-    """The plan's jobs, one per non-empty word: every base runs each, n*(n-1) packets in all.
-
-    Letter j of a word is out-position j of the host, so a Cayley graph's
-    generators and a factorization's factors (laid out by factor_digraph)
-    expand the same way.  The edge labels and times are copied unchanged
-    from the base-0 word, which is exactly why a conflict-free labeling for
-    the base serves all bases at once.  Raises InputError unless every
-    non-empty word has exactly one slot per letter.
-    """
-    jobs = []
-    for key, word in word_map.items():
-        if word:
-            slots = schedule.times.get(key, ())
-            if len(slots) != len(word):
-                raise InputError(f"word {key} has {len(word)} letters but {len(slots)} time slots")
-            jobs.append((word, slots))
-    return Expansion(succ=host.out, jobs=jobs)
-
-
-def run_transpose(g: Digraph, expansion: Expansion, sink: Sink | None = None) -> TransposeTrace:
+def run_transpose(g: Digraph, word_map: WordMap, schedule: Schedule, sink: Sink | None = None) -> TransposeTrace:
     """Replay every base's copy of every job on `g`; report conflicts and deliveries, and write the trace to `sink`.
 
-    Broken routes (a letter that is no out-position of `g`, slots that are
-    not one per letter or do not rise along a word) raise InputError before
+    A job is each non-empty word of `word_map`, in map order, with slots
+    schedule.times.get(key, ()), and dests numbers only these jobs.  Broken
+    routes (a letter that is no out-position of `g`, slots that are not one
+    per letter or do not rise along a word) raise InputError before
     anything reaches the sink, because such a job is not a route at all;
     contention and missing packets are findings, recorded in the trace.
     """
     n = g.vertex_count
     succ = g.out
     d = regular_degree(g)
-    jobs = expansion.jobs
     columns = [[heads[j] for heads in succ] for j in range(d)]
     # inverse[j][w] = the tail column j sends to w; None when column j is not a permutation
     inverse = [sorted(range(n), key=col.__getitem__) if len(set(col)) == n else None for col in columns]
     # move[j](labels) re-indexes labels by tail to the tails column j takes them to; itemgetter(i) gives no tuple
     move = [itemgetter(*inv) if inv and n > 1 else tuple for inv in inverse]
+    words = []  # the jobs' words
     letters = []  # (slot, position, job, letter index) of every letter
     horizon = 0
-    for w, (word, times) in enumerate(jobs):
+    for key, word in word_map.items():
         if word:
+            times = schedule.times.get(key, ())
             if not (len(times) == len(word) and 0 < times[0] and all(map(lt, times, times[1:]))
                     and 0 <= min(word) and max(word) < d):
-                _check_route(succ, word, times)
+                _check_route(succ, key, word, times)
             horizon = max(horizon, times[-1])
-            letters += zip(times, word, repeat(w), count())
+            letters += zip(times, word, repeat(len(words)), count())
+            words.append(tuple(word))
     letters.sort()
     # a job is dirty when its tails can meet or a letter of it shares its (slot, position)
-    dirty = {w for w, (word, _) in enumerate(jobs) if any(inverse[j] is None for j in word[:-1])}
+    dirty = {w for w, word in enumerate(words) if any(inverse[j] is None for j in word[:-1])}
     claims = [letter[:2] for letter in letters]
     for i in compress(count(), map(eq, claims, claims[1:])):
         dirty.update((letters[i][2], letters[i + 1][2]))
     del claims
 
-    table = _walk_trie([tuple(word) for word, _ in jobs], columns, n)
+    table = _walk_trie(words, columns, n)
     undelivered = []
     delivered_pairs = 0
     for base in range(n):
@@ -193,7 +170,7 @@ def run_transpose(g: Digraph, expansion: Expansion, sink: Sink | None = None) ->
             if time is None:
                 break
             row, current, filled, claimants = free[:], time, 0, []
-        word = jobs[w][0]
+        word = words[w]
         if w in dirty:
             at, dests = in_flight.pop(w) if k else (range(n), table[w * n:w * n + n])
             claimants.append((w, k, j, at, dests))
@@ -244,10 +221,10 @@ def _walk_trie(words: list[tuple[int, ...]], columns: list[list[int]], n: int) -
     return table
 
 
-def _check_route(succ, word, times) -> None:
-    """Raise InputError at the first broken letter of base 0's packet: off the host, or a slot that does not rise."""
+def _check_route(succ, key, word, times) -> None:
+    """Raise InputError on word `key`: slots not one per letter, or at the first broken letter of base 0's packet."""
     if len(times) != len(word):
-        raise InputError(f"a job has {len(word)} letters but {len(times)} time slots")
+        raise InputError(f"word {key} has {len(word)} letters but {len(times)} time slots")
     dest = 0  # where the packet's walk ends, stopping at the first letter off the host
     for j in word:
         if not 0 <= j < len(succ[dest]):

@@ -63,8 +63,11 @@ def _parse_digraph_form(body: Any) -> Digraph:
     for i, arc in enumerate(arcs):
         if not isinstance(arc, list) or len(arc) != 2 or not all(isinstance(x, int) for x in arc):
             _fail(f"$.digraph.arcs[{i}]", f"must be a [src, dst] integer pair, got {arc!r}")
+    n = body["n"]
+    if isinstance(n, int) and n > len(arcs):  # checked before anything is allocated per vertex
+        _fail("$.digraph", f"{n} vertices need at least {n} arcs to be regular, got {len(arcs)}")
     try:
-        return digraph_from_arcs(body["n"], arcs)
+        return digraph_from_arcs(n, arcs)
     except InputError as exc:
         _fail("$.digraph", str(exc))
 
@@ -110,6 +113,8 @@ def load_spec_text(text: str, origin: str = "<spec>") -> GroupSpec | Digraph:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{origin}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise InputError(f"{origin}: {exc}") from None
     return parse_spec_document(doc)
 
 

@@ -35,7 +35,7 @@ from alltoall.scheduling import (
     two_layer_counts,
     two_layer_time_bound,
 )
-from alltoall.simulate import expand_factor_paths, run_transpose
+from alltoall.simulate import run_transpose
 from alltoall.words import bfs_word_set, regular_bound_exact
 
 
@@ -153,7 +153,7 @@ def test_acceptance_03_cayley_labelings():
             g = fixtures.builtin_graph(name)
             ws = bfs_word_set(g)
             for _ in range(50):
-                trace = run_transpose(g, expand_factor_paths(g, ws, random_schedule(ws, rng)))
+                trace = run_transpose(g, ws, random_schedule(ws, rng))
                 runs += 1
                 clean += trace.clean
         assert runs == 200 and clean == runs
@@ -181,7 +181,7 @@ def test_acceptance_04_factorization_labelings():
             host = factor_digraph(factors)
             word_map = {i: w for i, w in enumerate(words) if w}
             for _ in range(50):
-                trace = run_transpose(host, expand_factor_paths(host, word_map, random_schedule(word_map, rng)))
+                trace = run_transpose(host, word_map, random_schedule(word_map, rng))
                 runs += 1
                 clean += trace.clean
         assert runs == 200 and clean == runs
@@ -208,7 +208,7 @@ def test_acceptance_06_two_layer_guarantee():
             g = fixtures.builtin_graph(name)
             words = regular_bound_exact(g).witness
             word_map, sched = schedule_plan(g, words, "exact", DEFAULT_SCHEDULE_BUDGET)
-            trace = run_transpose(g, expand_factor_paths(g, word_map, sched))
+            trace = run_transpose(g, word_map, sched)
             assert trace.clean
             # M+N: how often each generator opens or closes a two-letter word, counted by hand
             pairs = [w for w in word_map.values() if len(w) == 2]
@@ -221,7 +221,7 @@ def test_acceptance_06_two_layer_guarantee():
         assert max(len(w) for w in word_map.values()) == 2
         sched = exact_min_schedule(word_map, len(factors)).schedule
         host = factor_digraph(factors)
-        trace = run_transpose(host, expand_factor_paths(host, word_map, sched))
+        trace = run_transpose(host, word_map, sched)
         assert trace.clean
         assert trace.horizon <= two_layer_time_bound(two_layer_counts(word_map, len(factors)))
 

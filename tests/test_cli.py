@@ -1,10 +1,12 @@
 """End-to-end runs of the command-line frontend, in-process via main(argv)."""
 
+import contextlib
 import csv
 import importlib.util
 import io
 import json
 import sys
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 
@@ -941,3 +943,107 @@ def test_schedule_csv_is_what_the_csv_module_writes_and_reads_back(tmp_path_fact
     csv_module_schedule(str(theirs), word_map, sched)
     assert ours.read_bytes() == theirs.read_bytes()
     assert _read_schedule_csv(str(ours)) == (word_map, sched)
+
+
+@pytest.mark.parametrize("fields,measured,field", [
+    ({"P": "8"}, False, "P"),
+    ({"rho": None}, False, "rho"),
+    ({"d": True}, False, "d"),
+    ({"D": float("nan")}, False, "D"),
+    ({"P": 10**400}, False, "P"),
+    ({"tau": "x"}, True, "tau"),
+    ({"tau": float("inf")}, True, "tau"),
+    ({"name": ["x"]}, False, "name"),
+])
+def test_compare_refuses_malformed_descriptors(tmp_path, capsys, fields, measured, field):
+    a = write_network(tmp_path / "a.json", P=4096, d=8, D=6, rho=64, tau=9)
+    b = write_network(tmp_path / "b.json", **{"P": 1024, "d": 10, "D": 5, "rho": 64, "tau": 7, **fields})
+    code, _, err = run(capsys, "compare", a, b, "--gamma-max", "40000", *(["--measured"] if measured else []))
+    assert code == 1
+    assert err.startswith(f"error: {b}: '{field}' must be ") and err.count("\n") == 1
+
+
+def test_compare_reports_numbers_whose_products_leave_float_range(tmp_path, capsys):
+    a = write_network(tmp_path / "a.json", P=4096, d=8, D=6, rho=64)
+    b = write_network(tmp_path / "b.json", P=5e-324, d=5e-324, D=5, rho=64)  # P*d rounds to 0
+    code, _, err = run(capsys, "compare", a, b, "--gamma-max", "40000")
+    assert code == 1 and err.startswith("error: the networks' numbers leave floating-point range")
+
+
+def test_an_integer_past_the_digit_limit_is_an_input_error(tmp_path, capsys):
+    huge = "9" * 5000
+    a = tmp_path / "a.json"
+    a.write_text('{"P": ' + huge + ', "d": 1, "D": 1, "rho": 1}')
+    code, _, err = run(capsys, "compare", str(a), str(a), "--gamma-max", "10")
+    assert code == 1 and err.startswith(f"error: {a}: ") and err.count("\n") == 1
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"digraph": {"n": ' + huge + ', "arcs": [[0, 0]]}}')
+    code, _, err = run(capsys, "bounds", "--spec", str(spec))
+    assert code == 1 and err.startswith(f"error: {spec}: ") and err.count("\n") == 1
+
+
+def test_a_digraph_with_fewer_arcs_than_vertices_is_refused_before_it_is_built(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"digraph": {"n": 10**12, "arcs": [[0, 1], [1, 0]]}}))
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "bounds", "--spec", str(spec))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert err == "error: $.digraph: 1000000000000 vertices need at least 1000000000000 arcs to be regular, got 2\n"
+    assert peak < 2**20
+
+
+def main_outcome(argv):
+    """(exit code, stderr) of main(argv), its stdout discarded."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_no_traceback(code, err):
+    """An exit 0, 1 or 2, and an exit 1 says why in exactly one `error:` line."""
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+any_json = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-10**400, 10**400), st.floats(), st.text()),
+    lambda kids: st.one_of(st.lists(kids, max_size=3), st.dictionaries(st.text(max_size=3), kids, max_size=3)),
+    max_leaves=6,
+)
+descriptor_numbers = st.one_of(st.integers(1, 5000), st.floats(1e-3, 1e3), any_json)
+descriptors = st.fixed_dictionaries({}, optional={
+    "P": descriptor_numbers, "d": descriptor_numbers, "D": descriptor_numbers, "rho": descriptor_numbers,
+    "tau": descriptor_numbers, "name": st.one_of(st.text(max_size=4), any_json),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(docs=st.lists(descriptors, min_size=1, max_size=3), measured=st.booleans(),
+       gamma=st.sampled_from(["2", "40000", "1e300"]))
+def test_compare_ends_in_an_exit_code_on_any_descriptor(tmp_path_factory, docs, measured, gamma):
+    base = tmp_path_factory.getbasetemp()
+    paths = []
+    for i, doc in enumerate(docs):
+        path = base / f"network{i}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    argv = ["compare", *paths, "--gamma-max", gamma, "--out", str(base / "verdict.json")]
+    assert_no_traceback(*main_outcome(argv + (["--measured"] if measured else [])))
+
+
+arc_ends = st.one_of(st.integers(-2, 6), any_json)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.one_of(st.integers(-2, 8), st.integers(0, 10**12), any_json),
+       arcs=st.one_of(st.lists(st.one_of(st.lists(arc_ends, max_size=3), any_json), max_size=6), any_json))
+def test_bounds_ends_in_an_exit_code_on_any_digraph_spec(tmp_path_factory, n, arcs):
+    spec = tmp_path_factory.getbasetemp() / "digraph.json"
+    spec.write_text(json.dumps({"digraph": {"n": n, "arcs": arcs}}))
+    assert_no_traceback(*main_outcome(["bounds", "--spec", str(spec)]))

@@ -28,7 +28,7 @@ from alltoall.scheduling import (
     two_layer_time_bound,
     validate_schedule,
 )
-from alltoall.simulate import expand_factor_paths, run_transpose
+from alltoall.simulate import run_transpose
 from alltoall.words import bfs_word_set, regular_bound_exact
 from test_graphs import abelian_specs, star
 
@@ -245,7 +245,7 @@ def test_diameter_two_accepts_supplied_words():
     # words that miss their vertices still schedule; the replay finds the packets they lose
     words.update({v: (0, 0) for v in range(4, 7)})
     plan, sched = schedule_plan(g, words, "exact", DEFAULT_SCHEDULE_BUDGET)
-    trace = run_transpose(g, expand_factor_paths(g, plan, sched))
+    trace = run_transpose(g, plan, sched)
     assert trace.undelivered and not trace.clean
 
 

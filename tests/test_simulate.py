@@ -1,4 +1,4 @@
-"""Replay of scheduled exchanges: expansion, conflict detection, trace output."""
+"""Replay of scheduled exchanges: jobs from every base, conflict detection, trace output."""
 
 import ast
 import random
@@ -24,9 +24,7 @@ from alltoall.scheduling import (
 )
 from alltoall.simulate import (
     CONFLICT_WITNESSES,
-    Expansion,
     _dests_typecode,
-    expand_factor_paths,
     run_transpose,
 )
 from alltoall.words import bfs_word_set
@@ -34,10 +32,10 @@ from test_graphs import star
 from test_scheduling import hypercube
 
 
-def replay_text(g, paths):
-    """The trace of run_transpose with a sink, and the text written to that sink."""
+def replay_text(g, plan):
+    """The trace of run_transpose on a (word map, schedule) plan with a sink, and the text written to that sink."""
     chunks = []
-    trace = run_transpose(g, paths, chunks.append)
+    trace = run_transpose(g, *plan, chunks.append)
     return trace, "".join(chunks)
 
 
@@ -46,9 +44,15 @@ def trace_lines(text):
     return [tuple(map(int, line.split(","))) for line in text.splitlines()]
 
 
-def expansion(g, jobs):
-    """An Expansion built by hand, with no schedule check: the oracle sees plans a scheduler would refuse."""
-    return Expansion(succ=g.out, jobs=jobs)
+def hand_plan(jobs):
+    """A plan of (word, slots) jobs keyed by index, unchecked: the oracle sees plans a scheduler would refuse."""
+    return dict(enumerate(word for word, _ in jobs)), Schedule(times=dict(enumerate(times for _, times in jobs)))
+
+
+def plan_jobs(plan):
+    """The jobs of a plan as the replay reads them: each non-empty word, in map order, with its key's slots."""
+    word_map, sched = plan
+    return [(word, sched.times.get(key, ())) for key, word in word_map.items() if word]
 
 
 def walk(g, v, word):
@@ -67,12 +71,11 @@ def scheduled_corpus(name):
 @pytest.mark.parametrize("name,paths,horizon", [("c4", 12, 6), ("z7-124", 42, 3), ("q3", 56, 4)])
 def test_cayley_expansion_is_clean(name, paths, horizon):
     g, ws, sched = scheduled_corpus(name)
-    expanded = expand_factor_paths(g, ws, sched)
-    assert len(expanded) == g.vertex_count * (g.vertex_count - 1)
-    assert len(expanded) == paths
-    trace = run_transpose(g, expanded)
+    trace = run_transpose(g, ws, sched)
     assert trace.clean
     assert trace.horizon == horizon
+    # one packet per (base, job), and each delivers a distinct pair
+    assert trace.delivered_pairs == len(trace.dests) == g.vertex_count * (g.vertex_count - 1)
     assert trace.delivered_pairs == paths
 
 
@@ -83,11 +86,10 @@ def test_factor_expansion_petersen():
     word_map = {i: w for i, w in enumerate(found.words) if w}
     sched = exact_min_schedule(word_map, len(found.factors)).schedule
     host = factor_digraph(found.factors)
-    paths = expand_factor_paths(host, word_map, sched)
-    assert len(paths) == 90
-    trace = run_transpose(host, paths)
+    trace = run_transpose(host, word_map, sched)
     assert trace.clean
     assert trace.horizon == 5
+    assert trace.delivered_pairs == len(trace.dests) == 90
 
 
 @pytest.mark.parametrize("name", ["c4", "k4", "z5-12", "z7-124", "q3"])
@@ -95,8 +97,8 @@ def test_cayley_plan_replays_alike_over_its_factors(name):
     # a Cayley word set is the spanning factorization whose factors are the generators
     g, ws, sched = scheduled_corpus(name)
     host = factor_digraph(tuple(zip(*g.out)))
-    over_graph, graph_text = replay_text(g, expand_factor_paths(g, ws, sched))
-    over_factors, factor_text = replay_text(host, expand_factor_paths(host, ws, sched))
+    over_graph, graph_text = replay_text(g, (ws, sched))
+    over_factors, factor_text = replay_text(host, (ws, sched))
     assert over_graph.clean and over_factors.clean
     assert over_graph.horizon == over_factors.horizon
     assert graph_text == factor_text
@@ -104,18 +106,18 @@ def test_cayley_plan_replays_alike_over_its_factors(name):
 
 def test_expansion_rejects_invalid_schedule():
     g, ws, _ = scheduled_corpus("c4")
-    # every word takes generator 0 in slot 1: the expansion lets it through
-    # and the replay, not the scheduler's validation, finds the collisions
+    # every word takes generator 0 in slot 1: the replay lets it through
+    # and finds the collisions itself, not through the scheduler's validation
     double_booked = Schedule(times={1: (1,), 2: (1, 2), 3: (1, 2, 3)})
-    trace = run_transpose(g, expand_factor_paths(g, ws, double_booked))
+    trace = run_transpose(g, ws, double_booked)
     assert not trace.clean and trace.conflicts
     # a word whose slots do not match its letters is no schedule of it at all
     for short in ({1: (1,), 2: (2,), 3: (3, 4, 5)}, {1: (1,), 3: (2, 3, 4)}):
-        with pytest.raises(InputError, match="letters but"):
-            expand_factor_paths(g, ws, Schedule(times=short))
+        with pytest.raises(InputError, match="word 2 has 2 letters but"):
+            run_transpose(g, ws, Schedule(times=short))
     # slots that do not rise along a word are broken routes, which the replay raises on
     with pytest.raises(InputError, match="back in time"):
-        run_transpose(g, expand_factor_paths(g, ws, Schedule(times={1: (1,), 2: (3, 2), 3: (4, 5, 6)})))
+        run_transpose(g, ws, Schedule(times={1: (1,), 2: (3, 2), 3: (4, 5, 6)}))
 
 
 def test_the_replay_borrows_no_scheduler_code():
@@ -138,14 +140,14 @@ def test_the_replay_borrows_no_scheduler_code():
 def test_conflicts_are_recorded_not_raised():
     g = fixtures.builtin_graph("c4")
     # two jobs take generator 0 in slot 1, so each base's two packets claim its arc
-    trace = run_transpose(g, expansion(g, [((0,), (1,)), ((0,), (1,))]))
+    trace = run_transpose(g, *hand_plan([((0,), (1,)), ((0,), (1,))]))
     assert trace.conflicts == tuple((1, (b, 0), (b, g.out[b][0]), (b, g.out[b][0])) for b in range(4))
     assert not trace.clean
 
 
 def test_duplicate_delivery_marks_trace_dirty():
     g = fixtures.builtin_graph("c4")
-    trace = run_transpose(g, expansion(g, [((0,), (1,)), ((0,), (2,))]))
+    trace = run_transpose(g, *hand_plan([((0,), (1,)), ((0,), (2,))]))
     assert not trace.conflicts
     assert trace.deliveries(0, 1) == 2
     assert not trace.clean
@@ -153,7 +155,7 @@ def test_duplicate_delivery_marks_trace_dirty():
 
 def test_undelivered_pairs_listed():
     g = fixtures.builtin_graph("c4")
-    trace = run_transpose(g, expansion(g, [((0,), (1,))]))
+    trace = run_transpose(g, *hand_plan([((0,), (1,))]))
     assert (2, 0) in trace.undelivered
     assert (0, 1) not in trace.undelivered
     assert len(trace.undelivered) == 8
@@ -162,21 +164,50 @@ def test_undelivered_pairs_listed():
 def test_structural_violations_raise():
     g = fixtures.builtin_graph("c4")
     with pytest.raises(InputError, match="edge index 5 out of range at vertex 0"):
-        run_transpose(g, expansion(g, [((5,), (1,))]))
+        run_transpose(g, *hand_plan([((5,), (1,))]))
     with pytest.raises(InputError, match=r"packet \(0, 2\) goes back in time at 1: 1 after 1"):
-        run_transpose(g, expansion(g, [((0, 0), (1, 1))]))
-    with pytest.raises(InputError, match="a job has 1 letters but 2 time slots"):
-        run_transpose(g, expansion(g, [((0,), (1, 2))]))
+        run_transpose(g, *hand_plan([((0, 0), (1, 1))]))
+    with pytest.raises(InputError, match="word 0 has 1 letters but 2 time slots"):
+        run_transpose(g, *hand_plan([((0,), (1, 2))]))
     # the whole plan is checked before any row is written
     chunks = []
     with pytest.raises(InputError, match="edge index 1 out of range at vertex 1"):
-        run_transpose(g, expansion(g, [((0,), (1,)), ((0, 1), (2, 3))]), chunks.append)
+        run_transpose(g, *hand_plan([((0,), (1,)), ((0, 1), (2, 3))]), chunks.append)
     assert not chunks
+
+
+def test_a_slot_count_mismatch_names_its_word_and_writes_nothing():
+    g = fixtures.builtin_graph("z5-12")
+    # words 7 and 2 are both broken; the first in map order is named, whatever its key
+    word_map = {4: (0,), 7: (0, 1), 2: (1,), 9: (1,)}
+    sched = Schedule(times={4: (1,), 7: (2,), 2: (1, 2)})
+    chunks = []
+    with pytest.raises(InputError, match=r"^word 7 has 2 letters but 1 time slots$"):
+        run_transpose(g, word_map, sched, chunks.append)
+    assert not chunks
+    # a word the schedule has no slots for at all
+    with pytest.raises(InputError, match=r"^word 9 has 1 letters but 0 time slots$"):
+        run_transpose(g, {4: (0,), 9: (1,)}, sched, chunks.append)
+    assert not chunks
+
+
+def test_the_empty_base_word_is_no_job():
+    # a factorization's words hold the base's (); the replay skips it as the scheduler does
+    g = fixtures.builtin_graph("petersen")
+    found = search_spanning_factorization(g)
+    host = factor_digraph(found.factors)
+    words = dict(enumerate(found.words))
+    assert words[0] == ()
+    plan, sched = schedule_plan(host, words, "exact", DEFAULT_SCHEDULE_BUDGET)
+    assert 0 not in plan
+    trace, text = replay_text(host, (words, sched))
+    assert (trace, text) == replay_text(host, (plan, sched))
+    assert trace.clean and len(trace.dests) == 90
 
 
 def test_trace_rows_are_time_sorted_and_complete():
     g, ws, sched = scheduled_corpus("z7-124")
-    _, text = replay_text(g, expand_factor_paths(g, ws, sched))
+    _, text = replay_text(g, (ws, sched))
     rows = trace_lines(text)
     # every letter of every word crosses one arc from each of the n bases
     assert len(rows) == g.vertex_count * sum(map(len, ws.values()))
@@ -214,7 +245,7 @@ def test_any_valid_labeling_expands_cleanly(name):
     rng = random.Random(hash(name) & 0xFFFF)
     for _ in range(20):
         sched = random_valid_schedule(ws, rng)
-        trace = run_transpose(g, expand_factor_paths(g, ws, sched))
+        trace = run_transpose(g, ws, sched)
         assert trace.clean
 
 
@@ -223,7 +254,7 @@ def test_word_set_with_slack_still_expands():
     g = fixtures.builtin_graph("c4")
     ws = {1: (0,), 2: (0, 0), 3: (0, 0, 0, 0, 0, 0, 0)}
     sched = greedy_schedule(ws)
-    trace = run_transpose(g, expand_factor_paths(g, ws, sched))
+    trace = run_transpose(g, ws, sched)
     assert trace.clean
     assert trace.horizon == sched.makespan
 
@@ -266,10 +297,11 @@ def reference_replay(g, paths):
     return horizon, conflicts, undelivered, delivered, rows
 
 
-def packets(g, expanded):
-    """The packets of an Expansion, walked on `g` here: base by base, each base's in job order."""
+def packets(g, plan):
+    """The packets of a plan, walked on `g` here: base by base, each base's in job order."""
+    jobs = plan_jobs(plan)
     for base in range(g.vertex_count):
-        for word, times in expanded.jobs:
+        for word, times in jobs:
             v, tails = base, []
             for j in word:
                 tails.append(v)
@@ -277,10 +309,10 @@ def packets(g, expanded):
             yield base, v, tuple(tails), tuple(word), tuple(times)
 
 
-def assert_replays_agree(g, expanded):
-    """run_transpose over an Expansion matches reference_replay over its packets, with a sink and without."""
-    horizon, conflicts, undelivered, delivered, rows = reference_replay(g, packets(g, expanded))
-    trace, text = replay_text(g, expanded)
+def assert_replays_agree(g, plan):
+    """run_transpose over a plan matches reference_replay over its packets, with a sink and without."""
+    horizon, conflicts, undelivered, delivered, rows = reference_replay(g, packets(g, plan))
+    trace, text = replay_text(g, plan)
     n = g.vertex_count
     assert trace.horizon == horizon
     assert list(trace.conflicts) == conflicts[:CONFLICT_WITNESSES]
@@ -291,15 +323,15 @@ def assert_replays_agree(g, expanded):
     assert trace.delivered_pairs == len(delivered)
     assert trace_lines(text) == rows
     assert trace.clean == (not conflicts and not undelivered and all(c == 1 for c in delivered.values()))
-    assert run_transpose(g, expanded) == trace
+    assert run_transpose(g, *plan) == trace
     return trace
 
 
-def unchecked_expansion(g, word_map, rng, horizon):
+def unchecked_plan(word_map, rng, horizon):
     """Every word at random increasing slots, in a random job order: no labeling rule, so packets collide."""
     jobs = [(w, tuple(sorted(rng.sample(range(1, horizon + 1), len(w))))) for w in word_map.values() if w]
     rng.shuffle(jobs)
-    return expansion(g, jobs)
+    return hand_plan(jobs)
 
 
 @pytest.mark.parametrize("name", ["c4", "z5-12", "z7-124", "q3"])
@@ -308,7 +340,7 @@ def test_flat_replay_matches_reference_on_valid_schedules(name):
     ws = bfs_word_set(g)
     rng = random.Random(7)
     for _ in range(5):
-        assert assert_replays_agree(g, expand_factor_paths(g, ws, random_valid_schedule(ws, rng))).clean
+        assert assert_replays_agree(g, (ws, random_valid_schedule(ws, rng))).clean
 
 
 def test_flat_replay_matches_reference_over_factors():
@@ -316,7 +348,7 @@ def test_flat_replay_matches_reference_over_factors():
     found = search_spanning_factorization(g)
     word_map = {i: w for i, w in enumerate(found.words) if w}
     host = factor_digraph(found.factors)
-    assert assert_replays_agree(host, expand_factor_paths(host, word_map, greedy_schedule(word_map))).clean
+    assert assert_replays_agree(host, (word_map, greedy_schedule(word_map))).clean
 
 
 @pytest.mark.parametrize("name", ["c4", "z5-12", "z7-124", "q3"])
@@ -327,7 +359,7 @@ def test_flat_replay_matches_reference_on_conflicting_paths(name):
     conflicts = 0
     for horizon in (3, 5, 12):
         for _ in range(3):
-            conflicts += len(assert_replays_agree(g, unchecked_expansion(g, ws, rng, horizon)).conflicts)
+            conflicts += len(assert_replays_agree(g, unchecked_plan(ws, rng, horizon)).conflicts)
     assert conflicts
 
 
@@ -336,7 +368,7 @@ def test_flat_replay_matches_reference_on_hand_built_conflicts():
     # from base v: job 0 crosses arc v in slot 1 and arc v+1 in slot 2, job 1 arc v in slot 2,
     # job 2 arc v in slot 1 and arc v+1 in slot 3, job 3 arc v in slot 1
     jobs = [((0, 0), (1, 2)), ((0,), (2,)), ((0, 0), (1, 3)), ((0,), (1,))]
-    trace = assert_replays_agree(g, expansion(g, jobs))
+    trace = assert_replays_agree(g, hand_plan(jobs))
     # in the order of the losing packet's (base, job, letter), not of the slots
     assert [c[3] for c in trace.conflicts[:5]] == [(0, 2), (0, 1), (1, 2), (1, 3), (1, 2)]
     assert [c[0] for c in trace.conflicts[:5]] == [1, 1, 2, 1, 1]
@@ -346,25 +378,25 @@ def test_flat_replay_matches_reference_on_hand_built_conflicts():
 
 def test_flat_replay_matches_reference_on_duplicated_and_missing_packets():
     g, ws, sched = scheduled_corpus("q3")
-    jobs = list(expand_factor_paths(g, ws, sched).jobs)
+    jobs = plan_jobs((ws, sched))
     rng = random.Random(3)
-    trace = assert_replays_agree(g, expansion(g, jobs + rng.sample(jobs, 5)))
+    trace = assert_replays_agree(g, hand_plan(jobs + rng.sample(jobs, 5)))
     assert len(trace.conflicts) >= 5 * g.vertex_count and not trace.undelivered
     word, times = jobs[3]
     late = (word, tuple(time + 100 for time in times))
-    trace = assert_replays_agree(g, expansion(g, jobs + [late]))
+    trace = assert_replays_agree(g, hand_plan(jobs + [late]))
     assert not trace.conflicts and not trace.undelivered and not trace.clean
     assert trace.deliveries(0, walk(g, 0, word)) == 2
-    trace = assert_replays_agree(g, expansion(g, jobs[:3] + jobs[4:]))
+    trace = assert_replays_agree(g, hand_plan(jobs[:3] + jobs[4:]))
     assert trace.undelivered == tuple(sorted((b, walk(g, b, word)) for b in range(g.vertex_count)))
     assert not trace.conflicts
 
 
-def replay_with_peak(g, paths, sink=True):
+def replay_with_peak(g, plan, sink=True):
     """replay_text (run_transpose alone when not `sink`), plus the peak memory it allocated."""
     tracemalloc.start()
     try:
-        trace, text = replay_text(g, paths) if sink else (run_transpose(g, paths), "")
+        trace, text = replay_text(g, plan) if sink else (run_transpose(g, *plan), "")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -374,9 +406,9 @@ def replay_with_peak(g, paths, sink=True):
 def test_memory_follows_the_slots_used_not_the_horizon():
     g = fixtures.builtin_graph("q3")
     # two jobs share generator 0 in slot 1; a third crosses generator 1 in slot 10**9
-    expanded = expansion(g, [((0,), (1,)), ((0,), (1,)), ((1,), (10**9,))])
-    assert_replays_agree(g, expanded)
-    trace, text, peak = replay_with_peak(g, expanded)
+    plan = hand_plan([((0,), (1,)), ((0,), (1,)), ((1,), (10**9,))])
+    assert_replays_agree(g, plan)
+    trace, text, peak = replay_with_peak(g, plan)
     assert trace.horizon == 10**9
     assert len(trace.conflicts) == g.vertex_count
     assert sorted({row[0] for row in trace_lines(text)}) == [1, 10**9]
@@ -386,10 +418,10 @@ def test_memory_follows_the_slots_used_not_the_horizon():
 def test_a_double_booked_letter_keeps_memory_to_the_open_slot():
     g = build_cayley_coset_graph(GroupSpec(group=CyclicGroup(128), generators=(1, 16)))
     ws = bfs_word_set(g)
-    jobs = list(expand_factor_paths(g, ws, greedy_schedule(ws)).jobs)
+    jobs = plan_jobs((ws, greedy_schedule(ws)))
     word, times = jobs[0]
     jobs.append(((word[-1],), (times[-1],)))  # a lone letter on a (slot, position) the plan already uses
-    trace, _, peak = replay_with_peak(g, expansion(g, jobs), sink=False)
+    trace, _, peak = replay_with_peak(g, hand_plan(jobs), sink=False)
     assert len(trace.conflicts) == g.vertex_count
     # a row of n*d 4-byte cells for every slot would take tau*P*d*4 bytes
     assert peak < trace.horizon * g.vertex_count * g.degree * 4 // 2
@@ -416,7 +448,24 @@ def regular_plans(draw):
 @given(plan=regular_plans())
 def test_replay_matches_reference_on_random_regular_digraphs(plan):
     g, jobs = plan
-    assert_replays_agree(g, expansion(g, jobs))
+    assert_replays_agree(g, hand_plan(jobs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(plan=regular_plans(), data=st.data())
+def test_empty_words_change_neither_the_verdict_nor_the_trace(plan, data):
+    g, jobs = plan
+    jobs = [job for job in jobs if job[0]]
+    # empty words, with or without slots of their own, inserted anywhere among the jobs
+    empties = data.draw(st.lists(st.tuples(st.integers(0, len(jobs)), st.sets(st.integers(1, 10), max_size=2)),
+                                 max_size=4))
+    mixed = list(jobs)
+    for at, times in sorted(empties, reverse=True):
+        mixed.insert(at, ((), tuple(sorted(times))))
+    word_map, sched = hand_plan(mixed)
+    without = {key: word for key, word in word_map.items() if word}
+    assert replay_text(g, (word_map, sched)) == replay_text(g, (without, sched))
+    assert run_transpose(g, word_map, sched) == run_transpose(g, without, sched)
 
 
 def kautz_2_2():
@@ -435,7 +484,7 @@ def test_word_pass_refuses_conflicting_slots(name):
     for horizon in (3, 5, 12):
         for _ in range(3):
             jobs = [(w, tuple(sorted(rng.sample(range(1, horizon + 1), len(w))))) for w in words]
-            trace = assert_replays_agree(g, expansion(g, jobs))
+            trace = assert_replays_agree(g, hand_plan(jobs))
             claims = [(t, j) for w, times in jobs for j, t in zip(w, times)]
             # on a Cayley graph a shared (slot, generator) collides from every base
             assert bool(trace.conflicts) == (len(set(claims)) < len(claims))
@@ -450,7 +499,7 @@ def test_word_pass_refuses_columns_that_are_not_permutations():
     for _ in range(10):
         words = [tuple(rng.randrange(2) for _ in range(rng.randint(1, 3))) for _ in range(5)]
         jobs = [(w, tuple(range(1 + k, 1 + k + len(w)))) for k, w in enumerate(words)]
-        trace = assert_replays_agree(g, expansion(g, jobs))
+        trace = assert_replays_agree(g, hand_plan(jobs))
         conflicts += len(trace.conflicts)
     assert conflicts
 
@@ -462,7 +511,7 @@ def test_word_pass_leaves_broken_slots_to_the_packet_replay(times):
     where = {(1, 1): "1: 1 after 1", (2, 1): "1: 1 after 2", (0, 1): "0: 0 after 0"}[times]
     chunks = []
     with pytest.raises(InputError, match=rf"^packet \(0, 3\) goes back in time at {where}$"):
-        run_transpose(g, expansion(g, [((0,), (1,)), ((0, 1), times)]), chunks.append)
+        run_transpose(g, *hand_plan([((0,), (1,)), ((0, 1), times)]), chunks.append)
     assert not chunks
 
 
@@ -471,7 +520,7 @@ def test_word_pass_counts_duplicate_deliveries():
     ws = bfs_word_set(g)
     jobs = [(w, tuple(range(1, len(w) + 1))) for w in ws.values() if len(w) == 1]
     jobs.append((jobs[0][0], (4,)))  # a second key carrying the first word, one slot later
-    trace = assert_replays_agree(g, expansion(g, jobs))
+    trace = assert_replays_agree(g, hand_plan(jobs))
     assert not trace.conflicts and not trace.clean
     assert trace.deliveries(0, g.out[0][jobs[0][0][0]]) == 2
 
@@ -484,7 +533,7 @@ def test_word_pass_settles_valid_schedules(name):
     for _ in range(5):
         sched = random_valid_schedule(ws, rng)
         jobs = [(w, sched.times[key]) for key, w in ws.items()]
-        assert assert_replays_agree(g, expansion(g, jobs)).clean
+        assert assert_replays_agree(g, hand_plan(jobs)).clean
 
 
 def test_word_pass_settles_valid_schedules_over_factors():
@@ -495,7 +544,7 @@ def test_word_pass_settles_valid_schedules_over_factors():
     for _ in range(5):
         sched = random_valid_schedule(word_map, rng)
         jobs = [(w, sched.times[key]) for key, w in word_map.items()]
-        assert assert_replays_agree(host, expansion(host, jobs)).clean
+        assert assert_replays_agree(host, hand_plan(jobs)).clean
 
 
 def builtin_plans(name):
@@ -516,30 +565,30 @@ def test_streamed_trace_matches_the_packet_replay_on_every_builtin(name):
         schedules = [greedy_schedule(word_map), exact_min_schedule(word_map, degree).schedule]
         schedules += [random_valid_schedule(word_map, rng) for _ in range(3)]
         for sched in schedules:
-            assert assert_replays_agree(host, expand_factor_paths(host, word_map, sched)).clean
+            assert assert_replays_agree(host, (word_map, sched)).clean
 
 
 def test_a_double_booked_last_slot_falls_back_before_any_row_is_written():
     g, ws, sched = scheduled_corpus("q3")
-    jobs = list(expand_factor_paths(g, ws, sched).jobs)
+    jobs = plan_jobs((ws, sched))
     last = max(times[-1] for _, times in jobs)
     word = next(word for word, times in jobs if times[-1] == last)
-    _, clean_text = replay_text(g, expansion(g, jobs))
+    _, clean_text = replay_text(g, hand_plan(jobs))
     # a lone letter on a (slot, position) the plan already uses, in its last slot
     jobs.append(((word[-1],), (last,)))
-    trace = assert_replays_agree(g, expansion(g, jobs))
+    trace = assert_replays_agree(g, hand_plan(jobs))
     assert {conflict[0] for conflict in trace.conflicts} == {last}
     # the slots before it are written exactly as for the plan without it
-    _, text = replay_text(g, expansion(g, jobs))
+    _, text = replay_text(g, hand_plan(jobs))
     assert [row for row in trace_lines(text) if row[0] < last] == [row for row in trace_lines(clean_text) if row[0] < last]
 
 
 def test_a_lone_letter_at_slot_10_9_writes_two_slots_in_memory_that_ignores_the_horizon():
     g = fixtures.builtin_graph("q3")
-    expanded = expansion(g, [((0,), (1,)), ((1,), (10**9,))])
-    trace = assert_replays_agree(g, expanded)
+    plan = hand_plan([((0,), (1,)), ((1,), (10**9,))])
+    trace = assert_replays_agree(g, plan)
     assert not trace.conflicts and trace.horizon == 10**9
-    _, text, peak = replay_with_peak(g, expanded)
+    _, text, peak = replay_with_peak(g, plan)
     assert sorted({row[0] for row in trace_lines(text)}) == [1, 10**9]
     assert len(trace_lines(text)) == 2 * g.vertex_count
     assert peak < 2**20
@@ -559,10 +608,10 @@ def one_after_another(words):
     return jobs
 
 
-def assert_table_walks_every_word(g, expanded, trace):
+def assert_table_walks_every_word(g, plan, trace):
     """The trace's dests table holds, job by job, where each job's word takes each base."""
     n = g.vertex_count
-    assert list(trace.dests) == [walk(g, b, word) for word, _ in expanded.jobs for b in range(n)]
+    assert list(trace.dests) == [walk(g, b, word) for word, _ in plan_jobs(plan) for b in range(n)]
 
 
 def q3_words_shuffled():
@@ -588,16 +637,20 @@ def test_trie_walk_and_column_check_match_the_reference(case):
         words.insert(3, ())
     elif case == "missing pair":
         gone = words.pop(4)
-    expanded = expansion(g, one_after_another(words))
-    trace = assert_replays_agree(g, expanded)
-    assert_table_walks_every_word(g, expanded, trace)
+    replayed = hand_plan(one_after_another(words))
+    trace = assert_replays_agree(g, replayed)
+    assert_table_walks_every_word(g, replayed, trace)
     n = g.vertex_count
     if case == "repeated word":
         assert not trace.clean and trace.deliveries(1, walk(g, 1, words[2])) == 2
         assert trace.delivered_pairs == n * (n - 1)
-    elif case == "empty word":  # every base delivers to itself once, as every other pair
-        assert trace.clean and trace.deliveries(5, 5) == 1
-        assert trace.delivered_pairs == n * n
+    elif case == "empty word":  # no job, so no base delivers to itself; the trie walk alone still maps it
+        assert trace.clean and trace.deliveries(5, 5) == 0
+        assert trace.delivered_pairs == len(trace.dests) == n * (n - 1)
+        columns = [[heads[j] for heads in g.out] for j in range(g.degree)]
+        table = simulate._walk_trie(words, columns, n)
+        assert list(table) == [walk(g, b, word) for word in words for b in range(n)]
+        assert list(table[3 * n:4 * n]) == list(range(n))
     elif case == "missing pair":
         assert trace.undelivered == tuple((b, walk(g, b, gone)) for b in range(n))
         assert trace.delivered_pairs == n * (n - 2)
@@ -631,11 +684,11 @@ def test_trie_walk_maps_each_trie_node_once():
 
 def test_one_vertex_delivers_to_itself():
     g = Digraph(out=((0,),))
-    once = assert_replays_agree(g, expansion(g, [((0,), (1,))]))
+    once = assert_replays_agree(g, hand_plan([((0,), (1,))]))
     assert once.clean and once.delivered_pairs == 1 and once.deliveries(0, 0) == 1 and not once.undelivered
-    twice = assert_replays_agree(g, expansion(g, [((0,), (1,)), ((0, 0), (2, 3))]))
+    twice = assert_replays_agree(g, hand_plan([((0,), (1,)), ((0, 0), (2, 3))]))
     assert not twice.clean and twice.deliveries(0, 0) == 2 and not twice.conflicts
-    nothing = assert_replays_agree(g, expansion(g, []))
+    nothing = assert_replays_agree(g, hand_plan([]))
     assert nothing.clean and nothing.delivered_pairs == 0
 
 
@@ -652,11 +705,11 @@ def test_dests_table_takes_four_bytes_a_cell_only_past_65536_vertices():
 def test_a_doubled_plan_counts_every_conflict_and_keeps_the_first_as_witnesses():
     g = build_cayley_coset_graph(GroupSpec(group=CyclicGroup(128), generators=(1, 16)))
     ws = bfs_word_set(g)
-    jobs = list(expand_factor_paths(g, ws, greedy_schedule(ws)).jobs)
-    doubled = expansion(g, jobs + jobs)  # every letter shares its (slot, position) with its twin
+    jobs = plan_jobs((ws, greedy_schedule(ws)))
+    doubled = hand_plan(jobs + jobs)  # every letter shares its (slot, position) with its twin
     _, conflicts, _, _, _ = reference_replay(g, packets(g, doubled))
     assert len(conflicts) > CONFLICT_WITNESSES
-    trace = run_transpose(g, doubled)
+    trace = run_transpose(g, *doubled)
     assert trace.conflict_count == len(conflicts)
     assert list(trace.conflicts) == conflicts[:CONFLICT_WITNESSES]
     assert not trace.undelivered and trace.delivered_pairs == 128 * 127 and not trace.clean
@@ -666,7 +719,7 @@ def test_a_doubled_plan_counts_every_conflict_and_keeps_the_first_as_witnesses()
 def test_star6_greedy_plan_replays_in_less_memory_than_a_counts_array():
     g = star(6)
     ws = bfs_word_set(g)
-    trace, _, peak = replay_with_peak(g, expand_factor_paths(g, ws, greedy_schedule(ws)), sink=False)
+    trace, _, peak = replay_with_peak(g, (ws, greedy_schedule(ws)), sink=False)
     assert trace.clean and trace.delivered_pairs == 720 * 719
     # an n*n array of 4-byte delivery counts
     assert peak < 720 * 720 * 4
