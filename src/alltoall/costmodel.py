@@ -13,6 +13,7 @@ can demand equality rather than tolerances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -170,6 +171,11 @@ class ComparisonVerdict:
     explanation: str
 
 
+def _require_finite(name: str, what: str, value) -> None:
+    if isinstance(value, float) and not math.isfinite(value):
+        raise InputError(f"network {name!r}: {what} is {value}, outside floating-point range")
+
+
 def compare_networks(
     candidates: Mapping[str, CostParams] | Sequence[tuple[str, CostParams]],
     gamma_max,
@@ -180,8 +186,11 @@ def compare_networks(
     Ties on processor count fall to the smaller modeled total time.  Times
     come from the ideal (optimistic) mode unless measured taus are supplied,
     which must then cover every candidate.  Both time components ride along
-    for transparency.
+    for transparency.  A NaN budget, and a float wire cost or modelled time
+    that overflows to infinity or NaN, raise InputError: neither ranks.
     """
+    if gamma_max != gamma_max:
+        raise InputError("the wire budget gamma_max is NaN")
     if isinstance(candidates, Mapping):
         candidates = list(candidates.items())
     if len(candidates) < 2:
@@ -198,10 +207,12 @@ def compare_networks(
     eliminated: list[tuple[str, float]] = []
     for name, params in candidates:
         wire_cost = params.processors * params.degree
+        _require_finite(name, "wire cost P*d", wire_cost)
         if not (wire_cost < gamma_max):
             eliminated.append((name, wire_cost))
             continue
         times = model_times(params, tau=taus[name] if measured else None)
+        _require_finite(name, "modelled time", times.total)
         survivors.append(RankedNetwork(name=name, params=params, wire_cost=wire_cost, times=times))
     survivors.sort(key=lambda r: (-r.params.processors, r.times.total, r.name))
     if not survivors:

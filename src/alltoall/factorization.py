@@ -288,6 +288,8 @@ def search_spanning_factorization(
     counts candidate-word attempts across everything; exhaustion reports
     failure rather than nonexistence.
     """
+    if max_slack < 0:
+        raise InputError(f"max_slack must be at least 0, got {max_slack}")
     d = regular_degree(g)
     n = g.vertex_count
     # the factors partition g's arcs, so distances over the factor alphabet

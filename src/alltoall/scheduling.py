@@ -21,6 +21,11 @@ word), which no schedule of the letters beats:
   (graphs.letters_commute: hypercubes, circulants, tori), where every
   reordering ends where the word did from every base.
 
+Every scheduler here asks one question, the first free slot of factor j
+after slot t, and answers it on one slot map per factor: a bytearray with
+a 1 at each busy slot (the open shop's colour table row, -1 where free),
+scanned at C level by bytearray.find or list.index.
+
 schedule_plan is the one entry point for a plan: given the host it replays
 on and its words, it picks between the two from the host, or runs
 greedy_schedule, the fast, not always shortest, alternative for either.
@@ -31,8 +36,7 @@ guarantees for them as counts over the same word maps.
 
 from __future__ import annotations
 
-import heapq
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping, Sequence
@@ -107,25 +111,25 @@ def greedy_schedule(word_map: WordMap) -> Schedule:
     """Longest words first, each letter at the earliest legal slot.
 
     Deterministic: ties between equal-length words break on the key.  The
-    result is always valid but not always the shortest possible.
+    result is always valid but not always the shortest possible.  A
+    letter's slot is the first 0 past its word's previous slot in its
+    factor's slot map, which grows by doubling: memory is O(d x makespan).
     """
     order = sorted((k for k, w in word_map.items() if len(w) > 0), key=lambda k: (-len(word_map[k]), k))
-    # after[j][t], for a slot t that factor j uses, points at a later slot that
-    # is free or used; following the pointers ends at j's first free slot >= t
-    after: dict[int, dict[int, int]] = {}
+    taken = defaultdict(bytearray)  # taken[j][t] is 1 where factor j is busy at slot t
     times: dict[int, tuple[int, ...]] = {}
     for key in order:
         slots = []
         t = 0
         for j in word_map[key]:
-            nxt = after.setdefault(j, {})
-            start = t = t + 1
-            while t in nxt:
-                t = nxt[t]
-            while start != t:  # path compression: every slot passed now points at t
-                nxt[start], start = t, nxt[start]
-            nxt[t] = t + 1
-            slots.append(t)
+            busy = taken[j]
+            free = busy.find(0, t + 1)
+            if free < 0:  # every slot the map holds past t is busy: the first free one lies beyond it
+                free = max(t + 1, len(busy))
+                busy += bytes(free + 1)
+            busy[free] = 1
+            slots.append(free)
+            t = free
         times[key] = tuple(slots)
     return Schedule(times=times)
 
@@ -152,21 +156,18 @@ def open_shop_schedule(word_map: WordMap, degree: int) -> tuple[dict[int, tuple[
     # at_factor[j][c] is the word whose letter on factor j has colour c (-1: none);
     # at_word[k] maps each colour used by word k to that letter's factor
     at_factor = [[-1] * floor for _ in range(degree)]
-    free = [list(range(floor)) for _ in range(degree)]  # min-heaps of colours, stale entries skipped
+    low = [0] * degree  # every colour below low[j] is busy at factor j
     at_word: dict[int, dict[int, int]] = {k: {} for k in words}
     for k, word in words.items():
         mine = at_word[k]
         for j in word:
             a = next(c for c in range(len(word)) if c not in mine)  # fewer than len(word) colours are taken
             if at_factor[j][a] >= 0:
-                heap = free[j]
-                while at_factor[j][heap[0]] >= 0:
-                    heapq.heappop(heap)
-                b = heapq.heappop(heap)
+                b = low[j] = at_factor[j].index(-1, low[j])  # j's least free colour
                 if b not in mine:
                     a = b
                 else:
-                    _swap_path(at_factor, at_word, free, j, a, b)
+                    _swap_path(at_factor, at_word, low, j, a, b)
             at_factor[j][a] = k
             mine[a] = j
     new_words: dict[int, tuple[int, ...]] = {}
@@ -178,7 +179,7 @@ def open_shop_schedule(word_map: WordMap, degree: int) -> tuple[dict[int, tuple[
     return new_words, Schedule(times=times)
 
 
-def _swap_path(at_factor, at_word, free, j: int, a: int, b: int) -> None:
+def _swap_path(at_factor, at_word, low, j: int, a: int, b: int) -> None:
     """Swap colours a and b along the alternating path that leaves factor j on colour a.
 
     b is free at j, so afterwards a is: the path runs factor -a- word -b-
@@ -206,7 +207,7 @@ def _swap_path(at_factor, at_word, free, j: int, a: int, b: int) -> None:
         at_word[k][c] = f
     k, f, c = path[-1]
     if c == b:  # the path ends at factor f, which gave up b
-        heapq.heappush(free[f], b)
+        low[f] = min(low[f], b)
 
 
 @dataclass(frozen=True)
@@ -226,54 +227,46 @@ class MinScheduleResult:
 def _feasible_at(jobs: list[tuple[int, tuple[int, ...]]], degree: int, horizon: int, budget: list[int]) -> dict[int, tuple[int, ...]] | None:
     """Find a labeling within `horizon` slots, or None; budget[0] counts down.
 
-    Depth-first over the letters of all jobs in order, with an explicit
-    stack so that long word maps do not hit the interpreter's recursion
-    limit.  Each placement costs one node; the search gives up as soon as a
+    Depth-first over the letters of all jobs in order, on a stack of placed
+    slots so that long word maps do not hit the interpreter's recursion
+    limit.  A letter takes the first free slot of its factor's slot map
+    from past its word's previous slot (or the slot it last tried) to the
+    horizon less the letters after it; a dead end frees the letter before
+    and resumes it above its old slot.  Memory is O(letters + d x horizon).
+    Each placement costs one node; the search gives up as soon as a
     placement spends the last node.
     """
     counts = [0] * degree
     for _, word in jobs:
         for j in word:
             counts[j] += 1
-    free: list[set[int]] = [set(range(1, horizon + 1)) for _ in range(degree)]
-    for j in range(degree):
-        if counts[j] > horizon:
-            return None
-    remaining = list(counts)
-    # (factor, letters after it in its word, first letter of its word?)
-    letters = [(j, len(word) - pos - 1, pos == 0) for _, word in jobs for pos, j in enumerate(word)]
+    if any(c > horizon for c in counts):
+        return None
+    # (factor, last slot the horizon leaves it, first letter of its word?)
+    letters = [(j, horizon - (len(word) - pos - 1), pos == 0) for _, word in jobs for pos, j in enumerate(word)]
     if letters and budget[0] <= 0:
         return None
+    taken = [bytearray(horizon + 1) for _ in range(degree)]
     slots: list[int] = []  # slots[i] is the slot placed for letters[i]
-    stack: list = []  # stack[i] iterates the slots still to try for letters[i]
+    tried = 0  # the slot the next letter last tried, 0 when it is new
     while len(slots) < len(letters):
-        if len(stack) == len(slots):
-            j, tail, first = letters[len(slots)]
-            # a machine can never catch up once demand exceeds its free slots
-            if remaining[j] > len(free[j]):
-                candidates = []
-            else:
-                after = 0 if first else slots[-1]
-                # letters after this one still need horizon - t further slots
-                candidates = [t for t in sorted(free[j]) if after < t <= horizon - tail]
-            stack.append(iter(candidates))
-        t = next(stack[-1], None)
-        if t is None:
-            # dead end: take back the slot of the letter before and try its next one
-            stack.pop()
-            if not stack:
+        j, last, first = letters[len(slots)]
+        lo = max(0 if first else slots[-1], tried) + 1
+        # an empty window must not reach find, which reads a negative end from the array's end
+        t = taken[j].find(0, lo, last + 1) if lo <= last else -1
+        if t < 0:
+            # dead end: take back the slot of the letter before and try above it
+            if not slots:
                 return None
-            j = letters[len(slots) - 1][0]
-            free[j].add(slots.pop())
-            remaining[j] += 1
+            tried = slots.pop()
+            taken[letters[len(slots)][0]][tried] = 0
             continue
         budget[0] -= 1
         if budget[0] <= 0:
             return None
-        j = letters[len(slots)][0]
-        free[j].discard(t)
-        remaining[j] -= 1
+        taken[j][t] = 1
         slots.append(t)
+        tried = 0
     assignment: dict[int, tuple[int, ...]] = {}
     pos = 0
     for key, word in jobs:

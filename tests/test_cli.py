@@ -146,6 +146,13 @@ def test_factorize_search_exhausted_names_its_slack(tmp_path, capsys):
     assert err.startswith("no spanning factorization found (exhausted within max_slack 0): ")
 
 
+@pytest.mark.parametrize("command", ["factorize", "pipeline"])
+def test_a_negative_max_slack_is_an_input_error(tmp_path, capsys, command):
+    extra = ["--search"] if command == "factorize" else ["--outdir", str(tmp_path / "out")]
+    code, _, err = run(capsys, command, "--builtin", "petersen", *extra, "--max-slack", "-1")
+    assert (code, err) == (1, "error: max_slack must be at least 0, got -1\n")
+
+
 def test_pipeline_z7(tmp_path, capsys):
     out = tmp_path / "out"
     code, stdout, _ = run(capsys, "pipeline", "--builtin", "z7-124", "--outdir", str(out))
@@ -968,6 +975,22 @@ def test_compare_reports_numbers_whose_products_leave_float_range(tmp_path, caps
     b = write_network(tmp_path / "b.json", P=5e-324, d=5e-324, D=5, rho=64)  # P*d rounds to 0
     code, _, err = run(capsys, "compare", a, b, "--gamma-max", "40000")
     assert code == 1 and err.startswith("error: the networks' numbers leave floating-point range")
+
+
+@pytest.mark.parametrize("a_fields,argv,message", [
+    ({"P": 1e300, "d": 1e10, "D": 1, "rho": 64}, ["--gamma-max", "40000"], "network 'a': wire cost P*d is inf"),
+    ({"P": 8, "d": 3, "D": 2, "rho": 4, "tau": 1e308}, ["--gamma-max", "40000", "--measured"],
+     "network 'a': modelled time is inf"),
+    ({"P": 8, "d": 3, "D": 2, "rho": 4}, ["--gamma-max", "nan"], "the wire budget gamma_max is NaN"),
+])
+def test_compare_refuses_a_number_no_standard_json_can_hold(tmp_path, capsys, a_fields, argv, message):
+    a = write_network(tmp_path / "a.json", **a_fields)
+    b = write_network(tmp_path / "b.json", P=8, d=3, D=2, rho=4, tau=5)
+    ranking, verdict = tmp_path / "rank.csv", tmp_path / "verdict.json"
+    code, out, err = run(capsys, "compare", a, b, *argv, "--ranking", str(ranking), "--out", str(verdict))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not ranking.exists() and not verdict.exists()
 
 
 def test_an_integer_past_the_digit_limit_is_an_input_error(tmp_path, capsys):

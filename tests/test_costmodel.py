@@ -167,3 +167,15 @@ def test_compare_input_validation():
 def test_compare_accepts_pair_sequence():
     verdict = compare_networks(list(contenders().items()), gamma_max=40000)
     assert verdict.winner == "a"
+
+
+def test_compare_refuses_a_nan_budget_and_numbers_past_float_range():
+    with pytest.raises(InputError, match="gamma_max is NaN"):
+        compare_networks(contenders(), gamma_max=float("nan"))
+    huge = {**contenders(), "huge": CostParams(processors=1e300, degree=1e10, avg_diameter=1, cost_ratio=64,
+                                                matrix_dim=256, iterations=4)}
+    with pytest.raises(InputError, match="'huge': wire cost P\\*d is inf"):
+        compare_networks(huge, gamma_max=40000)
+    with pytest.raises(InputError, match="'a': modelled time is inf"):
+        compare_networks(contenders(), gamma_max=10**6, taus={"a": 1e308, "b": 200})
+    assert compare_networks(contenders(), gamma_max=float("inf")).winner == "a"  # no budget is a budget

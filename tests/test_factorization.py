@@ -256,6 +256,11 @@ def test_search_respects_budget():
     assert res.reason == "budget"
 
 
+def test_search_refuses_a_negative_max_slack():
+    with pytest.raises(InputError, match="max_slack must be at least 0, got -1"):
+        search_spanning_factorization(fixtures.builtin_graph("petersen"), max_slack=-1)
+
+
 def test_search_exhaustion_is_not_budget():
     # a single directed 2-cycle has exactly one factorization and it spans
     g = digraph_from_arcs(2, [[0, 1], [1, 0]])

@@ -1,8 +1,11 @@
 """Schedule validation, exact/greedy/open-shop scheduling, the one entry point, and the diameter-2 case."""
 
+import heapq
 import itertools
 import json
+import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -89,6 +92,194 @@ def test_exact_budget_starvation_is_reported():
     assert res.status == "budget"
 
 
+# ---------------------------------------------------------------------------
+# the schedulers as they were before their slot maps, kept as references
+# ---------------------------------------------------------------------------
+
+
+def reference_greedy_schedule(word_map):
+    """greedy_schedule on path-compressed next-free-slot pointers."""
+    order = sorted((k for k, w in word_map.items() if len(w) > 0), key=lambda k: (-len(word_map[k]), k))
+    # after[j][t], for a slot t that factor j uses, points at a later slot that
+    # is free or used; following the pointers ends at j's first free slot >= t
+    after = {}
+    times = {}
+    for key in order:
+        slots = []
+        t = 0
+        for j in word_map[key]:
+            nxt = after.setdefault(j, {})
+            start = t = t + 1
+            while t in nxt:
+                t = nxt[t]
+            while start != t:  # path compression: every slot passed now points at t
+                nxt[start], start = t, nxt[start]
+            nxt[t] = t + 1
+            slots.append(t)
+        times[key] = tuple(slots)
+    return Schedule(times=times)
+
+
+def reference_open_shop_schedule(word_map, degree):
+    """open_shop_schedule on per-factor min-heaps of free colours, stale entries skipped."""
+    words = {k: tuple(w) for k, w in word_map.items() if len(w) > 0}
+    if not words:
+        return words, Schedule(times={})
+    floor = max(max(factor_occurrences(words, degree)), max(len(w) for w in words.values()))
+    schedule = reference_greedy_schedule(words)
+    if schedule.makespan == floor:
+        return words, schedule
+    at_factor = [[-1] * floor for _ in range(degree)]
+    free = [list(range(floor)) for _ in range(degree)]
+    at_word = {k: {} for k in words}
+    for k, word in words.items():
+        mine = at_word[k]
+        for j in word:
+            a = next(c for c in range(len(word)) if c not in mine)
+            if at_factor[j][a] >= 0:
+                heap = free[j]
+                while at_factor[j][heap[0]] >= 0:
+                    heapq.heappop(heap)
+                b = heapq.heappop(heap)
+                if b not in mine:
+                    a = b
+                else:
+                    reference_swap_path(at_factor, at_word, free, j, a, b)
+            at_factor[j][a] = k
+            mine[a] = j
+    new_words = {}
+    times = {}
+    for k, colours in at_word.items():
+        order = sorted(colours)
+        new_words[k] = tuple(colours[c] for c in order)
+        times[k] = tuple(c + 1 for c in order)
+    return new_words, Schedule(times=times)
+
+
+def reference_swap_path(at_factor, at_word, free, j, a, b):
+    path = []
+    f = j
+    while True:
+        k = at_factor[f][a]
+        if k < 0:
+            break
+        path.append((k, f, a))
+        g = at_word[k].get(b)
+        if g is None:
+            break
+        path.append((k, g, b))
+        f = g
+    for k, f, c in path:
+        at_factor[f][c] = -1
+        del at_word[k][c]
+    for k, f, c in path:
+        c = b if c == a else a
+        at_factor[f][c] = k
+        at_word[k][c] = f
+    k, f, c = path[-1]
+    if c == b:
+        heapq.heappush(free[f], b)
+
+
+def reference_feasible_at(jobs, degree, horizon, budget):
+    """_feasible_at on per-factor free sets and one sorted candidate list per placed letter."""
+    counts = [0] * degree
+    for _, word in jobs:
+        for j in word:
+            counts[j] += 1
+    free = [set(range(1, horizon + 1)) for _ in range(degree)]
+    for j in range(degree):
+        if counts[j] > horizon:
+            return None
+    remaining = list(counts)
+    letters = [(j, len(word) - pos - 1, pos == 0) for _, word in jobs for pos, j in enumerate(word)]
+    if letters and budget[0] <= 0:
+        return None
+    slots = []
+    stack = []
+    while len(slots) < len(letters):
+        if len(stack) == len(slots):
+            j, tail, first = letters[len(slots)]
+            if remaining[j] > len(free[j]):
+                candidates = []
+            else:
+                after = 0 if first else slots[-1]
+                candidates = [t for t in sorted(free[j]) if after < t <= horizon - tail]
+            stack.append(iter(candidates))
+        t = next(stack[-1], None)
+        if t is None:
+            stack.pop()
+            if not stack:
+                return None
+            j = letters[len(slots) - 1][0]
+            free[j].add(slots.pop())
+            remaining[j] += 1
+            continue
+        budget[0] -= 1
+        if budget[0] <= 0:
+            return None
+        j = letters[len(slots)][0]
+        free[j].discard(t)
+        remaining[j] -= 1
+        slots.append(t)
+    assignment = {}
+    pos = 0
+    for key, word in jobs:
+        assignment[key] = tuple(slots[pos:pos + len(word)])
+        pos += len(word)
+    return assignment
+
+
+word_maps = st.integers(1, 5).flatmap(lambda degree: st.tuples(
+    st.just(degree),
+    st.dictionaries(st.integers(0, 40), st.lists(st.integers(0, degree - 1), max_size=9).map(tuple), max_size=30),
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=word_maps)
+def test_greedy_and_the_open_shop_give_what_the_references_give(case):
+    degree, word_map = case
+    assert greedy_schedule(word_map) == reference_greedy_schedule(word_map)
+    assert open_shop_schedule(word_map, degree) == reference_open_shop_schedule(word_map, degree)
+
+
+def job_list(word_map):
+    return sorted(((k, tuple(w)) for k, w in word_map.items() if w), key=lambda kw: (-len(kw[1]), kw[0]))
+
+
+job_word_maps = st.integers(1, 5).flatmap(lambda degree: st.tuples(
+    st.just(degree),
+    st.dictionaries(st.integers(0, 30), st.lists(st.integers(0, degree - 1), max_size=5).map(tuple), max_size=6),
+))
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=job_word_maps, horizon=st.integers(0, 8), budget=st.integers(-1, 400))
+def test_the_job_shop_search_gives_what_the_reference_gives(case, horizon, budget):
+    degree, word_map = case  # words of up to 5 letters, so low horizons hold words longer than they are
+    ours, theirs = [budget], [budget]
+    jobs = job_list(word_map)
+    assert scheduling._feasible_at(jobs, degree, horizon, ours) == reference_feasible_at(jobs, degree, horizon, theirs)
+    assert ours == theirs
+
+
+def test_the_job_shop_search_holds_no_candidate_lists():
+    # star6 at its floor: greedy meets it, so the search's first path is greedy's and succeeds
+    g = star(6)
+    words = {k: tuple(w) for k, w in bfs_word_set(g).items() if w}
+    horizon = floor_of(words, g.degree)
+    assert (horizon, sum(map(len, words.values()))) == (690, 3444)
+    tracemalloc.start()
+    try:
+        found = scheduling._feasible_at(job_list(words), g.degree, horizon, [DEFAULT_SCHEDULE_BUDGET])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert Schedule(times=found) == greedy_schedule(words)
+    assert peak < 2**20
+
+
 def horizon_loop(word_map, degree, budget):
     """exact_min_schedule as first written: every horizon from the floor up goes to the search."""
     jobs = sorted(((k, tuple(w)) for k, w in word_map.items() if w), key=lambda kw: (-len(kw[1]), kw[0]))
@@ -97,7 +288,7 @@ def horizon_loop(word_map, degree, budget):
     floor = max(max(factor_occurrences(word_map, degree)), max(len(w) for _, w in jobs))
     budget_box = [budget]
     horizon = floor
-    while (assignment := scheduling._feasible_at(jobs, degree, horizon, budget_box)) is None:
+    while (assignment := reference_feasible_at(jobs, degree, horizon, budget_box)) is None:
         if budget_box[0] <= 0:
             return scheduling.MinScheduleResult(status="budget", schedule=None, makespan=None, nodes=budget)
         horizon += 1
@@ -435,6 +626,79 @@ def test_open_shop_colours_where_greedy_misses_the_floor():
 
 def test_open_shop_empty_input():
     assert open_shop_schedule({1: ()}, degree=2) == ({}, Schedule(times={}))
+
+
+# ---------------------------------------------------------------------------
+# an outside oracle: time-indexed 0/1 models under scipy's MILP solver
+# ---------------------------------------------------------------------------
+
+
+def milp_makespan(word_map, degree, ordered):
+    """The least makespan of a time-indexed 0/1 model of the words, by scipy.optimize.milp.
+
+    One binary per (letter, slot) up to greedy's makespan, which bounds the
+    optimum, and one integer for the makespan, at least every letter's slot.
+    Each letter takes one slot and each (factor, slot) at most one letter.
+    With `ordered` slots increase along each word (the job shop), else each
+    word uses a slot at most once (the open shop).
+    """
+    optimize = pytest.importorskip("scipy.optimize")
+    words = [tuple(w) for w in word_map.values() if w]
+    if not words:
+        return 0
+    horizon = greedy_schedule(word_map).makespan
+    letters = [(w, i, j) for w, word in enumerate(words) for i, j in enumerate(word)]
+    size = len(letters) * horizon + 1  # x[letter, slot] at letter * horizon + slot - 1, the makespan last
+    slots = range(1, horizon + 1)
+    rows, lower, upper = [], [], []
+
+    def add(terms, low, high):
+        row = [0] * size
+        for column, coeff in terms:
+            row[column] += coeff
+        rows.append(row)
+        lower.append(low)
+        upper.append(high)
+
+    def at(letter, t):
+        return letter * horizon + t - 1
+
+    for l, (w, i, j) in enumerate(letters):
+        add([(at(l, t), 1) for t in slots], 1, 1)
+        add([(at(l, t), t) for t in slots] + [(size - 1, -1)], -math.inf, 0)
+        if ordered and i > 0:
+            add([(at(l, t), t) for t in slots] + [(at(l - 1, t), -t) for t in slots], 1, math.inf)
+    for j in range(degree):
+        for t in slots:
+            add([(at(l, t), 1) for l, letter in enumerate(letters) if letter[2] == j], 0, 1)
+    if not ordered:
+        for w in range(len(words)):
+            for t in slots:
+                add([(at(l, t), 1) for l, letter in enumerate(letters) if letter[0] == w], 0, 1)
+    res = optimize.milp(
+        [0] * (size - 1) + [1],
+        constraints=optimize.LinearConstraint(rows, lower, upper),
+        integrality=[1] * size,
+        bounds=optimize.Bounds([0] * size, [1] * (size - 1) + [horizon]),
+    )
+    assert res.status == 0, res.message
+    return round(res.fun)
+
+
+tiny_word_maps = st.integers(1, 3).flatmap(lambda degree: st.tuples(
+    st.just(degree),
+    st.lists(st.lists(st.integers(0, degree - 1), min_size=1, max_size=3).map(tuple), max_size=4)
+    .map(lambda words: dict(enumerate(words))),
+))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=tiny_word_maps)
+def test_the_exact_makespans_match_a_milp(case):
+    degree, word_map = case
+    assert exact_min_schedule(word_map, degree).makespan == milp_makespan(word_map, degree, ordered=True)
+    _, sched = open_shop_schedule(word_map, degree)
+    assert sched.makespan == floor_of(word_map, degree) == milp_makespan(word_map, degree, ordered=False)
 
 
 # ---------------------------------------------------------------------------
