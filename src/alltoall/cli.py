@@ -471,8 +471,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_pipeline(args) -> int:
     g = _load_graph(args)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     profile = layer_profile(g)
     theta = average_diameter_bound(profile)
     cayley = isinstance(g, CosetGraph) and g.is_cayley
@@ -488,6 +486,9 @@ def cmd_pipeline(args) -> int:
     # from here on a plan is words over the host's out-positions, whichever route made it
     degree = len(host.out[0])
     psi_w = max(factor_occurrences(words, degree))
+    # made only now, so that a run refused on its input or its search leaves no directory behind
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     scheduled = _schedule(host, words, degree, profile, args.method, args.schedule_budget,
                           str(outdir / "schedule.csv"), str(outdir / "schedule.json"))
     word_map, sched = scheduled or (words, None)
@@ -661,6 +662,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        for dest in ("budget", "schedule_budget"):
+            value = getattr(args, dest, 0)
+            if value < 0:
+                raise InputError(f"--{dest.replace('_', '-')} must be at least 0, got {value}")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

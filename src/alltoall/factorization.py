@@ -150,8 +150,8 @@ def verify_spanning(factors: Sequence[Sequence[int]], words: Sequence[Sequence[i
     """Raise InputError at a bad word, or at the first pair of words that end together from some base.
 
     The words are walked once from all bases together, as the replay walks
-    them: a prefix they share is walked once.  Only a base whose ends
-    collide is walked again word by word, to name its first collision.
+    them: a prefix they share is walked once.  A base whose ends collide
+    names its first collision from its column of that walk's ends.
     """
     if len(words) != n:
         raise InputError(f"word list has {len(words)} words for {n} vertices; endpoints cannot cover the graph")
@@ -162,11 +162,11 @@ def verify_spanning(factors: Sequence[Sequence[int]], words: Sequence[Sequence[i
                 raise InputError(f"word {i} uses factor {j}, out of range")
     ends = _walk_trie([tuple(word) for word in words], factors, n)
     for base in range(n):
-        if len(set(ends[base::n])) == n:
+        column = ends[base::n]  # column[i]: where word i takes base
+        if len(set(column)) == n:
             continue
         seen: dict[int, int] = {}
-        for i, word in enumerate(words):
-            end = walk_word(factors, base, word)
+        for i, end in enumerate(column):
             if end in seen:
                 raise InputError(f"words {seen[end]} and {i} both end at {end} from base {base}")
             seen[end] = i
@@ -252,24 +252,22 @@ def _iter_factorizations(g: Digraph, d: int) -> Iterator[Factors]:
     yield from build(0, -1, [])
 
 
-def _words_of_length(factors: Sequence[Sequence[int]], target: int, length: int, cache: dict) -> list[tuple[int, ...]]:
-    """All factor words of exactly `length` ending at `target` from vertex 0."""
-    key = (target, length)
-    if key in cache:
-        return cache[key]
-    d = len(factors)
-    results: list[tuple[int, ...]] = [()] if length == 0 and target == 0 else []
-    # depth first over prefixes on an explicit stack, letters pushed in
-    # reverse so that words come off it in lexicographic order
-    stack: list[tuple[int, tuple[int, ...]]] = [(0, ())] if length else []
-    while stack:
-        v, word = stack.pop()
-        if len(word) == length - 1:
-            results.extend(word + (j,) for j in range(d) if factors[j][v] == target)
-        else:
-            stack.extend([(factors[j][v], word + (j,)) for j in range(d - 1, -1, -1)])
-    cache[key] = results
-    return results
+def _words_by_end(factors: Sequence[Sequence[int]], length: int, levels: list) -> dict[int, list[tuple[int, ...]]]:
+    """Every factor word of `length` letters from vertex 0, grouped by the vertex it ends at.
+
+    Each group keeps the words in lexicographic order.  levels[L] holds
+    length L as its (word, end) pairs in lexicographic order and as those
+    groups; a length is built the first time it is asked for, by extending
+    each word of the length below it by every letter in turn.
+    """
+    while len(levels) <= length:
+        pairs = [(word + (j,), succ[end]) for word, end in levels[-1][0]
+                 for j, succ in enumerate(factors)] if levels else [((), 0)]
+        by_end: dict[int, list[tuple[int, ...]]] = {}
+        for word, end in pairs:
+            by_end.setdefault(end, []).append(word)
+        levels.append((pairs, by_end))
+    return levels[length][1]
 
 
 def search_spanning_factorization(
@@ -280,13 +278,16 @@ def search_spanning_factorization(
     """Backtracking search for a spanning factorization of a regular digraph.
 
     Outer loop: total extra word length (0, 1, ... max_slack), so short word
-    lists are found before longer ones.  Middle loop: 1-factorizations,
-    enumerated lazily.  Inner search: assign words vertex by vertex in
-    (distance, index) order, keeping per-base endpoint sets and failing a
-    candidate the moment any base sees a repeated endpoint, so a complete
-    assignment spans from every base without a further check.  The budget
-    counts candidate-word attempts across everything; exhaustion reports
-    failure rather than nonexistence.
+    lists are found before longer ones, and within it the 1-factorizations,
+    enumerated lazily.  Inner search, depth first on an explicit stack:
+    assign words vertex by vertex in (distance, index) order, keeping
+    per-base endpoint sets and failing a candidate the moment any base sees
+    a repeated endpoint, so a complete assignment spans from every base
+    without a further check.  A vertex v's candidates are the words that
+    end at v, shortest first (length dist[v], then each extra letter the
+    slack left allows), each length listed once per factorization.  The
+    budget counts candidate-word attempts across everything; exhaustion
+    reports failure rather than nonexistence.
     """
     if max_slack < 0:
         raise InputError(f"max_slack must be at least 0, got {max_slack}")
@@ -296,71 +297,53 @@ def search_spanning_factorization(
     # coincide with graph distances; one BFS serves every factorization
     dist = distances_from(g, 0)
     order = sorted(range(1, n), key=lambda v: (dist[v], v))
-    nodes = 0
-    factorizations = 0
-    best_depth = 0
-    out_of_budget = False
-
-    for slack in range(max_slack + 1):
-        for fact in _iter_factorizations(g, d):
-            factorizations += 1
-            cache: dict = {}
-            ends: list[set[int]] = [{b} for b in range(n)]  # empty word's endpoint
-            chosen: list[tuple[int, ...]] = [()] * n
-
-            def candidates(pos: int, slack_left: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-                v = order[pos]
-                for extra in range(slack_left + 1):
-                    for word in _words_of_length(fact, v, dist[v] + extra, cache):
-                        yield extra, word
-
-            def assign(slack: int) -> bool:
-                # depth first on an explicit stack: frames[pos] holds order[pos]'s
-                # untried candidates and the slack left to it, placed[pos] the
-                # endpoints of the word it holds while deeper vertices are tried
-                nonlocal nodes, best_depth, out_of_budget
-                if not order:
-                    return True
-                frames = [(candidates(0, slack), slack)]
-                placed: list[list[int]] = []
-                while frames:
-                    pos = len(frames) - 1
-                    options, slack_left = frames[-1]
-                    for extra, word in options:
-                        if nodes >= budget:
-                            out_of_budget = True
-                            return False
-                        nodes += 1
-                        endpoints = [walk_word(fact, b, word) for b in range(n)]
-                        if any(endpoints[b] in ends[b] for b in range(n)):
-                            continue
-                        for b in range(n):
-                            ends[b].add(endpoints[b])
-                        chosen[order[pos]] = word
-                        best_depth = max(best_depth, pos + 1)
-                        if pos + 1 == len(order):
-                            return True
-                        placed.append(endpoints)
-                        frames.append((candidates(pos + 1, slack_left - extra), slack_left - extra))
-                        break
-                    else:
-                        frames.pop()
-                        if placed:
-                            for b, end in enumerate(placed.pop()):
-                                ends[b].discard(end)
-                return False
-
-            if assign(slack):
-                return SearchResult(
-                    factors=fact, words=tuple(chosen), nodes=nodes, factorizations=factorizations,
-                    best_depth=best_depth, reason="",
-                )
-            if out_of_budget:
-                return SearchResult(
-                    factors=None, words=None, nodes=nodes, factorizations=factorizations,
-                    best_depth=best_depth, reason="budget",
-                )
+    nodes = factorizations = best_depth = 0
+    factors = words = None
+    reason = "exhausted"
+    for slack, fact in ((s, f) for s in range(max_slack + 1) for f in _iter_factorizations(g, d)):
+        factorizations += 1
+        levels: list = []
+        ends: list[set[int]] = [{b} for b in range(n)]  # empty word's endpoint
+        chosen: list[tuple[int, ...]] = [()] * n
+        # frames[pos] holds order[pos]'s untried candidates and the slack left
+        # to it, placed[pos] the endpoints of the word it holds while deeper
+        # vertices are tried
+        frames: list = []
+        placed: list[list[int]] = []
+        slack_left = slack
+        while len(placed) < len(order):
+            pos = len(placed)
+            v = order[pos]
+            if len(frames) == pos:  # order[pos] is reached from a new prefix: list its candidates
+                frames.append((iter([word for length in range(dist[v], dist[v] + slack_left + 1)
+                                     for word in _words_by_end(fact, length, levels).get(v, ())]), slack_left))
+            options, slack_left = frames[pos]
+            word = next(options, None)
+            if word is None:  # take back the word before it, or give up this factorization
+                frames.pop()
+                if not placed:
+                    break
+                for seen, end in zip(ends, placed.pop()):
+                    seen.discard(end)
+                continue
+            if nodes >= budget:
+                reason = "budget"
+                break
+            nodes += 1
+            endpoints = [walk_word(fact, b, word) for b in range(n)]
+            if any(map(set.__contains__, ends, endpoints)):
+                continue
+            for seen, end in zip(ends, endpoints):
+                seen.add(end)
+            chosen[v] = word
+            placed.append(endpoints)
+            best_depth = max(best_depth, pos + 1)
+            slack_left -= len(word) - dist[v]
+        if len(placed) == len(order):
+            factors, words, reason = fact, tuple(chosen), ""
+        if reason != "exhausted":
+            break
     return SearchResult(
-        factors=None, words=None, nodes=nodes, factorizations=factorizations,
-        best_depth=best_depth, reason="exhausted",
+        factors=factors, words=words, nodes=nodes, factorizations=factorizations,
+        best_depth=best_depth, reason=reason,
     )

@@ -65,33 +65,6 @@ class Schedule:
         return latest
 
 
-def validate_schedule(word_map: WordMap, schedule: Schedule, degree: int) -> None:
-    """Raise InputError unless `schedule` is a valid labeling of `word_map`.
-
-    The schedulers build valid labelings and do not call this; the tests
-    hold their output to it.
-    """
-    if set(schedule.times) != {k for k, w in word_map.items() if len(w) > 0}:
-        raise InputError("schedule must label exactly the non-empty words")
-    used: set[tuple[int, int]] = set()
-    for key, word in word_map.items():
-        if not word:
-            continue
-        slots = schedule.times[key]
-        if len(slots) != len(word):
-            raise InputError(f"word {key} has {len(word)} letters but {len(slots)} time slots")
-        prev = 0
-        for j, t in zip(word, slots):
-            if not (0 <= j < degree):
-                raise InputError(f"word {key} uses factor {j}, out of range for degree {degree}")
-            if t <= prev:
-                raise InputError(f"times must increase along word {key}: got {slots}")
-            if (j, t) in used:
-                raise InputError(f"factor {j} is used twice at time {t}")
-            used.add((j, t))
-            prev = t
-
-
 def factor_occurrences(word_map: WordMap, degree: int) -> list[int]:
     """Total occurrence count of each factor (or generator) index across all words."""
     counts = Counter(chain.from_iterable(word_map.values()))

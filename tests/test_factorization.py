@@ -14,6 +14,9 @@ from hypothesis import strategies as st
 from alltoall import fixtures
 from alltoall.errors import ConnectivityError, InputError
 from alltoall.factorization import (
+    DEFAULT_SEARCH_BUDGET,
+    SearchResult,
+    _iter_factorizations,
     factor_digraph,
     one_factorize,
     search_spanning_factorization,
@@ -21,8 +24,9 @@ from alltoall.factorization import (
     verify_spanning,
     walk_word,
 )
-from alltoall.graphs import build_cayley_coset_graph, digraph_from_arcs
+from alltoall.graphs import build_cayley_coset_graph, digraph_from_arcs, regular_degree
 from alltoall.groups import CyclicGroup, GroupSpec, PermutationGroup, ProductGroup
+from alltoall.layers import distances_from
 from alltoall.words import bfs_word_set
 from test_graphs import kautz
 
@@ -267,6 +271,149 @@ def test_search_exhaustion_is_not_budget():
     res = search_spanning_factorization(g)
     assert res.factors == ((1, 0),)
     assert res.words == ((), (0,))
+
+
+def reference_words_of_length(factors, target, length, cache):
+    """All factor words of exactly `length` ending at `target` from vertex 0, listed afresh per (target, length)."""
+    key = (target, length)
+    if key in cache:
+        return cache[key]
+    d = len(factors)
+    results = [()] if length == 0 and target == 0 else []
+    stack = [(0, ())] if length else []
+    while stack:
+        v, word = stack.pop()
+        if len(word) == length - 1:
+            results.extend(word + (j,) for j in range(d) if factors[j][v] == target)
+        else:
+            stack.extend([(factors[j][v], word + (j,)) for j in range(d - 1, -1, -1)])
+    cache[key] = results
+    return results
+
+
+def reference_search(g, budget=DEFAULT_SEARCH_BUDGET, max_slack=2):
+    """search_spanning_factorization as it was before it listed each word length once per factorization.
+
+    The same slack-major loop over the 1-factorizations, with the depth-first
+    word search in per-factorization closures and each vertex's candidate
+    words listed by a fresh walk over every word of their length.
+    """
+    if max_slack < 0:
+        raise InputError(f"max_slack must be at least 0, got {max_slack}")
+    d = regular_degree(g)
+    n = g.vertex_count
+    dist = distances_from(g, 0)
+    order = sorted(range(1, n), key=lambda v: (dist[v], v))
+    nodes = 0
+    factorizations = 0
+    best_depth = 0
+    out_of_budget = False
+
+    for slack in range(max_slack + 1):
+        for fact in _iter_factorizations(g, d):
+            factorizations += 1
+            cache = {}
+            ends = [{b} for b in range(n)]
+            chosen = [()] * n
+
+            def candidates(pos, slack_left):
+                v = order[pos]
+                for extra in range(slack_left + 1):
+                    for word in reference_words_of_length(fact, v, dist[v] + extra, cache):
+                        yield extra, word
+
+            def assign(slack):
+                nonlocal nodes, best_depth, out_of_budget
+                if not order:
+                    return True
+                frames = [(candidates(0, slack), slack)]
+                placed = []
+                while frames:
+                    pos = len(frames) - 1
+                    options, slack_left = frames[-1]
+                    for extra, word in options:
+                        if nodes >= budget:
+                            out_of_budget = True
+                            return False
+                        nodes += 1
+                        endpoints = [walk_word(fact, b, word) for b in range(n)]
+                        if any(endpoints[b] in ends[b] for b in range(n)):
+                            continue
+                        for b in range(n):
+                            ends[b].add(endpoints[b])
+                        chosen[order[pos]] = word
+                        best_depth = max(best_depth, pos + 1)
+                        if pos + 1 == len(order):
+                            return True
+                        placed.append(endpoints)
+                        frames.append((candidates(pos + 1, slack_left - extra), slack_left - extra))
+                        break
+                    else:
+                        frames.pop()
+                        if placed:
+                            for b, end in enumerate(placed.pop()):
+                                ends[b].discard(end)
+                return False
+
+            if assign(slack):
+                return SearchResult(
+                    factors=fact, words=tuple(chosen), nodes=nodes, factorizations=factorizations,
+                    best_depth=best_depth, reason="",
+                )
+            if out_of_budget:
+                return SearchResult(
+                    factors=None, words=None, nodes=nodes, factorizations=factorizations,
+                    best_depth=best_depth, reason="budget",
+                )
+    return SearchResult(
+        factors=None, words=None, nodes=nodes, factorizations=factorizations,
+        best_depth=best_depth, reason="exhausted",
+    )
+
+
+def outcome(search, g, **kwargs):
+    """The search's result, or the type and text of the error it raised."""
+    try:
+        return search(g, **kwargs)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def search_cases(draw):
+    n = draw(st.integers(1, 9))
+    d = draw(st.integers(1, 3))
+    arcs = [(u, v) for _ in range(d) for u, v in enumerate(draw(st.permutations(range(n))))]
+    budget = draw(st.integers(0, 20_000))
+    return digraph_from_arcs(n, arcs), budget, draw(st.integers(0, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=search_cases())
+def test_search_gives_what_the_reference_search_gives(case):
+    # union of d random permutations: disconnected ones raise ConnectivityError on both sides
+    g, budget, max_slack = case
+    assert outcome(search_spanning_factorization, g, budget=budget, max_slack=max_slack) == \
+        outcome(reference_search, g, budget=budget, max_slack=max_slack)
+
+
+@pytest.mark.parametrize("g", [
+    digraph_from_arcs(1, [[0, 0]]),
+    digraph_from_arcs(4, [[0, 1], [1, 0], [2, 3], [3, 2]]),
+    kautz(2, 2),
+    kautz(3, 2),
+    fixtures.builtin_graph("petersen"),
+], ids=["one-vertex", "two-components", "K(2,2)", "K(3,2)", "petersen"])
+def test_search_gives_what_the_reference_search_gives_on_named_digraphs(g):
+    for budget, max_slack in [(0, 0), (7, 1), (DEFAULT_SEARCH_BUDGET, 2)]:
+        assert outcome(search_spanning_factorization, g, budget=budget, max_slack=max_slack) == \
+            outcome(reference_search, g, budget=budget, max_slack=max_slack)
+
+
+def test_search_exhausts_kautz_2_3_with_the_counters_of_the_reference():
+    res = search_spanning_factorization(kautz(2, 3), max_slack=2)
+    assert (res.factors, res.reason) == (None, "exhausted")
+    assert (res.nodes, res.factorizations, res.best_depth) == (642, 96, 10)
 
 
 def test_search_and_matching_run_on_explicit_stacks():

@@ -29,11 +29,37 @@ from alltoall.scheduling import (
     tight_schedule_feasible,
     two_layer_counts,
     two_layer_time_bound,
-    validate_schedule,
 )
 from alltoall.simulate import run_transpose
 from alltoall.words import bfs_word_set, regular_bound_exact
 from test_graphs import abelian_specs, star
+
+
+def validate_schedule(word_map, schedule, degree):
+    """Raise InputError unless `schedule` is a valid labeling of `word_map`.
+
+    The schedulers build valid labelings and do not check them; the replay
+    judges a plan.  This is the reference the tests hold their output to.
+    """
+    if set(schedule.times) != {k for k, w in word_map.items() if len(w) > 0}:
+        raise InputError("schedule must label exactly the non-empty words")
+    used = set()
+    for key, word in word_map.items():
+        if not word:
+            continue
+        slots = schedule.times[key]
+        if len(slots) != len(word):
+            raise InputError(f"word {key} has {len(word)} letters but {len(slots)} time slots")
+        prev = 0
+        for j, t in zip(word, slots):
+            if not (0 <= j < degree):
+                raise InputError(f"word {key} uses factor {j}, out of range for degree {degree}")
+            if t <= prev:
+                raise InputError(f"times must increase along word {key}: got {slots}")
+            if (j, t) in used:
+                raise InputError(f"factor {j} is used twice at time {t}")
+            used.add((j, t))
+            prev = t
 
 
 def corpus_word_map(name):
