@@ -662,7 +662,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        for dest in ("budget", "schedule_budget"):
+        for dest in ("budget", "schedule_budget", "max_slack"):
             value = getattr(args, dest, 0)
             if value < 0:
                 raise InputError(f"--{dest.replace('_', '-')} must be at least 0, got {value}")

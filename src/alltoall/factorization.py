@@ -4,7 +4,10 @@ A d-regular digraph always splits into d arc-disjoint 1-factors (spanning
 subgraphs with in- and out-degree 1, i.e. vertex bijections): send each arc
 (u, v) to the bipartite graph on tails and heads and peel off d perfect
 matchings.  A 1-factorization is its successor table alone: factors[j][u]
-is where factor j sends vertex u.  A spanning factorization additionally
+is where factor j sends vertex u.  one_factorize finds one in a loop of
+augmenting paths and _iter_factorizations lists all in one depth-first
+loop, with the factors and order of the recursive forms the tests keep as
+references.  A spanning factorization additionally
 carries one word per vertex over the factor alphabet such that walking the
 words from ANY base hits every vertex exactly once -- the property that lets
 one timed word list serve all sources of an all-to-all exchange
@@ -48,77 +51,53 @@ def validate_one_factorization(g: Digraph, factors: Sequence[Sequence[int]]) -> 
             raise InputError(f"the factors send vertex {u} to {heads}, its out-arcs go to {sorted(g.out[u])}")
 
 
-def _perfect_matching(n: int, adj: list[list[tuple[int, int]]]) -> list[int] | None:
-    """One perfect matching in the tails/heads bipartite graph.
-
-    adj[u] lists (arc id, head) options for tail u.  Classic augmenting-path
-    matching, tails and arcs scanned in index order, so the result is
-    deterministic.  Returns the matched arc id per tail, or None.
-    """
-    match_head: dict[int, int] = {}  # head -> arc id
-    match_tail: list[int] = [-1] * n
-    owner_tail: dict[int, int] = {}
-
-    def augment(root: int) -> bool:
-        # depth first on an explicit stack: frames hold each tail on the path
-        # with its unscanned options, path the (tail, arc id, head) steps
-        # taken down to the top frame
-        seen: set[int] = set()
-        frames = [(root, iter(adj[root]))]
-        path: list[tuple[int, int, int]] = []
-        while frames:
-            u, options = frames[-1]
-            for arc_id, v in options:
-                if v in seen:
-                    continue
-                seen.add(v)
-                path.append((u, arc_id, v))
-                if v not in match_head:
-                    for tail, arc, head in path:
-                        match_head[head] = arc
-                        owner_tail[head] = tail
-                        match_tail[tail] = arc
-                    return True
-                frames.append((owner_tail[v], iter(adj[owner_tail[v]])))
-                break
-            else:
-                frames.pop()
-                if path:
-                    path.pop()
-        return False
-
-    for u in range(n):
-        if not augment(u):
-            return None
-    return match_tail
-
-
 def one_factorize(g: Digraph) -> Factors:
     """Split a d-regular digraph into d factors by repeated perfect matching.
 
     Each round matches every tail to a distinct head using only arcs not yet
     claimed; regularity guarantees a perfect matching exists at every round
     (the remaining bipartite graph stays regular); the d rounds claim every
-    arc once, so the factors partition g's arc multiset.
+    arc once, so the factors partition g's arc multiset.  Tails are matched
+    in index order by augmenting paths that scan each tail's unclaimed arcs
+    in index order, so the result is deterministic.
     """
     d = regular_degree(g)
     n = g.vertex_count
-    arcs = g.arcs()
     remaining: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for a, (u, v, _) in enumerate(arcs):
+    for a, (u, v, _) in enumerate(g.arcs()):
         remaining[u].append((a, v))
     factors: list[tuple[int, ...]] = []
     for _ in range(d):
-        matched = _perfect_matching(n, remaining)
-        if matched is None:
-            raise InputError(
-                "no perfect matching among remaining arcs; the input cannot "
-                "have been regular"
-            )
+        owner: dict[int, tuple[int, int]] = {}  # head -> the (tail, arc id) matched to it
+        for root in range(n):
+            # an augmenting path from root, depth first: frames hold each tail on it with its
+            # unscanned options, path the (tail, arc id, head) steps taken down to the top frame
+            seen: set[int] = set()
+            frames = [(root, iter(remaining[root]))]
+            path: list[tuple[int, int, int]] = []
+            while frames:
+                u, options = frames[-1]
+                for arc_id, v in options:
+                    if v not in seen:
+                        break
+                else:  # tail u is out of options: take back the step into it
+                    frames.pop()
+                    if path:
+                        path.pop()
+                    continue
+                seen.add(v)
+                path.append((u, arc_id, v))
+                if v not in owner:
+                    break
+                frames.append((owner[v][0], iter(remaining[owner[v][0]])))
+            else:
+                raise InputError("no perfect matching among remaining arcs; the input cannot have been regular")
+            for u, arc_id, v in path:
+                owner[v] = (u, arc_id)
         succ = [0] * n
-        for u, arc_id in enumerate(matched):
-            succ[u] = arcs[arc_id][1]
-            remaining[u] = [(a, v) for a, v in remaining[u] if a != arc_id]
+        for v, (u, arc_id) in owner.items():
+            succ[u] = v
+            remaining[u] = [(a, w) for a, w in remaining[u] if a != arc_id]
         factors.append(tuple(succ))
     return tuple(factors)
 
@@ -199,75 +178,79 @@ class SearchResult:
 def _iter_factorizations(g: Digraph, d: int) -> Iterator[Factors]:
     """All 1-factorizations, lazily, without repeating factor-order permutations.
 
-    Factors are produced in increasing order of the arc they claim at vertex
-    0, which picks exactly one representative from each permutation class.
-    Matchings are enumerated by assigning tails in index order.
+    One depth-first loop over positions p = j*n + u, where p places factor
+    j's arc out of tail u, trying tail u's arcs in index order.  Factors come
+    in increasing order of their arc at vertex 0, which picks exactly one
+    representative from each permutation class.
     """
     n = g.vertex_count
-    arcs = g.arcs()
-    by_tail: list[list[int]] = [[] for _ in range(n)]
-    for a, (u, _, _) in enumerate(arcs):
-        by_tail[u].append(a)
-    arc_used = [False] * len(arcs)
-
-    def matchings(head_used: list[bool], min_first: int) -> Iterator[list[int]]:
-        # depth first over tails in index order, on an explicit stack: picked
-        # holds the arcs of tails 0..u-1, and tried[u] counts tail u's options taken
-        picked: list[int] = []
-        tried = [0] * (n + 1)
-        u = 0
-        while u >= 0:
-            if u < n and tried[u] < len(by_tail[u]):
-                a = by_tail[u][tried[u]]
-                tried[u] += 1
-                head = arcs[a][1]
-                if not (arc_used[a] or head_used[head] or (u == 0 and a <= min_first)):
-                    head_used[head] = True
-                    picked.append(a)
-                    u += 1
-                    tried[u] = 0
+    by_tail: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for a, (u, v, _) in enumerate(g.arcs()):
+        by_tail[u].append((a, v))
+    positions = d * n
+    # options[p]: the (arc id, head) pairs position p may place; an empty one closes the list
+    options = [by_tail[p % n] for p in range(positions)] + [[]]
+    taken = [[False] * n for _ in range(d)]  # taken[j][v]: factor j already has an arc into v
+    heads_taken = [taken[p // n] for p in range(positions)]
+    arc_used = [False] * positions  # a d-regular digraph has d*n arcs
+    picked: list[tuple[int, int]] = []  # the (arc id, head) placed at each position below p
+    untried = [iter(options[0])] + [None] * positions  # untried[p]: position p's options not yet tried
+    p = 0
+    while p >= 0:
+        if p < positions:
+            row = heads_taken[p]
+            # a factor's arc at vertex 0 lies above the previous factor's
+            low = picked[p - n][0] if p and p % n == 0 else -1
+            for a, v in untried[p]:
+                if not (arc_used[a] or row[v] or a <= low):
+                    arc_used[a] = row[v] = True
+                    picked.append((a, v))
+                    break
+            if len(picked) > p:
+                p += 1
+                untried[p] = iter(options[p])
                 continue
-            if u == n:
-                yield list(picked)
-            # tail u is out of options (or every tail is matched): release tail u-1's arc
-            u -= 1
-            if u >= 0:
-                head_used[arcs[picked.pop()][1]] = False
-
-    def build(level: int, prev_first: int, chosen: list[list[int]]) -> Iterator[Factors]:
-        if level == d:
-            # a matching picks tails in index order, so arc picked[u] leaves tail u
-            yield tuple(tuple(arcs[a][1] for a in picked) for picked in chosen)
-            return
-        head_used = [False] * n
-        for picked in matchings(head_used, prev_first):
-            for a in picked:
-                arc_used[a] = True
-            chosen.append(picked)
-            yield from build(level + 1, picked[0], chosen)
-            chosen.pop()
-            for a in picked:
-                arc_used[a] = False
-
-    yield from build(0, -1, [])
+        else:
+            heads = [v for _, v in picked]
+            yield tuple([tuple(heads[j * n:j * n + n]) for j in range(d)])
+        # position p is out of options (or every position is placed): take back position p-1's arc
+        p -= 1
+        if p >= 0:
+            a, v = picked.pop()
+            arc_used[a] = heads_taken[p][v] = False
 
 
-def _words_by_end(factors: Sequence[Sequence[int]], length: int, levels: list) -> dict[int, list[tuple[int, ...]]]:
-    """Every factor word of `length` letters from vertex 0, grouped by the vertex it ends at.
+def _words_to(factors: Sequence[Sequence[int]], target: int, lengths: range, layers: list[set[int]],
+              pred: list[list[int]]) -> Iterator[tuple[int, ...]]:
+    """Factor words from vertex 0 to `target`, lazily: each length of at least 1 in turn, in lexicographic order.
 
-    Each group keeps the words in lexicographic order.  levels[L] holds
-    length L as its (word, end) pairs in lexicographic order and as those
-    groups; a length is built the first time it is asked for, by extending
-    each word of the length below it by every letter in turn.
+    layers[r] holds the vertices with an r-letter walk to target, grown here
+    from layers[0] = {target} and pred, the tails of each vertex's in-arcs.
+    A letter is taken only into the layer of the letters left, so every
+    prefix completes: a word costs O(length * d) steps however many there are.
     """
-    while len(levels) <= length:
-        pairs = [(word + (j,), succ[end]) for word, end in levels[-1][0]
-                 for j, succ in enumerate(factors)] if levels else [((), 0)]
-        by_end: dict[int, list[tuple[int, ...]]] = {}
-        for word, end in pairs:
-            by_end.setdefault(end, []).append(word)
-        levels.append((pairs, by_end))
-    return levels[length][1]
+    d = len(factors)
+    for length in lengths:
+        while len(layers) <= length:
+            layers.append({u for w in layers[-1] for u in pred[w]})
+        word: list[int] = []
+        path = [0]  # path[k]: the vertex word[:k] reaches
+        letter = 0
+        while letter < d or word:
+            if letter == d:  # every letter tried after this prefix: take back its last letter
+                letter = word.pop() + 1
+                path.pop()
+                continue
+            v = factors[letter][path[-1]]
+            if v not in layers[length - len(word) - 1]:
+                letter += 1
+            elif len(word) + 1 < length:
+                word.append(letter)
+                path.append(v)
+                letter = 0
+            else:
+                yield (*word, letter)
+                letter += 1
 
 
 def search_spanning_factorization(
@@ -285,7 +268,7 @@ def search_spanning_factorization(
     a repeated endpoint, so a complete assignment spans from every base
     without a further check.  A vertex v's candidates are the words that
     end at v, shortest first (length dist[v], then each extra letter the
-    slack left allows), each length listed once per factorization.  The
+    slack left allows), listed lazily as the search asks for them.  The
     budget counts candidate-word attempts across everything; exhaustion
     reports failure rather than nonexistence.
     """
@@ -296,13 +279,17 @@ def search_spanning_factorization(
     # the factors partition g's arcs, so distances over the factor alphabet
     # coincide with graph distances; one BFS serves every factorization
     dist = distances_from(g, 0)
-    order = sorted(range(1, n), key=lambda v: (dist[v], v))
+    order = sorted(range(1, n), key=dist.__getitem__)  # stable, so (distance, index) order
+    # g's walks are factor words under every factorization, so one set of layers serves them all
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for u, v, _ in g.arcs():
+        pred[v].append(u)
+    layers: dict[int, list[set[int]]] = {}
     nodes = factorizations = best_depth = 0
     factors = words = None
     reason = "exhausted"
     for slack, fact in ((s, f) for s in range(max_slack + 1) for f in _iter_factorizations(g, d)):
         factorizations += 1
-        levels: list = []
         ends: list[set[int]] = [{b} for b in range(n)]  # empty word's endpoint
         chosen: list[tuple[int, ...]] = [()] * n
         # frames[pos] holds order[pos]'s untried candidates and the slack left
@@ -315,8 +302,8 @@ def search_spanning_factorization(
             pos = len(placed)
             v = order[pos]
             if len(frames) == pos:  # order[pos] is reached from a new prefix: list its candidates
-                frames.append((iter([word for length in range(dist[v], dist[v] + slack_left + 1)
-                                     for word in _words_by_end(fact, length, levels).get(v, ())]), slack_left))
+                lengths = range(dist[v], dist[v] + slack_left + 1)
+                frames.append((_words_to(fact, v, lengths, layers.setdefault(v, [{v}]), pred), slack_left))
             options, slack_left = frames[pos]
             word = next(options, None)
             if word is None:  # take back the word before it, or give up this factorization

@@ -1,99 +1,58 @@
 """Built-in graph specs used by the tests, the demos, and the CLI.
 
-The Petersen entry is the one non-Cayley member: ten cosets of a 12-element
-point-pair stabilizer inside the order-120 permutation group on 5 points,
-with three involution generators.
+Each builtin is the JSON spec document a user would write (see specfile),
+parsed the same way as a --spec file.  The Petersen entry is the one
+non-Cayley member: ten cosets of a 12-element point-pair stabilizer inside
+the order-120 permutation group on 5 points, with three involution
+generators.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
-
 from .errors import InputError
 from .graphs import CosetGraph, build_cayley_coset_graph
-from .groups import (
-    CyclicGroup,
-    GroupSpec,
-    PermutationGroup,
-    ProductGroup,
-    coset_canonicalize,
-)
+from .groups import GroupSpec, PermutationGroup, coset_canonicalize
+from .specfile import parse_spec_document
 
 
-def _cyclic_spec(modulus: int, generators: list[int]) -> GroupSpec:
-    group = CyclicGroup(modulus)
-    return GroupSpec(group=group, generators=tuple(group.parse(g) for g in generators))
-
-
-def c4_spec() -> GroupSpec:
-    """Directed 4-cycle: cyclic group of order 4 with the single generator 1."""
-    return _cyclic_spec(4, [1])
-
-
-def k4_spec() -> GroupSpec:
-    """Complete digraph on 4 vertices: all non-zero residues as generators."""
-    return _cyclic_spec(4, [1, 2, 3])
-
-
-def z5_12_spec() -> GroupSpec:
-    """Circulant on 5 vertices with jumps {1, 2}."""
-    return _cyclic_spec(5, [1, 2])
-
-
-def z7_124_spec() -> GroupSpec:
-    """Circulant on 7 vertices with jumps {1, 2, 4} (quadratic residues)."""
-    return _cyclic_spec(7, [1, 2, 4])
-
-
-def q3_spec() -> GroupSpec:
-    """3-cube: product of three order-2 cyclic groups, unit-vector generators."""
-    group = ProductGroup([CyclicGroup(2), CyclicGroup(2), CyclicGroup(2)])
-    gens = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    return GroupSpec(group=group, generators=gens)
-
-
-PETERSEN_GENERATOR_CYCLES = ("(1 3)(2 4)", "(1 3)(2 5)", "(1 4)(2 5)")
+BUILTIN_SPECS = {
+    # directed 4-cycle
+    "c4": {"group": {"kind": "cyclic", "modulus": 4}, "generators": [1]},
+    # complete digraph on 4 vertices: all non-zero residues
+    "k4": {"group": {"kind": "cyclic", "modulus": 4}, "generators": [1, 2, 3]},
+    # circulant on 5 vertices with jumps {1, 2}
+    "z5-12": {"group": {"kind": "cyclic", "modulus": 5}, "generators": [1, 2]},
+    # circulant on 7 vertices with jumps {1, 2, 4} (quadratic residues)
+    "z7-124": {"group": {"kind": "cyclic", "modulus": 7}, "generators": [1, 2, 4]},
+    # 3-cube: three order-2 cyclic factors, unit-vector generators
+    "q3": {
+        "group": {"kind": "product", "factors": [{"kind": "cyclic", "modulus": 2}] * 3},
+        "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    },
+    # the subgroup is every permutation fixing the point pair {1, 2} setwise
+    "petersen": {
+        "group": {"kind": "permutation", "degree": 5},
+        "generators": ["(1 3)(2 4)", "(1 3)(2 5)", "(1 4)(2 5)"],
+        "subgroup": [
+            [0, 1, 2, 3, 4], [0, 1, 2, 4, 3], [0, 1, 3, 2, 4], [0, 1, 3, 4, 2],
+            [0, 1, 4, 2, 3], [0, 1, 4, 3, 2], [1, 0, 2, 3, 4], [1, 0, 2, 4, 3],
+            [1, 0, 3, 2, 4], [1, 0, 3, 4, 2], [1, 0, 4, 2, 3], [1, 0, 4, 3, 2],
+        ],
+    },
+}
 
 # A handle for checking how arc labels depend on coset representatives: a
 # subgroup element moved across the first generator by conjugation.
 PETERSEN_PROBE_CYCLES = ("(3 4)(1 2 5)", "(1 2)(3 4 5)")
 
 
-def petersen_stabilizer() -> list[tuple[int, ...]]:
-    """All degree-5 permutations fixing the point pair {1, 2} setwise."""
-    group = PermutationGroup(5)
-    members = []
-    for p in permutations(range(5)):
-        if {p[0], p[1]} == {0, 1}:
-            members.append(tuple(p))
-    assert len(members) == 12
-    assert group.identity in members
-    return members
-
-
-def petersen_spec() -> GroupSpec:
-    group = PermutationGroup(5)
-    gens = tuple(group.parse(c) for c in PETERSEN_GENERATOR_CYCLES)
-    return GroupSpec(group=group, generators=gens, subgroup=tuple(petersen_stabilizer()))
-
-
-BUILTIN_SPECS = {
-    "c4": c4_spec,
-    "k4": k4_spec,
-    "z5-12": z5_12_spec,
-    "z7-124": z7_124_spec,
-    "q3": q3_spec,
-    "petersen": petersen_spec,
-}
-
-
 def builtin_spec(name: str) -> GroupSpec:
     try:
-        factory = BUILTIN_SPECS[name]
+        doc = BUILTIN_SPECS[name]
     except KeyError:
         known = ", ".join(sorted(BUILTIN_SPECS))
         raise InputError(f"unknown builtin graph {name!r}; known: {known}") from None
-    return factory()
+    return parse_spec_document(doc)
 
 
 def builtin_graph(name: str) -> CosetGraph:
@@ -111,9 +70,8 @@ def petersen_conjugation_check() -> bool:
     cannot be trusted on a proper coset graph and a factorization has to be
     searched instead.
     """
-    group = PermutationGroup(5)
-    stabilizer = petersen_stabilizer()
-    d1 = group.parse(PETERSEN_GENERATOR_CYCLES[0])
+    spec = builtin_spec("petersen")
+    group, stabilizer, d1 = spec.group, spec.subgroup, spec.generators[0]
     x = group.parse(PETERSEN_PROBE_CYCLES[0])
     expected = group.parse(PETERSEN_PROBE_CYCLES[1])
     conjugate = group.compose(group.compose(group.inverse(d1), x), d1)

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import importlib.util
 import io
+import itertools
 import json
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from alltoall import cli, fixtures, scheduling
@@ -146,20 +147,18 @@ def test_factorize_search_exhausted_names_its_slack(tmp_path, capsys):
     assert err.startswith("no spanning factorization found (exhausted within max_slack 0): ")
 
 
-@pytest.mark.parametrize("command", ["factorize", "pipeline"])
-def test_a_negative_max_slack_is_an_input_error(tmp_path, capsys, command):
-    extra = ["--search"] if command == "factorize" else ["--outdir", str(tmp_path / "out")]
-    code, _, err = run(capsys, command, "--builtin", "petersen", *extra, "--max-slack", "-1")
-    assert (code, err) == (1, "error: max_slack must be at least 0, got -1\n")
-
-
 @pytest.mark.parametrize("argv,option", [
     (("words", "--builtin", "z5-12", "--exact", "--out", "{out}"), "--budget"),
     (("factorize", "--builtin", "petersen", "--search", "--out", "{out}"), "--budget"),
     (("schedule", "--builtin", "q3", "--csv", "{out}"), "--budget"),
     (("pipeline", "--builtin", "petersen", "--outdir", "{out}"), "--budget"),
     (("pipeline", "--builtin", "petersen", "--outdir", "{out}"), "--schedule-budget"),
-], ids=["words", "factorize", "schedule", "pipeline", "pipeline-schedule"])
+    (("factorize", "--builtin", "petersen", "--search", "--out", "{out}"), "--max-slack"),
+    (("pipeline", "--builtin", "petersen", "--outdir", "{out}"), "--max-slack"),
+    (("pipeline", "--builtin", "q3", "--outdir", "{out}"), "--max-slack"),
+    (("factorize", "--builtin", "petersen", "--out", "{out}"), "--max-slack"),
+], ids=["words", "factorize", "schedule", "pipeline", "pipeline-schedule",
+        "factorize-max-slack", "pipeline-max-slack", "cayley-pipeline-max-slack", "unsearched-factorize-max-slack"])
 def test_a_negative_budget_is_an_input_error_that_writes_nothing(tmp_path, capsys, argv, option):
     code, stdout, err = run(capsys, *(a.replace("{out}", str(tmp_path / "out")) for a in argv), option, "-3")
     assert (code, stdout, err) == (1, "", f"error: {option} must be at least 0, got -3\n")
@@ -1032,12 +1031,18 @@ def test_a_digraph_with_fewer_arcs_than_vertices_is_refused_before_it_is_built(t
     assert peak < 2**20
 
 
-def main_outcome(argv):
-    """(exit code, stderr) of main(argv), its stdout discarded."""
+def main_output(argv):
+    """(exit code, stdout, stderr) of main(argv)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def main_outcome(argv):
+    """(exit code, stderr) of main(argv), its stdout discarded."""
+    code, _, err = main_output(argv)
+    return code, err
 
 
 def assert_no_traceback(code, err):
@@ -1083,3 +1088,63 @@ def test_bounds_ends_in_an_exit_code_on_any_digraph_spec(tmp_path_factory, n, ar
     spec = tmp_path_factory.getbasetemp() / "digraph.json"
     spec.write_text(json.dumps({"digraph": {"n": n, "arcs": arcs}}))
     assert_no_traceback(*main_outcome(["bounds", "--spec", str(spec)]))
+
+
+def cyclic_descriptor(modulus):
+    return {"kind": "cyclic", "modulus": modulus}
+
+
+@st.composite
+def random_specs(draw):
+    """A spec document: a cyclic, product or small permutation group, or a union of permutations."""
+    kind = draw(st.sampled_from(["cyclic", "product", "permutation", "digraph"]))
+    if kind == "cyclic":
+        m = draw(st.integers(2, 64))
+        generators = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=3))
+        return {"group": cyclic_descriptor(m), "generators": generators}
+    if kind == "product":
+        a, b = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+        pairs = st.tuples(st.integers(0, a - 1), st.integers(0, b - 1)).map(list)
+        return {"group": {"kind": "product", "factors": [cyclic_descriptor(a), cyclic_descriptor(b)]},
+                "generators": draw(st.lists(pairs, min_size=1, max_size=3))}
+    if kind == "permutation":
+        k = draw(st.integers(3, 4))
+        doc = {"group": {"kind": "permutation", "degree": k},
+               "generators": draw(st.lists(st.permutations(range(k)), min_size=1, max_size=3))}
+        if draw(st.booleans()):  # cosets of a point stabilizer, whose edges may not be well defined
+            doc["subgroup"] = [list(p) + [k - 1] for p in itertools.permutations(range(k - 1))]
+        return doc
+    n, d = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    arcs = [[u, v] for _ in range(d) for u, v in enumerate(draw(st.permutations(range(n))))]
+    return {"digraph": {"n": n, "arcs": arcs}}
+
+
+def assert_one_line_or_a_clean_verdict(code, stdout, err, verdict_path=None):
+    """Exit 1 or 2 with one stderr line (an exit 1 line starting `error:`), or exit 0 with a clean verdict."""
+    if code != 0:
+        assert code in (1, 2) and err.count("\n") == 1 and err.endswith("\n"), (code, err)
+        assert code == 2 or err.startswith("error: "), err
+        return
+    if verdict_path is not None:
+        verdict = json.loads(verdict_path.read_text())
+        assert (verdict["conflicts"], verdict["undelivered"]) == (0, 0)
+        assert verdict["theta"] <= verdict["psi_W"] <= verdict["tau"]
+        assert stdout == (f"tau={verdict['tau']} theta={verdict['theta']} psi_W={verdict['psi_W']} "
+                          f"optimal={str(verdict['optimal']).lower()}\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=random_specs(), search=st.booleans())
+def test_random_specs_end_in_a_clean_verdict_or_one_error_line(tmp_path_factory, doc, search):
+    base = tmp_path_factory.mktemp("spec")
+    spec = base / "spec.json"
+    spec.write_text(json.dumps(doc))
+    budgets = ["--budget", "300"]
+    for argv in (["bounds"], ["factorize", *budgets] + (["--search"] if search else [])):
+        assert_one_line_or_a_clean_verdict(*main_output([*argv, "--spec", str(spec)]))
+    for method in ("exact", "greedy"):
+        outdir = base / method
+        code, out, err = main_output(["pipeline", "--spec", str(spec), "--method", method, *budgets,
+                                      "--schedule-budget", "300", "--outdir", str(outdir)])
+        assert_one_line_or_a_clean_verdict(code, out, err, outdir / "verdict.json")
+        event(f"{doc['group']['kind'] if 'group' in doc else 'digraph'} pipeline {method}: exit {code}")

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from alltoall.factorization import (
     verify_spanning,
     walk_word,
 )
-from alltoall.graphs import build_cayley_coset_graph, digraph_from_arcs, regular_degree
+from alltoall.graphs import Digraph, build_cayley_coset_graph, digraph_from_arcs, regular_degree
 from alltoall.groups import CyclicGroup, GroupSpec, PermutationGroup, ProductGroup
 from alltoall.layers import distances_from
 from alltoall.words import bfs_word_set
@@ -265,12 +266,227 @@ def test_search_refuses_a_negative_max_slack():
         search_spanning_factorization(fixtures.builtin_graph("petersen"), max_slack=-1)
 
 
+def test_search_lists_candidate_words_lazily():
+    # on a 13-cycle of tripled arcs all 3**12 words of 12 letters end at vertex 12,
+    # and the search takes the first; listing them all took ~170 MB
+    n = 13
+    g = Digraph(out=tuple(((v + 1) % n,) * 3 for v in range(n)))
+    tracemalloc.start()
+    try:
+        res = search_spanning_factorization(g, budget=300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.words, res.nodes) == (tuple((0,) * k for k in range(n)), n - 1)
+    assert peak < 2**20
+
+
 def test_search_exhaustion_is_not_budget():
     # a single directed 2-cycle has exactly one factorization and it spans
     g = digraph_from_arcs(2, [[0, 1], [1, 0]])
     res = search_spanning_factorization(g)
     assert res.factors == ((1, 0),)
     assert res.words == ((), (0,))
+
+
+def reference_perfect_matching(n, adj):
+    """One perfect matching in the tails/heads bipartite graph, as a list of the arc id matched to each tail.
+
+    The augmenting-path matcher one_factorize used before the matching moved
+    into its own loop: an `augment` closure over three maps.
+    """
+    match_head = {}  # head -> arc id
+    match_tail = [-1] * n
+    owner_tail = {}
+
+    def augment(root):
+        seen = set()
+        frames = [(root, iter(adj[root]))]
+        path = []
+        while frames:
+            u, options = frames[-1]
+            for arc_id, v in options:
+                if v in seen:
+                    continue
+                seen.add(v)
+                path.append((u, arc_id, v))
+                if v not in match_head:
+                    for tail, arc, head in path:
+                        match_head[head] = arc
+                        owner_tail[head] = tail
+                        match_tail[tail] = arc
+                    return True
+                frames.append((owner_tail[v], iter(adj[owner_tail[v]])))
+                break
+            else:
+                frames.pop()
+                if path:
+                    path.pop()
+        return False
+
+    for u in range(n):
+        if not augment(u):
+            return None
+    return match_tail
+
+
+def reference_one_factorize(g):
+    """one_factorize as it was, one reference_perfect_matching per round."""
+    d = regular_degree(g)
+    n = g.vertex_count
+    arcs = g.arcs()
+    remaining = [[] for _ in range(n)]
+    for a, (u, v, _) in enumerate(arcs):
+        remaining[u].append((a, v))
+    factors = []
+    for _ in range(d):
+        matched = reference_perfect_matching(n, remaining)
+        if matched is None:
+            raise InputError("no perfect matching among remaining arcs; the input cannot have been regular")
+        succ = [0] * n
+        for u, arc_id in enumerate(matched):
+            succ[u] = arcs[arc_id][1]
+            remaining[u] = [(a, v) for a, v in remaining[u] if a != arc_id]
+        factors.append(tuple(succ))
+    return tuple(factors)
+
+
+def reference_iter_factorizations(g, d):
+    """_iter_factorizations as it was: a `matchings` generator under a recursive `build` generator."""
+    n = g.vertex_count
+    arcs = g.arcs()
+    by_tail = [[] for _ in range(n)]
+    for a, (u, _, _) in enumerate(arcs):
+        by_tail[u].append(a)
+    arc_used = [False] * len(arcs)
+
+    def matchings(head_used, min_first):
+        picked = []
+        tried = [0] * (n + 1)
+        u = 0
+        while u >= 0:
+            if u < n and tried[u] < len(by_tail[u]):
+                a = by_tail[u][tried[u]]
+                tried[u] += 1
+                head = arcs[a][1]
+                if not (arc_used[a] or head_used[head] or (u == 0 and a <= min_first)):
+                    head_used[head] = True
+                    picked.append(a)
+                    u += 1
+                    tried[u] = 0
+                continue
+            if u == n:
+                yield list(picked)
+            u -= 1
+            if u >= 0:
+                head_used[arcs[picked.pop()][1]] = False
+
+    def build(level, prev_first, chosen):
+        if level == d:
+            yield tuple(tuple(arcs[a][1] for a in picked) for picked in chosen)
+            return
+        head_used = [False] * n
+        for picked in matchings(head_used, prev_first):
+            for a in picked:
+                arc_used[a] = True
+            chosen.append(picked)
+            yield from build(level + 1, picked[0], chosen)
+            chosen.pop()
+            for a in picked:
+                arc_used[a] = False
+
+    yield from build(0, -1, [])
+
+
+@st.composite
+def permutation_unions(draw, max_n=9, max_d=3):
+    """A union of d permutations of n vertices, its arcs listed in any order; parallel arcs and loops allowed.
+
+    Listed permutation by permutation, each round's first options would
+    already form a perfect matching, and the matcher would never augment.
+    """
+    n = draw(st.integers(1, max_n))
+    d = draw(st.integers(1, max_d))
+    arcs = [(u, v) for _ in range(d) for u, v in enumerate(draw(st.permutations(range(n))))]
+    return digraph_from_arcs(n, draw(st.permutations(arcs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=permutation_unions(max_n=40, max_d=6))
+def test_one_factorize_gives_the_factors_of_the_reference(g):
+    assert one_factorize(g) == reference_one_factorize(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=permutation_unions(max_n=7, max_d=3))
+def test_the_enumeration_gives_the_sequence_of_the_reference(g):
+    d = regular_degree(g)
+    # a union of three permutations of seven vertices has at most a few thousand factorizations
+    assert list(_iter_factorizations(g, d)) == list(reference_iter_factorizations(g, d))
+
+
+NAMED_DIGRAPHS = {name: fixtures.builtin_graph(name) for name in sorted(fixtures.BUILTIN_SPECS)}
+NAMED_DIGRAPHS.update({f"K({d},{n})": kautz(d, n) for d, n in [(2, 2), (3, 2), (2, 3), (2, 4), (3, 5)]})
+
+
+@pytest.mark.parametrize("name", list(NAMED_DIGRAPHS))
+def test_one_factorize_gives_the_factors_of_the_reference_on_named_digraphs(name):
+    g = NAMED_DIGRAPHS[name]
+    f = one_factorize(g)
+    assert f == reference_one_factorize(g)
+    validate_one_factorization(g, f)
+
+
+@pytest.mark.parametrize("name,count", [
+    ("petersen", 32), ("K(2,2)", 4), ("K(3,2)", 3456), ("K(2,3)", 32), ("K(2,4)", 2048),
+])
+def test_the_enumeration_gives_the_sequence_of_the_reference_on_named_digraphs(name, count):
+    g = NAMED_DIGRAPHS[name]
+    d = regular_degree(g)
+    listed = list(_iter_factorizations(g, d))
+    assert len(listed) == count
+    assert listed == list(reference_iter_factorizations(g, d))
+
+
+def assert_each_factor_is_a_perfect_matching(g, factors):
+    """networkx's check that each factor matches every tail to one head of an arc of g, every head once."""
+    nx = pytest.importorskip("networkx")
+    n = g.vertex_count
+    bipartite = nx.Graph()
+    bipartite.add_nodes_from([("tail", u) for u in range(n)] + [("head", v) for v in range(n)])
+    bipartite.add_edges_from((("tail", u), ("head", v)) for u, v, _ in g.arcs())
+    for succ in factors:
+        assert nx.is_perfect_matching(bipartite, {(("tail", u), ("head", succ[u])) for u in range(n)})
+
+
+@pytest.mark.parametrize("name", list(NAMED_DIGRAPHS))
+def test_one_factorize_factors_are_perfect_matchings_for_networkx_on_named_digraphs(name):
+    g = NAMED_DIGRAPHS[name]
+    assert_each_factor_is_a_perfect_matching(g, one_factorize(g))
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=permutation_unions(max_n=30, max_d=5))
+def test_one_factorize_factors_are_perfect_matchings_for_networkx(g):
+    assert_each_factor_is_a_perfect_matching(g, one_factorize(g))
+
+
+def test_the_enumeration_lists_one_factor_order_and_every_factorization():
+    # brute force over all factor tuples: every 1-factorization, each factor order once (a Kautz
+    # digraph has no parallel arcs, so the set of its factors names a factorization)
+    g = kautz(2, 2)
+    n, d = g.vertex_count, regular_degree(g)
+    bijections = [p for p in itertools.permutations(range(n)) if all(p[u] in g.out[u] for u in range(n))]
+    every = set()
+    for combo in itertools.product(bijections, repeat=d):
+        try:
+            validate_one_factorization(g, combo)
+        except InputError:
+            continue
+        every.add(frozenset(combo))
+    listed = list(_iter_factorizations(g, d))
+    assert len(listed) == len(set(map(frozenset, listed))) == len(every)
+    assert set(map(frozenset, listed)) == every
 
 
 def reference_words_of_length(factors, target, length, cache):
@@ -310,7 +526,7 @@ def reference_search(g, budget=DEFAULT_SEARCH_BUDGET, max_slack=2):
     out_of_budget = False
 
     for slack in range(max_slack + 1):
-        for fact in _iter_factorizations(g, d):
+        for fact in reference_iter_factorizations(g, d):
             factorizations += 1
             cache = {}
             ends = [{b} for b in range(n)]

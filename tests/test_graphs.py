@@ -1,5 +1,6 @@
 """Cayley coset graph construction and digraph plumbing."""
 
+import json
 from itertools import permutations, product
 from math import factorial, prod
 
@@ -36,6 +37,7 @@ from alltoall.groups import (
     coset_canonicalize,
     coset_elements,
 )
+from alltoall.specfile import load_spec_text
 
 
 def test_c4_is_a_directed_ring():
@@ -70,6 +72,12 @@ def test_petersen_is_a_proper_coset_graph():
     arcs = {(u, v) for u, heads in enumerate(g.out) for v in heads}
     assert all((v, u) in arcs for u, v in arcs)
     assert len(arcs) == 30
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.BUILTIN_SPECS))
+def test_each_builtin_is_the_spec_document_a_file_would_hold(name):
+    text = json.dumps(fixtures.BUILTIN_SPECS[name])
+    assert load_spec_text(text) == fixtures.builtin_spec(name)
 
 
 def test_petersen_conjugation_probe():
@@ -122,7 +130,7 @@ def test_each_generator_column_is_a_permutation_when_cayley():
 
 
 def test_generator_order_changes_labels_not_arcs():
-    base = fixtures.z7_124_spec()
+    base = fixtures.builtin_spec("z7-124")
     flipped = GroupSpec(group=base.group, generators=tuple(reversed(base.generators)))
     g1 = build_cayley_coset_graph(base)
     g2 = build_cayley_coset_graph(flipped)
@@ -450,7 +458,7 @@ def mid_batch_counts(out):
 @pytest.mark.parametrize("spec", [
     star(5).spec,
     GroupSpec(group=CyclicGroup(1000), generators=(1, 10)),
-    fixtures.petersen_spec(),
+    fixtures.builtin_spec("petersen"),
     GroupSpec(group=CyclicGroup(600), generators=(3, 30), subgroup=(0, 200, 400)),
 ], ids=["star5", "z1000", "petersen", "z600-mod-200"])
 def test_cap_crossed_mid_batch_matches_the_per_arc_build(spec):

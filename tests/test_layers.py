@@ -16,6 +16,8 @@ from alltoall.layers import (
     distances_from,
     layer_profile,
 )
+from test_factorization import random_regular_digraph
+from test_graphs import kautz
 
 # (layer sizes from a vertex, theta) for each builtin, derived by hand
 PROFILES = {
@@ -187,3 +189,44 @@ def test_random_coset_graphs_look_alike_from_every_source():
 def test_profile_includes_distance_zero():
     p = layer_profile(fixtures.builtin_graph("z7-124"))
     assert p.layer_sizes[0] == 1
+
+
+# an outside oracle: networkx's BFS on the same arc multiset
+
+
+def networkx_digraph(g):
+    nx = pytest.importorskip("networkx")
+    graph = nx.MultiDiGraph()
+    graph.add_nodes_from(range(g.vertex_count))
+    graph.add_edges_from((u, v) for u, v, _ in g.arcs())
+    return nx, graph
+
+
+def oracle_graphs():
+    rng = random.Random(5150)
+    graphs = [(name, fixtures.builtin_graph(name)) for name in sorted(PROFILES)]
+    graphs += [(f"K(2,{n})", kautz(2, n)) for n in (2, 3, 4)]
+    graphs += [(f"random-{i}", random_regular_digraph(rng, rng.randint(1, 30), rng.randint(1, 4)))
+               for i in range(80)]
+    return graphs
+
+
+def test_layers_and_diameter_match_networkx():
+    connected = 0
+    for name, g in oracle_graphs():
+        nx, graph = networkx_digraph(g)
+        reach = nx.single_source_shortest_path_length(graph, 0)
+        if len(reach) < g.vertex_count:
+            with pytest.raises(ConnectivityError):
+                layer_profile(g)
+            continue
+        profile = layer_profile(g)
+        sizes = [0] * (max(reach.values()) + 1)
+        for k in reach.values():
+            sizes[k] += 1
+        assert profile.layer_sizes == tuple(sizes), name
+        # a regular digraph is Eulerian, so reaching every vertex from 0 makes it strongly connected
+        assert nx.is_strongly_connected(graph), name
+        assert diameter(g, profile) == nx.diameter(graph), name
+        connected += 1
+    assert connected >= 60
