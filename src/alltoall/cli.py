@@ -154,7 +154,7 @@ def _read_json(path: str) -> dict:
 
 
 def _int_list(x) -> bool:
-    return isinstance(x, list) and all(isinstance(j, int) for j in x)
+    return isinstance(x, list) and _all_ints(map(type, x))
 
 
 def _parse_words_doc(doc: dict, origin: str, g: Digraph) -> dict[int, tuple[int, ...]]:
@@ -183,10 +183,10 @@ def _parse_factorization_doc(doc: dict, origin: str, g: Digraph):
     for field in ("n", "d", "factors"):
         if field not in doc:
             raise InputError(f"{origin}: missing '{field}'")
-    if doc["n"] != n:
+    if type(doc["n"]) is not int or doc["n"] != n:
         raise InputError(f"{origin}: 'n' is {doc['n']!r}, the graph has {n} vertices")
     factors = doc["factors"]
-    if not isinstance(factors, list) or len(factors) != doc["d"]:
+    if not isinstance(factors, list) or type(doc["d"]) is not int or len(factors) != doc["d"]:
         raise InputError(f"{origin}: 'factors' must list d={doc['d']} successor arrays")
     for j, succ in enumerate(factors):
         if not _int_list(succ):
@@ -299,17 +299,15 @@ def _factorization_doc(n: int, factors, words, search: dict | None = None) -> di
 
 
 def _search_factorization(g: Digraph, budget: int, max_slack: int):
-    """(factors, words, search counters), or None after reporting on stderr why none was found."""
+    """(factors, words, search counters); SearchBudgetError, saying why, when none was found."""
     res = search_spanning_factorization(g, budget=budget, max_slack=max_slack)
     if res.factors is None:
         # exhausting one slack leaves larger ones untried, so say which was exhausted
         reason = res.reason if res.reason == "budget" else f"{res.reason} within max_slack {max_slack}"
-        print(
+        raise SearchBudgetError(
             f"no spanning factorization found ({reason}): {res.nodes} nodes over "
-            f"{res.factorizations} factorizations, deepest word prefix {res.best_depth}",
-            file=sys.stderr,
+            f"{res.factorizations} factorizations, deepest word prefix {res.best_depth}"
         )
-        return None
     return res.factors, res.words, {"nodes": res.nodes, "factorizations": res.factorizations}
 
 
@@ -340,13 +338,9 @@ def _schedule(host: Digraph, word_map, degree, profile, method: str, budget: int
     """Schedule the words with scheduling.schedule_plan and write the CSV rows (if asked) and the summary.
 
     Returns the words, in the letter order they were scheduled in, and the
-    schedule; None after reporting a failure.
+    schedule; SearchBudgetError when the exact search gives up.
     """
-    try:
-        word_map, sched = schedule_plan(host, word_map, method, budget)
-    except SearchBudgetError as exc:
-        print(exc, file=sys.stderr)
-        return None
+    word_map, sched = schedule_plan(host, word_map, method, budget)
     if csv_path:
         _write_schedule_csv(csv_path, word_map, sched)
     _emit_json(_schedule_summary(word_map, sched, degree, profile), out)
@@ -413,10 +407,7 @@ def cmd_words(args) -> int:
 def cmd_factorize(args) -> int:
     g = _load_graph(args)
     if args.search:
-        found = _search_factorization(g, args.budget, args.max_slack)
-        if found is None:
-            return 2
-        doc = _factorization_doc(g.vertex_count, *found)
+        doc = _factorization_doc(g.vertex_count, *_search_factorization(g, args.budget, args.max_slack))
     elif isinstance(g, CosetGraph) and g.is_cayley:
         # the generators are the factors, and the word set (plus the base's empty word) spans
         words = bfs_word_set(g)
@@ -443,8 +434,8 @@ def cmd_schedule(args) -> int:
             raise InputError("scheduling a coset graph or raw digraph needs --words or --factorization")
         host, words = g, bfs_word_set(g)
     degree = len(host.out[0])
-    scheduled = _schedule(host, words, degree, profile, args.method, args.budget, args.csv, args.out)
-    return 2 if scheduled is None else 0
+    _schedule(host, words, degree, profile, args.method, args.budget, args.csv, args.out)
+    return 0
 
 
 def cmd_simulate(args) -> int:
@@ -477,10 +468,7 @@ def cmd_pipeline(args) -> int:
     if cayley:
         host, words = g, bfs_word_set(g)
     else:
-        found = _search_factorization(g, args.budget, args.max_slack)
-        if found is None:
-            return 2
-        factors, listed, search = found
+        factors, listed, search = _search_factorization(g, args.budget, args.max_slack)
         host, words = factor_digraph(factors), dict(enumerate(listed))
 
     # from here on a plan is words over the host's out-positions, whichever route made it
@@ -489,18 +477,18 @@ def cmd_pipeline(args) -> int:
     # made only now, so that a run refused on its input or its search leaves no directory behind
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    scheduled = _schedule(host, words, degree, profile, args.method, args.schedule_budget,
-                          str(outdir / "schedule.csv"), str(outdir / "schedule.json"))
-    word_map, sched = scheduled or (words, None)
-    # the words artifact holds the words in their scheduled letter order, or as chosen if scheduling failed
-    if cayley:
-        _emit_json(_words_doc(word_map, degree, theta), str(outdir / "words.json"))
-    else:
-        listed = [word_map.get(i, ()) for i in range(g.vertex_count)]
-        _emit_json(_factorization_doc(g.vertex_count, factors, listed, search),
-                   str(outdir / "factorization.json"))
-    if scheduled is None:
-        return 2
+    word_map = words
+    try:
+        word_map, sched = _schedule(host, words, degree, profile, args.method, args.schedule_budget,
+                                    str(outdir / "schedule.csv"), str(outdir / "schedule.json"))
+    finally:
+        # the words artifact holds the words in their scheduled letter order, or as chosen if scheduling gave up
+        if cayley:
+            _emit_json(_words_doc(word_map, degree, theta), str(outdir / "words.json"))
+        else:
+            listed = [word_map.get(i, ()) for i in range(g.vertex_count)]
+            _emit_json(_factorization_doc(g.vertex_count, factors, listed, search),
+                       str(outdir / "factorization.json"))
     verdict, code = _replay(host, word_map, sched, theta, str(outdir / "trace.csv"),
                             str(outdir / "verdict.json"), psi_w)
     print(f"tau={verdict['tau']} theta={theta} psi_W={psi_w} optimal={str(verdict['optimal']).lower()}")
@@ -520,8 +508,6 @@ def _float_range_number(x) -> bool:
 
 
 def cmd_compare(args) -> int:
-    if len(args.networks) < 2:
-        raise InputError(f"need at least two network files, got {len(args.networks)}")
     candidates: list[tuple[str, CostParams]] = []
     taus: dict[str, float] = {}
     numbers = ("P", "d", "D", "rho", "tau") if args.measured else ("P", "d", "D", "rho")
@@ -671,7 +657,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SearchBudgetError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return 2
     except OSError as exc:  # every input is read through InputError, so this is an output
         print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror or exc}", file=sys.stderr)

@@ -38,4 +38,4 @@ class UnsupportedGraphError(InputError):
 
 
 class SearchBudgetError(RuntimeError):
-    """An exhaustive search ran out of its node budget before deciding."""
+    """An exhaustive search ran out of its node budget, or of candidates, before finding an answer."""

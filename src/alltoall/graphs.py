@@ -192,7 +192,7 @@ def emit_adjacency(g: Digraph) -> str:
 
 def digraph_from_arcs(n: int, arcs: Iterable[Sequence[int]]) -> Digraph:
     """Build a Digraph from explicit (src, dst) pairs, preserving input order."""
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise StructureError(f"vertex count must be a positive integer, got {n!r}")
     buckets: list[list[int]] = [[] for _ in range(n)]
     for arc in arcs:

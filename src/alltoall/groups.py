@@ -38,10 +38,8 @@ Element = Any
 class CyclicGroup:
     """Integers under addition mod `modulus`."""
 
-    kind = "cyclic"
-
     def __init__(self, modulus: int):
-        if not isinstance(modulus, int) or modulus < 2:
+        if type(modulus) is not int or modulus < 2:
             raise StructureError(f"cyclic modulus must be an integer >= 2, got {modulus!r}")
         self.modulus = modulus
 
@@ -60,11 +58,11 @@ class CyclicGroup:
         return (-a) % self.modulus
 
     def check_element(self, a: Element) -> None:
-        if not isinstance(a, int) or not (0 <= a < self.modulus):
+        if type(a) is not int or not (0 <= a < self.modulus):
             raise StructureError(f"{a!r} is not a residue mod {self.modulus}")
 
     def parse(self, desc: Any) -> int:
-        if not isinstance(desc, int):
+        if type(desc) is not int:
             raise StructureError(f"cyclic element descriptor must be an int, got {desc!r}")
         return desc % self.modulus
 
@@ -82,10 +80,8 @@ class PermutationGroup:
     subgroup actually matters is determined by the generators of a spec.
     """
 
-    kind = "permutation"
-
     def __init__(self, degree: int):
-        if not isinstance(degree, int) or degree < 1:
+        if type(degree) is not int or degree < 1:
             raise StructureError(f"permutation degree must be an integer >= 1, got {degree!r}")
         self.degree = degree
 
@@ -108,7 +104,9 @@ class PermutationGroup:
         return tuple(out)
 
     def check_element(self, a: Element) -> None:
-        if not isinstance(a, tuple) or len(a) != self.degree or sorted(a) != list(range(self.degree)):
+        # a bool sorts as 0 or 1, so the points must be plain ints too
+        if (not isinstance(a, tuple) or len(a) != self.degree or not all(type(x) is int for x in a)
+                or sorted(a) != list(range(self.degree))):
             raise StructureError(f"{a!r} is not a permutation of {self.degree} points")
 
     def parse(self, desc: Any) -> tuple[int, ...]:
@@ -170,8 +168,6 @@ class PermutationGroup:
 
 class ProductGroup:
     """Direct product; elements are tuples with one entry per factor."""
-
-    kind = "product"
 
     def __init__(self, factors: Sequence[CyclicGroup | PermutationGroup | "ProductGroup"]):
         if not factors:

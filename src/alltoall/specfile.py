@@ -61,7 +61,7 @@ def _parse_digraph_form(body: Any) -> Digraph:
     if not arcs:
         _fail("$.digraph.arcs", "must hold at least one arc; a digraph with no arcs has no exchange to schedule")
     for i, arc in enumerate(arcs):
-        if not isinstance(arc, list) or len(arc) != 2 or not all(isinstance(x, int) for x in arc):
+        if not isinstance(arc, list) or len(arc) != 2 or not all(type(x) is int for x in arc):
             _fail(f"$.digraph.arcs[{i}]", f"must be a [src, dst] integer pair, got {arc!r}")
     n = body["n"]
     if isinstance(n, int) and n > len(arcs):  # checked before anything is allocated per vertex

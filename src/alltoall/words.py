@@ -67,25 +67,25 @@ def bfs_word_set(g: CosetGraph) -> dict[int, tuple[int, ...]]:
     """
     _require_cayley(g)
     dist = distances_from(g, 0)
-    parents = _shortest_parents(g, dist)
+    into = _shortest_arcs(g, dist)
     counts = [0] * g.degree
     words: dict[int, tuple[int, ...]] = {}
-    for v in sorted(range(1, g.vertex_count), key=lambda v: (dist[v], v)):
-        _, j, u = min([(counts[j], j, u) for u in parents[v] for j, t in enumerate(g.out[u]) if t == v])
+    for v in sorted(range(1, g.vertex_count), key=dist.__getitem__):
+        _, j, u = min([(counts[j], j, u) for j, u in into[v]])
         words[v] = words.get(u, ()) + (j,)
         for letter in words[v]:
             counts[letter] += 1
     return words
 
 
-def _shortest_parents(g: CosetGraph, dist: list[int]) -> list[list[int]]:
-    """parents[v]: the vertices one layer closer to the base with an arc to v, increasing, no repeats."""
-    parents: list[list[int]] = [[] for _ in range(g.vertex_count)]
+def _shortest_arcs(g: CosetGraph, dist: list[int]) -> list[list[tuple[int, int]]]:
+    """into[v]: the shortest-path DAG's arcs into v, as (generator, tail) in (tail, out-position) order."""
+    into: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
     for u, heads in enumerate(g.out):
-        for v in heads:
-            if dist[v] == dist[u] + 1 and (not parents[v] or parents[v][-1] != u):
-                parents[v].append(u)
-    return parents
+        for j, v in enumerate(heads):
+            if dist[v] == dist[u] + 1:
+                into[v].append((j, u))
+    return into
 
 
 @dataclass(frozen=True)
@@ -103,28 +103,15 @@ class RegularBound:
 
 def _all_shortest_words(g: CosetGraph, dist: list[int], budget: int) -> dict[int, list[tuple[int, ...]]] | None:
     """Every shortest word for every vertex, in lexicographic order; None past `budget` letters."""
-    options: dict[int, list[tuple[int, ...]]] = {v: [] for v in range(1, g.vertex_count)}
-    frontier: dict[int, list[tuple[int, ...]]] = {0: [()]}
-    depth = 0
-    max_depth = max(dist)
+    into = _shortest_arcs(g, dist)
+    options: dict[int, list[tuple[int, ...]]] = {0: [()]}
     listed = 0
-    while depth < max_depth:
-        nxt: dict[int, list[tuple[int, ...]]] = {}
-        for u, ws_u in frontier.items():
-            for j, v in enumerate(g.out[u]):
-                if dist[v] != depth + 1:
-                    continue
-                listed += len(ws_u) * (depth + 1)
-                if listed > budget:
-                    return None
-                nxt.setdefault(v, []).extend(w + (j,) for w in ws_u)
-        for v, ws_v in nxt.items():
-            options[v].extend(ws_v)
-        frontier = nxt
-        depth += 1
-    for v, opts in options.items():
-        opts.sort()
-    return options
+    for v in sorted(range(1, g.vertex_count), key=dist.__getitem__):
+        listed += dist[v] * sum(len(options[u]) for _, u in into[v])
+        if listed > budget:
+            return None
+        options[v] = sorted([w + (j,) for j, u in into[v] for w in options[u]])
+    return {v: options[v] for v in range(1, g.vertex_count)}
 
 
 def regular_bound_exact(g: CosetGraph, budget: int = DEFAULT_WORD_BUDGET) -> RegularBound:

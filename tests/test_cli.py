@@ -182,6 +182,15 @@ def test_a_pipeline_whose_schedule_gives_up_still_writes_its_factorization(tmp_p
     assert [p.name for p in out.iterdir()] == ["factorization.json"]
 
 
+def test_a_schedule_of_a_factorization_that_gives_up_writes_nothing(tmp_path, capsys):
+    fact, csv_path = tmp_path / "fact.json", tmp_path / "sched.csv"
+    fact.write_text(json.dumps(run_json(capsys, "factorize", "--builtin", "petersen", "--search")))
+    code, stdout, err = run(capsys, "schedule", "--builtin", "petersen", "--factorization", str(fact),
+                            "--budget", "0", "--csv", str(csv_path))
+    assert (code, stdout, err) == (2, "", "exact scheduling gave up (budget) after 0 nodes\n")
+    assert not csv_path.exists()
+
+
 def test_pipeline_z7(tmp_path, capsys):
     out = tmp_path / "out"
     code, stdout, _ = run(capsys, "pipeline", "--builtin", "z7-124", "--outdir", str(out))
@@ -459,6 +468,8 @@ def test_simulate_refuses_non_spanning_factorization(tmp_path, capsys):
     pytest.param("words", (1, 0), "a", id="letter-not-an-integer"),
     pytest.param("factors", (0,), 5, id="factor-not-a-list"),
     pytest.param("factors", (0, None), 1.5, id="vertex-int-would-truncate-to-1"),
+    pytest.param("factors", (0, None), True, id="vertex-a-boolean"),
+    pytest.param("words", (1, 0), True, id="letter-a-boolean"),
 ])
 def test_malformed_factorization_artifacts_are_input_errors(tmp_path, capsys, command, field, entry, value):
     doc = run_json(capsys, "factorize", "--builtin", "q3")
@@ -663,6 +674,51 @@ def test_words_off_the_graph_are_refused(tmp_path, capsys, words, reason):
     assert not sched.exists()
 
 
+def test_a_boolean_letter_in_a_words_artifact_is_refused(tmp_path, capsys):
+    # json reads false as a bool, an int to isinstance, which would reach schedule.csv as "False"
+    doc, sched = tmp_path / "words.json", tmp_path / "sched.csv"
+    words = run_json(capsys, "words", "--builtin", "c4")
+    words["words"]["1"] = [False]
+    doc.write_text(json.dumps(words))
+    code, stdout, err = run(capsys, "schedule", "--builtin", "c4", "--words", str(doc), "--csv", str(sched))
+    assert (code, stdout) == (1, "")
+    assert err == f"error: {doc}: word for vertex 1 must be a list of generator indices\n"
+    assert not sched.exists()
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"n": True, "d": 1, "factors": [[0]], "words": [[]]}, "'n' is True, the graph has 1 vertices"),
+    ({"n": 1, "d": True, "factors": [[0]], "words": [[]]}, "'factors' must list d=True successor arrays"),
+], ids=["n", "d"])
+def test_a_boolean_count_in_a_factorization_artifact_is_refused(tmp_path, capsys, doc, message):
+    # one vertex with a loop, where n = 1 and d = 1 would let true through
+    spec, fact, sched = tmp_path / "one.json", tmp_path / "fact.json", tmp_path / "sched.csv"
+    spec.write_text(json.dumps({"digraph": {"n": 1, "arcs": [[0, 0]]}}))
+    fact.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, "schedule", "--spec", str(spec), "--factorization", str(fact), "--csv", str(sched))
+    assert (code, stdout, err) == (1, "", f"error: {fact}: {message}\n")
+    assert not sched.exists()
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"group": {"kind": "cyclic", "modulus": 5}, "generators": [True, 2]},
+     "$.generators[0]: cyclic element descriptor must be an int, got True"),
+    ({"digraph": {"n": 3, "arcs": [[0, True], [True, 2], [2, False]]}},
+     "$.digraph.arcs[0]: must be a [src, dst] integer pair, got [0, True]"),
+    ({"digraph": {"n": True, "arcs": [[0, 0]]}}, "$.digraph: vertex count must be a positive integer, got True"),
+    ({"group": {"kind": "permutation", "degree": True}, "generators": [[0]]},
+     "$.group: permutation degree must be an integer >= 1, got True"),
+    ({"group": {"kind": "permutation", "degree": 3}, "generators": [[True, 2, False]]},
+     "$.generators[0]: (True, 2, False) is not a permutation of 3 points"),
+    ({"group": {"kind": "cyclic", "modulus": 4}, "generators": [1], "subgroup": [False, 2]},
+     "$.subgroup[0]: cyclic element descriptor must be an int, got False"),
+], ids=["cyclic-generator", "digraph-arcs", "digraph-n", "permutation-degree", "permutation-image", "subgroup"])
+def test_a_boolean_in_a_spec_is_refused(tmp_path, capsys, doc, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    assert run(capsys, "bounds", "--spec", str(spec)) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("bounds",),
     ("pipeline", "--outdir", "{out}"),
@@ -740,7 +796,7 @@ def test_compare_needs_two_files(tmp_path, capsys):
     a = write_network(tmp_path / "a.json", P=4096, d=8, D=6, rho=64)
     code, _, err = run(capsys, "compare", a, "--gamma-max", "10",
                        "--matrix-dim", "16", "--iterations", "1")
-    assert code == 1
+    assert (code, err) == (1, "error: need at least two networks to compare, got 1\n")
 
 
 def test_spec_file_errors_carry_location(tmp_path, capsys):

@@ -1,23 +1,27 @@
 """Shortest-word sets and the regular bound."""
 
 import itertools
+import operator
 import os
 import random
 import subprocess
 import sys
 import textwrap
 import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alltoall import fixtures
 from alltoall.errors import InputError, UnsupportedGraphError
 from alltoall.graphs import build_cayley_coset_graph
-from alltoall.groups import CyclicGroup, GroupSpec
+from alltoall.groups import CyclicGroup, GroupSpec, PermutationGroup, ProductGroup
 from alltoall.specfile import parse_spec_document
 from alltoall.layers import average_diameter_bound, distances_from, layer_profile
 from alltoall.scheduling import factor_occurrences
-from alltoall.words import bfs_word_set, regular_bound_exact, validate_word_set
+from alltoall.words import _all_shortest_words, bfs_word_set, regular_bound_exact, validate_word_set
 from test_factorization import random_cayley_spec
 
 CAYLEY_CORPUS = ("c4", "k4", "z5-12", "z7-124", "q3")
@@ -235,6 +239,101 @@ def naive_balanced_words(g):
             counts[letter] += 1
     del words[0]
     return words
+
+
+def reference_bfs_word_set(g):
+    """The load-balanced rule as it stood before the shortest-arc table: parents, then each parent's out-row."""
+    dist = distances_from(g, 0)
+    parents = reference_shortest_parents(g, dist)
+    counts = [0] * g.degree
+    ws = {}
+    for v in sorted(range(1, g.vertex_count), key=lambda v: (dist[v], v)):
+        _, j, u = min([(counts[j], j, u) for u in parents[v] for j, t in enumerate(g.out[u]) if t == v])
+        ws[v] = ws.get(u, ()) + (j,)
+        for letter in ws[v]:
+            counts[letter] += 1
+    return ws
+
+
+def reference_shortest_parents(g, dist):
+    parents = [[] for _ in range(g.vertex_count)]
+    for u, heads in enumerate(g.out):
+        for v in heads:
+            if dist[v] == dist[u] + 1 and (not parents[v] or parents[v][-1] != u):
+                parents[v].append(u)
+    return parents
+
+
+def reference_all_shortest_words(g, dist, budget):
+    """The word listing as it stood before the shortest-arc table: per-depth frontiers over every arc."""
+    options = {v: [] for v in range(1, g.vertex_count)}
+    frontier = {0: [()]}
+    depth = 0
+    max_depth = max(dist)
+    listed = 0
+    while depth < max_depth:
+        nxt = {}
+        for u, ws_u in frontier.items():
+            for j, v in enumerate(g.out[u]):
+                if dist[v] != depth + 1:
+                    continue
+                listed += len(ws_u) * (depth + 1)
+                if listed > budget:
+                    return None
+                nxt.setdefault(v, []).extend(w + (j,) for w in ws_u)
+        for v, ws_v in nxt.items():
+            options[v].extend(ws_v)
+        frontier = nxt
+        depth += 1
+    for v, opts in options.items():
+        opts.sort()
+    return options
+
+
+@st.composite
+def cayley_specs(draw):
+    """A cyclic group with one to four jumps, a product of two cyclic groups, or a permutation group on 3-5 points."""
+    kind = draw(st.sampled_from(["cyclic", "product", "permutation"]))
+    if kind == "cyclic":
+        m = draw(st.integers(2, 64))
+        jumps = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=4))
+        return GroupSpec(group=CyclicGroup(m), generators=tuple(jumps))
+    if kind == "product":
+        a, b = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+        pairs = draw(st.lists(st.tuples(st.integers(0, a - 1), st.integers(0, b - 1)), min_size=1, max_size=3))
+        return GroupSpec(group=ProductGroup([CyclicGroup(a), CyclicGroup(b)]), generators=tuple(pairs))
+    k = draw(st.integers(3, 5))
+    perms = draw(st.lists(st.permutations(range(k)).map(tuple), min_size=1, max_size=3))
+    return GroupSpec(group=PermutationGroup(k), generators=tuple(perms))
+
+
+def shortest_letter_total(g, dist):
+    """The letters of all shortest words, the least budget whose listing fits, counted without listing them."""
+    paths = [1] + [0] * (g.vertex_count - 1)
+    for u in sorted(range(g.vertex_count), key=dist.__getitem__):
+        for v in g.out[u]:
+            if dist[v] == dist[u] + 1:
+                paths[v] += paths[u]
+    return sum(map(operator.mul, paths, dist))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=cayley_specs())
+def test_the_shortest_arc_table_gives_what_the_references_give(spec):
+    g = build_cayley_coset_graph(spec)
+    assert bfs_word_set(g) == reference_bfs_word_set(g)
+    dist = distances_from(g, 0)
+    total = shortest_letter_total(g, dist)
+    # repeated jumps make the listing exponential; past 20,000 letters only budgets that stop it are tried
+    budgets = {0, total - 1, total, total + 1} if total <= 20_000 else {0, 1, 20_000}
+    for budget in sorted(budgets - {-1}):
+        assert _all_shortest_words(g, dist, budget) == reference_all_shortest_words(g, dist, budget), budget
+        # the search is the module's own either way; the references supply its seed and its listing
+        bound = regular_bound_exact(g, budget)
+        with mock.patch("alltoall.words.bfs_word_set", reference_bfs_word_set), \
+                mock.patch("alltoall.words._all_shortest_words", reference_all_shortest_words):
+            expected = regular_bound_exact(g, budget)
+        assert (bound.value, bound.exact, bound.witness) == (expected.value, expected.exact, expected.witness)
 
 
 def multigraph_z9():
