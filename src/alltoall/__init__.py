@@ -16,7 +16,7 @@ The usual flow:
     assert trace.clean
 """
 
-from . import costmodel, factorization, fixtures, graphs, groups, layers, scheduling, simulate, specfile, words
+from . import factorization, fixtures, graphs, groups, layers, scheduling, simulate, specfile, words
 from .errors import (
     CapacityError,
     ConnectivityError,
@@ -52,3 +52,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """Load `costmodel` on first use (PEP 562): only `compare` needs it, so no other command pays its import."""
+    if name == "costmodel":
+        import alltoall.costmodel  # binds the submodule on this package
+        return alltoall.costmodel
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

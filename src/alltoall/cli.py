@@ -24,16 +24,13 @@ budget exhausted.  Usage errors from argparse are remapped from its default
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import fixtures, specfile
-from .costmodel import CostParams, compare_networks
 from .errors import InputError, SearchBudgetError
 from .factorization import (
     DEFAULT_SEARCH_BUDGET,
@@ -91,6 +88,7 @@ def _load_graph(args) -> Digraph:
 
 
 def _json_default(x):
+    from fractions import Fraction  # loaded only once a value json cannot write turns up
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else float(x)
     raise TypeError(f"cannot serialize {x!r}")
@@ -185,8 +183,10 @@ def _parse_factorization_doc(doc: dict, origin: str, g: Digraph):
             raise InputError(f"{origin}: missing '{field}'")
     if type(doc["n"]) is not int or doc["n"] != n:
         raise InputError(f"{origin}: 'n' is {doc['n']!r}, the graph has {n} vertices")
+    if type(doc["d"]) is not int:
+        raise InputError(f"{origin}: 'd' must be an integer, got {doc['d']!r}")
     factors = doc["factors"]
-    if not isinstance(factors, list) or type(doc["d"]) is not int or len(factors) != doc["d"]:
+    if not isinstance(factors, list) or len(factors) != doc["d"]:
         raise InputError(f"{origin}: 'factors' must list d={doc['d']} successor arrays")
     for j, succ in enumerate(factors):
         if not _int_list(succ):
@@ -224,6 +224,7 @@ def _write_schedule_csv(path: str, word_map: dict[int, tuple[int, ...]], sched: 
 
 
 def _read_schedule_csv(path: str) -> tuple[dict[int, tuple[int, ...]], Schedule]:
+    import csv
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -263,7 +264,8 @@ def _replay_to_file(host: Digraph, word_map, sched: Schedule, path: str):
     def sink(text: str) -> None:
         nonlocal fh
         if fh is None:
-            fh = open(path, "w", encoding="utf-8", newline="")
+            # several ~10 KB slots per write; a buffer past glibc's 128 KiB mmap threshold raised peak RSS ~1.6 MB
+            fh = open(path, "w", encoding="utf-8", newline="", buffering=1 << 16)
             fh.write("time,src,dst,gen,packet_src,packet_dst\n")
         fh.write(text)
 
@@ -508,6 +510,8 @@ def _float_range_number(x) -> bool:
 
 
 def cmd_compare(args) -> int:
+    import csv
+    from .costmodel import CostParams, compare_networks  # loaded here: no other command needs the cost model
     candidates: list[tuple[str, CostParams]] = []
     taus: dict[str, float] = {}
     numbers = ("P", "d", "D", "rho", "tau") if args.measured else ("P", "d", "D", "rho")

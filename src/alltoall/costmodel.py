@@ -14,9 +14,8 @@ can demand equality rather than tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InputError
 
@@ -29,14 +28,7 @@ def _div(a, b):
     return a / b
 
 
-@dataclass(frozen=True)
-class CostParams:
-    """One network + workload configuration.
-
-    avg_diameter is real-valued (the pre-ceiling average distance); the
-    work function is the monomial alpha(N) = alpha_coeff * N**alpha_power.
-    """
-
+class _CostParamsFields(NamedTuple):
     processors: int
     degree: int
     avg_diameter: float
@@ -46,22 +38,26 @@ class CostParams:
     alpha_coeff: float = 1
     alpha_power: float = 1
 
-    def __post_init__(self):
-        positives = {
-            "processors": self.processors,
-            "degree": self.degree,
-            "avg_diameter": self.avg_diameter,
-            "matrix_dim": self.matrix_dim,
-            "iterations": self.iterations,
-            "alpha_coeff": self.alpha_coeff,
-        }
-        for name, value in positives.items():
-            if value <= 0:
-                raise InputError(f"{name} must be positive, got {value!r}")
+
+class CostParams(_CostParamsFields):
+    """One network + workload configuration.
+
+    avg_diameter is real-valued (the pre-ceiling average distance); the
+    work function is the monomial alpha(N) = alpha_coeff * N**alpha_power.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name in ("processors", "degree", "avg_diameter", "matrix_dim", "iterations", "alpha_coeff"):
+            if getattr(self, name) <= 0:
+                raise InputError(f"{name} must be positive, got {getattr(self, name)!r}")
         if self.cost_ratio < 0:
             raise InputError(f"cost_ratio must be non-negative, got {self.cost_ratio!r}")
         if self.alpha_power < 0:
             raise InputError(f"alpha_power must be non-negative, got {self.alpha_power!r}")
+        return self
 
     def alpha(self, n=None):
         """Per-element work alpha(N)."""
@@ -75,8 +71,7 @@ def network_cost(processors, degree, cost_ratio):
     return processors * (cost_ratio + degree)
 
 
-@dataclass(frozen=True)
-class TimeBreakdown:
+class TimeBreakdown(NamedTuple):
     """Compute, exchange, and total time; optimistic marks an ideal tau, D*P/d, in place of a measured one."""
 
     compute: float
@@ -109,8 +104,7 @@ def model_times(params: CostParams, tau=None) -> TimeBreakdown:
     )
 
 
-@dataclass(frozen=True)
-class RegimeTime:
+class RegimeTime(NamedTuple):
     """The constrained-cost regime evaluation.
 
     reduced is the objective divided through to its shape beta*gamma^(1/(D+1)) + D
@@ -149,16 +143,14 @@ def regime_time(params: CostParams, gamma) -> RegimeTime:
     )
 
 
-@dataclass(frozen=True)
-class RankedNetwork:
+class RankedNetwork(NamedTuple):
     name: str
     params: CostParams
     wire_cost: float  # P*d, the quantity the budget constrains
     times: TimeBreakdown
 
 
-@dataclass(frozen=True)
-class ComparisonVerdict:
+class ComparisonVerdict(NamedTuple):
     """Outcome of a constrained comparison.
 
     ranking holds the surviving networks best first; eliminated the ones

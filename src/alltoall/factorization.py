@@ -20,8 +20,7 @@ verify_spanning checks a factorization read from outside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InputError
 from .graphs import Digraph, regular_degree
@@ -156,8 +155,7 @@ def verify_spanning(factors: Sequence[Sequence[int]], words: Sequence[Sequence[i
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     """Outcome of search_spanning_factorization.
 
     factors and words are the spanning factorization found, words[v] the

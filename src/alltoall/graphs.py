@@ -13,9 +13,8 @@ read off generator labels on a Cayley graph.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, count, filterfalse
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapacityError, CosetEdgeError, RegularityError, StructureError
 from .groups import Element, GroupSpec
@@ -23,24 +22,32 @@ from .groups import Element, GroupSpec
 DEFAULT_ELEMENT_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class Digraph:
+def _check_arcs(out: tuple[tuple[int, ...], ...]) -> None:
+    n = len(out)
+    if min(chain.from_iterable(out), default=0) >= 0 and max(chain.from_iterable(out), default=-1) < n:
+        return
+    for u, heads in enumerate(out):  # name the first arc out of range
+        for v in heads:
+            if not (0 <= v < n):
+                raise StructureError(f"arc ({u}, {v}) leaves the vertex range 0..{n - 1}")
+
+
+class _DigraphFields(NamedTuple):
+    out: tuple[tuple[int, ...], ...]
+
+
+class Digraph(_DigraphFields):
     """A finite digraph with parallel arcs allowed, arcs grouped by source.
 
     out[u] is the tuple of heads of u's out-arcs; the j-th entry is arc
     (u, j) when an arc needs a name.
     """
 
-    out: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.out)
-        if min(chain.from_iterable(self.out), default=0) >= 0 and max(chain.from_iterable(self.out), default=-1) < n:
-            return
-        for u, heads in enumerate(self.out):  # name the first arc out of range
-            for v in heads:
-                if not (0 <= v < n):
-                    raise StructureError(f"arc ({u}, {v}) leaves the vertex range 0..{n - 1}")
+    def __new__(cls, out: tuple[tuple[int, ...], ...]):
+        _check_arcs(out)
+        return super().__new__(cls, out)
 
     @property
     def vertex_count(self) -> int:
@@ -66,16 +73,24 @@ def regular_degree(g: Digraph) -> int:
     return d
 
 
-@dataclass(frozen=True)
-class CosetGraph(Digraph):
+class _CosetGraphFields(NamedTuple):
+    out: tuple[tuple[int, ...], ...]
+    spec: GroupSpec
+    vertices: tuple[Element, ...]
+
+
+class CosetGraph(_CosetGraphFields, Digraph):
     """A Digraph whose vertices are canonical coset representatives and whose arcs follow generators.
 
     vertices[0] is the coset of the identity.  out[u][j] is the vertex
     reached from u along generator j.
     """
 
-    spec: GroupSpec
-    vertices: tuple[Element, ...]
+    __slots__ = ()
+
+    def __new__(cls, out: tuple[tuple[int, ...], ...], spec: GroupSpec, vertices: tuple[Element, ...]):
+        _check_arcs(out)
+        return super().__new__(cls, out, spec, vertices)
 
     @property
     def degree(self) -> int:

@@ -22,8 +22,7 @@ overhead per batch rather than per arc.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .errors import StructureError, SubgroupError
 
@@ -238,8 +237,13 @@ def group_from_descriptor(desc: dict) -> Group:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class _GroupSpecFields(NamedTuple):
+    group: Group
+    generators: tuple[Element, ...]
+    subgroup: tuple[Element, ...]
+
+
+class GroupSpec(_GroupSpecFields):
     """A group together with an ordered generator multiset and a subgroup.
 
     `generators` keeps duplicates and input order: the i-th generator is the
@@ -247,18 +251,16 @@ class GroupSpec:
     subgroup (identity alone for ordinary Cayley graphs).
     """
 
-    group: Group
-    generators: tuple[Element, ...]
-    subgroup: tuple[Element, ...] = field(default=None)  # type: ignore[assignment]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.generators:
+    def __new__(cls, group: Group, generators: tuple[Element, ...], subgroup: Iterable[Element] | None = None):
+        if not generators:
             raise StructureError("generator list must be non-empty")
-        for g in self.generators:
-            self.group.check_element(g)
-        sub = self.subgroup if self.subgroup is not None else (self.group.identity,)
-        object.__setattr__(self, "subgroup", tuple(sub))
-        validate_subgroup(self.group, self.subgroup)
+        for g in generators:
+            group.check_element(g)
+        subgroup = tuple(subgroup) if subgroup is not None else (group.identity,)
+        validate_subgroup(group, subgroup)
+        return super().__new__(cls, group, generators, subgroup)
 
     @property
     def degree(self) -> int:

@@ -9,14 +9,13 @@ layer profile already determines that bound.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConnectivityError
 from .graphs import CosetGraph, Digraph
 
 
-@dataclass(frozen=True)
-class LayerProfile:
+class LayerProfile(NamedTuple):
     """Layer sizes and the derived time bound for one graph.
 
     layer_sizes[k] is the number of vertices at distance exactly k from the

@@ -37,9 +37,8 @@ guarantees for them as counts over the same word maps.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InputError, SearchBudgetError, UnsupportedGraphError
 from .graphs import Digraph, letters_commute
@@ -50,8 +49,7 @@ DEFAULT_SCHEDULE_BUDGET = 10_000_000
 WordMap = Mapping[int, Sequence[int]]
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     """times[key][i] is the slot of the i-th letter of word `key` (slots are 1-based)."""
 
     times: dict[int, tuple[int, ...]]
@@ -183,8 +181,7 @@ def _swap_path(at_factor, at_word, low, j: int, a: int, b: int) -> None:
         low[f] = min(low[f], b)
 
 
-@dataclass(frozen=True)
-class MinScheduleResult:
+class MinScheduleResult(NamedTuple):
     """Outcome of the exact makespan search.
 
     status is "optimal" (schedule proven shortest) or "budget" (undecided:
@@ -324,8 +321,7 @@ def schedule_plan(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwoLayerCounts:
+class TwoLayerCounts(NamedTuple):
     """Per-factor first/second letter counts of a length <= 2 word collection."""
 
     first_of_pair: tuple[int, ...]
@@ -381,8 +377,7 @@ def tight_schedule_feasible(word_map: WordMap, degree: int) -> tuple[int, bool]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScheduleFlags:
+class ScheduleFlags(NamedTuple):
     """How a word collection and its schedule relate to the graph's bounds.
 
     Four nested equalities along the chain

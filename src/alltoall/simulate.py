@@ -58,11 +58,10 @@ jobs' letters are replayed: a clean job is just its row of the table.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from heapq import heappush, heapreplace
 from itertools import chain, compress, count, repeat
 from operator import add, eq, itemgetter, lt, ne
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import InputError
 from .graphs import Digraph, regular_degree
@@ -74,8 +73,7 @@ Sink = Callable[[str], object]  # takes the trace text, one or more whole rows a
 CONFLICT_WITNESSES = 1000  # conflicts a replay keeps, the first in (base, job, letter) order
 
 
-@dataclass(frozen=True)
-class TransposeTrace:
+class TransposeTrace(NamedTuple):
     """The verdict of a replay; the per-slot rows went to the replay's sink, if it had one.
 
     dests[job*vertex_count + base] is where the job takes base's packet.

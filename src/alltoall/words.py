@@ -11,7 +11,7 @@ letters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 from .errors import InputError, UnsupportedGraphError
 from .graphs import CosetGraph, Digraph
 from .layers import average_diameter_bound, distances_from, layer_profile
@@ -88,8 +88,7 @@ def _shortest_arcs(g: CosetGraph, dist: list[int]) -> list[list[tuple[int, int]]
     return into
 
 
-@dataclass(frozen=True)
-class RegularBound:
+class RegularBound(NamedTuple):
     """Result of minimizing the busiest generator's count over shortest word sets.
 
     `exact` is False when the search budget ran out; `value` is then only

@@ -688,7 +688,7 @@ def test_a_boolean_letter_in_a_words_artifact_is_refused(tmp_path, capsys):
 
 @pytest.mark.parametrize("doc,message", [
     ({"n": True, "d": 1, "factors": [[0]], "words": [[]]}, "'n' is True, the graph has 1 vertices"),
-    ({"n": 1, "d": True, "factors": [[0]], "words": [[]]}, "'factors' must list d=True successor arrays"),
+    ({"n": 1, "d": True, "factors": [[0]], "words": [[]]}, "'d' must be an integer, got True"),
 ], ids=["n", "d"])
 def test_a_boolean_count_in_a_factorization_artifact_is_refused(tmp_path, capsys, doc, message):
     # one vertex with a loop, where n = 1 and d = 1 would let true through

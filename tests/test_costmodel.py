@@ -34,9 +34,9 @@ def test_network_cost_example():
 def test_params_validation():
     with pytest.raises(InputError):
         params(processors=0)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^cost_ratio must be non-negative, got -1$"):
         params(cost_ratio=-1)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^alpha_power must be non-negative, got -0.5$"):
         params(alpha_power=-0.5)
 
 
