@@ -24,19 +24,18 @@ MATRIX_DIM = 48
 ITERATIONS = 16
 
 
-def measured_tau(name):
-    g = fixtures.builtin_graph(name)
-    words, sched = schedule_plan(g, bfs_word_set(g), "exact", DEFAULT_SCHEDULE_BUDGET)
+def measured_tau(g, profile):
+    words, sched = schedule_plan(g, bfs_word_set(g, profile), "exact", DEFAULT_SCHEDULE_BUDGET)
     trace = run_transpose(g, words, sched)
     assert trace.clean
-    return g, trace.horizon
+    return trace.horizon
 
 
 def main():
     params = {}
     taus = {}
     for name in CANDIDATES:
-        g, tau = measured_tau(name)
+        g = fixtures.builtin_graph(name)
         profile = layer_profile(g)
         avg_dist = Fraction(sum(k * n for k, n in enumerate(profile.layer_sizes)), g.vertex_count)
         params[name] = CostParams(
@@ -47,7 +46,7 @@ def main():
             matrix_dim=MATRIX_DIM,
             iterations=ITERATIONS,
         )
-        taus[name] = tau
+        taus[name] = measured_tau(g, profile)
 
     print(f"{'name':8} {'P':>3} {'d':>2} {'P*d':>4} {'tau':>4} {'ideal tau':>9}")
     for name, p in params.items():

@@ -31,7 +31,7 @@ def main():
     print(f"representative-dependence probe: {fixtures.petersen_conjugation_check()}")
     print()
 
-    found = search_spanning_factorization(g)
+    found = search_spanning_factorization(g, profile)
     assert found.factors is not None, found.reason
     print(f"search visited {found.nodes} candidate words in {found.factorizations} factorization(s)")
     lengths = Counter(len(w) for w in found.words)

@@ -33,7 +33,7 @@ def main():
     print(f"lower bound theta = ceil(sum k*n_k / d) = {theta}")
     print()
 
-    ws = bfs_word_set(g)
+    ws = bfs_word_set(g, profile)
     print("shortest words from vertex 0 (one per destination):")
     for v, w in sorted(ws.items()):
         print(f"  0 -> {v}: generators {list(w)}")
@@ -44,7 +44,7 @@ def main():
     show_schedule("greedy schedule", ws, greedy)
     exact = exact_min_schedule(ws, g.degree)
     show_schedule("exact schedule", ws, exact.schedule)
-    flags = classify(ws, exact.schedule, g.degree, profile)
+    flags = classify(ws, exact.schedule, profile)
     print(f"  quality flags: {flags}")
     print()
 

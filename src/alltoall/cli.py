@@ -42,7 +42,7 @@ from .factorization import (
 )
 from .graphs import CosetGraph, Digraph, build_cayley_coset_graph, emit_adjacency, regular_degree
 from .groups import GroupSpec
-from .layers import average_diameter_bound, diameter, layer_profile
+from .layers import LayerProfile, average_diameter_bound, diameter, layer_profile
 from .scheduling import (
     DEFAULT_SCHEDULE_BUDGET,
     Schedule,
@@ -53,7 +53,7 @@ from .scheduling import (
     two_layer_time_bound,
 )
 from .simulate import run_transpose
-from .words import DEFAULT_WORD_BUDGET, bfs_word_set, regular_bound_exact, validate_word_set
+from .words import DEFAULT_WORD_BUDGET, _require_cayley, bfs_word_set, regular_bound_exact, validate_word_set
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +278,13 @@ def _replay_to_file(host: Digraph, word_map, sched: Schedule, path: str):
     return trace
 
 
-def _words_doc(words: dict[int, tuple[int, ...]], degree: int, theta: int) -> dict:
-    occ = factor_occurrences(words, degree)
+def _words_doc(words: dict[int, tuple[int, ...]], profile: LayerProfile) -> dict:
+    occ = factor_occurrences(words, profile.degree)
     return {
         "words": {str(v): w for v, w in sorted(words.items())},
         "occurrences": occ,
         "psi_W": max(occ),
-        "theta": theta,
+        "theta": average_diameter_bound(profile),
     }
 
 
@@ -300,9 +300,9 @@ def _factorization_doc(n: int, factors, words, search: dict | None = None) -> di
     return doc
 
 
-def _search_factorization(g: Digraph, budget: int, max_slack: int):
+def _search_factorization(g: Digraph, profile: LayerProfile, budget: int, max_slack: int):
     """(factors, words, search counters); SearchBudgetError, saying why, when none was found."""
-    res = search_spanning_factorization(g, budget=budget, max_slack=max_slack)
+    res = search_spanning_factorization(g, profile, budget=budget, max_slack=max_slack)
     if res.factors is None:
         # exhausting one slack leaves larger ones untried, so say which was exhausted
         reason = res.reason if res.reason == "budget" else f"{res.reason} within max_slack {max_slack}"
@@ -313,12 +313,12 @@ def _search_factorization(g: Digraph, budget: int, max_slack: int):
     return res.factors, res.words, {"nodes": res.nodes, "factorizations": res.factorizations}
 
 
-def _schedule_summary(word_map, sched, degree, profile) -> dict:
-    flags = classify(word_map, sched, degree, profile)
-    occ = factor_occurrences(word_map, degree)
+def _schedule_summary(word_map, sched, profile) -> dict:
+    flags = classify(word_map, sched, profile)
+    occ = factor_occurrences(word_map, profile.degree)
     corollary6 = None
     if word_map and max(len(w) for w in word_map.values()) <= 2:
-        corollary6 = two_layer_time_bound(two_layer_counts(word_map, degree))
+        corollary6 = two_layer_time_bound(two_layer_counts(word_map, profile.degree))
     return {
         "makespan": sched.makespan,
         "flags": {
@@ -335,8 +335,7 @@ def _schedule_summary(word_map, sched, degree, profile) -> dict:
     }
 
 
-def _schedule(host: Digraph, word_map, degree, profile, method: str, budget: int, csv_path: str | None,
-              out: str | None):
+def _schedule(host: Digraph, word_map, profile, method: str, budget: int, csv_path: str | None, out: str | None):
     """Schedule the words with scheduling.schedule_plan and write the CSV rows (if asked) and the summary.
 
     Returns the words, in the letter order they were scheduled in, and the
@@ -345,12 +344,12 @@ def _schedule(host: Digraph, word_map, degree, profile, method: str, budget: int
     word_map, sched = schedule_plan(host, word_map, method, budget)
     if csv_path:
         _write_schedule_csv(csv_path, word_map, sched)
-    _emit_json(_schedule_summary(word_map, sched, degree, profile), out)
+    _emit_json(_schedule_summary(word_map, sched, profile), out)
     return word_map, sched
 
 
-def _replay(host: Digraph, word_map, sched: Schedule, theta: int, trace_path: str | None, out: str | None,
-            psi_w: int | None = None) -> tuple[dict, int]:
+def _replay(host: Digraph, word_map, sched: Schedule, profile: LayerProfile, trace_path: str | None,
+            out: str | None, psi_w: int | None = None) -> tuple[dict, int]:
     """Replay the schedule on `host`; write the trace (if asked) and the verdict.
 
     Returns the verdict and the exit code: 0 for a clean replay, 2 otherwise.
@@ -359,6 +358,7 @@ def _replay(host: Digraph, word_map, sched: Schedule, theta: int, trace_path: st
         trace = _replay_to_file(host, word_map, sched, trace_path)
     else:
         trace = run_transpose(host, word_map, sched)
+    theta = average_diameter_bound(profile)
     verdict = {
         "tau": trace.horizon,
         "conflicts": trace.conflict_count,
@@ -397,9 +397,11 @@ def cmd_words(args) -> int:
     g = _load_graph(args)
     if not isinstance(g, CosetGraph):
         raise InputError("word sets need a group-form spec, not a raw digraph")
-    doc = _words_doc(bfs_word_set(g), g.degree, average_diameter_bound(layer_profile(g)))
+    _require_cayley(g)  # a graph refused for its subgroup costs no BFS
+    profile = layer_profile(g)
+    doc = _words_doc(bfs_word_set(g, profile), profile)
     if args.exact:
-        bound = regular_bound_exact(g, budget=args.budget)
+        bound = regular_bound_exact(g, profile, budget=args.budget)
         doc["psi_exact"] = bound.value
         doc["exact"] = bound.exact
     _emit_json(doc, args.out)
@@ -409,10 +411,11 @@ def cmd_words(args) -> int:
 def cmd_factorize(args) -> int:
     g = _load_graph(args)
     if args.search:
-        doc = _factorization_doc(g.vertex_count, *_search_factorization(g, args.budget, args.max_slack))
+        doc = _factorization_doc(g.vertex_count,
+                                 *_search_factorization(g, layer_profile(g), args.budget, args.max_slack))
     elif isinstance(g, CosetGraph) and g.is_cayley:
         # the generators are the factors, and the word set (plus the base's empty word) spans
-        words = bfs_word_set(g)
+        words = bfs_word_set(g, layer_profile(g))
         listed = [words.get(v, ()) for v in range(g.vertex_count)]
         doc = _factorization_doc(g.vertex_count, tuple(zip(*g.out)), listed)
     else:
@@ -434,9 +437,8 @@ def cmd_schedule(args) -> int:
     else:
         if not (isinstance(g, CosetGraph) and g.is_cayley):
             raise InputError("scheduling a coset graph or raw digraph needs --words or --factorization")
-        host, words = g, bfs_word_set(g)
-    degree = len(host.out[0])
-    _schedule(host, words, degree, profile, args.method, args.budget, args.csv, args.out)
+        host, words = g, bfs_word_set(g, profile)
+    _schedule(host, words, profile, args.method, args.budget, args.csv, args.out)
     return 0
 
 
@@ -458,42 +460,40 @@ def cmd_simulate(args) -> int:
         except InputError as exc:
             raise InputError(f"refusing to expand an unverified factorization: {exc}") from None
         host, word_map = factor_digraph(factors), dict(enumerate(words))
-    _, code = _replay(host, word_map, sched, average_diameter_bound(profile), args.trace, args.out)
+    _, code = _replay(host, word_map, sched, profile, args.trace, args.out)
     return code
 
 
 def cmd_pipeline(args) -> int:
     g = _load_graph(args)
     profile = layer_profile(g)
-    theta = average_diameter_bound(profile)
     cayley = isinstance(g, CosetGraph) and g.is_cayley
     if cayley:
-        host, words = g, bfs_word_set(g)
+        host, words = g, bfs_word_set(g, profile)
     else:
-        factors, listed, search = _search_factorization(g, args.budget, args.max_slack)
+        factors, listed, search = _search_factorization(g, profile, args.budget, args.max_slack)
         host, words = factor_digraph(factors), dict(enumerate(listed))
 
     # from here on a plan is words over the host's out-positions, whichever route made it
-    degree = len(host.out[0])
-    psi_w = max(factor_occurrences(words, degree))
+    psi_w = max(factor_occurrences(words, profile.degree))
     # made only now, so that a run refused on its input or its search leaves no directory behind
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     word_map = words
     try:
-        word_map, sched = _schedule(host, words, degree, profile, args.method, args.schedule_budget,
+        word_map, sched = _schedule(host, words, profile, args.method, args.schedule_budget,
                                     str(outdir / "schedule.csv"), str(outdir / "schedule.json"))
     finally:
         # the words artifact holds the words in their scheduled letter order, or as chosen if scheduling gave up
         if cayley:
-            _emit_json(_words_doc(word_map, degree, theta), str(outdir / "words.json"))
+            _emit_json(_words_doc(word_map, profile), str(outdir / "words.json"))
         else:
             listed = [word_map.get(i, ()) for i in range(g.vertex_count)]
             _emit_json(_factorization_doc(g.vertex_count, factors, listed, search),
                        str(outdir / "factorization.json"))
-    verdict, code = _replay(host, word_map, sched, theta, str(outdir / "trace.csv"),
+    verdict, code = _replay(host, word_map, sched, profile, str(outdir / "trace.csv"),
                             str(outdir / "verdict.json"), psi_w)
-    print(f"tau={verdict['tau']} theta={theta} psi_W={psi_w} optimal={str(verdict['optimal']).lower()}")
+    print(f"tau={verdict['tau']} theta={verdict['theta']} psi_W={psi_w} optimal={str(verdict['optimal']).lower()}")
     return code
 
 

@@ -24,7 +24,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InputError
 from .graphs import Digraph, regular_degree
-from .layers import distances_from
+from .layers import LayerProfile
 from .simulate import _walk_trie
 
 DEFAULT_SEARCH_BUDGET = 1_000_000
@@ -253,6 +253,7 @@ def _words_to(factors: Sequence[Sequence[int]], target: int, lengths: range, lay
 
 def search_spanning_factorization(
     g: Digraph,
+    profile: LayerProfile,
     budget: int = DEFAULT_SEARCH_BUDGET,
     max_slack: int = 2,
 ) -> SearchResult:
@@ -265,8 +266,8 @@ def search_spanning_factorization(
     per-base endpoint sets and failing a candidate the moment any base sees
     a repeated endpoint, so a complete assignment spans from every base
     without a further check.  A vertex v's candidates are the words that
-    end at v, shortest first (length dist[v], then each extra letter the
-    slack left allows), listed lazily as the search asks for them.  The
+    end at v, shortest first (length profile.dist[v], then each extra letter
+    the slack left allows), listed lazily as the search asks for them.  The
     budget counts candidate-word attempts across everything; exhaustion
     reports failure rather than nonexistence.
     """
@@ -275,8 +276,8 @@ def search_spanning_factorization(
     d = regular_degree(g)
     n = g.vertex_count
     # the factors partition g's arcs, so distances over the factor alphabet
-    # coincide with graph distances; one BFS serves every factorization
-    dist = distances_from(g, 0)
+    # coincide with graph distances: the profile's distances serve every factorization
+    dist = profile.dist
     order = sorted(range(1, n), key=dist.__getitem__)  # stable, so (distance, index) order
     # g's walks are factor words under every factorization, so one set of layers serves them all
     pred: list[list[int]] = [[] for _ in range(n)]

@@ -16,15 +16,16 @@ from .graphs import CosetGraph, Digraph
 
 
 class LayerProfile(NamedTuple):
-    """Layer sizes and the derived time bound for one graph.
+    """Distances and layer sizes of the base, vertex 0, from its one BFS.
 
-    layer_sizes[k] is the number of vertices at distance exactly k from the
-    base, vertex 0 (so layer_sizes[0] == 1).
+    dist[v] is the distance from the base to vertex v, and layer_sizes[k]
+    the number of vertices at distance exactly k (so layer_sizes[0] == 1).
     """
 
     vertex_count: int
     degree: int
     layer_sizes: tuple[int, ...]
+    dist: tuple[int, ...]
 
 
 def _bfs_distances(g: Digraph, base: int) -> list[int]:
@@ -46,18 +47,14 @@ def _bfs_distances(g: Digraph, base: int) -> list[int]:
     return dist
 
 
-def distances_from(g: Digraph, base: int = 0) -> list[int]:
-    """Shortest-path distance from `base` to every vertex (arcs have unit length)."""
-    return _bfs_distances(g, base)
-
-
 def layer_profile(g: Digraph) -> LayerProfile:
-    """Layer sizes from vertex 0: one BFS."""
-    base_dist = _bfs_distances(g, 0)
-    sizes = [0] * (max(base_dist) + 1)
-    for dv in base_dist:
+    """Distances and layer sizes from vertex 0: the one BFS from the base."""
+    dist = _bfs_distances(g, 0)
+    sizes = [0] * (max(dist) + 1)
+    for dv in dist:
         sizes[dv] += 1
-    return LayerProfile(vertex_count=g.vertex_count, degree=len(g.out[0]), layer_sizes=tuple(sizes))
+    return LayerProfile(vertex_count=g.vertex_count, degree=len(g.out[0]), layer_sizes=tuple(sizes),
+                        dist=tuple(dist))
 
 
 def diameter(g: Digraph, profile: LayerProfile) -> int:

@@ -395,7 +395,7 @@ class ScheduleFlags(NamedTuple):
     minimum: bool
 
 
-def classify(word_map: WordMap, schedule: Schedule, degree: int, profile: LayerProfile) -> ScheduleFlags:
+def classify(word_map: WordMap, schedule: Schedule, profile: LayerProfile) -> ScheduleFlags:
     """Flags plus a consistency check of the bound chain they rely on.
 
     `schedule` must already be valid for `word_map`, as greedy_schedule and
@@ -405,6 +405,7 @@ def classify(word_map: WordMap, schedule: Schedule, degree: int, profile: LayerP
     base's distance sum in letters; a violation means a bug upstream, so it
     raises.
     """
+    degree = profile.degree
     counts = factor_occurrences(word_map, degree)
     total = sum(counts)
     max_count = max(counts) if counts else 0

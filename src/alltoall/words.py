@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 from .errors import InputError, UnsupportedGraphError
 from .graphs import CosetGraph, Digraph
-from .layers import average_diameter_bound, distances_from, layer_profile
+from .layers import LayerProfile, average_diameter_bound
 from .scheduling import WordMap, factor_occurrences
 
 DEFAULT_WORD_BUDGET = 10_000_000
@@ -57,7 +57,7 @@ def _require_cayley(g: CosetGraph) -> None:
         )
 
 
-def bfs_word_set(g: CosetGraph) -> dict[int, tuple[int, ...]]:
+def bfs_word_set(g: CosetGraph, profile: LayerProfile) -> dict[int, tuple[int, ...]]:
     """Assign shortest words in (distance, index) order, each extending a parent's word by one arc.
 
     A vertex's candidates are the arcs into it from the layer above.  Each
@@ -66,7 +66,7 @@ def bfs_word_set(g: CosetGraph) -> dict[int, tuple[int, ...]]:
     the smaller parent, so the busiest generator stays low.
     """
     _require_cayley(g)
-    dist = distances_from(g, 0)
+    dist = profile.dist
     into = _shortest_arcs(g, dist)
     counts = [0] * g.degree
     words: dict[int, tuple[int, ...]] = {}
@@ -78,7 +78,7 @@ def bfs_word_set(g: CosetGraph) -> dict[int, tuple[int, ...]]:
     return words
 
 
-def _shortest_arcs(g: CosetGraph, dist: list[int]) -> list[list[tuple[int, int]]]:
+def _shortest_arcs(g: CosetGraph, dist: tuple[int, ...]) -> list[list[tuple[int, int]]]:
     """into[v]: the shortest-path DAG's arcs into v, as (generator, tail) in (tail, out-position) order."""
     into: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
     for u, heads in enumerate(g.out):
@@ -100,7 +100,7 @@ class RegularBound(NamedTuple):
     witness: dict[int, tuple[int, ...]]
 
 
-def _all_shortest_words(g: CosetGraph, dist: list[int], budget: int) -> dict[int, list[tuple[int, ...]]] | None:
+def _all_shortest_words(g: CosetGraph, dist: tuple[int, ...], budget: int) -> dict[int, list[tuple[int, ...]]] | None:
     """Every shortest word for every vertex, in lexicographic order; None past `budget` letters."""
     into = _shortest_arcs(g, dist)
     options: dict[int, list[tuple[int, ...]]] = {0: [()]}
@@ -113,7 +113,7 @@ def _all_shortest_words(g: CosetGraph, dist: list[int], budget: int) -> dict[int
     return {v: options[v] for v in range(1, g.vertex_count)}
 
 
-def regular_bound_exact(g: CosetGraph, budget: int = DEFAULT_WORD_BUDGET) -> RegularBound:
+def regular_bound_exact(g: CosetGraph, profile: LayerProfile, budget: int = DEFAULT_WORD_BUDGET) -> RegularBound:
     """Minimize the busiest generator count over all shortest word sets.
 
     Depth-first search over per-vertex word choices, vertices in (distance,
@@ -125,11 +125,10 @@ def regular_bound_exact(g: CosetGraph, budget: int = DEFAULT_WORD_BUDGET) -> Reg
     found as inexact.
     """
     _require_cayley(g)
-    dist = distances_from(g, 0)
-    profile = layer_profile(g)
+    dist = profile.dist
     floor = average_diameter_bound(profile)
 
-    incumbent = bfs_word_set(g)
+    incumbent = bfs_word_set(g, profile)
     incumbent_value = max(factor_occurrences(incumbent, g.degree))
     if incumbent_value <= floor:
         return RegularBound(value=incumbent_value, exact=True, witness=incumbent)

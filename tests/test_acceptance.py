@@ -151,7 +151,7 @@ def test_acceptance_03_cayley_labelings():
         runs = clean = 0
         for name in names:
             g = fixtures.builtin_graph(name)
-            ws = bfs_word_set(g)
+            ws = bfs_word_set(g, layer_profile(g))
             for _ in range(50):
                 trace = run_transpose(g, ws, random_schedule(ws, rng))
                 runs += 1
@@ -161,7 +161,7 @@ def test_acceptance_03_cayley_labelings():
 
 def petersen_spanning():
     g = fixtures.builtin_graph("petersen")
-    found = search_spanning_factorization(g)
+    found = search_spanning_factorization(g, layer_profile(g))
     assert found.factors is not None
     return found.factors, found.words
 
@@ -172,7 +172,7 @@ def test_acceptance_04_factorization_labelings():
         plans = []
         for name in ("c4", "z7-124", "q3"):
             g = fixtures.builtin_graph(name)
-            words = bfs_word_set(g)
+            words = bfs_word_set(g, layer_profile(g))
             plans.append((tuple(zip(*g.out)), tuple(words.get(v, ()) for v in range(g.vertex_count))))
         plans.append(petersen_spanning())
         runs = clean = 0
@@ -206,7 +206,7 @@ def test_acceptance_06_two_layer_guarantee():
     with criterion(6, "diameter-2 schedules stay within 1 + max(M+N); Z5 within 4"):
         for name in ("k4", "z5-12", "z7-124"):
             g = fixtures.builtin_graph(name)
-            words = regular_bound_exact(g).witness
+            words = regular_bound_exact(g, layer_profile(g)).witness
             word_map, sched = schedule_plan(g, words, "exact", DEFAULT_SCHEDULE_BUDGET)
             trace = run_transpose(g, word_map, sched)
             assert trace.clean
@@ -264,16 +264,17 @@ def test_acceptance_08_exact_schedules_and_chain():
     with criterion(8, "exact makespans Q3=4, C4=6; quality flags and ordering chain"):
         for name, tau in (("q3", 4), ("c4", 6)):
             g = fixtures.builtin_graph(name)
-            ws = bfs_word_set(g)
+            profile = layer_profile(g)
+            ws = bfs_word_set(g, profile)
             res = exact_min_schedule(ws, g.degree)
             assert res.makespan == tau
             if name == "q3":
-                flags = classify(ws, res.schedule, g.degree, layer_profile(g))
+                flags = classify(ws, res.schedule, profile)
                 assert flags.balanced and flags.short and flags.optimal and flags.minimum
         for name in ("c4", "k4", "z5-12", "z7-124", "q3"):
             g = fixtures.builtin_graph(name)
             profile = layer_profile(g)
-            ws = bfs_word_set(g)
+            ws = bfs_word_set(g, profile)
             occ = factor_occurrences(ws, g.degree)
             total = sum(occ)
             avg_load = -(-total // g.degree)
@@ -287,10 +288,11 @@ def test_acceptance_09_bound_chain():
     with criterion(9, "theta <= psi_exact <= psi_W across the Cayley corpus"):
         for name in ("c4", "k4", "z5-12", "z7-124", "q3"):
             g = fixtures.builtin_graph(name)
-            theta = average_diameter_bound(layer_profile(g))
-            exact = regular_bound_exact(g)
+            profile = layer_profile(g)
+            theta = average_diameter_bound(profile)
+            exact = regular_bound_exact(g, profile)
             assert exact.exact
-            psi_w = max(factor_occurrences(bfs_word_set(g), g.degree))
+            psi_w = max(factor_occurrences(bfs_word_set(g, profile), g.degree))
             assert theta <= exact.value <= psi_w
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from alltoall import cli, fixtures, scheduling
+from alltoall import cli, fixtures, layers, scheduling
 from alltoall.cli import (
     _dumps,
     _json_default,
@@ -719,18 +719,68 @@ def test_a_boolean_in_a_spec_is_refused(tmp_path, capsys, doc, message):
     assert run(capsys, "bounds", "--spec", str(spec)) == (1, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ("bounds",),
-    ("pipeline", "--outdir", "{out}"),
-    ("factorize", "--search"),
-])
+NOT_CONNECTED = "error: not connected: 2 of 4 vertices are unreachable from vertex 0\n"
+# (exit code, stderr) of each command on two 2-cycles, where vertex 0 reaches only vertex 1
+ON_TWO_ISLANDS = {
+    ("bounds",): (1, NOT_CONNECTED),
+    ("pipeline", "--outdir", "{out}"): (1, NOT_CONNECTED),
+    ("factorize", "--search"): (1, NOT_CONNECTED),
+    ("factorize",): (0, ""),  # splitting the arcs into 1-factors needs no distances
+    ("words",): (1, "error: word sets need a group-form spec, not a raw digraph\n"),
+}
+
+
+@pytest.mark.parametrize("argv", list(ON_TWO_ISLANDS))
 def test_digraph_without_arcs_is_an_input_error(tmp_path, capsys, argv):
     spec = tmp_path / "spec.json"
+    command = [argv[0], "--spec", str(spec), *(a.replace("{out}", str(tmp_path / "out")) for a in argv[1:])]
     spec.write_text(json.dumps({"digraph": {"n": 1, "arcs": []}}))
-    argv = [a.replace("{out}", str(tmp_path / "out")) for a in argv]
-    code, _, err = run(capsys, argv[0], "--spec", str(spec), *argv[1:])
+    code, _, err = run(capsys, *command)
     assert code == 1
     assert err.startswith("error: $.digraph.arcs: ") and "Traceback" not in err
+    # a digraph whose vertex 0 cannot reach every vertex is refused only where distances are needed
+    spec.write_text(json.dumps({"digraph": {"n": 4, "arcs": [[0, 1], [1, 0], [2, 3], [3, 2]]}}))
+    assert run(capsys, *command)[::2] == ON_TWO_ISLANDS[argv]
+    assert not (tmp_path / "out").exists()
+
+
+def test_each_command_runs_the_bfs_from_vertex_0_at_most_once(tmp_path, monkeypatch, capsys):
+    # layer_profile keeps the base's distances, and every stage that needs them takes the profile
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps({"digraph": {"n": 3, "arcs": [[0, 1], [1, 2], [2, 0]]}}))
+    words, fact, sched, out = (str(tmp_path / name) for name in ("words.json", "fact.json", "sched.csv", "out"))
+    commands = [
+        ("bounds", "--builtin", "q3"),
+        ("bounds", "--builtin", "petersen"),
+        ("bounds", "--spec", str(ring)),  # the diameter takes a BFS from each other vertex too
+        ("words", "--builtin", "z5-12", "--out", words),
+        ("words", "--builtin", "q3", "--exact"),
+        ("words", "--builtin", "z5-12", "--exact"),
+        ("factorize", "--builtin", "q3"),
+        ("factorize", "--builtin", "petersen", "--search", "--out", fact),
+        ("schedule", "--builtin", "q3"),
+        ("schedule", "--builtin", "z5-12", "--words", words),
+        ("schedule", "--builtin", "petersen", "--factorization", fact, "--csv", sched),
+        ("simulate", "--builtin", "petersen", "--factorization", fact, "--schedule", sched),
+        ("pipeline", "--builtin", "q3", "--outdir", out),
+        ("pipeline", "--builtin", "z5-12", "--method", "greedy", "--outdir", out),
+        ("pipeline", "--builtin", "petersen", "--outdir", out),
+        ("factorize", "--spec", str(ring)),
+        ("words", "--spec", str(ring)),
+        ("words", "--builtin", "petersen"),
+    ]
+    bfs = layers._bfs_distances
+    seen = []
+    for argv in commands:
+        bases = []
+        with monkeypatch.context() as patch:
+            patch.setattr(layers, "_bfs_distances", lambda g, base: bases.append(base) or bfs(g, base))
+            code = run(capsys, *argv)[0]
+        seen.append((argv, code, bases.count(0)))
+    expected = [(argv, 0, 1) for argv in commands[:-3]]
+    # a 1-factorization needs no distances, and word sets are refused before any BFS
+    expected += [(commands[-3], 0, 0), (commands[-2], 1, 0), (commands[-1], 1, 0)]
+    assert seen == expected
 
 
 # each output flag, with the command line around it; {bad} is the path that cannot be written

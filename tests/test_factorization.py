@@ -27,7 +27,7 @@ from alltoall.factorization import (
 )
 from alltoall.graphs import Digraph, build_cayley_coset_graph, digraph_from_arcs, regular_degree
 from alltoall.groups import CyclicGroup, GroupSpec, PermutationGroup, ProductGroup
-from alltoall.layers import distances_from
+from alltoall.layers import layer_profile
 from alltoall.words import bfs_word_set
 from test_graphs import kautz
 
@@ -174,7 +174,7 @@ def test_verify_spanning_names_the_collision_a_word_by_word_walk_meets_first(cas
 
 def cayley_factorization(g):
     """A Cayley graph's generator columns as factors, its word set plus the base's empty word as words."""
-    words = bfs_word_set(g)
+    words = bfs_word_set(g, layer_profile(g))
     return tuple(zip(*g.out)), tuple(words.get(v, ()) for v in range(g.vertex_count))
 
 
@@ -219,7 +219,7 @@ def test_cayley_construction_spans_on_random_specs():
 
 def test_search_finds_q3_quickly():
     g = fixtures.builtin_graph("q3")
-    res = search_spanning_factorization(g)
+    res = search_spanning_factorization(g, layer_profile(g))
     assert res.factors is not None
     verify_spanning(res.factors, res.words, 8)
     assert sorted(len(w) for w in res.words) == [0, 1, 1, 1, 2, 2, 2, 3]
@@ -227,7 +227,7 @@ def test_search_finds_q3_quickly():
 
 def test_search_finds_petersen_with_shortest_words():
     g = fixtures.builtin_graph("petersen")
-    res = search_spanning_factorization(g)
+    res = search_spanning_factorization(g, layer_profile(g))
     assert res.factors is not None
     verify_spanning(res.factors, res.words, 10)
     # slack 0: every word length matches the BFS distance
@@ -243,7 +243,7 @@ def test_search_results_span_on_kautz_and_random_digraphs():
     found = []
     for i, g in enumerate(graphs):
         try:
-            res = search_spanning_factorization(g, budget=20_000)
+            res = search_spanning_factorization(g, layer_profile(g), budget=20_000)
         except ConnectivityError:  # no spanning word list reaches another component
             continue
         if res.factors is None:
@@ -256,14 +256,15 @@ def test_search_results_span_on_kautz_and_random_digraphs():
 
 def test_search_respects_budget():
     g = fixtures.builtin_graph("petersen")
-    res = search_spanning_factorization(g, budget=1)
+    res = search_spanning_factorization(g, layer_profile(g), budget=1)
     assert res.factors is None and res.words is None
     assert res.reason == "budget"
 
 
 def test_search_refuses_a_negative_max_slack():
+    g = fixtures.builtin_graph("petersen")
     with pytest.raises(InputError, match="max_slack must be at least 0, got -1"):
-        search_spanning_factorization(fixtures.builtin_graph("petersen"), max_slack=-1)
+        search_spanning_factorization(g, layer_profile(g), max_slack=-1)
 
 
 def test_search_lists_candidate_words_lazily():
@@ -273,7 +274,7 @@ def test_search_lists_candidate_words_lazily():
     g = Digraph(out=tuple(((v + 1) % n,) * 3 for v in range(n)))
     tracemalloc.start()
     try:
-        res = search_spanning_factorization(g, budget=300)
+        res = search_spanning_factorization(g, layer_profile(g), budget=300)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -284,7 +285,7 @@ def test_search_lists_candidate_words_lazily():
 def test_search_exhaustion_is_not_budget():
     # a single directed 2-cycle has exactly one factorization and it spans
     g = digraph_from_arcs(2, [[0, 1], [1, 0]])
-    res = search_spanning_factorization(g)
+    res = search_spanning_factorization(g, layer_profile(g))
     assert res.factors == ((1, 0),)
     assert res.words == ((), (0,))
 
@@ -507,7 +508,7 @@ def reference_words_of_length(factors, target, length, cache):
     return results
 
 
-def reference_search(g, budget=DEFAULT_SEARCH_BUDGET, max_slack=2):
+def reference_search(g, profile, budget=DEFAULT_SEARCH_BUDGET, max_slack=2):
     """search_spanning_factorization as it was before it listed each word length once per factorization.
 
     The same slack-major loop over the 1-factorizations, with the depth-first
@@ -518,7 +519,7 @@ def reference_search(g, budget=DEFAULT_SEARCH_BUDGET, max_slack=2):
         raise InputError(f"max_slack must be at least 0, got {max_slack}")
     d = regular_degree(g)
     n = g.vertex_count
-    dist = distances_from(g, 0)
+    dist = profile.dist
     order = sorted(range(1, n), key=lambda v: (dist[v], v))
     nodes = 0
     factorizations = 0
@@ -588,9 +589,9 @@ def reference_search(g, budget=DEFAULT_SEARCH_BUDGET, max_slack=2):
 
 
 def outcome(search, g, **kwargs):
-    """The search's result, or the type and text of the error it raised."""
+    """The search's result on g and its profile, or the type and text of the error raised on the way."""
     try:
-        return search(g, **kwargs)
+        return search(g, layer_profile(g), **kwargs)
     except InputError as exc:
         return type(exc), str(exc)
 
@@ -627,7 +628,8 @@ def test_search_gives_what_the_reference_search_gives_on_named_digraphs(g):
 
 
 def test_search_exhausts_kautz_2_3_with_the_counters_of_the_reference():
-    res = search_spanning_factorization(kautz(2, 3), max_slack=2)
+    g = kautz(2, 3)
+    res = search_spanning_factorization(g, layer_profile(g), max_slack=2)
     assert (res.factors, res.reason) == (None, "exhausted")
     assert (res.nodes, res.factorizations, res.best_depth) == (642, 96, 10)
 
@@ -641,11 +643,12 @@ def test_search_and_matching_run_on_explicit_stacks():
         import sys
         from alltoall.factorization import one_factorize, search_spanning_factorization
         from alltoall.graphs import Digraph
+        from alltoall.layers import layer_profile
         n = 200
         cycle = Digraph(out=tuple(((v + 1) % n,) for v in range(n)))
         chain = Digraph(out=tuple((v, v + 1) for v in range(n - 1)) + ((0, n - 1),))
         sys.setrecursionlimit(100)
-        res = search_spanning_factorization(cycle)
+        res = search_spanning_factorization(cycle, layer_profile(cycle))
         print(res.nodes, res.factorizations, res.best_depth, res.words == tuple((0,) * k for k in range(n)))
         f = one_factorize(chain)
         print(f == (tuple(range(1, n)) + (0,), tuple(range(n))))

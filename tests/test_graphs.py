@@ -37,6 +37,7 @@ from alltoall.groups import (
     coset_canonicalize,
     coset_elements,
 )
+from alltoall.layers import layer_profile
 from alltoall.specfile import load_spec_text
 
 
@@ -106,8 +107,6 @@ def test_generator_inside_subgroup_collapses_to_one_coset():
 
 
 def test_disconnected_raw_digraph_is_caught_downstream():
-    from alltoall.layers import layer_profile
-
     two_islands = digraph_from_arcs(4, [[0, 1], [1, 0], [2, 3], [3, 2]])
     with pytest.raises(ConnectivityError) as ei:
         layer_profile(two_islands)
@@ -288,7 +287,7 @@ def test_non_commuting_hosts():
     for d, n in ((2, 2), (3, 2)):
         k = kautz(d, n)
         hosts.append(factor_digraph(one_factorize(k)))
-        hosts.append(factor_digraph(search_spanning_factorization(k).factors))
+        hosts.append(factor_digraph(search_spanning_factorization(k, layer_profile(k)).factors))
     for g in hosts:
         assert not letters_commute(g)
         assert not reorderings_agree(g)

@@ -13,7 +13,6 @@ from alltoall.groups import CyclicGroup, GroupSpec, PermutationGroup, ProductGro
 from alltoall.layers import (
     average_diameter_bound,
     diameter,
-    distances_from,
     layer_profile,
 )
 from test_factorization import random_regular_digraph
@@ -82,8 +81,7 @@ def test_layer_sizes_sum_to_vertex_count():
 
 def test_distances_from_matches_ring_arithmetic():
     g = fixtures.builtin_graph("c4")
-    assert distances_from(g, 0) == [0, 1, 2, 3]
-    assert distances_from(g, 2) == [2, 3, 0, 1]
+    assert layer_profile(g).dist == (0, 1, 2, 3)
 
 
 def test_theta_rounds_up():
@@ -96,10 +94,8 @@ def test_theta_rounds_up():
 
 def test_disconnected_graph_raises():
     g = digraph_from_arcs(4, [[0, 1], [1, 0], [2, 3], [3, 2]])
-    with pytest.raises(ConnectivityError):
+    with pytest.raises(ConnectivityError, match="not connected: 2 of 4 vertices are unreachable from vertex 0"):
         layer_profile(g)
-    with pytest.raises(ConnectivityError):
-        distances_from(g, 0)
 
 
 def test_asymmetric_digraph_profile_uses_all_sources():
@@ -221,6 +217,7 @@ def test_layers_and_diameter_match_networkx():
                 layer_profile(g)
             continue
         profile = layer_profile(g)
+        assert profile.dist == tuple(reach[v] for v in range(g.vertex_count)), name
         sizes = [0] * (max(reach.values()) + 1)
         for k in reach.values():
             sizes[k] += 1

@@ -24,7 +24,7 @@ RECORDS = [
     (GroupSpec, dict(group=Z2, generators=(1,), subgroup=(0,))),
     (Digraph, dict(out=((1,), (0,)))),
     (CosetGraph, dict(out=((1,), (0,)), spec=GroupSpec(Z2, (1,)), vertices=(0, 1))),
-    (LayerProfile, dict(vertex_count=2, degree=1, layer_sizes=(1, 1))),
+    (LayerProfile, dict(vertex_count=2, degree=1, layer_sizes=(1, 1), dist=(0, 1))),
     (RegularBound, dict(value=1, exact=True, witness={1: (0,)})),
     (SearchResult, dict(factors=((1, 0),), words=((), (0,)), nodes=3, factorizations=1, best_depth=1,
                         reason="exhausted")),

@@ -15,6 +15,7 @@ from alltoall.errors import InputError
 from alltoall.factorization import factor_digraph, search_spanning_factorization
 from alltoall.graphs import Digraph, build_cayley_coset_graph
 from alltoall.groups import CyclicGroup, GroupSpec
+from alltoall.layers import layer_profile
 from alltoall.scheduling import (
     DEFAULT_SCHEDULE_BUDGET,
     Schedule,
@@ -63,7 +64,7 @@ def walk(g, v, word):
 
 def scheduled_corpus(name):
     g = fixtures.builtin_graph(name)
-    ws = bfs_word_set(g)
+    ws = bfs_word_set(g, layer_profile(g))
     res = exact_min_schedule(ws, g.degree)
     return g, ws, res.schedule
 
@@ -81,7 +82,7 @@ def test_cayley_expansion_is_clean(name, paths, horizon):
 
 def test_factor_expansion_petersen():
     g = fixtures.builtin_graph("petersen")
-    found = search_spanning_factorization(g)
+    found = search_spanning_factorization(g, layer_profile(g))
     assert found.factors is not None
     word_map = {i: w for i, w in enumerate(found.words) if w}
     sched = exact_min_schedule(word_map, len(found.factors)).schedule
@@ -194,7 +195,7 @@ def test_a_slot_count_mismatch_names_its_word_and_writes_nothing():
 def test_the_empty_base_word_is_no_job():
     # a factorization's words hold the base's (); the replay skips it as the scheduler does
     g = fixtures.builtin_graph("petersen")
-    found = search_spanning_factorization(g)
+    found = search_spanning_factorization(g, layer_profile(g))
     host = factor_digraph(found.factors)
     words = dict(enumerate(found.words))
     assert words[0] == ()
@@ -241,7 +242,7 @@ def test_any_valid_labeling_expands_cleanly(name):
     # the heart of the construction: conflict-freedom for the base labeling
     # transfers to all shifted copies, however wasteful the labeling is
     g = fixtures.builtin_graph(name)
-    ws = bfs_word_set(g)
+    ws = bfs_word_set(g, layer_profile(g))
     rng = random.Random(hash(name) & 0xFFFF)
     for _ in range(20):
         sched = random_valid_schedule(ws, rng)
@@ -337,7 +338,7 @@ def unchecked_plan(word_map, rng, horizon):
 @pytest.mark.parametrize("name", ["c4", "z5-12", "z7-124", "q3"])
 def test_flat_replay_matches_reference_on_valid_schedules(name):
     g = fixtures.builtin_graph(name)
-    ws = bfs_word_set(g)
+    ws = bfs_word_set(g, layer_profile(g))
     rng = random.Random(7)
     for _ in range(5):
         assert assert_replays_agree(g, (ws, random_valid_schedule(ws, rng))).clean
@@ -345,7 +346,7 @@ def test_flat_replay_matches_reference_on_valid_schedules(name):
 
 def test_flat_replay_matches_reference_over_factors():
     g = fixtures.builtin_graph("petersen")
-    found = search_spanning_factorization(g)
+    found = search_spanning_factorization(g, layer_profile(g))
     word_map = {i: w for i, w in enumerate(found.words) if w}
     host = factor_digraph(found.factors)
     assert assert_replays_agree(host, (word_map, greedy_schedule(word_map))).clean
@@ -354,7 +355,7 @@ def test_flat_replay_matches_reference_over_factors():
 @pytest.mark.parametrize("name", ["c4", "z5-12", "z7-124", "q3"])
 def test_flat_replay_matches_reference_on_conflicting_paths(name):
     g = fixtures.builtin_graph(name)
-    ws = bfs_word_set(g)
+    ws = bfs_word_set(g, layer_profile(g))
     rng = random.Random(11)
     conflicts = 0
     for horizon in (3, 5, 12):
@@ -417,7 +418,7 @@ def test_memory_follows_the_slots_used_not_the_horizon():
 
 def test_a_double_booked_letter_keeps_memory_to_the_open_slot():
     g = build_cayley_coset_graph(GroupSpec(group=CyclicGroup(128), generators=(1, 16)))
-    ws = bfs_word_set(g)
+    ws = bfs_word_set(g, layer_profile(g))
     jobs = plan_jobs((ws, greedy_schedule(ws)))
     word, times = jobs[0]
     jobs.append(((word[-1],), (times[-1],)))  # a lone letter on a (slot, position) the plan already uses
@@ -478,7 +479,7 @@ def kautz_2_2():
 @pytest.mark.parametrize("name", ["c4", "z5-12", "z7-124", "q3"])
 def test_word_pass_refuses_conflicting_slots(name):
     g = fixtures.builtin_graph(name)
-    words = list(bfs_word_set(g).values())
+    words = list(bfs_word_set(g, layer_profile(g)).values())
     rng = random.Random(17)
     refused = 0
     for horizon in (3, 5, 12):
@@ -517,7 +518,7 @@ def test_word_pass_leaves_broken_slots_to_the_packet_replay(times):
 
 def test_word_pass_counts_duplicate_deliveries():
     g = fixtures.builtin_graph("z7-124")
-    ws = bfs_word_set(g)
+    ws = bfs_word_set(g, layer_profile(g))
     jobs = [(w, tuple(range(1, len(w) + 1))) for w in ws.values() if len(w) == 1]
     jobs.append((jobs[0][0], (4,)))  # a second key carrying the first word, one slot later
     trace = assert_replays_agree(g, hand_plan(jobs))
@@ -528,7 +529,7 @@ def test_word_pass_counts_duplicate_deliveries():
 @pytest.mark.parametrize("name", ["c4", "k4", "z5-12", "z7-124", "q3"])
 def test_word_pass_settles_valid_schedules(name):
     g = fixtures.builtin_graph(name)
-    ws = bfs_word_set(g)
+    ws = bfs_word_set(g, layer_profile(g))
     rng = random.Random(23)
     for _ in range(5):
         sched = random_valid_schedule(ws, rng)
@@ -537,7 +538,8 @@ def test_word_pass_settles_valid_schedules(name):
 
 
 def test_word_pass_settles_valid_schedules_over_factors():
-    found = search_spanning_factorization(fixtures.builtin_graph("petersen"))
+    g = fixtures.builtin_graph("petersen")
+    found = search_spanning_factorization(g, layer_profile(g))
     word_map = {i: w for i, w in enumerate(found.words) if w}
     host = factor_digraph(found.factors)
     rng = random.Random(29)
@@ -550,10 +552,10 @@ def test_word_pass_settles_valid_schedules_over_factors():
 def builtin_plans(name):
     """(host, words) of a builtin's plans: over a searched spanning factorization, and over its generators."""
     g = fixtures.builtin_graph(name)
-    found = search_spanning_factorization(g)
+    found = search_spanning_factorization(g, layer_profile(g))
     plans = [(factor_digraph(found.factors), {i: w for i, w in enumerate(found.words) if w})]
     if g.is_cayley:
-        plans.append((g, bfs_word_set(g)))
+        plans.append((g, bfs_word_set(g, layer_profile(g))))
     return plans
 
 
@@ -616,7 +618,8 @@ def assert_table_walks_every_word(g, plan, trace):
 
 def q3_words_shuffled():
     # job order differs from word order, so the table must be filled job by job, not in trie order
-    words = list(bfs_word_set(fixtures.builtin_graph("q3")).values())
+    g = fixtures.builtin_graph("q3")
+    words = list(bfs_word_set(g, layer_profile(g)).values())
     random.Random(41).shuffle(words)
     return words
 
@@ -630,7 +633,7 @@ def test_trie_walk_and_column_check_match_the_reference(case):
         words.insert(2, words[5])
     elif case == "not prefix-closed":
         g = hypercube(4)
-        plan, _ = schedule_plan(g, bfs_word_set(g), "exact", DEFAULT_SCHEDULE_BUDGET)
+        plan, _ = schedule_plan(g, bfs_word_set(g, layer_profile(g)), "exact", DEFAULT_SCHEDULE_BUDGET)
         words = list(plan.values())
         assert any(len(w) > 1 and w[:-1] not in plan.values() for w in words)
     elif case == "empty word":
@@ -670,7 +673,7 @@ class CountingColumn(list):
 
 def test_trie_walk_maps_each_trie_node_once():
     g = hypercube(4)
-    plan, _ = schedule_plan(g, bfs_word_set(g), "exact", DEFAULT_SCHEDULE_BUDGET)
+    plan, _ = schedule_plan(g, bfs_word_set(g, layer_profile(g)), "exact", DEFAULT_SCHEDULE_BUDGET)
     words = list(plan.values())
     random.Random(43).shuffle(words)
     words += words[:3]  # a repeated word is a node walked already
@@ -704,7 +707,7 @@ def test_dests_table_takes_four_bytes_a_cell_only_past_65536_vertices():
 
 def test_a_doubled_plan_counts_every_conflict_and_keeps_the_first_as_witnesses():
     g = build_cayley_coset_graph(GroupSpec(group=CyclicGroup(128), generators=(1, 16)))
-    ws = bfs_word_set(g)
+    ws = bfs_word_set(g, layer_profile(g))
     jobs = plan_jobs((ws, greedy_schedule(ws)))
     doubled = hand_plan(jobs + jobs)  # every letter shares its (slot, position) with its twin
     _, conflicts, _, _, _ = reference_replay(g, packets(g, doubled))
@@ -718,7 +721,7 @@ def test_a_doubled_plan_counts_every_conflict_and_keeps_the_first_as_witnesses()
 
 def test_star6_greedy_plan_replays_in_less_memory_than_a_counts_array():
     g = star(6)
-    ws = bfs_word_set(g)
+    ws = bfs_word_set(g, layer_profile(g))
     trace, _, peak = replay_with_peak(g, (ws, greedy_schedule(ws)), sink=False)
     assert trace.clean and trace.delivered_pairs == 720 * 719
     # an n*n array of 4-byte delivery counts

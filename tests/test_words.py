@@ -19,7 +19,7 @@ from alltoall.errors import InputError, UnsupportedGraphError
 from alltoall.graphs import build_cayley_coset_graph
 from alltoall.groups import CyclicGroup, GroupSpec, PermutationGroup, ProductGroup
 from alltoall.specfile import parse_spec_document
-from alltoall.layers import average_diameter_bound, distances_from, layer_profile
+from alltoall.layers import average_diameter_bound, layer_profile
 from alltoall.scheduling import factor_occurrences
 from alltoall.words import _all_shortest_words, bfs_word_set, regular_bound_exact, validate_word_set
 from test_factorization import random_cayley_spec
@@ -34,7 +34,7 @@ def brute_force_regular_bound(g):
     directly over the edge lists, then takes the full product.  Exponential,
     so keep it to corpus-sized graphs.
     """
-    dist = distances_from(g, 0)
+    dist = layer_profile(g).dist
     options = {v: [] for v in range(1, g.vertex_count)}
     frontier = {0: [()]}
     for r in range(1, max(dist) + 1):
@@ -59,27 +59,27 @@ def brute_force_regular_bound(g):
 
 
 # the word sets the library makes: the load-balanced choice and the exact bound's witness
-WORD_SETS = {"load-balanced": bfs_word_set, "exact": lambda g: regular_bound_exact(g).witness}
+WORD_SETS = {"load-balanced": bfs_word_set, "exact": lambda g, profile: regular_bound_exact(g, profile).witness}
 
 
 @pytest.mark.parametrize("rule", list(WORD_SETS))
 @pytest.mark.parametrize("name", CAYLEY_CORPUS)
 def test_word_sets_validate(name, rule):
     g = fixtures.builtin_graph(name)
-    ws = WORD_SETS[rule](g)
+    ws = WORD_SETS[rule](g, layer_profile(g))
     validate_word_set(g, ws)
     assert set(ws) == set(range(1, g.vertex_count))
 
 
 def test_balanced_occurrences_on_z7():
     g = fixtures.builtin_graph("z7-124")
-    ws = bfs_word_set(g)
+    ws = bfs_word_set(g, layer_profile(g))
     assert sorted(factor_occurrences(ws, g.degree)) == [3, 3, 3]
 
 
 def test_balanced_occurrences_on_q3():
     g = fixtures.builtin_graph("q3")
-    ws = bfs_word_set(g)
+    ws = bfs_word_set(g, layer_profile(g))
     assert factor_occurrences(ws, g.degree) == [4, 4, 4]
 
 
@@ -87,13 +87,13 @@ def test_z5_imbalance_is_forced():
     # five vertices, two generators: some generator must appear ceil(6/2)=3
     # times in any word set, and the shortest-word structure forces 4
     g = fixtures.builtin_graph("z5-12")
-    ws = bfs_word_set(g)
+    ws = bfs_word_set(g, layer_profile(g))
     assert sorted(factor_occurrences(ws, g.degree)) == [2, 4]
 
 
 def test_validate_rejects_broken_sets():
     g = fixtures.builtin_graph("z7-124")
-    good = bfs_word_set(g)
+    good = bfs_word_set(g, layer_profile(g))
     missing = dict(good)
     del missing[3]
     with pytest.raises(InputError, match=r"missing \[3\], extra \[\]"):
@@ -115,13 +115,13 @@ def test_validate_rejects_broken_sets():
 def test_word_sets_need_trivial_subgroup():
     g = fixtures.builtin_graph("petersen")
     with pytest.raises(UnsupportedGraphError):
-        bfs_word_set(g)
+        bfs_word_set(g, layer_profile(g))
 
 
 @pytest.mark.parametrize("name", CAYLEY_CORPUS)
 def test_exact_bound_matches_brute_force(name):
     g = fixtures.builtin_graph(name)
-    bound = regular_bound_exact(g)
+    bound = regular_bound_exact(g, layer_profile(g))
     assert bound.exact
     assert bound.value == brute_force_regular_bound(g)
     validate_word_set(g, bound.witness)
@@ -131,23 +131,24 @@ def test_exact_bound_matches_brute_force(name):
 @pytest.mark.parametrize("name,psi", [("c4", 6), ("k4", 1), ("z5-12", 4), ("z7-124", 3), ("q3", 4)])
 def test_exact_bound_values(name, psi):
     g = fixtures.builtin_graph(name)
-    assert regular_bound_exact(g).value == psi
+    assert regular_bound_exact(g, layer_profile(g)).value == psi
 
 
 @pytest.mark.parametrize("rule", list(WORD_SETS))
 @pytest.mark.parametrize("name", CAYLEY_CORPUS)
 def test_bound_chain_theta_psi_psiw(name, rule):
     g = fixtures.builtin_graph(name)
-    theta = average_diameter_bound(layer_profile(g))
-    psi = regular_bound_exact(g).value
-    psi_w = max(factor_occurrences(WORD_SETS[rule](g), g.degree))
+    profile = layer_profile(g)
+    theta = average_diameter_bound(profile)
+    psi = regular_bound_exact(g, profile).value
+    psi_w = max(factor_occurrences(WORD_SETS[rule](g, profile), g.degree))
     assert theta <= psi <= psi_w
 
 
 def test_budget_starvation_is_marked_inexact():
     # z5's greedy seed (4) sits above theta (3), so the DFS would need nodes
     g = fixtures.builtin_graph("z5-12")
-    bound = regular_bound_exact(g, budget=0)
+    bound = regular_bound_exact(g, layer_profile(g), budget=0)
     assert not bound.exact
     assert bound.value == 4  # the greedy seed still comes back as a witness
 
@@ -155,7 +156,7 @@ def test_budget_starvation_is_marked_inexact():
 def test_budget_zero_can_still_be_exact_at_the_floor():
     # z7's greedy seed hits theta exactly, which proves optimality with no search
     g = fixtures.builtin_graph("z7-124")
-    bound = regular_bound_exact(g, budget=0)
+    bound = regular_bound_exact(g, layer_profile(g), budget=0)
     assert bound.exact and bound.value == 3
 
 
@@ -169,10 +170,11 @@ def torus(m):
 def test_word_listing_is_bounded_by_the_budget():
     # the 16x16 torus has 194,440 shortest words; its greedy seed (520) sits above theta (512)
     g = torus(16)
-    greedy = bfs_word_set(g)
+    profile = layer_profile(g)
+    greedy = bfs_word_set(g, profile)
     tracemalloc.start()
     try:
-        bound = regular_bound_exact(g, budget=2000)
+        bound = regular_bound_exact(g, profile, budget=2000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -186,10 +188,11 @@ def test_word_listing_budget_counts_letters():
     # Z402 {1, 201} has 20,501 shortest words but ~2.75M letters (~22 MB listed);
     # a budget of 40,000 must stop the listing, not admit every word
     g = build_cayley_coset_graph(GroupSpec(group=CyclicGroup(402), generators=(1, 201)))
-    greedy = bfs_word_set(g)
+    profile = layer_profile(g)
+    greedy = bfs_word_set(g, profile)
     tracemalloc.start()
     try:
-        bound = regular_bound_exact(g, budget=40000)
+        bound = regular_bound_exact(g, profile, budget=40000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -207,11 +210,13 @@ def test_search_budget_counts_letters():
     script = textwrap.dedent("""
         from alltoall.graphs import build_cayley_coset_graph
         from alltoall.groups import CyclicGroup, GroupSpec
+        from alltoall.layers import layer_profile
         from alltoall.scheduling import factor_occurrences
         from alltoall.words import bfs_word_set, regular_bound_exact
         g = build_cayley_coset_graph(GroupSpec(group=CyclicGroup(402), generators=(1, 201)))
-        bound = regular_bound_exact(g, budget=3_000_000)
-        print(bound.exact, bound.value, max(factor_occurrences(bfs_word_set(g), g.degree)))
+        profile = layer_profile(g)
+        bound = regular_bound_exact(g, profile, budget=3_000_000)
+        print(bound.exact, bound.value, max(factor_occurrences(bfs_word_set(g, profile), g.degree)))
     """)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -223,7 +228,7 @@ def test_search_budget_counts_letters():
 
 def naive_balanced_words(g):
     """The load-balanced rule with parents found by scanning every vertex."""
-    dist = distances_from(g, 0)
+    dist = layer_profile(g).dist
     counts = [0] * g.degree
     words = {0: ()}
     for v in sorted(range(1, g.vertex_count), key=lambda v: (dist[v], v)):
@@ -241,9 +246,9 @@ def naive_balanced_words(g):
     return words
 
 
-def reference_bfs_word_set(g):
+def reference_bfs_word_set(g, profile):
     """The load-balanced rule as it stood before the shortest-arc table: parents, then each parent's out-row."""
-    dist = distances_from(g, 0)
+    dist = profile.dist
     parents = reference_shortest_parents(g, dist)
     counts = [0] * g.degree
     ws = {}
@@ -321,18 +326,19 @@ def shortest_letter_total(g, dist):
 @given(spec=cayley_specs())
 def test_the_shortest_arc_table_gives_what_the_references_give(spec):
     g = build_cayley_coset_graph(spec)
-    assert bfs_word_set(g) == reference_bfs_word_set(g)
-    dist = distances_from(g, 0)
+    profile = layer_profile(g)
+    assert bfs_word_set(g, profile) == reference_bfs_word_set(g, profile)
+    dist = profile.dist
     total = shortest_letter_total(g, dist)
     # repeated jumps make the listing exponential; past 20,000 letters only budgets that stop it are tried
     budgets = {0, total - 1, total, total + 1} if total <= 20_000 else {0, 1, 20_000}
     for budget in sorted(budgets - {-1}):
         assert _all_shortest_words(g, dist, budget) == reference_all_shortest_words(g, dist, budget), budget
         # the search is the module's own either way; the references supply its seed and its listing
-        bound = regular_bound_exact(g, budget)
+        bound = regular_bound_exact(g, profile, budget)
         with mock.patch("alltoall.words.bfs_word_set", reference_bfs_word_set), \
                 mock.patch("alltoall.words._all_shortest_words", reference_all_shortest_words):
-            expected = regular_bound_exact(g, budget)
+            expected = regular_bound_exact(g, profile, budget)
         assert (bound.value, bound.exact, bound.witness) == (expected.value, expected.exact, expected.witness)
 
 
@@ -345,11 +351,12 @@ def multigraph_z9():
 @pytest.mark.parametrize("name", CAYLEY_CORPUS)
 def test_balanced_words_match_the_scan_over_all_parents(name):
     g = fixtures.builtin_graph(name)
-    assert bfs_word_set(g) == naive_balanced_words(g)
+    assert bfs_word_set(g, layer_profile(g)) == naive_balanced_words(g)
 
 
 def test_balanced_words_match_the_scan_on_a_multigraph():
-    assert bfs_word_set(multigraph_z9()) == naive_balanced_words(multigraph_z9())
+    g = multigraph_z9()
+    assert bfs_word_set(g, layer_profile(g)) == naive_balanced_words(g)
 
 
 
@@ -357,4 +364,4 @@ def test_balanced_words_match_the_scan_on_random_specs():
     rng = random.Random(4011)
     for _ in range(120):
         g = build_cayley_coset_graph(random_cayley_spec(rng))
-        assert bfs_word_set(g) == naive_balanced_words(g), g.spec
+        assert bfs_word_set(g, layer_profile(g)) == naive_balanced_words(g), g.spec
