@@ -399,9 +399,10 @@ def cmd_words(args) -> int:
         raise InputError("word sets need a group-form spec, not a raw digraph")
     _require_cayley(g)  # a graph refused for its subgroup costs no BFS
     profile = layer_profile(g)
-    doc = _words_doc(bfs_word_set(g, profile), profile)
+    words = bfs_word_set(g, profile)
+    doc = _words_doc(words, profile)
     if args.exact:
-        bound = regular_bound_exact(g, profile, budget=args.budget)
+        bound = regular_bound_exact(g, profile, words, budget=args.budget)
         doc["psi_exact"] = bound.value
         doc["exact"] = bound.exact
     _emit_json(doc, args.out)

@@ -6,18 +6,31 @@ route from every base, so a word set with the generator table transposed,
 tuple(zip(*g.out)), is a spanning factorization.  The schedule length of
 the induced exchange is at least the busiest generator's total occurrence
 count, so the interesting quantity is how evenly a word set spreads its
-letters.
+letters.  Every shortest word set puts at least theta, the averaged
+diameter bound, on its busiest generator.
+
+bfs_word_set reads the shortest-path DAG from vertex 0 once: a greedy pass
+balances the generators' counts, and while the busiest count stays above
+theta, multiplicative-weight rounds reroute words to other shortest words.
+regular_bound_exact finds the true minimum over all shortest word sets by
+exponential search, seeded with the caller's word set.
 """
 
 from __future__ import annotations
 
+import operator
+from math import exp
 from typing import NamedTuple
+
 from .errors import InputError, UnsupportedGraphError
 from .graphs import CosetGraph, Digraph
 from .layers import LayerProfile, average_diameter_bound
 from .scheduling import WordMap, factor_occurrences
 
 DEFAULT_WORD_BUDGET = 10_000_000
+# rerouting: the weight exponent over load / theta, and the most rounds tried
+REROUTE_K = 50
+REROUTE_ROUNDS = 32
 
 
 def _listed(keys: set[int]) -> str:
@@ -58,16 +71,27 @@ def _require_cayley(g: CosetGraph) -> None:
 
 
 def bfs_word_set(g: CosetGraph, profile: LayerProfile) -> dict[int, tuple[int, ...]]:
-    """Assign shortest words in (distance, index) order, each extending a parent's word by one arc.
+    """Shortest words from vertex 0, balanced greedily and then rerouted toward theta.
 
-    A vertex's candidates are the arcs into it from the layer above.  Each
-    vertex takes the candidate whose generator has the smallest total
-    occurrence count so far, ties to the smaller generator index and then
-    the smaller parent, so the busiest generator stays low.
+    The greedy pass gives each vertex, in (distance, index) order, its
+    tail's word plus the arc into it from the layer above whose generator
+    has the smallest total occurrence count so far, ties to the smaller
+    generator index and then the smaller tail.  While the busiest
+    generator's count stays above theta, _rerouted then moves words, one or
+    two at a time, onto other shortest words.  The rerouted set comes back
+    only when the busiest count fell, so a graph at theta, or one the
+    reroute cannot help, keeps its greedy words.
     """
     _require_cayley(g)
     dist = profile.dist
     into = _shortest_arcs(g, dist)
+    greedy, loads = _greedy_words(g, dist, into)
+    return _rerouted(g, profile, into, greedy, loads) or greedy
+
+
+def _greedy_words(g: CosetGraph, dist: tuple[int, ...],
+                  into: list[list[tuple[int, int]]]) -> tuple[dict[int, tuple[int, ...]], list[int]]:
+    """The greedy pass and its generator counts: each word is a tail's word plus the least-used generator so far."""
     counts = [0] * g.degree
     words: dict[int, tuple[int, ...]] = {}
     for v in sorted(range(1, g.vertex_count), key=dist.__getitem__):
@@ -75,7 +99,141 @@ def bfs_word_set(g: CosetGraph, profile: LayerProfile) -> dict[int, tuple[int, .
         words[v] = words.get(u, ()) + (j,)
         for letter in words[v]:
             counts[letter] += 1
-    return words
+    return words, counts
+
+
+def _rerouted(g: CosetGraph, profile: LayerProfile, into: list[list[tuple[int, int]]],
+              words: dict[int, tuple[int, ...]], loads: list[int]) -> dict[int, tuple[int, ...]] | None:
+    """`words`, with generator counts `loads`, rerouted toward theta; None if the busiest count did not fall.
+
+    A round weighs generator j by exp(K * load_j / theta) (the
+    multiplicative weights of Garg and Koenemann) and proposes each
+    vertex's cheapest shortest word.  A vertex takes its proposal, in
+    (distance, index) order, only if that strictly lowers the load vector
+    sorted in decreasing order, compared lexicographically: the busiest
+    count never rises and no state comes back.  A round that moves no word
+    falls back on the first change of one or two vertices' letter counts
+    that lowers the same vector.  Rounds stop at theta, after a round that
+    changes nothing, or after REROUTE_ROUNDS.
+    """
+    theta = average_diameter_bound(profile)
+    start = max(loads)
+    if start <= theta:
+        return None
+    letters = range(g.degree)
+    held = {v: tuple(map(w.count, letters)) for v, w in words.items()}
+    ranked = sorted(loads, reverse=True)
+    order = sorted(words, key=profile.dist.__getitem__)
+    words = dict(words)
+    reachable = None  # every vertex's letter counts over its shortest words, made at the first stall
+    for _ in range(REROUTE_ROUNDS):
+        via, proposed = _cheapest_words(g, order, into, loads, theta)
+        moved = False
+        for v in order:
+            new, old = proposed[v], held[v]
+            if new == old:
+                continue
+            trial = [load - o + n for load, o, n in zip(loads, old, new)]
+            if sorted(trial, reverse=True) < ranked:
+                loads, held[v], moved = trial, new, True
+                ranked = sorted(loads, reverse=True)
+                words[v] = _spelled(via, v)
+                if ranked[0] <= theta:
+                    break
+        if not moved:
+            reachable = reachable or _letter_count_sets(g, order, into)
+            for v, new in _compound_move(reachable, held, loads, ranked, order):
+                loads = [load - o + n for load, o, n in zip(loads, held[v], new)]
+                held[v], moved = new, True
+                words[v] = _word_with_counts(reachable, into, v, new)
+            ranked = sorted(loads, reverse=True)
+        if ranked[0] <= theta or not moved:
+            break
+    return words if ranked[0] < start else None
+
+
+def _cheapest_words(g: CosetGraph, order: list[int], into: list[list[tuple[int, int]]], loads: list[int],
+                    theta: int) -> tuple[list[tuple[int, int]], list[tuple[int, ...]]]:
+    """Each vertex's cheapest shortest word under weights exp(K * load / theta): its last arc, and its letter counts.
+
+    The weights are divided by the busiest generator's, which leaves every
+    choice as it is and keeps exp from overflowing.
+    """
+    top = max(loads)
+    weight = [exp(REROUTE_K * (load - top) / theta) for load in loads]
+    cost = [0.0] * g.vertex_count
+    via: list[tuple[int, int]] = [(0, 0)] * g.vertex_count
+    counts: list[tuple[int, ...]] = [(0,) * g.degree] * g.vertex_count
+    for v in order:
+        cost[v], j, u = min([(cost[u] + weight[j], j, u) for j, u in into[v]])
+        via[v] = (j, u)
+        tail = list(counts[u])
+        tail[j] += 1
+        counts[v] = tuple(tail)
+    return via, counts
+
+
+def _spelled(via: list[tuple[int, int]], v: int) -> tuple[int, ...]:
+    """The word that follows `via`'s arcs back from v to vertex 0."""
+    letters = []
+    while v:
+        j, v = via[v]
+        letters.append(j)
+    return tuple(reversed(letters))
+
+
+def _letter_count_sets(g: CosetGraph, order: list[int],
+                       into: list[list[tuple[int, int]]]) -> list[set[tuple[int, ...]]]:
+    """reachable[v]: the distinct letter counts of v's shortest words."""
+    reachable: list[set[tuple[int, ...]]] = [{(0,) * g.degree}] * g.vertex_count
+    for v in order:
+        here = set()
+        for j, u in into[v]:
+            for counts in reachable[u]:
+                step = list(counts)
+                step[j] += 1
+                here.add(tuple(step))
+        reachable[v] = here
+    return reachable
+
+
+def _word_with_counts(reachable: list[set[tuple[int, ...]]], into: list[list[tuple[int, int]]], v: int,
+                      counts: tuple[int, ...]) -> tuple[int, ...]:
+    """A shortest word to v with these letter counts, its last arc the first in into[v] that allows them."""
+    letters = []
+    while v:
+        for j, u in into[v]:
+            rest = list(counts)
+            rest[j] -= 1
+            if tuple(rest) in reachable[u]:
+                letters.append(j)
+                v, counts = u, tuple(rest)
+                break
+    return tuple(reversed(letters))
+
+
+def _compound_move(reachable: list[set[tuple[int, ...]]], held: dict[int, tuple[int, ...]], loads: list[int],
+                   ranked: list[int], order: list[int]) -> list[tuple[int, tuple[int, ...]]]:
+    """The first new letter counts for one vertex, or else for two, that lower `ranked`; [] if none do.
+
+    Changes are grouped by their effect on the loads, so a pair is tried
+    once per two effects, not once per two vertices.
+    """
+    changes: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
+    for v in order:
+        for new in sorted(reachable[v] - {held[v]}):
+            changes.setdefault(tuple(map(operator.sub, new, held[v])), []).append((v, new))
+    effects = list(changes)
+    for first in effects:
+        if sorted(map(operator.add, loads, first), reverse=True) < ranked:
+            return changes[first][:1]
+    for i, first in enumerate(effects):
+        for second in effects[i:]:
+            if sorted(map(operator.add, map(operator.add, loads, first), second), reverse=True) < ranked:
+                pair = next(([a, b] for a in changes[first] for b in changes[second] if a[0] != b[0]), None)
+                if pair:
+                    return pair
+    return []
 
 
 def _shortest_arcs(g: CosetGraph, dist: tuple[int, ...]) -> list[list[tuple[int, int]]]:
@@ -113,22 +271,24 @@ def _all_shortest_words(g: CosetGraph, dist: tuple[int, ...], budget: int) -> di
     return {v: options[v] for v in range(1, g.vertex_count)}
 
 
-def regular_bound_exact(g: CosetGraph, profile: LayerProfile, budget: int = DEFAULT_WORD_BUDGET) -> RegularBound:
+def regular_bound_exact(g: CosetGraph, profile: LayerProfile, words: WordMap,
+                        budget: int = DEFAULT_WORD_BUDGET) -> RegularBound:
     """Minimize the busiest generator count over all shortest word sets.
 
     Depth-first search over per-vertex word choices, vertices in (distance,
-    index) order, seeded with the bfs_word_set answer and pruned
-    against both the incumbent and the averaged lower bound.  The budget
-    caps, separately, the letters of the shortest words listed before the
-    search and the letters of the words the search tries, since trying a
-    word updates one count per letter; exceeding either returns the best
-    found as inexact.
+    option count, index) order, seeded with the caller's shortest word set
+    `words` (bfs_word_set's, say) and pruned against both the incumbent and
+    the averaged lower bound.  A seed at theta is optimal and needs no
+    search.  The budget caps, separately, the letters of the shortest words
+    listed before the search and the letters of the words the search
+    tries, since trying a word updates one count per letter; exceeding
+    either returns the best found as inexact.
     """
     _require_cayley(g)
     dist = profile.dist
     floor = average_diameter_bound(profile)
 
-    incumbent = bfs_word_set(g, profile)
+    incumbent = words
     incumbent_value = max(factor_occurrences(incumbent, g.degree))
     if incumbent_value <= floor:
         return RegularBound(value=incumbent_value, exact=True, witness=incumbent)

@@ -206,7 +206,8 @@ def test_acceptance_06_two_layer_guarantee():
     with criterion(6, "diameter-2 schedules stay within 1 + max(M+N); Z5 within 4"):
         for name in ("k4", "z5-12", "z7-124"):
             g = fixtures.builtin_graph(name)
-            words = regular_bound_exact(g, layer_profile(g)).witness
+            profile = layer_profile(g)
+            words = regular_bound_exact(g, profile, bfs_word_set(g, profile)).witness
             word_map, sched = schedule_plan(g, words, "exact", DEFAULT_SCHEDULE_BUDGET)
             trace = run_transpose(g, word_map, sched)
             assert trace.clean
@@ -290,9 +291,10 @@ def test_acceptance_09_bound_chain():
             g = fixtures.builtin_graph(name)
             profile = layer_profile(g)
             theta = average_diameter_bound(profile)
-            exact = regular_bound_exact(g, profile)
+            ws = bfs_word_set(g, profile)
+            exact = regular_bound_exact(g, profile, ws)
             assert exact.exact
-            psi_w = max(factor_occurrences(bfs_word_set(g, profile), g.degree))
+            psi_w = max(factor_occurrences(ws, g.degree))
             assert theta <= exact.value <= psi_w
 
 

@@ -16,6 +16,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from alltoall import cli, fixtures, layers, scheduling
+from alltoall import words as words_module
 from alltoall.cli import (
     _dumps,
     _json_default,
@@ -422,6 +423,36 @@ def test_pipeline_exact_on_long_word_map(tmp_path, capsys):
     assert stdout.strip().splitlines()[-1] == "tau=450 theta=450 psi_W=450 optimal=true"
 
 
+def torus_spec(path, m):
+    """Z_m x Z_m with the four unit steps +-1 in each coordinate."""
+    path.write_text(json.dumps({"group": {"kind": "product", "factors": [{"kind": "cyclic", "modulus": m}] * 2},
+                                "generators": [[1, 0], [m - 1, 0], [0, 1], [0, m - 1]]}))
+    return str(path)
+
+
+def star_spec(path, n):
+    """star_n: S_n under the transpositions (1 i), as 0-based image arrays."""
+    gens = [[i if p == 0 else 0 if p == i else p for p in range(n)] for i in range(1, n)]
+    path.write_text(json.dumps({"group": {"kind": "permutation", "degree": n}, "generators": gens}))
+    return str(path)
+
+
+def test_pipeline_reaches_theta_on_the_16x16_torus(tmp_path, capsys):
+    # the greedy words alone put 520 letters on the busiest generator; rerouted, they put 512
+    spec = torus_spec(tmp_path / "torus16.json", 16)
+    code, stdout, err = run(capsys, "pipeline", "--spec", spec, "--method", "exact", "--outdir", str(tmp_path / "out"))
+    assert code == 0, err
+    assert stdout.strip().splitlines()[-1] == "tau=512 theta=512 psi_W=512 optimal=true"
+
+
+@pytest.mark.parametrize("graph,theta", [("star6", 689), ("torus32", 4096)])
+def test_words_exact_is_exact_at_theta_within_a_small_budget(tmp_path, capsys, graph, theta):
+    # the greedy words alone sit at 690 and 4112, where even a 2M budget ends inexact
+    spec = star_spec(tmp_path / "g.json", 6) if graph == "star6" else torus_spec(tmp_path / "g.json", 32)
+    doc = run_json(capsys, "words", "--spec", spec, "--exact", "--budget", "1000")
+    assert (doc["theta"], doc["psi_W"], doc["psi_exact"], doc["exact"]) == (theta, theta, theta, True)
+
+
 def test_schedule_exact_on_long_word_map(tmp_path, capsys):
     spec = tmp_path / "z128.json"
     spec.write_text(json.dumps({"group": {"kind": "cyclic", "modulus": 128}, "generators": [1, 16]}))
@@ -745,7 +776,8 @@ def test_digraph_without_arcs_is_an_input_error(tmp_path, capsys, argv):
 
 
 def test_each_command_runs_the_bfs_from_vertex_0_at_most_once(tmp_path, monkeypatch, capsys):
-    # layer_profile keeps the base's distances, and every stage that needs them takes the profile
+    # layer_profile keeps the base's distances, and every stage that needs them takes the profile;
+    # the word set is built at most once too
     ring = tmp_path / "ring.json"
     ring.write_text(json.dumps({"digraph": {"n": 3, "arcs": [[0, 1], [1, 2], [2, 0]]}}))
     words, fact, sched, out = (str(tmp_path / name) for name in ("words.json", "fact.json", "sched.csv", "out"))
@@ -769,17 +801,22 @@ def test_each_command_runs_the_bfs_from_vertex_0_at_most_once(tmp_path, monkeypa
         ("words", "--spec", str(ring)),
         ("words", "--builtin", "petersen"),
     ]
-    bfs = layers._bfs_distances
+    bfs, word_set = layers._bfs_distances, words_module.bfs_word_set
     seen = []
     for argv in commands:
-        bases = []
+        bases, word_sets = [], []
         with monkeypatch.context() as patch:
             patch.setattr(layers, "_bfs_distances", lambda g, base: bases.append(base) or bfs(g, base))
+            counted = lambda g, profile: word_sets.append(g) or word_set(g, profile)  # noqa: E731
+            patch.setattr(words_module, "bfs_word_set", counted)
+            patch.setattr(cli, "bfs_word_set", counted)
             code = run(capsys, *argv)[0]
-        seen.append((argv, code, bases.count(0)))
-    expected = [(argv, 0, 1) for argv in commands[:-3]]
+        seen.append((argv, code, bases.count(0), len(word_sets)))
+    # a word set is built once wherever the generators route, and `words --exact` seeds its search with it
+    word_sets = [0, 0, 0, 1, 1, 1, 1, 0, 1, 0, 0, 0, 1, 1, 0]
+    expected = [(argv, 0, 1, built) for argv, built in zip(commands[:-3], word_sets, strict=True)]
     # a 1-factorization needs no distances, and word sets are refused before any BFS
-    expected += [(commands[-3], 0, 0), (commands[-2], 1, 0), (commands[-1], 1, 0)]
+    expected += [(commands[-3], 0, 0, 0), (commands[-2], 1, 0, 0), (commands[-1], 1, 0, 0)]
     assert seen == expected
 
 

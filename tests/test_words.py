@@ -1,6 +1,8 @@
 """Shortest-word sets and the regular bound."""
 
+import heapq
 import itertools
+import math
 import operator
 import os
 import random
@@ -8,6 +10,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -21,8 +24,10 @@ from alltoall.groups import CyclicGroup, GroupSpec, PermutationGroup, ProductGro
 from alltoall.specfile import parse_spec_document
 from alltoall.layers import average_diameter_bound, layer_profile
 from alltoall.scheduling import factor_occurrences
-from alltoall.words import _all_shortest_words, bfs_word_set, regular_bound_exact, validate_word_set
+from alltoall.words import (_all_shortest_words, _greedy_words, _shortest_arcs, bfs_word_set, regular_bound_exact,
+                            validate_word_set)
 from test_factorization import random_cayley_spec
+from test_graphs import star
 
 CAYLEY_CORPUS = ("c4", "k4", "z5-12", "z7-124", "q3")
 
@@ -58,8 +63,18 @@ def brute_force_regular_bound(g):
     return best
 
 
+def greedy_stage(g, profile):
+    """bfs_word_set's greedy pass alone, before any rerouting."""
+    return _greedy_words(g, profile.dist, _shortest_arcs(g, profile.dist))[0]
+
+
+def exact_bound(g, profile, **budget):
+    """regular_bound_exact seeded with bfs_word_set's words, as `words --exact` seeds it."""
+    return regular_bound_exact(g, profile, bfs_word_set(g, profile), **budget)
+
+
 # the word sets the library makes: the load-balanced choice and the exact bound's witness
-WORD_SETS = {"load-balanced": bfs_word_set, "exact": lambda g, profile: regular_bound_exact(g, profile).witness}
+WORD_SETS = {"load-balanced": bfs_word_set, "exact": lambda g, profile: exact_bound(g, profile).witness}
 
 
 @pytest.mark.parametrize("rule", list(WORD_SETS))
@@ -121,7 +136,7 @@ def test_word_sets_need_trivial_subgroup():
 @pytest.mark.parametrize("name", CAYLEY_CORPUS)
 def test_exact_bound_matches_brute_force(name):
     g = fixtures.builtin_graph(name)
-    bound = regular_bound_exact(g, layer_profile(g))
+    bound = exact_bound(g, layer_profile(g))
     assert bound.exact
     assert bound.value == brute_force_regular_bound(g)
     validate_word_set(g, bound.witness)
@@ -131,7 +146,7 @@ def test_exact_bound_matches_brute_force(name):
 @pytest.mark.parametrize("name,psi", [("c4", 6), ("k4", 1), ("z5-12", 4), ("z7-124", 3), ("q3", 4)])
 def test_exact_bound_values(name, psi):
     g = fixtures.builtin_graph(name)
-    assert regular_bound_exact(g, layer_profile(g)).value == psi
+    assert exact_bound(g, layer_profile(g)).value == psi
 
 
 @pytest.mark.parametrize("rule", list(WORD_SETS))
@@ -140,7 +155,7 @@ def test_bound_chain_theta_psi_psiw(name, rule):
     g = fixtures.builtin_graph(name)
     profile = layer_profile(g)
     theta = average_diameter_bound(profile)
-    psi = regular_bound_exact(g, profile).value
+    psi = exact_bound(g, profile).value
     psi_w = max(factor_occurrences(WORD_SETS[rule](g, profile), g.degree))
     assert theta <= psi <= psi_w
 
@@ -148,7 +163,7 @@ def test_bound_chain_theta_psi_psiw(name, rule):
 def test_budget_starvation_is_marked_inexact():
     # z5's greedy seed (4) sits above theta (3), so the DFS would need nodes
     g = fixtures.builtin_graph("z5-12")
-    bound = regular_bound_exact(g, layer_profile(g), budget=0)
+    bound = exact_bound(g, layer_profile(g), budget=0)
     assert not bound.exact
     assert bound.value == 4  # the greedy seed still comes back as a witness
 
@@ -156,7 +171,7 @@ def test_budget_starvation_is_marked_inexact():
 def test_budget_zero_can_still_be_exact_at_the_floor():
     # z7's greedy seed hits theta exactly, which proves optimality with no search
     g = fixtures.builtin_graph("z7-124")
-    bound = regular_bound_exact(g, layer_profile(g), budget=0)
+    bound = exact_bound(g, layer_profile(g), budget=0)
     assert bound.exact and bound.value == 3
 
 
@@ -168,20 +183,20 @@ def torus(m):
 
 
 def test_word_listing_is_bounded_by_the_budget():
-    # the 16x16 torus has 194,440 shortest words; its greedy seed (520) sits above theta (512)
-    g = torus(16)
+    # Z128 {1, 16} has 735,469 shortest words; its seed (960) sits above theta (704), and rerouting cannot lower it
+    g = build_cayley_coset_graph(GroupSpec(group=CyclicGroup(128), generators=(1, 16)))
     profile = layer_profile(g)
-    greedy = bfs_word_set(g, profile)
+    seed = bfs_word_set(g, profile)
     tracemalloc.start()
     try:
-        bound = regular_bound_exact(g, profile, budget=2000)
+        bound = regular_bound_exact(g, profile, seed, budget=2000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert not bound.exact
-    assert bound.value == max(factor_occurrences(greedy, g.degree)) == 520
-    assert bound.witness == greedy
-    assert peak < 4 * 2**20  # listing all of them takes ~30 MB
+    assert bound.value == max(factor_occurrences(seed, g.degree)) == 960
+    assert bound.witness == seed
+    assert peak < 4 * 2**20  # listing all of them takes ~146 MB
 
 
 def test_word_listing_budget_counts_letters():
@@ -192,7 +207,7 @@ def test_word_listing_budget_counts_letters():
     greedy = bfs_word_set(g, profile)
     tracemalloc.start()
     try:
-        bound = regular_bound_exact(g, profile, budget=40000)
+        bound = regular_bound_exact(g, profile, greedy, budget=40000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -215,8 +230,9 @@ def test_search_budget_counts_letters():
         from alltoall.words import bfs_word_set, regular_bound_exact
         g = build_cayley_coset_graph(GroupSpec(group=CyclicGroup(402), generators=(1, 201)))
         profile = layer_profile(g)
-        bound = regular_bound_exact(g, profile, budget=3_000_000)
-        print(bound.exact, bound.value, max(factor_occurrences(bfs_word_set(g, profile), g.degree)))
+        seed = bfs_word_set(g, profile)
+        bound = regular_bound_exact(g, profile, seed, budget=3_000_000)
+        print(bound.exact, bound.value, max(factor_occurrences(seed, g.degree)))
     """)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -327,7 +343,8 @@ def shortest_letter_total(g, dist):
 def test_the_shortest_arc_table_gives_what_the_references_give(spec):
     g = build_cayley_coset_graph(spec)
     profile = layer_profile(g)
-    assert bfs_word_set(g, profile) == reference_bfs_word_set(g, profile)
+    greedy = greedy_stage(g, profile)
+    assert greedy == reference_bfs_word_set(g, profile)
     dist = profile.dist
     total = shortest_letter_total(g, dist)
     # repeated jumps make the listing exponential; past 20,000 letters only budgets that stop it are tried
@@ -335,10 +352,9 @@ def test_the_shortest_arc_table_gives_what_the_references_give(spec):
     for budget in sorted(budgets - {-1}):
         assert _all_shortest_words(g, dist, budget) == reference_all_shortest_words(g, dist, budget), budget
         # the search is the module's own either way; the references supply its seed and its listing
-        bound = regular_bound_exact(g, profile, budget)
-        with mock.patch("alltoall.words.bfs_word_set", reference_bfs_word_set), \
-                mock.patch("alltoall.words._all_shortest_words", reference_all_shortest_words):
-            expected = regular_bound_exact(g, profile, budget)
+        bound = regular_bound_exact(g, profile, greedy, budget)
+        with mock.patch("alltoall.words._all_shortest_words", reference_all_shortest_words):
+            expected = regular_bound_exact(g, profile, reference_bfs_word_set(g, profile), budget)
         assert (bound.value, bound.exact, bound.witness) == (expected.value, expected.exact, expected.witness)
 
 
@@ -351,12 +367,12 @@ def multigraph_z9():
 @pytest.mark.parametrize("name", CAYLEY_CORPUS)
 def test_balanced_words_match_the_scan_over_all_parents(name):
     g = fixtures.builtin_graph(name)
-    assert bfs_word_set(g, layer_profile(g)) == naive_balanced_words(g)
+    assert greedy_stage(g, layer_profile(g)) == naive_balanced_words(g)
 
 
 def test_balanced_words_match_the_scan_on_a_multigraph():
     g = multigraph_z9()
-    assert bfs_word_set(g, layer_profile(g)) == naive_balanced_words(g)
+    assert greedy_stage(g, layer_profile(g)) == naive_balanced_words(g)
 
 
 
@@ -364,4 +380,110 @@ def test_balanced_words_match_the_scan_on_random_specs():
     rng = random.Random(4011)
     for _ in range(120):
         g = build_cayley_coset_graph(random_cayley_spec(rng))
-        assert bfs_word_set(g, layer_profile(g)) == naive_balanced_words(g), g.spec
+        assert greedy_stage(g, layer_profile(g)) == naive_balanced_words(g), g.spec
+
+
+# ---------------------------------------------------------------------------
+# rerouting toward theta
+# ---------------------------------------------------------------------------
+
+
+def psi_w(g, words):
+    return max(factor_occurrences(words, g.degree))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=cayley_specs())
+def test_rerouted_words_are_shortest_and_as_balanced_as_the_exact_search(spec):
+    g = build_cayley_coset_graph(spec)
+    profile = layer_profile(g)
+    greedy, words = greedy_stage(g, profile), bfs_word_set(g, profile)
+    validate_word_set(g, words)
+    assert {v: len(w) for v, w in words.items()} == {v: profile.dist[v] for v in words}
+    assert psi_w(g, words) <= psi_w(g, greedy)
+    if psi_w(g, words) == psi_w(g, greedy):
+        assert words == greedy
+    # seeded with the greedy words, so the search does not start from the answer it checks
+    bound = regular_bound_exact(g, profile, greedy, budget=200_000)
+    if bound.exact:
+        assert psi_w(g, words) == bound.value
+
+
+@pytest.mark.parametrize("name,greedy_psi,theta,psi", [
+    ("star6", 690, 689, 689),
+    ("torus16", 520, 512, 512),
+    ("torus32", 4112, 4096, 4096),
+    ("z5-12", 4, 3, 4),  # the shortest-word structure forces 4
+])
+def test_rerouting_reaches_theta_where_the_greedy_pass_misses_it(name, greedy_psi, theta, psi):
+    g = {"star6": lambda: star(6), "torus16": lambda: torus(16), "torus32": lambda: torus(32),
+         "z5-12": lambda: fixtures.builtin_graph("z5-12")}[name]()
+    profile = layer_profile(g)
+    words = bfs_word_set(g, profile)
+    validate_word_set(g, words)
+    assert (psi_w(g, greedy_stage(g, profile)), average_diameter_bound(profile), psi_w(g, words)) == \
+        (greedy_psi, theta, psi)
+
+
+def theta_star(g):
+    """max sum_v y_v subject to y_0 = 0, y_v <= y_u + c_j on every arc, sum c = 1 and c >= 0, by linprog (HiGHS).
+
+    Returns the optimum and the generator weights c.  For any weights c,
+    sum_v dist_c(0, v) bounds the busiest generator's count from below, so
+    the optimum does too, over every word set, shortest or not.
+    """
+    optimize = pytest.importorskip("scipy.optimize")
+    n, d = g.vertex_count, g.degree
+    rows = []
+    for u, heads in enumerate(g.out):
+        for j, v in enumerate(heads):
+            row = [0.0] * (n + d)  # y_0 .. y_{n-1}, then c_0 .. c_{d-1}
+            row[v] += 1
+            row[u] -= 1
+            row[n + j] -= 1
+            rows.append(row)
+    result = optimize.linprog([-1.0] * n + [0.0] * d, A_ub=rows, b_ub=[0.0] * len(rows),
+                              A_eq=[[1.0] + [0.0] * (n + d - 1), [0.0] * n + [1.0] * d], b_eq=[0.0, 1.0],
+                              bounds=[(None, None)] * n + [(0, None)] * d, method="highs")
+    assert result.status == 0, result.message
+    return -result.fun, result.x[n:]
+
+
+def weighted_distance_total(g, c):
+    """sum_v dist_c(0, v) under exact rational generator weights c, by Dijkstra."""
+    best = {0: Fraction(0)}
+    heap = [(Fraction(0), 0)]
+    while heap:
+        du, u = heapq.heappop(heap)
+        if du > best[u]:
+            continue
+        for j, v in enumerate(g.out[u]):
+            if v not in best or du + c[j] < best[v]:
+                best[v] = du + c[j]
+                heapq.heappush(heap, (best[v], v))
+    return sum(best.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=cayley_specs())
+def test_theta_and_the_rerouted_words_bracket_the_lp_bound(spec):
+    g = build_cayley_coset_graph(spec)
+    profile = layer_profile(g)
+    value, _ = theta_star(g)
+    ceiling = math.ceil(value - 1e-6)
+    assert average_diameter_bound(profile) <= ceiling <= psi_w(g, bfs_word_set(g, profile))
+
+
+@pytest.mark.parametrize("m,jumps,theta,psi,value,weights", [
+    (30, (1, 3), 83, 135, Fraction(435, 4), (Fraction(1, 4), Fraction(3, 4))),
+    (40, (1, 5, 8), 47, 61, Fraction(390, 7), (Fraction(1, 14), Fraction(5, 14), Fraction(8, 14))),
+    (128, (1, 16), 704, 960, Fraction(960), (Fraction(1), Fraction(0))),
+])
+def test_lp_bound_on_the_known_gaps(m, jumps, theta, psi, value, weights):
+    # theta < ceil(theta*) <= psi_W: these graphs stay above theta over every word set, shortest or not
+    g = build_cayley_coset_graph(GroupSpec(group=CyclicGroup(m), generators=jumps))
+    profile = layer_profile(g)
+    assert (average_diameter_bound(profile), psi_w(g, bfs_word_set(g, profile))) == (theta, psi)
+    optimum, _ = theta_star(g)
+    assert optimum == pytest.approx(float(value), abs=1e-6)
+    assert weighted_distance_total(g, weights) == value
