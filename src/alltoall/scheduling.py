@@ -29,6 +29,11 @@ scanned at C level by bytearray.find or list.index.
 schedule_plan is the one entry point for a plan: given the host it replays
 on and its words, it picks between the two from the host, or runs
 greedy_schedule, the fast, not always shortest, alternative for either.
+greedy_schedule keeps each word's letter order: it puts each letter at its
+earliest free slot, and where that misses the floor it runs the same pass
+over the reversed words, mirrors it in time and keeps the shorter of the
+two.  exact_min_schedule is seeded with the forward pass alone, and
+open_shop_schedule colours only where both passes miss the floor.
 Words of at most two letters (the diameter-2 case) go the same way;
 two_layer_time_bound and tight_schedule_feasible state the paper's
 guarantees for them as counts over the same word maps.
@@ -79,11 +84,35 @@ def factor_occurrences(word_map: WordMap, degree: int) -> list[int]:
 
 
 def greedy_schedule(word_map: WordMap) -> Schedule:
-    """Longest words first, each letter at the earliest legal slot.
+    """Earliest-slot list scheduling, forward and then, if need be, mirrored in time.
 
-    Deterministic: ties between equal-length words break on the key.  The
-    result is always valid but not always the shortest possible.  A
-    letter's slot is the first 0 past its word's previous slot in its
+    The forward pass takes the longest words first, ties breaking on the
+    key, and puts each letter at its earliest legal slot.  When that meets
+    the floor max(busiest factor's count, longest word) it is returned as
+    it is.  Otherwise the same pass runs over the reversed words, and its
+    slots are mirrored (slot t of makespan M becomes M + 1 - t), which
+    gives every word back its letter order: a unit-time job shop run
+    backwards is a job shop too (forward-backward list scheduling, Li and
+    Willis, EJOR 1992).  The shorter of the two schedules is returned, the
+    forward one on a tie.  Deterministic; always valid, not always the
+    shortest possible.
+    """
+    forward = _earliest_slots(word_map)
+    letters = Counter(chain.from_iterable(word_map.values()))
+    floor = max(max(letters.values(), default=0), max(map(len, word_map.values()), default=0))
+    if forward.makespan <= floor:
+        return forward
+    backward = _earliest_slots({k: w[::-1] for k, w in word_map.items()})
+    if backward.makespan >= forward.makespan:
+        return forward
+    mirror = backward.makespan + 1
+    return Schedule(times={k: tuple(mirror - t for t in reversed(slots)) for k, slots in backward.times.items()})
+
+
+def _earliest_slots(word_map: WordMap) -> Schedule:
+    """Longest words first, ties on the key, each letter at the earliest legal slot.
+
+    A letter's slot is the first 0 past its word's previous slot in its
     factor's slot map, which grows by doubling: memory is O(d x makespan).
     """
     order = sorted((k for k, w in word_map.items() if len(w) > 0), key=lambda k: (-len(word_map[k]), k))
@@ -113,8 +142,10 @@ def open_shop_schedule(word_map: WordMap, degree: int) -> tuple[dict[int, tuple[
     every schedule of these letters from below, and a König edge colouring
     of the words x factors multigraph (one edge per letter) with that many
     colours meets it: colours are slots, so no word and no factor uses a
-    slot twice.  Greedy runs first; when it already meets the floor, its
-    schedule is returned with the words in their given letter order.
+    slot twice.  greedy_schedule runs first, forward and, if need be,
+    mirrored in time; when it already meets the floor, its schedule is
+    returned with the words in their given letter order, and the colouring
+    runs only where both passes miss it.
     """
     words = {k: tuple(w) for k, w in word_map.items() if len(w) > 0}
     if not words:
@@ -258,19 +289,20 @@ def exact_min_schedule(
     across horizons, and running out yields status "budget" rather than a
     wrong verdict.
 
-    greedy_schedule runs first, and horizons from its makespan up are not
-    searched.  At a horizon greedy fits in, the search's first path is
-    greedy's (each letter at its earliest legal slot, words in the same
-    order, never pruned), so greedy's schedule is charged one node per
-    letter: the result, nodes and budget verdict included, is the one the
-    search alone would give.
+    greedy_schedule's forward pass runs first, and horizons from its
+    makespan up are not searched.  At a horizon that pass fits in, the
+    search's first path is the pass's (each letter at its earliest legal
+    slot, words in the same order, never pruned), so its schedule is
+    charged one node per letter: the result, nodes and budget verdict
+    included, is the one the search alone would give.  The mirrored pass
+    is not used here, since the search would not find its schedule first.
     """
     jobs = sorted(((k, tuple(w)) for k, w in word_map.items() if len(w) > 0), key=lambda kw: (-len(kw[1]), kw[0]))
     if not jobs:
         return MinScheduleResult(status="optimal", schedule=Schedule(times={}), makespan=0, nodes=0)
     counts = factor_occurrences(word_map, degree)
     floor = max(max(counts), max(len(w) for _, w in jobs))
-    greedy = greedy_schedule(word_map)
+    greedy = _earliest_slots(word_map)
     budget_box = [budget]
     for horizon in range(floor, greedy.makespan):
         assignment = _feasible_at(jobs, degree, horizon, budget_box)

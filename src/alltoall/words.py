@@ -85,26 +85,37 @@ def bfs_word_set(g: CosetGraph, profile: LayerProfile) -> dict[int, tuple[int, .
     _require_cayley(g)
     dist = profile.dist
     into = _shortest_arcs(g, dist)
-    greedy, loads = _greedy_words(g, dist, into)
-    return _rerouted(g, profile, into, greedy, loads) or greedy
+    greedy, held, loads = _greedy_words(g, dist, into)
+    return _rerouted(g, profile, into, greedy, held, loads) or greedy
 
 
-def _greedy_words(g: CosetGraph, dist: tuple[int, ...],
-                  into: list[list[tuple[int, int]]]) -> tuple[dict[int, tuple[int, ...]], list[int]]:
-    """The greedy pass and its generator counts: each word is a tail's word plus the least-used generator so far."""
+def _greedy_words(g: CosetGraph, dist: tuple[int, ...], into: list[list[tuple[int, int]]]
+                  ) -> tuple[dict[int, tuple[int, ...]], list[tuple[int, ...]], list[int]]:
+    """The greedy pass: each word is a tail's word plus the least-used generator so far.
+
+    Returns the words, each vertex's letter counts (its tail's plus one),
+    and the generators' total counts.
+    """
     counts = [0] * g.degree
     words: dict[int, tuple[int, ...]] = {}
+    held = [(0,) * g.degree] * g.vertex_count
     for v in sorted(range(1, g.vertex_count), key=dist.__getitem__):
         _, j, u = min([(counts[j], j, u) for j, u in into[v]])
         words[v] = words.get(u, ()) + (j,)
-        for letter in words[v]:
-            counts[letter] += 1
-    return words, counts
+        mine = list(held[u])
+        mine[j] += 1
+        held[v] = tuple(mine)
+        counts = list(map(operator.add, counts, mine))
+    return words, held, counts
 
 
 def _rerouted(g: CosetGraph, profile: LayerProfile, into: list[list[tuple[int, int]]],
-              words: dict[int, tuple[int, ...]], loads: list[int]) -> dict[int, tuple[int, ...]] | None:
-    """`words`, with generator counts `loads`, rerouted toward theta; None if the busiest count did not fall.
+              words: dict[int, tuple[int, ...]], held: list[tuple[int, ...]],
+              loads: list[int]) -> dict[int, tuple[int, ...]] | None:
+    """`words` rerouted toward theta; None if the busiest count did not fall.
+
+    held[v] is the letter counts of words[v], and loads the generators'
+    total counts, both as _greedy_words gives them.
 
     A round weighs generator j by exp(K * load_j / theta) (the
     multiplicative weights of Garg and Koenemann) and proposes each
@@ -120,8 +131,7 @@ def _rerouted(g: CosetGraph, profile: LayerProfile, into: list[list[tuple[int, i
     start = max(loads)
     if start <= theta:
         return None
-    letters = range(g.degree)
-    held = {v: tuple(map(w.count, letters)) for v, w in words.items()}
+    held = list(held)
     ranked = sorted(loads, reverse=True)
     order = sorted(words, key=profile.dist.__getitem__)
     words = dict(words)
@@ -212,7 +222,7 @@ def _word_with_counts(reachable: list[set[tuple[int, ...]]], into: list[list[tup
     return tuple(reversed(letters))
 
 
-def _compound_move(reachable: list[set[tuple[int, ...]]], held: dict[int, tuple[int, ...]], loads: list[int],
+def _compound_move(reachable: list[set[tuple[int, ...]]], held: list[tuple[int, ...]], loads: list[int],
                    ranked: list[int], order: list[int]) -> list[tuple[int, tuple[int, ...]]]:
     """The first new letter counts for one vertex, or else for two, that lower `ranked`; [] if none do.
 

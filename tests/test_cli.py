@@ -255,6 +255,21 @@ def hypercube_spec(path, k):
     return str(path)
 
 
+def z8_z2_spec(path):
+    """Z8 x Z2 with generators (5, 0) and (1, 1): theta = psi_W = 32, but greedy needs 33 slots forward and mirrored."""
+    path.write_text(json.dumps({"group": {"kind": "product", "factors": [{"kind": "cyclic", "modulus": 8},
+                                                                         {"kind": "cyclic", "modulus": 2}]},
+                                "generators": [[5, 0], [1, 1]]}))
+    return str(path)
+
+
+def torus_digraph(n):
+    """The n x n torus without its group: vertex n*x + y steps to x+1, x-1, y+1, y-1 at out-positions 0..3."""
+    steps = ((1, 0), (-1, 0), (0, 1), (0, -1))
+    return Digraph(out=tuple(tuple((x + dx) % n * n + (y + dy) % n for dx, dy in steps)
+                             for x in range(n) for y in range(n)))
+
+
 def hypercube_digraph(k):
     """Q_k without its group: out-position j of u flips bit j."""
     return Digraph(out=tuple(tuple(u ^ (1 << j) for j in range(k)) for u in range(1 << k)))
@@ -285,11 +300,11 @@ def test_pipeline_colours_q6_to_theta(tmp_path, capsys):
 
 
 def test_pipeline_words_artifact_holds_the_scheduled_letter_order(tmp_path, capsys):
-    spec = hypercube_spec(tmp_path / "q5.json", 5)
+    spec = z8_z2_spec(tmp_path / "z8z2.json")
     out = tmp_path / "out"
     code, stdout, err = run(capsys, "pipeline", "--spec", spec, "--outdir", str(out))
     assert code == 0, err
-    assert stdout.strip().splitlines()[-1] == "tau=16 theta=16 psi_W=16 optimal=true"
+    assert stdout.strip().splitlines()[-1] == "tau=32 theta=32 psi_W=32 optimal=true"
     words = {int(k): w for k, w in json.loads((out / "words.json").read_text())["words"].items()}
     assert words == schedule_csv_words(out / "schedule.csv")
     chosen = {int(k): w for k, w in run_json(capsys, "words", "--spec", spec)["words"].items()}
@@ -297,34 +312,55 @@ def test_pipeline_words_artifact_holds_the_scheduled_letter_order(tmp_path, caps
 
 
 def test_pipeline_factorization_artifact_holds_the_scheduled_letter_order(tmp_path, capsys):
-    # a raw digraph takes the search route, here to factors whose letters commute
-    spec = digraph_spec(tmp_path / "q4.json", hypercube_digraph(4))
+    # a raw digraph takes the search route, here to factors whose letters commute and that greedy cannot fit
+    spec = digraph_spec(tmp_path / "torus5.json", torus_digraph(5))
     out = tmp_path / "out"
     code, stdout, err = run(capsys, "pipeline", "--spec", spec, "--outdir", str(out))
     assert code == 0, err
-    assert stdout.strip().splitlines()[-1] == "tau=8 theta=8 psi_W=8 optimal=true"
+    assert stdout.strip().splitlines()[-1] == "tau=15 theta=15 psi_W=15 optimal=true"
     listed = json.loads((out / "factorization.json").read_text())["words"]
     assert {i: w for i, w in enumerate(listed) if w} == schedule_csv_words(out / "schedule.csv")
     assert listed != run_json(capsys, "factorize", "--spec", spec, "--search")["words"]
     verdict = run_json(capsys, "simulate", "--spec", spec, "--factorization", str(out / "factorization.json"),
                        "--schedule", str(out / "schedule.csv"))
-    assert verdict == {"tau": 8, "conflicts": 0, "undelivered": 0, "theta": 8, "optimal": True}
+    assert verdict == {"tau": 15, "conflicts": 0, "undelivered": 0, "theta": 15, "optimal": True}
 
 
 def test_schedule_reorders_words_without_rewriting_its_input(tmp_path, capsys):
-    spec = hypercube_spec(tmp_path / "q5.json", 5)
+    spec = z8_z2_spec(tmp_path / "z8z2.json")
     words, sched = tmp_path / "words.json", tmp_path / "sched.csv"
     words.write_text(json.dumps(run_json(capsys, "words", "--spec", spec)))
     before = words.read_text()
     doc = run_json(capsys, "schedule", "--spec", spec, "--words", str(words), "--csv", str(sched))
-    assert doc["makespan"] == 16
+    assert doc["makespan"] == 32
     assert words.read_text() == before
     given = {int(k): w for k, w in json.loads(before)["words"].items()}
     scheduled = schedule_csv_words(sched)
     assert scheduled != given
     assert {k: sorted(w) for k, w in scheduled.items()} == {k: sorted(w) for k, w in given.items()}
     verdict = run_json(capsys, "simulate", "--spec", spec, "--schedule", str(sched))
-    assert verdict == {"tau": 16, "conflicts": 0, "undelivered": 0, "theta": 16, "optimal": True}
+    assert verdict == {"tau": 32, "conflicts": 0, "undelivered": 0, "theta": 32, "optimal": True}
+
+
+def test_greedy_pipeline_meets_theta_on_q8(tmp_path, capsys):
+    # forward, greedy needs 138 slots on Q8; the mirrored pass meets theta = 128
+    spec = hypercube_spec(tmp_path / "q8.json", 8)
+    code, stdout, err = run(capsys, "pipeline", "--spec", spec, "--method", "greedy", "--outdir", str(tmp_path / "out"))
+    assert code == 0, err
+    assert stdout.strip().splitlines()[-1] == "tau=128 theta=128 psi_W=128 optimal=true"
+
+
+def test_greedy_schedules_q7_factors_at_theta_in_their_letter_order(tmp_path, capsys):
+    spec = hypercube_spec(tmp_path / "q7.json", 7)
+    fact, sched = tmp_path / "factorization.json", tmp_path / "schedule.csv"
+    fact.write_text(json.dumps(run_json(capsys, "factorize", "--spec", spec)))
+    doc = run_json(capsys, "schedule", "--spec", spec, "--factorization", str(fact), "--method", "greedy",
+                   "--csv", str(sched))
+    assert doc["makespan"] == 64
+    listed = json.loads(fact.read_text())["words"]
+    assert schedule_csv_words(sched) == {i: w for i, w in enumerate(listed) if w}
+    verdict = run_json(capsys, "simulate", "--spec", spec, "--factorization", str(fact), "--schedule", str(sched))
+    assert verdict == {"tau": 64, "conflicts": 0, "undelivered": 0, "theta": 64, "optimal": True}
 
 
 def bfs_words_doc(g):
@@ -1012,7 +1048,7 @@ def files(directory):
 
 
 def test_a_reused_parser_gives_pipeline_its_defaults_back(tmp_path, capsys):
-    spec = hypercube_spec(tmp_path / "q5.json", 5)  # greedy needs 18 slots here, the exact default 16
+    spec = z8_z2_spec(tmp_path / "z8z2.json")  # greedy needs 33 slots here, the exact default 32
     fresh = fresh_run(capsys, "pipeline", "--spec", spec, "--outdir", str(tmp_path / "fresh"))
     greedy = run(capsys, "pipeline", "--spec", spec, "--method", "greedy", "--outdir", str(tmp_path / "greedy"))
     again = run(capsys, "pipeline", "--spec", spec, "--outdir", str(tmp_path / "again"))

@@ -33,6 +33,7 @@ from alltoall.scheduling import (
 from alltoall.simulate import run_transpose
 from alltoall.words import bfs_word_set, regular_bound_exact
 from test_graphs import abelian_specs, star
+from test_words import torus
 
 
 def validate_schedule(word_map, schedule, degree):
@@ -146,13 +147,31 @@ def reference_greedy_schedule(word_map):
     return Schedule(times=times)
 
 
+def reference_two_way_greedy(word_map):
+    """greedy_schedule over the pointer greedy: forward, else the shorter of it and the mirrored reversed pass."""
+    forward = reference_greedy_schedule(word_map)
+    words = [w for w in word_map.values() if w]
+    loads = {}
+    for w in words:
+        for j in w:
+            loads[j] = loads.get(j, 0) + 1
+    if forward.makespan == max([*loads.values(), *map(len, words)], default=0):
+        return forward
+    backward = reference_greedy_schedule({k: tuple(reversed(w)) for k, w in word_map.items()})
+    if backward.makespan >= forward.makespan:
+        return forward
+    end = backward.makespan
+    return Schedule(times={k: tuple(end + 1 - slots[len(slots) - 1 - i] for i in range(len(slots)))
+                           for k, slots in backward.times.items()})
+
+
 def reference_open_shop_schedule(word_map, degree):
     """open_shop_schedule on per-factor min-heaps of free colours, stale entries skipped."""
     words = {k: tuple(w) for k, w in word_map.items() if len(w) > 0}
     if not words:
         return words, Schedule(times={})
     floor = max(max(factor_occurrences(words, degree)), max(len(w) for w in words.values()))
-    schedule = reference_greedy_schedule(words)
+    schedule = reference_two_way_greedy(words)
     if schedule.makespan == floor:
         return words, schedule
     at_factor = [[-1] * floor for _ in range(degree)]
@@ -266,7 +285,8 @@ word_maps = st.integers(1, 5).flatmap(lambda degree: st.tuples(
 @given(case=word_maps)
 def test_greedy_and_the_open_shop_give_what_the_references_give(case):
     degree, word_map = case
-    assert greedy_schedule(word_map) == reference_greedy_schedule(word_map)
+    assert scheduling._earliest_slots(word_map) == reference_greedy_schedule(word_map)
+    assert greedy_schedule(word_map) == reference_two_way_greedy(word_map)
     assert open_shop_schedule(word_map, degree) == reference_open_shop_schedule(word_map, degree)
 
 
@@ -562,7 +582,7 @@ def random_word_map(rng, degree, words, longest):
 @pytest.mark.parametrize("name", sorted(fixtures.BUILTIN_SPECS.keys() - {"petersen"}))
 def test_greedy_matches_the_scanning_greedy_on_builtins(name):
     g, word_map = corpus_word_map(name)
-    assert greedy_schedule(word_map).times == scanning_greedy_times(word_map)
+    assert scheduling._earliest_slots(word_map).times == scanning_greedy_times(word_map)
 
 
 def test_greedy_matches_the_scanning_greedy_on_random_word_maps():
@@ -570,9 +590,55 @@ def test_greedy_matches_the_scanning_greedy_on_random_word_maps():
     for _ in range(200):
         degree = rng.randint(1, 4)
         word_map = random_word_map(rng, degree, rng.randint(0, 40), rng.randint(1, 8))
-        sched = greedy_schedule(word_map)
+        sched = scheduling._earliest_slots(word_map)
         validate_schedule(word_map, sched, degree)
         assert sched.times == scanning_greedy_times(word_map)
+
+
+# ---------------------------------------------------------------------------
+# greedy in both time directions
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=word_maps)
+def test_greedy_keeps_each_word_and_never_does_worse_than_the_forward_pass(case):
+    degree, word_map = case
+    forward = scheduling._earliest_slots(word_map)
+    sched = greedy_schedule(word_map)
+    validate_schedule(word_map, sched, degree)
+    for k, slots in sched.times.items():  # each word's letters run in the word's own order
+        assert tuple(j for _, j in sorted(zip(slots, word_map[k]))) == tuple(word_map[k])
+    assert floor_of(word_map, degree) <= sched.makespan <= forward.makespan
+    if forward.makespan == floor_of(word_map, degree):
+        assert sched == forward
+
+
+def bfs_word_map(g):
+    return {v: w for v, w in bfs_word_set(g, layer_profile(g)).items() if w}
+
+
+@pytest.mark.parametrize("name", ["Q4", "Q5", "Q6", "Q7", "Q8", "Q10", "torus16", "torus32"])
+def test_the_mirrored_pass_brings_hypercubes_and_tori_to_the_floor(name):
+    g = hypercube(int(name[1:])) if name.startswith("Q") else torus(int(name[len("torus"):]))
+    word_map = bfs_word_map(g)
+    floor = floor_of(word_map, g.degree)
+    assert scheduling._earliest_slots(word_map).makespan > floor
+    sched = greedy_schedule(word_map)
+    validate_schedule(word_map, sched, g.degree)
+    assert sched.makespan == floor
+
+
+@pytest.mark.parametrize("name", ["star5", "star6", "Z256"])
+def test_greedy_keeps_the_forward_schedule_where_it_meets_the_floor(name):
+    if name == "Z256":
+        g = build_cayley_coset_graph(GroupSpec(group=CyclicGroup(256), generators=(1, 16)))
+    else:
+        g = star(int(name[-1]))
+    word_map = bfs_word_map(g)
+    forward = scheduling._earliest_slots(word_map)
+    assert forward.makespan == floor_of(word_map, g.degree)
+    assert greedy_schedule(word_map) == forward
 
 
 # ---------------------------------------------------------------------------
@@ -641,12 +707,13 @@ def hypercube(k):
 
 
 def test_open_shop_colours_where_greedy_misses_the_floor():
-    # Q5: greedy needs 18 slots, the floor is theta = 16
-    g = hypercube(5)
+    # Z8 x Z2 {(5, 0), (1, 1)}: greedy needs 33 slots forward and mirrored, the floor is theta = 32
+    g = build_cayley_coset_graph(GroupSpec(group=ProductGroup([CyclicGroup(8), CyclicGroup(2)]),
+                                           generators=((5, 0), (1, 1))))
     word_map = dict(bfs_word_set(g, layer_profile(g)))
-    assert greedy_schedule(word_map).makespan == 18
+    assert greedy_schedule(word_map).makespan == 33
     words, sched = assert_open_shop_schedule(word_map, g.degree)
-    assert sched.makespan == 16
+    assert sched.makespan == 32
     assert words != word_map  # some letters moved
     for k, w in words.items():
         assert all(walk(g, base, w) == walk(g, base, word_map[k]) for base in range(g.vertex_count))
