@@ -585,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p)
     p.add_argument("--exact", action="store_true", help="also search for the exact regular bound")
     p.add_argument("--budget", type=int, default=DEFAULT_WORD_BUDGET,
-                   help="node budget for --exact; also caps the letters of the words it lists")
+                   help="node budget for --exact; also caps the letters of the letter-count table it lists")
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=cmd_words)
 

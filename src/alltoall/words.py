@@ -13,7 +13,8 @@ bfs_word_set reads the shortest-path DAG from vertex 0 once: a greedy pass
 balances the generators' counts, and while the busiest count stays above
 theta, multiplicative-weight rounds reroute words to other shortest words.
 regular_bound_exact finds the true minimum over all shortest word sets by
-exponential search, seeded with the caller's word set.
+exponential search over each vertex's distinct letter counts, the table
+the reroute's fallback reads, seeded with the caller's word set.
 """
 
 from __future__ import annotations
@@ -124,8 +125,11 @@ def _rerouted(g: CosetGraph, profile: LayerProfile, into: list[list[tuple[int, i
     sorted in decreasing order, compared lexicographically: the busiest
     count never rises and no state comes back.  A round that moves no word
     falls back on the first change of one or two vertices' letter counts
-    that lowers the same vector.  Rounds stop at theta, after a round that
-    changes nothing, or after REROUTE_ROUNDS.
+    that lowers the same vector, read off the letter-count table made at
+    the first stall.  Rounds stop at theta, after a round that changes
+    nothing, after REROUTE_ROUNDS, or at a stall with no table (past
+    DEFAULT_WORD_BUDGET letters) or with the greedy busiest count at the
+    table's forced load, which no shortest word set goes below.
     """
     theta = average_diameter_bound(profile)
     start = max(loads)
@@ -135,7 +139,7 @@ def _rerouted(g: CosetGraph, profile: LayerProfile, into: list[list[tuple[int, i
     ranked = sorted(loads, reverse=True)
     order = sorted(words, key=profile.dist.__getitem__)
     words = dict(words)
-    reachable = None  # every vertex's letter counts over its shortest words, made at the first stall
+    table = None
     for _ in range(REROUTE_ROUNDS):
         via, proposed = _cheapest_words(g, order, into, loads, theta)
         moved = False
@@ -151,11 +155,14 @@ def _rerouted(g: CosetGraph, profile: LayerProfile, into: list[list[tuple[int, i
                 if ranked[0] <= theta:
                     break
         if not moved:
-            reachable = reachable or _letter_count_sets(g, order, into)
-            for v, new in _compound_move(reachable, held, loads, ranked, order):
+            if table is None:
+                table = _letter_count_table(g, profile.dist, into, DEFAULT_WORD_BUDGET)
+                if table is None or start <= _forced_load(table):
+                    break
+            for v, new in _compound_move(table.least, held, loads, ranked, order):
                 loads = [load - o + n for load, o, n in zip(loads, held[v], new)]
                 held[v], moved = new, True
-                words[v] = _word_with_counts(reachable, into, v, new)
+                words[v] = table.least[v][new]
             ranked = sorted(loads, reverse=True)
         if ranked[0] <= theta or not moved:
             break
@@ -192,38 +199,8 @@ def _spelled(via: list[tuple[int, int]], v: int) -> tuple[int, ...]:
     return tuple(reversed(letters))
 
 
-def _letter_count_sets(g: CosetGraph, order: list[int],
-                       into: list[list[tuple[int, int]]]) -> list[set[tuple[int, ...]]]:
-    """reachable[v]: the distinct letter counts of v's shortest words."""
-    reachable: list[set[tuple[int, ...]]] = [{(0,) * g.degree}] * g.vertex_count
-    for v in order:
-        here = set()
-        for j, u in into[v]:
-            for counts in reachable[u]:
-                step = list(counts)
-                step[j] += 1
-                here.add(tuple(step))
-        reachable[v] = here
-    return reachable
-
-
-def _word_with_counts(reachable: list[set[tuple[int, ...]]], into: list[list[tuple[int, int]]], v: int,
-                      counts: tuple[int, ...]) -> tuple[int, ...]:
-    """A shortest word to v with these letter counts, its last arc the first in into[v] that allows them."""
-    letters = []
-    while v:
-        for j, u in into[v]:
-            rest = list(counts)
-            rest[j] -= 1
-            if tuple(rest) in reachable[u]:
-                letters.append(j)
-                v, counts = u, tuple(rest)
-                break
-    return tuple(reversed(letters))
-
-
-def _compound_move(reachable: list[set[tuple[int, ...]]], held: list[tuple[int, ...]], loads: list[int],
-                   ranked: list[int], order: list[int]) -> list[tuple[int, tuple[int, ...]]]:
+def _compound_move(least: list[dict[tuple[int, ...], tuple[int, ...]]], held: list[tuple[int, ...]],
+                   loads: list[int], ranked: list[int], order: list[int]) -> list[tuple[int, tuple[int, ...]]]:
     """The first new letter counts for one vertex, or else for two, that lower `ranked`; [] if none do.
 
     Changes are grouped by their effect on the loads, so a pair is tried
@@ -231,7 +208,7 @@ def _compound_move(reachable: list[set[tuple[int, ...]]], held: list[tuple[int, 
     """
     changes: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
     for v in order:
-        for new in sorted(reachable[v] - {held[v]}):
+        for new in sorted(least[v].keys() - {held[v]}):
             changes.setdefault(tuple(map(operator.sub, new, held[v])), []).append((v, new))
     effects = list(changes)
     for first in effects:
@@ -256,6 +233,44 @@ def _shortest_arcs(g: CosetGraph, dist: tuple[int, ...]) -> list[list[tuple[int,
     return into
 
 
+class _CountTable(NamedTuple):
+    """least[v]: each letter-count vector of v's shortest words to the least word with it; paths[v]: their number."""
+
+    least: list[dict[tuple[int, ...], tuple[int, ...]]]
+    paths: list[int]
+
+
+def _letter_count_table(g: CosetGraph, dist: tuple[int, ...], into: list[list[tuple[int, int]]],
+                        budget: int) -> _CountTable | None:
+    """The letter-count table over into[v], in distance order; None once the letters listed pass `budget`.
+
+    A vertex lists one word per entry of each tail its arcs come from.
+    """
+    least = [{(0,) * g.degree: ()}] * g.vertex_count
+    paths = [1] * g.vertex_count
+    listed = 0
+    for v in sorted(range(1, g.vertex_count), key=dist.__getitem__):
+        listed += dist[v] * sum(len(least[u]) for _, u in into[v])
+        if listed > budget:
+            return None
+        here: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for j, u in into[v]:
+            for counts, word in least[u].items():
+                step = list(counts)
+                step[j] += 1
+                step, word = tuple(step), word + (j,)
+                if step not in here or word < here[step]:
+                    here[step] = word
+        least[v] = here
+        paths[v] = sum(paths[u] for _, u in into[v])
+    return _CountTable(least, paths)
+
+
+def _forced_load(table: _CountTable) -> int:
+    """A floor under every shortest word set's busiest count: max over j of sum_v v's least count of j."""
+    return max(map(sum, zip(*(map(min, zip(*counts)) for counts in table.least))))
+
+
 class RegularBound(NamedTuple):
     """Result of minimizing the busiest generator's count over shortest word sets.
 
@@ -268,85 +283,68 @@ class RegularBound(NamedTuple):
     witness: dict[int, tuple[int, ...]]
 
 
-def _all_shortest_words(g: CosetGraph, dist: tuple[int, ...], budget: int) -> dict[int, list[tuple[int, ...]]] | None:
-    """Every shortest word for every vertex, in lexicographic order; None past `budget` letters."""
-    into = _shortest_arcs(g, dist)
-    options: dict[int, list[tuple[int, ...]]] = {0: [()]}
-    listed = 0
-    for v in sorted(range(1, g.vertex_count), key=dist.__getitem__):
-        listed += dist[v] * sum(len(options[u]) for _, u in into[v])
-        if listed > budget:
-            return None
-        options[v] = sorted([w + (j,) for j, u in into[v] for w in options[u]])
-    return {v: options[v] for v in range(1, g.vertex_count)}
-
-
 def regular_bound_exact(g: CosetGraph, profile: LayerProfile, words: WordMap,
                         budget: int = DEFAULT_WORD_BUDGET) -> RegularBound:
     """Minimize the busiest generator count over all shortest word sets.
 
-    Depth-first search over per-vertex word choices, vertices in (distance,
-    option count, index) order, seeded with the caller's shortest word set
-    `words` (bfs_word_set's, say) and pruned against both the incumbent and
-    the averaged lower bound.  A seed at theta is optimal and needs no
-    search.  The budget caps, separately, the letters of the shortest words
-    listed before the search and the letters of the words the search
-    tries, since trying a word updates one count per letter; exceeding
-    either returns the best found as inexact.
+    Depth-first search over per-vertex letter counts, which alone set the
+    busiest count: vertices in (distance, word count, index) order, each
+    one's counts in the order of their least words, which spell the
+    witness.  Seeded with the caller's shortest word set `words`
+    (bfs_word_set's, say), pruned against the incumbent, and stopped at
+    theta or the table's forced load.  The budget caps, separately, the
+    letters of the table and the letters of the counts the search tries;
+    exceeding either returns the best found as inexact.
     """
     _require_cayley(g)
     dist = profile.dist
     floor = average_diameter_bound(profile)
-
     incumbent = words
     incumbent_value = max(factor_occurrences(incumbent, g.degree))
     if incumbent_value <= floor:
         return RegularBound(value=incumbent_value, exact=True, witness=incumbent)
 
-    options = _all_shortest_words(g, dist, budget)
-    if options is None:
+    table = _letter_count_table(g, dist, _shortest_arcs(g, dist), budget)
+    if table is None:
         return RegularBound(value=incumbent_value, exact=False, witness=incumbent)
-    order = sorted(options, key=lambda v: (dist[v], len(options[v]), v))
+    floor = max(floor, _forced_load(table))
+    order = sorted(range(1, g.vertex_count), key=lambda v: (dist[v], table.paths[v], v))
+    options = {v: sorted(table.least[v].items(), key=operator.itemgetter(1)) for v in order}
     counts = [0] * g.degree
-    chosen: dict[int, tuple[int, ...]] = {}
+    chosen: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     nodes = 0
     # Depth-first on an explicit stack: tried[pos] counts the options of
-    # order[pos] taken so far, and chosen holds the words of the depths above.
+    # order[pos] taken so far, and chosen holds the options of the depths above.
     tried = [0] * len(order)
     pos = 0
-    while True:
+    while incumbent_value > floor:
         if nodes >= budget:
             return RegularBound(value=incumbent_value, exact=False, witness=incumbent)
         if pos == len(order):
             value = max(counts)
             if value < incumbent_value:
                 incumbent_value = value
-                incumbent = dict(chosen)
-            if incumbent_value <= floor:
-                break
+                incumbent = {v: word for v, (_, word) in chosen.items()}
             pos -= 1
         else:
             tried[pos] = 0
-        # take the next word that keeps every count under the incumbent, backing up when a depth runs out
+        # take the next vector that keeps every count under the incumbent, backing up when a depth runs out
         while pos >= 0:
             v = order[pos]
             if v in chosen:
-                for j in chosen.pop(v):
-                    counts[j] -= 1
+                counts = list(map(operator.sub, counts, chosen.pop(v)[0]))
             if tried[pos] == len(options[v]):
                 pos -= 1
                 continue
-            word = options[v][tried[pos]]
+            option = options[v][tried[pos]]
             tried[pos] += 1
-            nodes += len(word)
-            for j in word:
-                counts[j] += 1
-            if max(counts) < incumbent_value:
-                chosen[v] = word
+            nodes += dist[v]
+            trial = list(map(operator.add, counts, option[0]))
+            if max(trial) < incumbent_value:
+                counts = trial
+                chosen[v] = option
                 pos += 1
                 break
-            for j in word:
-                counts[j] -= 1
         else:
             break
     return RegularBound(value=incumbent_value, exact=True, witness=incumbent)

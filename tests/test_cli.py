@@ -507,6 +507,21 @@ def test_words_exact_on_long_cycle(tmp_path, capsys):
     assert doc["exact"] is True
 
 
+@pytest.mark.parametrize("modulus,jumps,psi", [
+    (30, [1, 3], 135),
+    (40, [1, 5, 8], 61),
+    (128, [1, 16], 960),
+    (402, [1, 201], 40200),
+])
+def test_words_exact_is_exact_above_theta_at_the_default_budget(tmp_path, capsys, modulus, jumps, psi):
+    # listing every shortest word ran out of the budget on each; their letter counts are few
+    spec = tmp_path / "z.json"
+    spec.write_text(json.dumps({"group": {"kind": "cyclic", "modulus": modulus}, "generators": jumps}))
+    doc = run_json(capsys, "words", "--spec", str(spec), "--exact")
+    assert (doc["psi_W"], doc["psi_exact"], doc["exact"]) == (psi, psi, True)
+    assert doc["theta"] < psi
+
+
 def test_factorize_search_on_long_cycle(tmp_path, capsys):
     # 1200 tails: enumerating a 1-factor must not nest a call per vertex
     spec = tmp_path / "cycle.json"

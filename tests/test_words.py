@@ -9,9 +9,9 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +24,7 @@ from alltoall.groups import CyclicGroup, GroupSpec, PermutationGroup, ProductGro
 from alltoall.specfile import parse_spec_document
 from alltoall.layers import average_diameter_bound, layer_profile
 from alltoall.scheduling import factor_occurrences
-from alltoall.words import (_all_shortest_words, _greedy_words, _shortest_arcs, bfs_word_set, regular_bound_exact,
+from alltoall.words import (RegularBound, _greedy_words, _shortest_arcs, bfs_word_set, regular_bound_exact,
                             validate_word_set)
 from test_factorization import random_cayley_spec
 from test_graphs import star
@@ -182,9 +182,14 @@ def torus(m):
     return build_cayley_coset_graph(parse_spec_document(doc))
 
 
+def z128_six_units():
+    """Z128 {1, 1, 1, 1, 1, 1, 16}: six copies of one jump put over 10M letters in the letter-count table."""
+    return build_cayley_coset_graph(GroupSpec(group=CyclicGroup(128), generators=(1,) * 6 + (16,)))
+
+
 def test_word_listing_is_bounded_by_the_budget():
-    # Z128 {1, 16} has 735,469 shortest words; its seed (960) sits above theta (704), and rerouting cannot lower it
-    g = build_cayley_coset_graph(GroupSpec(group=CyclicGroup(128), generators=(1, 16)))
+    # the seed (448) sits above theta (202), and rerouting cannot lower it
+    g = z128_six_units()
     profile = layer_profile(g)
     seed = bfs_word_set(g, profile)
     tracemalloc.start()
@@ -194,15 +199,14 @@ def test_word_listing_is_bounded_by_the_budget():
     finally:
         tracemalloc.stop()
     assert not bound.exact
-    assert bound.value == max(factor_occurrences(seed, g.degree)) == 960
+    assert bound.value == max(factor_occurrences(seed, g.degree)) == 448
     assert bound.witness == seed
-    assert peak < 4 * 2**20  # listing all of them takes ~146 MB
+    assert peak < 4 * 2**20  # listing the table to the default budget takes ~40 MB
 
 
 def test_word_listing_budget_counts_letters():
-    # Z402 {1, 201} has 20,501 shortest words but ~2.75M letters (~22 MB listed);
-    # a budget of 40,000 must stop the listing, not admit every word
-    g = build_cayley_coset_graph(GroupSpec(group=CyclicGroup(402), generators=(1, 201)))
+    # a budget of 40,000 must stop the listing, not admit every letter-count vector
+    g = z128_six_units()
     profile = layer_profile(g)
     greedy = bfs_word_set(g, profile)
     tracemalloc.start()
@@ -219,16 +223,14 @@ def test_word_listing_budget_counts_letters():
 
 
 def test_search_budget_counts_letters():
-    # at a budget of 3M the ~2.75M-letter listing of Z402 {1, 201} fits, and
-    # each word the search tries updates ~200 counts: counted one per word,
-    # 3M tries ran ~75 s; counted per letter the search stops in about a second
+    # a budget of 3M stops the table of Z128 {1, 1, 1, 1, 1, 1, 16} within about a second
     script = textwrap.dedent("""
         from alltoall.graphs import build_cayley_coset_graph
         from alltoall.groups import CyclicGroup, GroupSpec
         from alltoall.layers import layer_profile
         from alltoall.scheduling import factor_occurrences
         from alltoall.words import bfs_word_set, regular_bound_exact
-        g = build_cayley_coset_graph(GroupSpec(group=CyclicGroup(402), generators=(1, 201)))
+        g = build_cayley_coset_graph(GroupSpec(group=CyclicGroup(128), generators=(1,) * 6 + (16,)))
         profile = layer_profile(g)
         seed = bfs_word_set(g, profile)
         bound = regular_bound_exact(g, profile, seed, budget=3_000_000)
@@ -311,6 +313,65 @@ def reference_all_shortest_words(g, dist, budget):
     return options
 
 
+def reference_regular_bound_exact(g, profile, words, budget):
+    """The exact search as it stood before the letter-count table: depth-first over every shortest word.
+
+    Vertices in (distance, word count, index) order, each vertex's words in
+    lexicographic order, one node per letter of each word tried; the
+    listing and the search each stop past `budget` letters.
+    """
+    dist = profile.dist
+    floor = average_diameter_bound(profile)
+    incumbent = words
+    incumbent_value = max(factor_occurrences(incumbent, g.degree))
+    if incumbent_value <= floor:
+        return RegularBound(value=incumbent_value, exact=True, witness=incumbent)
+    options = reference_all_shortest_words(g, dist, budget)
+    if options is None:
+        return RegularBound(value=incumbent_value, exact=False, witness=incumbent)
+    order = sorted(options, key=lambda v: (dist[v], len(options[v]), v))
+    counts = [0] * g.degree
+    chosen = {}
+    nodes = 0
+    tried = [0] * len(order)
+    pos = 0
+    while True:
+        if nodes >= budget:
+            return RegularBound(value=incumbent_value, exact=False, witness=incumbent)
+        if pos == len(order):
+            value = max(counts)
+            if value < incumbent_value:
+                incumbent_value = value
+                incumbent = dict(chosen)
+            if incumbent_value <= floor:
+                break
+            pos -= 1
+        else:
+            tried[pos] = 0
+        while pos >= 0:
+            v = order[pos]
+            if v in chosen:
+                for j in chosen.pop(v):
+                    counts[j] -= 1
+            if tried[pos] == len(options[v]):
+                pos -= 1
+                continue
+            word = options[v][tried[pos]]
+            tried[pos] += 1
+            nodes += len(word)
+            for j in word:
+                counts[j] += 1
+            if max(counts) < incumbent_value:
+                chosen[v] = word
+                pos += 1
+                break
+            for j in word:
+                counts[j] -= 1
+        else:
+            break
+    return RegularBound(value=incumbent_value, exact=True, witness=incumbent)
+
+
 @st.composite
 def cayley_specs(draw):
     """A cyclic group with one to four jumps, a product of two cyclic groups, or a permutation group on 3-5 points."""
@@ -350,12 +411,12 @@ def test_the_shortest_arc_table_gives_what_the_references_give(spec):
     # repeated jumps make the listing exponential; past 20,000 letters only budgets that stop it are tried
     budgets = {0, total - 1, total, total + 1} if total <= 20_000 else {0, 1, 20_000}
     for budget in sorted(budgets - {-1}):
-        assert _all_shortest_words(g, dist, budget) == reference_all_shortest_words(g, dist, budget), budget
-        # the search is the module's own either way; the references supply its seed and its listing
+        # the count search skips only repeated-count subtrees, which cannot improve on the incumbent
         bound = regular_bound_exact(g, profile, greedy, budget)
-        with mock.patch("alltoall.words._all_shortest_words", reference_all_shortest_words):
-            expected = regular_bound_exact(g, profile, reference_bfs_word_set(g, profile), budget)
-        assert (bound.value, bound.exact, bound.witness) == (expected.value, expected.exact, expected.witness)
+        expected = reference_regular_bound_exact(g, profile, reference_bfs_word_set(g, profile), budget)
+        if expected.exact:
+            assert (bound.value, bound.exact, bound.witness) == (expected.value, expected.exact, expected.witness)
+        assert bound.value <= expected.value
 
 
 def multigraph_z9():
@@ -423,6 +484,18 @@ def test_rerouting_reaches_theta_where_the_greedy_pass_misses_it(name, greedy_ps
     validate_word_set(g, words)
     assert (psi_w(g, greedy_stage(g, profile)), average_diameter_bound(profile), psi_w(g, words)) == \
         (greedy_psi, theta, psi)
+
+
+def test_a_forced_busiest_count_ends_the_rerouting_at_its_first_stall():
+    # the jump 12 must carry 336 letters in every shortest word set; scanning pairs of moves
+    # for all 32 rounds, each lowering only a lower-ranked load, took 36 s
+    g = build_cayley_coset_graph(GroupSpec(group=CyclicGroup(96), generators=(1,) * 5 + (12,)))
+    profile = layer_profile(g)
+    start = time.perf_counter()
+    words = bfs_word_set(g, profile)
+    assert time.perf_counter() - start < 5
+    assert words == greedy_stage(g, profile)
+    assert (average_diameter_bound(profile), psi_w(g, words)) == (144, 336)
 
 
 def theta_star(g):
