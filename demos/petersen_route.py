@@ -13,7 +13,7 @@ endpoints never collide from any start, and schedule those.
 from collections import Counter
 
 from alltoall import fixtures
-from alltoall.factorization import factor_digraph, search_spanning_factorization
+from alltoall.factorization import factor_digraph, spanning_plan
 from alltoall.layers import average_diameter_bound, layer_profile
 from alltoall.scheduling import DEFAULT_SCHEDULE_BUDGET, schedule_plan
 from alltoall.simulate import run_transpose
@@ -31,15 +31,14 @@ def main():
     print(f"representative-dependence probe: {fixtures.petersen_conjugation_check()}")
     print()
 
-    found = search_spanning_factorization(g, profile)
-    assert found.factors is not None, found.reason
-    print(f"search visited {found.nodes} candidate words in {found.factorizations} factorization(s)")
-    lengths = Counter(len(w) for w in found.words)
+    factors, words, search = spanning_plan(g, profile)  # not a Cayley graph, so the plan comes from the search
+    print(f"search visited {search['nodes']} candidate words in {search['factorizations']} factorization(s)")
+    lengths = Counter(map(len, words.values()))
     print(f"word lengths: {dict(sorted(lengths.items()))} (all shortest: no slack needed)")
     print()
 
-    host = factor_digraph(found.factors)
-    word_map, sched = schedule_plan(host, dict(enumerate(found.words)), "exact", DEFAULT_SCHEDULE_BUDGET)
+    host = factor_digraph(factors)
+    word_map, sched = schedule_plan(host, words, "exact", DEFAULT_SCHEDULE_BUDGET)
     print(f"exact schedule: makespan {sched.makespan}")
 
     trace = run_transpose(host, word_map, sched)

@@ -16,6 +16,9 @@ next stage unchanged: words/factorize emit JSON, schedule emits CSV rows
 plus a JSON summary, simulate reads both and emits a trace CSV plus a JSON
 verdict.
 
+A route a command does not read from a file (Cayley generator words, or a
+searched spanning factorization) comes from factorization.spanning_plan.
+
 Exit codes: 0 success, 1 invalid input or usage, 2 infeasible or search
 budget exhausted.  Usage errors from argparse are remapped from its default
 2 to 1 so that 2 keeps its infeasibility meaning in scripts.
@@ -36,7 +39,7 @@ from .factorization import (
     DEFAULT_SEARCH_BUDGET,
     factor_digraph,
     one_factorize,
-    search_spanning_factorization,
+    spanning_plan,
     validate_one_factorization,
     verify_spanning,
 )
@@ -288,29 +291,16 @@ def _words_doc(words: dict[int, tuple[int, ...]], profile: LayerProfile) -> dict
     }
 
 
-def _factorization_doc(n: int, factors, words, search: dict | None = None) -> dict:
+def _factorization_doc(n: int, factors, words: dict | None, search: dict | None = None) -> dict:
     doc = {
         "n": n,
         "d": len(factors),
         "factors": factors,
-        "words": words,
+        "words": None if words is None else [words.get(v, ()) for v in range(n)],
     }
     if search is not None:
         doc["search"] = search
     return doc
-
-
-def _search_factorization(g: Digraph, profile: LayerProfile, budget: int, max_slack: int):
-    """(factors, words, search counters); SearchBudgetError, saying why, when none was found."""
-    res = search_spanning_factorization(g, profile, budget=budget, max_slack=max_slack)
-    if res.factors is None:
-        # exhausting one slack leaves larger ones untried, so say which was exhausted
-        reason = res.reason if res.reason == "budget" else f"{res.reason} within max_slack {max_slack}"
-        raise SearchBudgetError(
-            f"no spanning factorization found ({reason}): {res.nodes} nodes over "
-            f"{res.factorizations} factorizations, deepest word prefix {res.best_depth}"
-        )
-    return res.factors, res.words, {"nodes": res.nodes, "factorizations": res.factorizations}
 
 
 def _schedule_summary(word_map, sched, profile) -> dict:
@@ -411,14 +401,9 @@ def cmd_words(args) -> int:
 
 def cmd_factorize(args) -> int:
     g = _load_graph(args)
-    if args.search:
+    if args.search or (isinstance(g, CosetGraph) and g.is_cayley):
         doc = _factorization_doc(g.vertex_count,
-                                 *_search_factorization(g, layer_profile(g), args.budget, args.max_slack))
-    elif isinstance(g, CosetGraph) and g.is_cayley:
-        # the generators are the factors, and the word set (plus the base's empty word) spans
-        words = bfs_word_set(g, layer_profile(g))
-        listed = [words.get(v, ()) for v in range(g.vertex_count)]
-        doc = _factorization_doc(g.vertex_count, tuple(zip(*g.out)), listed)
+                                 *spanning_plan(g, layer_profile(g), args.budget, args.max_slack, args.search))
     else:
         doc = _factorization_doc(g.vertex_count, one_factorize(g), None)
     _emit_json(doc, args.out)
@@ -438,7 +423,7 @@ def cmd_schedule(args) -> int:
     else:
         if not (isinstance(g, CosetGraph) and g.is_cayley):
             raise InputError("scheduling a coset graph or raw digraph needs --words or --factorization")
-        host, words = g, bfs_word_set(g, profile)
+        host, (_, words, _) = g, spanning_plan(g, profile)  # the generators are the factors: g is their layout
     _schedule(host, words, profile, args.method, args.budget, args.csv, args.out)
     return 0
 
@@ -468,14 +453,8 @@ def cmd_simulate(args) -> int:
 def cmd_pipeline(args) -> int:
     g = _load_graph(args)
     profile = layer_profile(g)
-    cayley = isinstance(g, CosetGraph) and g.is_cayley
-    if cayley:
-        host, words = g, bfs_word_set(g, profile)
-    else:
-        factors, listed, search = _search_factorization(g, profile, args.budget, args.max_slack)
-        host, words = factor_digraph(factors), dict(enumerate(listed))
-
-    # from here on a plan is words over the host's out-positions, whichever route made it
+    factors, words, search = spanning_plan(g, profile, args.budget, args.max_slack)
+    host = factor_digraph(factors)
     psi_w = max(factor_occurrences(words, profile.degree))
     # made only now, so that a run refused on its input or its search leaves no directory behind
     outdir = Path(args.outdir)
@@ -486,11 +465,10 @@ def cmd_pipeline(args) -> int:
                                     str(outdir / "schedule.csv"), str(outdir / "schedule.json"))
     finally:
         # the words artifact holds the words in their scheduled letter order, or as chosen if scheduling gave up
-        if cayley:
+        if search is None:  # generator words, which need no factors beside them
             _emit_json(_words_doc(word_map, profile), str(outdir / "words.json"))
         else:
-            listed = [word_map.get(i, ()) for i in range(g.vertex_count)]
-            _emit_json(_factorization_doc(g.vertex_count, factors, listed, search),
+            _emit_json(_factorization_doc(g.vertex_count, factors, word_map, search),
                        str(outdir / "factorization.json"))
     verdict, code = _replay(host, word_map, sched, profile, str(outdir / "trace.csv"),
                             str(outdir / "verdict.json"), psi_w)

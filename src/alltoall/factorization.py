@@ -11,9 +11,9 @@ references.  A spanning factorization additionally
 carries one word per vertex over the factor alphabet such that walking the
 words from ANY base hits every vertex exactly once -- the property that lets
 one timed word list serve all sources of an all-to-all exchange
-simultaneously.  There is no type for the pair: a Cayley graph's generator
-table transposed, tuple(zip(*g.out)), with a words.bfs_word_set word set
-is one, and the search returns its factors and words side by side.  The
+simultaneously.  A Cayley graph's generator table transposed,
+tuple(zip(*g.out)), with a words.bfs_word_set word set is one; the search
+finds one on other graphs, and spanning_plan chooses between the two.  The
 constructors establish these properties and do not re-check them;
 verify_spanning checks a factorization read from outside.
 """
@@ -22,10 +22,11 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import InputError
-from .graphs import Digraph, regular_degree
+from .errors import InputError, SearchBudgetError
+from .graphs import CosetGraph, Digraph, regular_degree
 from .layers import LayerProfile
 from .simulate import _walk_trie
+from .words import bfs_word_set
 
 DEFAULT_SEARCH_BUDGET = 1_000_000
 
@@ -333,3 +334,23 @@ def search_spanning_factorization(
         factors=factors, words=words, nodes=nodes, factorizations=factorizations,
         best_depth=best_depth, reason=reason,
     )
+
+
+def spanning_plan(g: Digraph, profile: LayerProfile, budget: int = DEFAULT_SEARCH_BUDGET, max_slack: int = 2,
+                  search: bool = False) -> tuple[Factors, dict[int, tuple[int, ...]], dict[str, int] | None]:
+    """The route every caller schedules: (factors, a word per vertex over them, the search's counters).
+
+    A Cayley graph, unless `search` is set, takes its generators and bfs_word_set's words, and no
+    counters.  Any other graph takes the search's result, or raises SearchBudgetError saying why not.
+    """
+    if not search and isinstance(g, CosetGraph) and g.is_cayley:
+        return tuple(zip(*g.out)), bfs_word_set(g, profile), None
+    res = search_spanning_factorization(g, profile, budget=budget, max_slack=max_slack)
+    if res.factors is None:
+        # exhausting one slack leaves larger ones untried, so say which was exhausted
+        reason = res.reason if res.reason == "budget" else f"{res.reason} within max_slack {max_slack}"
+        raise SearchBudgetError(
+            f"no spanning factorization found ({reason}): {res.nodes} nodes over "
+            f"{res.factorizations} factorizations, deepest word prefix {res.best_depth}"
+        )
+    return res.factors, dict(enumerate(res.words)), {"nodes": res.nodes, "factorizations": res.factorizations}

@@ -11,7 +11,8 @@ diameter bound, on its busiest generator.
 
 bfs_word_set reads the shortest-path DAG from vertex 0 once: a greedy pass
 balances the generators' counts, and while the busiest count stays above
-theta, multiplicative-weight rounds reroute words to other shortest words.
+theta, multiplicative-weight rounds reroute words to other shortest words,
+and a short count search takes over where no move of one or two words helps.
 regular_bound_exact finds the true minimum over all shortest word sets by
 exponential search over each vertex's distinct letter counts, the table
 the reroute's fallback reads, seeded with the caller's word set.
@@ -29,9 +30,10 @@ from .layers import LayerProfile, average_diameter_bound
 from .scheduling import WordMap, factor_occurrences
 
 DEFAULT_WORD_BUDGET = 10_000_000
-# rerouting: the weight exponent over load / theta, and the most rounds tried
+# rerouting: the weight exponent over load / theta, the most rounds tried, and the count search's nodes after them
 REROUTE_K = 50
 REROUTE_ROUNDS = 32
+REROUTE_SEARCH_NODES = 5_000
 
 
 def _listed(keys: set[int]) -> str:
@@ -79,7 +81,8 @@ def bfs_word_set(g: CosetGraph, profile: LayerProfile) -> dict[int, tuple[int, .
     has the smallest total occurrence count so far, ties to the smaller
     generator index and then the smaller tail.  While the busiest
     generator's count stays above theta, _rerouted then moves words, one or
-    two at a time, onto other shortest words.  The rerouted set comes back
+    two at a time, onto other shortest words, and past that searches letter
+    counts under a small node budget.  The rerouted set comes back
     only when the busiest count fell, so a graph at theta, or one the
     reroute cannot help, keeps its greedy words.
     """
@@ -129,7 +132,11 @@ def _rerouted(g: CosetGraph, profile: LayerProfile, into: list[list[tuple[int, i
     the first stall.  Rounds stop at theta, after a round that changes
     nothing, after REROUTE_ROUNDS, or at a stall with no table (past
     DEFAULT_WORD_BUDGET letters) or with the greedy busiest count at the
-    table's forced load, which no shortest word set goes below.
+    table's forced load, which no shortest word set goes below.  Rounds
+    that end above theta because the fallback found nothing hand the words
+    to regular_bound_exact's count search for REROUTE_SEARCH_NODES nodes,
+    since lowering the busiest count may take more vertices moving at once;
+    its witness replaces them only if its busiest count is lower.
     """
     theta = average_diameter_bound(profile)
     start = max(loads)
@@ -157,7 +164,8 @@ def _rerouted(g: CosetGraph, profile: LayerProfile, into: list[list[tuple[int, i
         if not moved:
             if table is None:
                 table = _letter_count_table(g, profile.dist, into, DEFAULT_WORD_BUDGET)
-                if table is None or start <= _forced_load(table):
+                floor = max(theta, _forced_load(table)) if table else start
+                if start <= floor:
                     break
             for v, new in _compound_move(table.least, held, loads, ranked, order):
                 loads = [load - o + n for load, o, n in zip(loads, held[v], new)]
@@ -166,6 +174,10 @@ def _rerouted(g: CosetGraph, profile: LayerProfile, into: list[list[tuple[int, i
             ranked = sorted(loads, reverse=True)
         if ranked[0] <= theta or not moved:
             break
+    if table is not None and not moved:
+        found = _count_search(table, profile.dist, g.degree, floor, words, REROUTE_SEARCH_NODES)
+        if found.value < ranked[0]:
+            words, ranked = {v: found.witness[v] for v in words}, [found.value]
     return words if ranked[0] < start else None
 
 
@@ -299,18 +311,25 @@ def regular_bound_exact(g: CosetGraph, profile: LayerProfile, words: WordMap,
     _require_cayley(g)
     dist = profile.dist
     floor = average_diameter_bound(profile)
-    incumbent = words
-    incumbent_value = max(factor_occurrences(incumbent, g.degree))
-    if incumbent_value <= floor:
-        return RegularBound(value=incumbent_value, exact=True, witness=incumbent)
-
+    value = max(factor_occurrences(words, g.degree))
+    if value <= floor:
+        return RegularBound(value=value, exact=True, witness=words)
     table = _letter_count_table(g, dist, _shortest_arcs(g, dist), budget)
     if table is None:
-        return RegularBound(value=incumbent_value, exact=False, witness=incumbent)
-    floor = max(floor, _forced_load(table))
-    order = sorted(range(1, g.vertex_count), key=lambda v: (dist[v], table.paths[v], v))
+        return RegularBound(value=value, exact=False, witness=words)
+    return _count_search(table, dist, g.degree, max(floor, _forced_load(table)), words, budget)
+
+
+def _count_search(table: _CountTable, dist: tuple[int, ...], degree: int, floor: int, words: WordMap,
+                  budget: int) -> RegularBound:
+    """regular_bound_exact's search over `table`, seeded with `words` and stopped at `floor` or after `budget` nodes."""
+    incumbent = words
+    incumbent_value = max(factor_occurrences(incumbent, degree))
+    if incumbent_value <= floor:  # at theta or the forced load already: nothing to search
+        return RegularBound(value=incumbent_value, exact=True, witness=incumbent)
+    order = sorted(range(1, len(dist)), key=lambda v: (dist[v], table.paths[v], v))
     options = {v: sorted(table.least[v].items(), key=operator.itemgetter(1)) for v in order}
-    counts = [0] * g.degree
+    counts = [0] * degree
     chosen: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     nodes = 0
     # Depth-first on an explicit stack: tried[pos] counts the options of

@@ -16,6 +16,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from alltoall import cli, fixtures, layers, scheduling
+from alltoall import factorization as factorization_module
 from alltoall import words as words_module
 from alltoall.cli import (
     _dumps,
@@ -25,8 +26,8 @@ from alltoall.cli import (
     _write_schedule_csv,
     main,
 )
-from alltoall.errors import InputError
-from alltoall.factorization import factor_digraph
+from alltoall.errors import InputError, SearchBudgetError
+from alltoall.factorization import factor_digraph, spanning_plan
 from alltoall.graphs import Digraph
 from test_graphs import kautz
 from test_simulate import reference_replay
@@ -146,6 +147,50 @@ def test_factorize_search_exhausted_names_its_slack(tmp_path, capsys):
     code, _, err = run(capsys, "factorize", "--spec", str(spec), "--search", "--max-slack", "0")
     assert code == 2
     assert err.startswith("no spanning factorization found (exhausted within max_slack 0): ")
+
+
+@pytest.mark.parametrize("name", [*sorted(fixtures.BUILTIN_SPECS), "kautz-2-2", "kautz-2-3", "q3-search"])
+def test_the_spanning_plan_is_the_route_factorize_and_pipeline_write(tmp_path, capsys, name):
+    search = name.endswith("-search")
+    if name.startswith("kautz"):
+        g, spec = kautz(2, int(name[-1])), tmp_path / "kautz.json"
+        spec.write_text(json.dumps({"digraph": {"n": g.vertex_count, "arcs": [[u, v] for u, v, _ in g.arcs()]}}))
+        source = ("--spec", str(spec))
+    else:
+        g = fixtures.builtin_graph(name.removesuffix("-search"))
+        source = ("--builtin", name.removesuffix("-search"))
+    cayley = getattr(g, "is_cayley", False)
+    factorize = ("factorize", *source, *(() if cayley and not search else ("--search",)))
+    pipeline = ("pipeline", *source, "--method", "greedy", "--outdir", str(tmp_path / "out"))
+    profile = layers.layer_profile(g)
+    if name == "kautz-2-3":  # no spanning factorization within max_slack 2: both commands print why
+        with pytest.raises(SearchBudgetError) as exhausted:
+            spanning_plan(g, profile)
+        assert run(capsys, *factorize) == run(capsys, *pipeline) == (2, "", f"{exhausted.value}\n")
+        with pytest.raises(SearchBudgetError) as starved:
+            spanning_plan(g, profile, budget=5)
+        assert str(starved.value).startswith("no spanning factorization found (budget): 5 nodes over ")
+        assert run(capsys, *factorize, "--budget", "5") == (2, "", f"{starved.value}\n")
+        with pytest.raises(SearchBudgetError) as narrow:
+            spanning_plan(g, profile, max_slack=0)
+        assert str(narrow.value).startswith("no spanning factorization found (exhausted within max_slack 0): ")
+        assert run(capsys, *pipeline, "--max-slack", "0") == (2, "", f"{narrow.value}\n")
+        return
+    factors, words, counters = spanning_plan(g, profile, search=search)
+    assert (counters is None) == (cayley and not search)
+    n = g.vertex_count
+    doc = {"n": n, "d": len(factors), "factors": [list(f) for f in factors],
+           "words": [list(words.get(v, ())) for v in range(n)], **({"search": counters} if counters else {})}
+    assert run_json(capsys, *factorize) == doc
+    if search:  # pipeline takes the route from the graph alone
+        return
+    code, line, _ = run(capsys, *pipeline)  # greedy keeps each word's letter order
+    assert code == 0 and line.startswith("tau=")
+    if counters is None:
+        written = json.loads((tmp_path / "out" / "words.json").read_text())["words"]
+        assert written == {str(v): list(w) for v, w in words.items()}
+    else:
+        assert json.loads((tmp_path / "out" / "factorization.json").read_text()) == doc
 
 
 @pytest.mark.parametrize("argv,option", [
@@ -859,7 +904,7 @@ def test_each_command_runs_the_bfs_from_vertex_0_at_most_once(tmp_path, monkeypa
         with monkeypatch.context() as patch:
             patch.setattr(layers, "_bfs_distances", lambda g, base: bases.append(base) or bfs(g, base))
             counted = lambda g, profile: word_sets.append(g) or word_set(g, profile)  # noqa: E731
-            patch.setattr(words_module, "bfs_word_set", counted)
+            patch.setattr(factorization_module, "bfs_word_set", counted)
             patch.setattr(cli, "bfs_word_set", counted)
             code = run(capsys, *argv)[0]
         seen.append((argv, code, bases.count(0), len(word_sets)))

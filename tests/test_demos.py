@@ -1,5 +1,6 @@
 """Every script in demos/ and every library example in the docs runs against the current API."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -13,6 +14,12 @@ import alltoall
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# each demo's stdout, pinned byte for byte; a change that means to alter one updates its hash and says why
+DEMO_STDOUT_SHA256 = {
+    "network_shootout.py": "63eac3f7545786503f12495fc013eee801e0ce880902fb9e9c6df53637c5ccd1",
+    "petersen_route.py": "498a3a46a3d025a185b95423404a8832450cba4d768cf71b01c72ac6e08de0ec",
+    "ring_walkthrough.py": "4e89ffc358b4e6dee324a62434934d506e63a6dd861c0315d02107056684369c",
+}
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
@@ -21,6 +28,7 @@ def test_demo_runs(script):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == DEMO_STDOUT_SHA256[script.name], proc.stdout
 
 
 def library_examples():

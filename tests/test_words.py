@@ -14,7 +14,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alltoall import fixtures
@@ -455,6 +455,9 @@ def psi_w(g, words):
 
 @settings(max_examples=300, deadline=None)
 @given(spec=cayley_specs())
+# no move of one or two vertices lowers these below 66 and 70; the count search after the rounds reaches 65 and 68
+@example(spec=GroupSpec(group=CyclicGroup(61), generators=(16, 24, 38, 41)))
+@example(spec=GroupSpec(group=CyclicGroup(56), generators=(13, 26, 49, 8)))
 def test_rerouted_words_are_shortest_and_as_balanced_as_the_exact_search(spec):
     g = build_cayley_coset_graph(spec)
     profile = layer_profile(g)
