@@ -30,8 +30,10 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Iterator
 
 from . import fixtures, specfile
 from .errors import InputError, SearchBudgetError
@@ -106,28 +108,64 @@ def _emit_json(doc: dict, out: str | None) -> None:
 
 
 _all_ints = {int}.issuperset  # over the types of a list's items; a bool is not a plain int
+_all_lists = {list, tuple}.issuperset
 
 
-def _dumps(x, pad: str) -> str:
+def _dumps(x, pad: str, lines: dict | None = None) -> str:
     """json.dumps(x, indent=2, default=_json_default), byte for byte, for x nested at indent `pad`.
 
     An indent sends json.dumps to its pure-Python encoder.  Here only the
     layout is Python: every scalar goes through the C-level encoder, and a
-    list of plain ints is one join.
+    list of plain ints is one join over the line texts of its indent, kept
+    in `lines` for the whole document.  A dict or list whose values are all
+    lists of plain ints, such as a word map, writes them without a call per
+    value.
     """
+    if lines is None:
+        lines = {}
     if isinstance(x, dict):
         if not x:
             return "{}"
         inner = pad + "  "
-        items = [_json_key(k) + ": " + _dumps(v, inner) for k, v in x.items()]
+        if _holds_int_lists(x.values()):
+            items = [_json_key(k) + ": " + text for k, text in zip(x, _int_lists(x.values(), inner, lines))]
+        else:
+            items = [_json_key(k) + ": " + _dumps(v, inner, lines) for k, v in x.items()]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
     if isinstance(x, (list, tuple)):
         if not x:
             return "[]"
+        if _all_ints(map(type, x)):
+            return next(_int_lists((x,), pad, lines))
         inner = pad + "  "
-        items = map(str, x) if _all_ints(map(type, x)) else [_dumps(v, inner) for v in x]
+        items = _int_lists(x, inner, lines) if _holds_int_lists(x) else [_dumps(v, inner, lines) for v in x]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     return json.dumps(x, default=_json_default)
+
+
+def _holds_int_lists(values) -> bool:
+    return _all_lists(map(type, values)) and _all_ints(map(type, chain.from_iterable(values)))
+
+
+def _int_lists(values, pad: str, lines: dict) -> Iterator[str]:
+    """The text of each list of plain ints in `values`, nested at indent `pad`, made as it is consumed."""
+    inner = pad + "  "
+    if inner not in lines:
+        lines[inner] = _Lines("\n" + inner)
+    line, close = lines[inner].__getitem__, "\n" + pad + "]"
+    return ("[" + ",".join(map(line, v)) + close if v else "[]" for v in values)
+
+
+class _Lines(dict):
+    """The line texts of one indent: int v -> a line break, the indent and str(v), each made on first use."""
+
+    def __init__(self, head: str):
+        super().__init__()
+        self.head = head
+
+    def __missing__(self, v: int) -> str:
+        text = self[v] = self.head + str(v)
+        return text
 
 
 def _json_key(k) -> str:

@@ -17,7 +17,7 @@ from itertools import chain, count, filterfalse
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapacityError, CosetEdgeError, RegularityError, StructureError
-from .groups import Element, GroupSpec
+from .groups import Element, GroupSpec, element_codes
 
 DEFAULT_ELEMENT_CAP = 100_000
 
@@ -141,7 +141,12 @@ def build_cayley_coset_graph(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) ->
     queue slice at a time: every vertex queued so far is translated by all
     generators in one call, and the images are read in (vertex, generator)
     order, so new cosets get the numbers a vertex-at-a-time walk would give
-    them.  A coset's vertex is labelled by its least element.  The walk reaches
+    them.  A coset's vertex is labelled by its least element.  The walk holds
+    elements as `element_codes` gives them: a product of cyclic groups is
+    walked on mixed-radix int codes, a generator touching only the digits of
+    the factors it moves, and the representatives are decoded to tuples once
+    at the end.  Codes sort as their tuples do, so the vertex numbering and
+    the representatives are those of a walk on tuples.  The walk reaches
     every coset of the group that the generators and the subgroup generate,
     and raises CapacityError once it would hold more than `cap` elements
     (cosets times |H|), so a typo in a modulus cannot silently eat memory.
@@ -154,8 +159,9 @@ def build_cayley_coset_graph(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) ->
         )
 
     sub, d = spec.subgroup, spec.degree
-    index: dict[Element, int] = {}  # every element of every coset found so far -> its vertex
-    vertices: list[Element] = []
+    codes = element_codes(group)
+    index: dict = {}  # the code of every element of every coset found so far -> its vertex
+    vertices: list = []  # codes of the coset representatives, decoded to elements at the end
 
     def number(fresh: list[Element]) -> None:
         """Number the cosets of `fresh` that have no vertex yet, in first-seen order."""
@@ -166,7 +172,7 @@ def build_cayley_coset_graph(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) ->
             vertices.extend(fresh)
             return
         # row i of the columns is the coset fresh[i]H; its minimum is the canonical representative
-        for el, members in zip(fresh, zip(*group.translate(fresh, sub))):
+        for el, members in zip(fresh, zip(*translate(fresh, sub))):
             if el in index:  # an earlier element of this batch lies in the same coset
                 continue
             if (len(vertices) + 1) * len(sub) > cap:
@@ -174,8 +180,8 @@ def build_cayley_coset_graph(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) ->
             index.update(dict.fromkeys(members, len(vertices)))
             vertices.append(min(members))
 
-    number([group.identity])
-    translate, known, vertex_of = group.translate, index.__contains__, index.__getitem__
+    translate, known, vertex_of = codes.translate, index.__contains__, index.__getitem__
+    number([codes.encode(group.identity)])
     heads: list[int] = []  # arc (u, j) at u * d + j
     # the vertex list is the breadth-first queue
     done = 0
@@ -189,7 +195,7 @@ def build_cayley_coset_graph(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) ->
         heads += map(vertex_of, images)
     # no connectivity check: with DH = HD every element of <D, H> is (D-word)*h, so the walk reaches every coset
 
-    g = CosetGraph(out=tuple(zip(*[iter(heads)] * d)), spec=spec, vertices=tuple(vertices))
+    g = CosetGraph(out=tuple(zip(*[iter(heads)] * d)), spec=spec, vertices=codes.decode(vertices))
     regular_degree(g)  # in-degree must match out-degree everywhere
     return g
 

@@ -18,11 +18,18 @@ since composing valid elements cannot produce an invalid one.
 right factor b in bs, each equal to [compose(a, b) for a in elements] but
 without a method call per element, so a graph build pays interpreter
 overhead per batch rather than per arc.
+
+`element_codes(group)` says how a graph build holds the elements while it
+walks them.  A product whose factors are all cyclic is walked on
+mixed-radix int codes, the first factor the most significant, so that codes
+sort as their tuples do and an int hashes where a tuple would be built and
+hashed per image.  Every other group is walked on its elements as they are.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, NamedTuple, Sequence
+from math import prod
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .errors import StructureError, SubgroupError
 
@@ -213,6 +220,63 @@ class ProductGroup:
 
 
 Group = CyclicGroup | PermutationGroup | ProductGroup
+
+
+class ElementCodes(NamedTuple):
+    """A group's elements as a graph build holds them.
+
+    `encode` turns an element into its code, `translate(codes, bs)` is the
+    batched right action on codes, with each b in bs given as an element, and
+    `decode` turns a list of codes back into a tuple of elements.  Codes are
+    equal and ordered exactly as their elements are.
+    """
+
+    encode: Callable[[Element], Any]
+    translate: Callable[[Sequence, Sequence[Element]], list[list]]
+    decode: Callable[[Sequence], tuple[Element, ...]]
+
+
+def element_codes(group: Group) -> ElementCodes:
+    """Mixed-radix int codes for a product of cyclic groups; the elements themselves for any other group."""
+    if isinstance(group, ProductGroup) and all(isinstance(f, CyclicGroup) for f in group.factors):
+        return _mixed_radix_codes([f.modulus for f in group.factors])
+    return ElementCodes(_same, group.translate, tuple)
+
+
+def _same(a: Element) -> Element:
+    return a
+
+
+def _mixed_radix_codes(moduli: list[int]) -> ElementCodes:
+    """Codes x1*w1 + ... + xk*wk of Z_m1 x ... x Z_mk, where w_i is the product of the moduli after m_i."""
+    weights = [prod(moduli[i + 1:]) for i in range(len(moduli))]
+
+    def encode(el: tuple) -> int:
+        return sum(x * w for x, w in zip(el, weights))
+
+    def translate(codes: Sequence[int], bs: Sequence[tuple]) -> list[list[int]]:
+        images = []
+        for b in bs:
+            col = codes
+            for y, m, w in zip(b, moduli, weights):
+                if y:  # only the digits that b moves are touched
+                    col = _add_digit(col, y * w, m * w)
+            images.append(col)
+        return images
+
+    def decode(codes: Sequence[int]) -> tuple[tuple, ...]:
+        return tuple(zip(*[[c // w % m for c in codes] for m, w in zip(moduli, weights)]))
+
+    return ElementCodes(encode, translate, decode)
+
+
+def _add_digit(codes: Sequence[int], step: int, block: int) -> list[int]:
+    """Add y to one digit of each code, given `step` = y*w and `block` = m*w.
+
+    The codes lie in runs of `block`, and the digit wraps inside its run.
+    """
+    wrap = block - step
+    return [a + step if a % block < wrap else a - wrap for a in codes]
 
 
 def group_from_descriptor(desc: dict) -> Group:

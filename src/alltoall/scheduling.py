@@ -70,6 +70,15 @@ class Schedule(NamedTuple):
 
 def factor_occurrences(word_map: WordMap, degree: int) -> list[int]:
     """Total occurrence count of each factor (or generator) index across all words."""
+    if degree <= 256:  # every valid letter fits in a byte, and bytes are counted at C level
+        try:
+            letters = bytes(chain.from_iterable(word_map.values()))
+        except (TypeError, ValueError):  # a letter that is no byte: counted or named below
+            pass
+        else:
+            counts = list(map(letters.count, range(degree)))
+            if sum(counts) == len(letters):  # no letter at or past the degree
+                return counts
     counts = Counter(chain.from_iterable(word_map.values()))
     if all(0 <= j < degree for j in counts):
         return [counts[j] for j in range(degree)]

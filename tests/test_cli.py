@@ -1051,8 +1051,13 @@ json_scalars = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), st.sampled_from([-0.0, 1e300, float("inf")]), st.text(),
     st.fractions(min_value=-10**6, max_value=10**6, max_denominator=1000),
 )
+# lists of plain ints, some with a bool among them, as the values of a dict (a word map) or a list (factor lists)
+wide_ints = st.one_of(st.integers(0, 9), st.integers(-2**70, 2**70))
+int_lists = st.one_of(st.lists(wide_ints, max_size=5), st.lists(wide_ints, max_size=5).map(tuple),
+                      st.lists(st.one_of(wide_ints, st.booleans()), max_size=5))
+int_list_holders = st.one_of(st.dictionaries(json_keys, int_lists, max_size=5), st.lists(int_lists, max_size=5))
 json_docs = st.recursive(
-    json_scalars,
+    st.one_of(json_scalars, int_list_holders),
     lambda kids: st.one_of(
         st.lists(kids, max_size=5), st.lists(kids, max_size=5).map(tuple),
         st.dictionaries(json_keys, kids, max_size=5), st.lists(st.one_of(st.integers(), st.booleans()), max_size=5),

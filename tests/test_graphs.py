@@ -36,6 +36,7 @@ from alltoall.groups import (
     ProductGroup,
     coset_canonicalize,
     coset_elements,
+    element_codes,
 )
 from alltoall.layers import layer_profile
 from alltoall.specfile import load_spec_text
@@ -221,17 +222,39 @@ def reorderings_agree(g) -> bool:
 
 
 @st.composite
+def cyclic_products(draw, max_order):
+    """Z_m1 x ... x Z_mk with two to six factors, and one to five generators of the shapes a code walk meets.
+
+    A generator is the identity, a step in one factor, or a diagonal element
+    moving several factors at once; one may repeat an earlier one.  The
+    digits of a drawn set of factors are zero in every generator, so the
+    generators often span a proper subgroup.
+    """
+    k = draw(st.integers(2, 6))
+    top = min(5, max(2, int(max_order ** (1 / k))))  # so that the order stays at most max_order
+    moduli = draw(st.lists(st.integers(2, top), min_size=k, max_size=k))
+    group = ProductGroup([CyclicGroup(m) for m in moduli])
+    still = draw(st.sets(st.integers(0, k - 1), max_size=k - 1))
+    step = st.integers(0, k - 1).flatmap(
+        lambda i: st.integers(1, moduli[i] - 1).map(lambda y: tuple(y * (j == i) for j in range(k))))
+    shapes = st.one_of(st.just(group.identity), step, elements(group))
+    gens = [tuple(0 if i in still else x for i, x in enumerate(el))
+            for el in draw(st.lists(shapes, min_size=1, max_size=4))]
+    if draw(st.booleans()):
+        gens.append(draw(st.sampled_from(gens)))
+    return group, tuple(gens)
+
+
+@st.composite
 def abelian_specs(draw):
-    """A cyclic group or a product of two or three small cyclic groups, with one to four generators."""
+    """A cyclic group with one to four generators, or a product of two to six small cyclic groups."""
     if draw(st.booleans()):
         m = draw(st.integers(2, 30))
         group = CyclicGroup(m)
-        gens = draw(st.lists(st.integers(1, m - 1), min_size=1, max_size=4))
+        gens = tuple(draw(st.lists(st.integers(1, m - 1), min_size=1, max_size=4)))
     else:
-        moduli = draw(st.lists(st.integers(2, 5), min_size=2, max_size=3))
-        group = ProductGroup([CyclicGroup(m) for m in moduli])
-        gens = draw(st.lists(st.tuples(*(st.integers(0, m - 1) for m in moduli)).map(list), min_size=1, max_size=4))
-    return GroupSpec(group=group, generators=tuple(group.parse(x) for x in gens))
+        group, gens = draw(cyclic_products(max_order=128))
+    return GroupSpec(group=group, generators=gens)
 
 
 def kautz(d, n):
@@ -245,6 +268,11 @@ def star(n):
     group = PermutationGroup(n)
     return build_cayley_coset_graph(GroupSpec(group=group, generators=tuple(
         group.parse(f"(1 {i})") for i in range(2, n + 1))))
+
+
+def hypercube(k):
+    return GroupSpec(group=ProductGroup([CyclicGroup(2)] * k),
+                     generators=tuple(tuple(int(i == j) for i in range(k)) for j in range(k)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -405,8 +433,21 @@ def coset_specs(draw):
     return GroupSpec(group=group, generators=tuple(gens), subgroup=tuple(draw(st.permutations(sub))))
 
 
-@settings(max_examples=150, deadline=None)
-@given(spec=coset_specs())
+@st.composite
+def cyclic_product_coset_specs(draw):
+    """A product of cyclic groups, its generators, and a subgroup H of at most 24 elements generated by up to two.
+
+    The group is abelian, so DH = HD for every H.
+    """
+    group, gens = draw(cyclic_products(max_order=1500))
+    picks = draw(st.lists(elements(group), max_size=2))
+    while len(sub := sorted(generated(group, picks))) > 24:
+        picks.pop()
+    return GroupSpec(group=group, generators=gens, subgroup=tuple(draw(st.permutations(sub))))
+
+
+@settings(max_examples=250, deadline=None)
+@given(spec=st.one_of(coset_specs(), cyclic_product_coset_specs()))
 def test_batched_build_matches_the_per_arc_build(spec):
     assert validate_coset_condition(spec.group, spec.generators, spec.subgroup)
     assert built(spec) == per_arc_build(spec)
@@ -419,11 +460,40 @@ def test_builtins_match_the_per_arc_build(name):
 
 
 def test_larger_graphs_match_the_per_arc_build():
-    q7 = GroupSpec(group=ProductGroup([CyclicGroup(2)] * 7),
-                   generators=tuple(tuple(int(i == j) for i in range(7)) for j in range(7)))
     torus = GroupSpec(group=ProductGroup([CyclicGroup(12)] * 2), generators=((1, 0), (11, 0), (0, 1), (0, 11)))
-    for spec in (q7, star(5).spec, torus, GroupSpec(group=CyclicGroup(256), generators=(1, 16))):
+    z4_5 = GroupSpec(group=ProductGroup([CyclicGroup(4)] * 5),
+                     generators=tuple(tuple(s * (i == j) % 4 for i in range(5)) for j in range(5) for s in (1, -1)))
+    z256 = GroupSpec(group=CyclicGroup(256), generators=(1, 16))
+    for spec in (hypercube(7), hypercube(10), z4_5, star(5).spec, torus, z256):
         assert built(spec) == per_arc_build(spec)
+
+
+def test_a_product_of_cyclic_groups_is_walked_on_codes(monkeypatch):
+    q10 = hypercube(10)
+    expected = per_arc_build(q10)
+
+    def refuse(*args):
+        raise AssertionError("ProductGroup.translate was called")
+
+    monkeypatch.setattr(ProductGroup, "translate", refuse)
+    with pytest.raises(AssertionError):  # the guard bites where tuples are translated
+        q10.group.translate([q10.group.identity], q10.generators)
+    assert built(q10) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_codes_translate_order_and_decode_as_the_elements_do(data):
+    group = data.draw(st.one_of(group_kinds, cyclic_products(max_order=1500).map(lambda drawn: drawn[0])))
+    codes = element_codes(group)
+    batch = data.draw(st.lists(elements(group), max_size=8))
+    bs = data.draw(st.lists(st.one_of(st.just(group.identity), elements(group)), max_size=5))
+    held = [codes.encode(a) for a in batch]
+    assert codes.decode(held) == tuple(batch)
+    assert [codes.decode(col) for col in codes.translate(held, bs)] == [
+        tuple(group.compose(a, b) for a in batch) for b in bs]
+    for (a, x), (b, y) in product(zip(batch, held), repeat=2):
+        assert (a < b, a == b) == (x < y, x == y)
 
 
 @settings(max_examples=150, deadline=None)
@@ -459,13 +529,28 @@ def mid_batch_counts(out):
     GroupSpec(group=CyclicGroup(1000), generators=(1, 10)),
     fixtures.builtin_spec("petersen"),
     GroupSpec(group=CyclicGroup(600), generators=(3, 30), subgroup=(0, 200, 400)),
-], ids=["star5", "z1000", "petersen", "z600-mod-200"])
+    hypercube(6),
+    GroupSpec(group=ProductGroup([CyclicGroup(m) for m in (3, 4, 5, 2)]),
+              generators=((1, 0, 0, 0), (0, 0, 0, 0), (0, 1, 2, 1), (0, 0, 1, 0), (1, 0, 0, 0)),
+              subgroup=((0, 0, 0, 0), (0, 2, 0, 0))),
+], ids=["star5", "z1000", "petersen", "z600-mod-200", "q6", "z3xz4xz5xz2-mod-z2"])
 def test_cap_crossed_mid_batch_matches_the_per_arc_build(spec):
+    ks = mid_batch_counts(per_arc_build(spec)[0])
+    assert ks, "no queue slice finds two new cosets"
+    assert_caps_match(spec, ks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=cyclic_product_coset_specs())
+def test_cap_crossed_mid_batch_on_cyclic_products_matches_the_per_arc_build(spec):
+    assert_caps_match(spec, mid_batch_counts(per_arc_build(spec)[0]))
+
+
+def assert_caps_match(spec, ks):
+    """At caps just below, at and just above k cosets for three of the mid-batch counts ks, and at the full size."""
     out, vertices = per_arc_build(spec)
     h = len(spec.subgroup)
-    ks = mid_batch_counts(out)
-    assert ks, "no queue slice finds two new cosets"
-    for k in (ks[0], ks[len(ks) // 2], ks[-1]):
+    for k in (ks[0], ks[len(ks) // 2], ks[-1]) if ks else ():
         for cap in (k * h - 1, k * h, k * h + h - 1):
             expected = outcome(per_arc_build, spec, cap)
             assert expected[0] == "CapacityError"

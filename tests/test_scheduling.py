@@ -529,8 +529,9 @@ def loop_occurrences(word_map, degree):
 
 
 @settings(max_examples=300, deadline=None)
-@given(degree=st.integers(0, 5),
-       word_map=st.dictionaries(st.integers(0, 20), st.lists(st.integers(-2, 6), max_size=5).map(tuple), max_size=8))
+@given(degree=st.one_of(st.integers(0, 5), st.integers(250, 300)),
+       word_map=st.dictionaries(st.integers(0, 20), st.lists(
+           st.one_of(st.integers(-2, 6), st.integers(250, 300), st.booleans()), max_size=5).map(tuple), max_size=8))
 def test_factor_occurrences_counts_and_refuses_as_the_letter_loop_does(degree, word_map):
     try:
         expected = loop_occurrences(word_map, degree)
