@@ -12,10 +12,10 @@ from fractions import Fraction
 
 from alltoall import fixtures
 from alltoall.costmodel import CostParams, compare_networks, model_times
+from alltoall.factorization import factor_digraph, spanning_plan
 from alltoall.layers import layer_profile
 from alltoall.scheduling import DEFAULT_SCHEDULE_BUDGET, schedule_plan
 from alltoall.simulate import run_transpose
-from alltoall.words import bfs_word_set
 
 CANDIDATES = ("c4", "k4", "z5-12", "z7-124", "q3")
 
@@ -25,8 +25,10 @@ ITERATIONS = 16
 
 
 def measured_tau(g, profile):
-    words, sched = schedule_plan(g, bfs_word_set(g, profile), "exact", DEFAULT_SCHEDULE_BUDGET)
-    trace = run_transpose(g, words, sched)
+    factors, words, _ = spanning_plan(g, profile)
+    host = factor_digraph(factors)
+    words, sched = schedule_plan(host, words, "exact", DEFAULT_SCHEDULE_BUDGET)
+    trace = run_transpose(host, words, sched)
     assert trace.clean
     return trace.horizon
 

@@ -14,8 +14,9 @@ one timed word list serve all sources of an all-to-all exchange
 simultaneously.  A Cayley graph's generator table transposed,
 tuple(zip(*g.out)), with a words.bfs_word_set word set is one; the search
 finds one on other graphs, and spanning_plan chooses between the two.  The
-constructors establish these properties and do not re-check them;
-verify_spanning checks a factorization read from outside.
+constructors establish these properties and do not re-check them, and a
+factorization read from outside is judged by the replay alone: words that
+do not span leave pairs undelivered, which simulate.run_transpose reports.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import Iterator, NamedTuple, Sequence
 from .errors import InputError, SearchBudgetError
 from .graphs import CosetGraph, Digraph, regular_degree
 from .layers import LayerProfile
-from .simulate import _walk_trie
 from .words import bfs_word_set
 
 DEFAULT_SEARCH_BUDGET = 1_000_000
@@ -123,32 +123,6 @@ def factor_digraph(factors: Sequence[Sequence[int]]) -> Digraph:
     over factor words replay against this layout.
     """
     return Digraph(out=tuple(zip(*factors)))
-
-
-def verify_spanning(factors: Sequence[Sequence[int]], words: Sequence[Sequence[int]], n: int) -> None:
-    """Raise InputError at a bad word, or at the first pair of words that end together from some base.
-
-    The words are walked once from all bases together, as the replay walks
-    them: a prefix they share is walked once.  A base whose ends collide
-    names its first collision from its column of that walk's ends.
-    """
-    if len(words) != n:
-        raise InputError(f"word list has {len(words)} words for {n} vertices; endpoints cannot cover the graph")
-    d = len(factors)
-    for i, word in enumerate(words):
-        for j in word:
-            if not (0 <= j < d):
-                raise InputError(f"word {i} uses factor {j}, out of range")
-    ends = _walk_trie([tuple(word) for word in words], factors, n)
-    for base in range(n):
-        column = ends[base::n]  # column[i]: where word i takes base
-        if len(set(column)) == n:
-            continue
-        seen: dict[int, int] = {}
-        for i, end in enumerate(column):
-            if end in seen:
-                raise InputError(f"words {seen[end]} and {i} both end at {end} from base {base}")
-            seen[end] = i
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from alltoall.factorization import (
     one_factorize,
     search_spanning_factorization,
     validate_one_factorization,
-    verify_spanning,
 )
 from alltoall.graphs import Digraph, digraph_from_arcs
 from alltoall.layers import average_diameter_bound, layer_profile
@@ -37,6 +36,7 @@ from alltoall.scheduling import (
 )
 from alltoall.simulate import run_transpose
 from alltoall.words import bfs_word_set, regular_bound_exact
+from test_factorization import assert_spanning
 
 
 @contextmanager
@@ -177,7 +177,7 @@ def test_acceptance_04_factorization_labelings():
         plans.append(petersen_spanning())
         runs = clean = 0
         for factors, words in plans:
-            verify_spanning(factors, words, len(factors[0]))
+            assert_spanning(factors, words, len(factors[0]))
             host = factor_digraph(factors)
             word_map = {i: w for i, w in enumerate(words) if w}
             for _ in range(50):

@@ -576,17 +576,23 @@ def test_factorize_search_on_long_cycle(tmp_path, capsys):
     assert "no spanning factorization found (budget)" in err
 
 
-def test_simulate_refuses_non_spanning_factorization(tmp_path, capsys):
-    # words 1 and 2 both end one step along the ring, from every base
+def test_simulate_replays_a_non_spanning_factorization_as_any_plan(tmp_path, capsys):
+    # words 1 and 2 both end one step along the ring, from every base, so each base misses one vertex
     fact = tmp_path / "fact.json"
     fact.write_text(json.dumps({"n": 4, "d": 1, "factors": [[1, 2, 3, 0]],
                                 "words": [[], [0], [0, 0, 0, 0, 0], [0, 0, 0]]}))
     csv = tmp_path / "sched.csv"
     run_json(capsys, "schedule", "--builtin", "c4", "--factorization", str(fact), "--csv", str(csv))
-    code, _, err = run(capsys, "simulate", "--builtin", "c4", "--schedule", str(csv),
-                       "--factorization", str(fact))
-    assert code == 1
-    assert "refusing to expand an unverified factorization" in err
+    runs = []
+    for extra in (["--factorization", str(fact)], []):
+        trace = tmp_path / f"trace{len(runs)}.csv"
+        code, out, err = run(capsys, "simulate", "--builtin", "c4", "--schedule", str(csv), "--trace", str(trace),
+                             *extra)
+        assert code == 2, err
+        assert json.loads(out)["undelivered"] == 4
+        runs.append((out, trace.read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][1].startswith(b"time,src,dst,gen,packet_src,packet_dst\n")
 
 
 @pytest.mark.parametrize("command", ["schedule", "simulate"])
@@ -706,17 +712,46 @@ def test_simulate_leaves_no_trace_of_a_broken_route(tmp_path, capsys):
     assert not trace.exists()
 
 
-def test_simulate_refuses_schedule_rows_off_the_factorization(tmp_path, capsys):
+@pytest.mark.parametrize("over", ["generators", "factors"])
+def test_simulate_refuses_schedule_rows_off_the_graph(tmp_path, capsys, over):
     fact, sched, trace = tmp_path / "fact.json", tmp_path / "sched.csv", tmp_path / "trace.csv"
     fact.write_text(json.dumps(run_json(capsys, "factorize", "--builtin", "q3")))
-    run_json(capsys, "schedule", "--builtin", "q3", "--factorization", str(fact), "--csv", str(sched))
+    run_json(capsys, "schedule", "--builtin", "q3", "--csv", str(sched))
     with open(sched, "a", encoding="utf-8") as fh:
         fh.write("99,0,0,9\n")  # a word keyed past the graph's 8 vertices
-    code, _, err = run(capsys, "simulate", "--builtin", "q3", "--schedule", str(sched),
-                       "--factorization", str(fact), "--trace", str(trace))
+    extra = ["--factorization", str(fact)] if over == "factors" else []
+    code, _, err = run(capsys, "simulate", "--builtin", "q3", "--schedule", str(sched), *extra, "--trace", str(trace))
     assert code == 1
     assert err == f"error: {sched}: word key 99 is not a vertex of the 8-vertex graph\n"
     assert not trace.exists()
+
+
+@pytest.mark.parametrize("plan", ["clean", "word-7-missing", "word-2-on-word-1", "tied-and-out-of-order"])
+def test_simulate_judges_a_plan_alike_over_the_generators_and_over_their_factors(tmp_path, capsys, plan):
+    fact, sched, bad = tmp_path / "fact.json", tmp_path / "sched.csv", tmp_path / "bad.csv"
+    fact.write_text(json.dumps(run_json(capsys, "factorize", "--builtin", "q3")))
+    run_json(capsys, "schedule", "--builtin", "q3", "--csv", str(sched))
+    header, *rows = [line.split(",") for line in sched.read_text().splitlines()]
+    if plan == "word-7-missing":
+        rows = [r for r in rows if r[0] != "7"]
+    elif plan == "word-2-on-word-1":  # word 2 takes word 1's generator and slot: a double booking and a repeat
+        (one,) = [r for r in rows if r[0] == "1"]
+        rows = [r if r[0] != "2" else ["2", "0", one[2], one[3]] for r in rows]
+    elif plan == "tied-and-out-of-order":
+        # a one-letter word takes the generator and slot of another word's first letter, so from every base
+        # two packets claim one arc and the job order breaks the tie; the rows then run against key order
+        lone = next(r for r in rows if [x[0] for x in rows].count(r[0]) == 1)
+        lone[3] = next(r[3] for r in rows if r[0] != lone[0] and r[1] == "0" and r[2] == lone[2])
+        rows = rows[::-1]
+    bad.write_text("".join(",".join(r) + "\n" for r in [header, *rows]))
+    runs = []
+    for extra in ([], ["--factorization", str(fact)]):
+        verdict, trace = tmp_path / f"verdict{len(runs)}.json", tmp_path / f"trace{len(runs)}.csv"
+        code, out, err = run(capsys, "simulate", "--builtin", "q3", "--schedule", str(bad), "--out", str(verdict),
+                             "--trace", str(trace), *extra)
+        runs.append((code, out, err, verdict.read_bytes(), trace.read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == (0 if plan == "clean" else 2)
 
 
 def factorization_with_n_off(capsys, which):

@@ -98,6 +98,17 @@ def test_ill_defined_coset_edges_are_rejected():
     assert "ill-defined" in str(ei.value)
 
 
+def test_a_coset_spec_can_pass_the_coset_condition_and_still_give_an_irregular_graph():
+    # S3 mod <(1 2)>: DH = HD as sets, yet four of the nine arcs end at the identity coset,
+    # so the regularity check that ends the build is not redundant
+    g = PermutationGroup(3)
+    generators = tuple(map(g.parse, ("(1 2 3)", "(2 3)", "(1 3)")))
+    h = (g.identity, g.parse("(1 2)"))
+    assert validate_coset_condition(g, generators, h)
+    with pytest.raises(RegularityError, match=r"^vertex 0 has out-degree 3 and in-degree 4; expected 3 "):
+        build_cayley_coset_graph(GroupSpec(group=g, generators=generators, subgroup=h))
+
+
 def test_generator_inside_subgroup_collapses_to_one_coset():
     # enumeration closes over generators and H, so delta = 4 in H = {0,2,4}
     # yields the one-coset graph with a self-loop rather than a disconnect

@@ -138,6 +138,24 @@ def test_the_replay_borrows_no_scheduler_code():
     assert sorted(taken) == ["Schedule", "WordMap"]
 
 
+def imported_names(path):
+    """Every module and name a source file imports, each by the last part of its dotted name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names.add(node.module.split(".")[-1])
+    return names
+
+
+def test_only_the_cli_and_the_package_import_the_replay():
+    # the oracle judges plans from outside: no module that builds a route reaches into it
+    sources = sorted(Path(simulate.__file__).parent.glob("*.py"))
+    assert len(sources) > 10
+    assert [path.name for path in sources if "simulate" in imported_names(path)] == ["__init__.py", "cli.py"]
+
+
 def test_conflicts_are_recorded_not_raised():
     g = fixtures.builtin_graph("c4")
     # two jobs take generator 0 in slot 1, so each base's two packets claim its arc
