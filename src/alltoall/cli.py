@@ -389,7 +389,7 @@ def _replay(host: Digraph, word_map, sched: Schedule, profile: LayerProfile, tra
     verdict = {
         "tau": trace.horizon,
         "conflicts": trace.conflict_count,
-        "undelivered": len(trace.undelivered),
+        "undelivered": trace.undelivered_count,
         "theta": theta,
     }
     if psi_w is not None:

@@ -76,21 +76,22 @@ def regular_degree(g: Digraph) -> int:
 class _CosetGraphFields(NamedTuple):
     out: tuple[tuple[int, ...], ...]
     spec: GroupSpec
-    vertices: tuple[Element, ...]
 
 
 class CosetGraph(_CosetGraphFields, Digraph):
-    """A Digraph whose vertices are canonical coset representatives and whose arcs follow generators.
+    """A Digraph whose vertices are the left cosets gH of spec's subgroup and whose arcs follow generators.
 
-    vertices[0] is the coset of the identity.  out[u][j] is the vertex
-    reached from u along generator j.
+    Vertex 0 is the coset of the identity.  out[u][j] is the vertex reached
+    from u along generator j.  The cosets themselves are not kept: every
+    stage reads only `out`, and a coset can be recovered by walking out from
+    vertex 0.
     """
 
     __slots__ = ()
 
-    def __new__(cls, out: tuple[tuple[int, ...], ...], spec: GroupSpec, vertices: tuple[Element, ...]):
+    def __new__(cls, out: tuple[tuple[int, ...], ...], spec: GroupSpec):
         _check_arcs(out)
-        return super().__new__(cls, out, spec, vertices)
+        return super().__new__(cls, out, spec)
 
     @property
     def degree(self) -> int:
@@ -144,9 +145,9 @@ def build_cayley_coset_graph(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) ->
     them.  A coset's vertex is labelled by its least element.  The walk holds
     elements as `element_codes` gives them: a product of cyclic groups is
     walked on mixed-radix int codes, a generator touching only the digits of
-    the factors it moves, and the representatives are decoded to tuples once
-    at the end.  Codes sort as their tuples do, so the vertex numbering and
-    the representatives are those of a walk on tuples.  The walk reaches
+    the factors it moves.  Codes sort as their tuples do, so the vertex
+    numbering is that of a walk on tuples.  The codes serve the walk only;
+    the graph keeps just `out` and `spec`.  The walk reaches
     every coset of the group that the generators and the subgroup generate,
     and raises CapacityError once it would hold more than `cap` elements
     (cosets times |H|), so a typo in a modulus cannot silently eat memory.
@@ -161,7 +162,7 @@ def build_cayley_coset_graph(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) ->
     sub, d = spec.subgroup, spec.degree
     codes = element_codes(group)
     index: dict = {}  # the code of every element of every coset found so far -> its vertex
-    vertices: list = []  # codes of the coset representatives, decoded to elements at the end
+    vertices: list = []  # the code of each vertex's coset representative, in vertex order
 
     def number(fresh: list[Element]) -> None:
         """Number the cosets of `fresh` that have no vertex yet, in first-seen order."""
@@ -195,7 +196,8 @@ def build_cayley_coset_graph(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) ->
         heads += map(vertex_of, images)
     # no connectivity check: with DH = HD every element of <D, H> is (D-word)*h, so the walk reaches every coset
 
-    g = CosetGraph(out=tuple(zip(*[iter(heads)] * d)), spec=spec, vertices=codes.decode(vertices))
+    # _make skips CosetGraph.__new__'s arc check, which cannot fail here: every head was read from `index`
+    g = CosetGraph._make((tuple(zip(*[iter(heads)] * d)), spec))
     regular_degree(g)  # in-degree must match out-degree everywhere
     return g
 

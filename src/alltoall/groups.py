@@ -225,22 +225,21 @@ Group = CyclicGroup | PermutationGroup | ProductGroup
 class ElementCodes(NamedTuple):
     """A group's elements as a graph build holds them.
 
-    `encode` turns an element into its code, `translate(codes, bs)` is the
-    batched right action on codes, with each b in bs given as an element, and
-    `decode` turns a list of codes back into a tuple of elements.  Codes are
-    equal and ordered exactly as their elements are.
+    `encode` turns an element into its code, and `translate(codes, bs)` is
+    the batched right action on codes, with each b in bs given as an
+    element.  Codes are equal and ordered exactly as their elements are.
+    A build needs the codes only to number cosets.
     """
 
     encode: Callable[[Element], Any]
     translate: Callable[[Sequence, Sequence[Element]], list[list]]
-    decode: Callable[[Sequence], tuple[Element, ...]]
 
 
 def element_codes(group: Group) -> ElementCodes:
     """Mixed-radix int codes for a product of cyclic groups; the elements themselves for any other group."""
     if isinstance(group, ProductGroup) and all(isinstance(f, CyclicGroup) for f in group.factors):
         return _mixed_radix_codes([f.modulus for f in group.factors])
-    return ElementCodes(_same, group.translate, tuple)
+    return ElementCodes(_same, group.translate)
 
 
 def _same(a: Element) -> Element:
@@ -264,10 +263,7 @@ def _mixed_radix_codes(moduli: list[int]) -> ElementCodes:
             images.append(col)
         return images
 
-    def decode(codes: Sequence[int]) -> tuple[tuple, ...]:
-        return tuple(zip(*[[c // w % m for c in codes] for m, w in zip(moduli, weights)]))
-
-    return ElementCodes(encode, translate, decode)
+    return ElementCodes(encode, translate)
 
 
 def _add_digit(codes: Sequence[int], step: int, block: int) -> list[int]:

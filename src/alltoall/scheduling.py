@@ -35,8 +35,8 @@ over the reversed words, mirrors it in time and keeps the shorter of the
 two.  exact_min_schedule is seeded with the forward pass alone, and
 open_shop_schedule colours only where both passes miss the floor.
 Words of at most two letters (the diameter-2 case) go the same way;
-two_layer_time_bound and tight_schedule_feasible state the paper's
-guarantees for them as counts over the same word maps.
+two_layer_time_bound states the paper's makespan guarantee for them as a
+count over the same word maps.
 """
 
 from __future__ import annotations
@@ -396,21 +396,6 @@ def two_layer_time_bound(counts: TwoLayerCounts) -> int:
     factor's pair letters each need their own slot after/around it.
     """
     return 1 + counts.max_combined
-
-
-def tight_schedule_feasible(word_map: WordMap, degree: int) -> tuple[int, bool]:
-    """Predict feasibility at the averaged horizon T = ceil(total letters / d) without searching.
-
-    For words of at most two letters.  Factor m needs: its total load within
-    T; if any two-letter word starts on m, a start slot no later than T-1;
-    if any ends on m, an end slot no earlier than 2, i.e. at most T-1 of the
-    T slots can hold ends.  These three per-factor conditions are also
-    sufficient, which the exhaustive cross-check in the tests confirms.
-    """
-    load = factor_occurrences(word_map, degree)
-    horizon = max(1, -(-sum(load) // degree))
-    counts = two_layer_counts(word_map, degree)
-    return horizon, max(load) <= horizon and max(counts.first_of_pair + counts.second_of_pair) < horizon
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,8 @@ slot closes the claimant with the smallest (base, job) owns each cell;
 every other claimant is a conflict.  All conflicts are counted, and the
 first CONFLICT_WITNESSES of them in the order of the losing packet's (base,
 job, letter) are kept as witnesses, so a plan that double-books everything
-holds no more of them than that.
+holds no more of them than that.  Missing pairs are counted too, and the
+first CONFLICT_WITNESSES of them in (base, dest) order are listed.
 
 The replay can write the trace as text to a sink, a callable taking str:
 one line "time,src,dst,gen,packet_src,packet_dst" per occupied arc and
@@ -70,7 +71,7 @@ from .scheduling import Schedule, WordMap
 Edge = tuple[int, int]  # (tail vertex, generator/factor index)
 Sink = Callable[[str], object]  # takes the trace text, one or more whole rows at a time
 
-CONFLICT_WITNESSES = 1000  # conflicts a replay keeps, the first in (base, job, letter) order
+CONFLICT_WITNESSES = 1000  # conflicts, and undelivered pairs, that a replay lists at most
 
 
 class TransposeTrace(NamedTuple):
@@ -78,26 +79,25 @@ class TransposeTrace(NamedTuple):
 
     dests[job*vertex_count + base] is where the job takes base's packet.
     conflicts holds the first CONFLICT_WITNESSES of the conflict_count
-    losing packets, in (base, job, letter) order.  A clean exchange has no
-    conflicts, no undelivered pairs, and no pair delivered twice.
+    losing packets, in (base, job, letter) order, and undelivered the first
+    CONFLICT_WITNESSES of the undelivered_count missing (source, dest)
+    pairs, in that order.  A clean exchange has no conflicts, no
+    undelivered pairs, and no pair delivered twice.
     """
 
     horizon: int
     conflicts: tuple[tuple[int, Edge, tuple[int, int], tuple[int, int]], ...]
     conflict_count: int
     undelivered: tuple[tuple[int, int], ...]
+    undelivered_count: int
     delivered_pairs: int  # (source, dest) pairs that arrived at least once
     vertex_count: int
     dests: array
 
-    def deliveries(self, source: int, dest: int) -> int:
-        """How often packet (source, dest) arrived."""
-        return self.dests[source::self.vertex_count].count(dest)
-
     @property
     def clean(self) -> bool:
         # every arrival is a distinct pair exactly when the pairs number the packets
-        return not self.conflict_count and not self.undelivered and self.delivered_pairs == len(self.dests)
+        return not self.conflict_count and not self.undelivered_count and self.delivered_pairs == len(self.dests)
 
 
 def run_transpose(g: Digraph, word_map: WordMap, schedule: Schedule, sink: Sink | None = None) -> TransposeTrace:
@@ -139,13 +139,15 @@ def run_transpose(g: Digraph, word_map: WordMap, schedule: Schedule, sink: Sink 
     del claims
 
     table = _walk_trie(words, columns, n)
-    undelivered = []
-    delivered_pairs = 0
+    undelivered = []  # missing pairs, listed only until CONFLICT_WITNESSES of them are
+    undelivered_count = delivered_pairs = 0
     for base in range(n):
         seen = set(table[base::n])
         delivered_pairs += len(seen)
         if len(seen) != n - 1 or base in seen:
-            undelivered += zip(repeat(base), sorted(set(range(n)).difference(seen, (base,))))
+            undelivered_count += n - 1 - len(seen) + (base in seen)  # the n-1 other vertices less those seen
+            if len(undelivered) < CONFLICT_WITNESSES:
+                undelivered += zip(repeat(base), sorted(set(range(n)).difference(seen, (base,))))
 
     if sink is None:  # a clean job is only its row of the table
         letters = [letter for letter in letters if letter[2] in dirty]
@@ -185,7 +187,8 @@ def run_transpose(g: Digraph, word_map: WordMap, schedule: Schedule, sink: Sink 
         horizon=horizon,
         conflicts=tuple(conflict for *_, conflict in witnesses),
         conflict_count=conflict_count,
-        undelivered=tuple(undelivered),
+        undelivered=tuple(undelivered[:CONFLICT_WITNESSES]),
+        undelivered_count=undelivered_count,
         delivered_pairs=delivered_pairs,
         vertex_count=n,
         dests=table,

@@ -30,13 +30,13 @@ from alltoall.scheduling import (
     exact_min_schedule,
     factor_occurrences,
     schedule_plan,
-    tight_schedule_feasible,
     two_layer_counts,
     two_layer_time_bound,
 )
 from alltoall.simulate import run_transpose
 from alltoall.words import bfs_word_set, regular_bound_exact
 from test_factorization import assert_spanning
+from test_scheduling import tight_schedule_feasible
 
 
 @contextmanager

@@ -16,6 +16,7 @@ from alltoall.groups import (
     group_from_descriptor,
     validate_subgroup,
 )
+from test_graphs import representatives
 
 
 def test_cyclic_compose_is_modular_addition():
@@ -113,9 +114,9 @@ def test_modulus_and_degree_floors():
 
 def test_enumerate_cyclic_full_cycle():
     spec = GroupSpec(group=CyclicGroup(4), generators=(1,))
-    g = build_cayley_coset_graph(spec)
-    assert sorted(g.vertices) == [0, 1, 2, 3]
-    assert g.vertices[0] == 0  # the identity coset is vertex 0
+    reps = representatives(build_cayley_coset_graph(spec))
+    assert sorted(reps) == [0, 1, 2, 3]
+    assert reps[0] == 0  # the identity coset is vertex 0
 
 
 def test_enumerate_s5_from_two_generators():
@@ -144,7 +145,7 @@ def test_enumeration_includes_subgroup_elements():
     spec = GroupSpec(group=CyclicGroup(6), generators=(2,), subgroup=(0, 3))
     g = build_cayley_coset_graph(spec)
     assert g.vertex_count == 3
-    assert set().union(*(coset_elements(spec.group, v, spec.subgroup) for v in g.vertices)) == set(range(6))
+    assert set().union(*(coset_elements(spec.group, v, spec.subgroup) for v in representatives(g))) == set(range(6))
 
 
 def test_subgroup_validation():
@@ -173,7 +174,7 @@ def test_cosets_partition_the_group():
     # the double coset H(1 2 3)H = S3 - H commutes with H as a set
     outside = tuple(g.parse(c) for c in ("(1 3)", "(2 3)", "(1 2 3)", "(1 3 2)"))
     spec = GroupSpec(group=g, generators=outside, subgroup=h)
-    reps = build_cayley_coset_graph(spec).vertices
+    reps = representatives(build_cayley_coset_graph(spec))
     assert len(reps) == 3
     assert all(coset_canonicalize(g, rep, h) == rep for rep in reps)
     seen = set()

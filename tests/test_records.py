@@ -23,7 +23,7 @@ TIMES = dict(compute=1, exchange=2, total=3, tau=4, optimistic=False)
 RECORDS = [
     (GroupSpec, dict(group=Z2, generators=(1,), subgroup=(0,))),
     (Digraph, dict(out=((1,), (0,)))),
-    (CosetGraph, dict(out=((1,), (0,)), spec=GroupSpec(Z2, (1,)), vertices=(0, 1))),
+    (CosetGraph, dict(out=((1,), (0,)), spec=GroupSpec(Z2, (1,)))),
     (LayerProfile, dict(vertex_count=2, degree=1, layer_sizes=(1, 1), dist=(0, 1))),
     (RegularBound, dict(value=1, exact=True, witness={1: (0,)})),
     (SearchResult, dict(factors=((1, 0),), words=((), (0,)), nodes=3, factorizations=1, best_depth=1,
@@ -32,8 +32,8 @@ RECORDS = [
     (MinScheduleResult, dict(status="optimal", schedule=Schedule(times={1: (1,)}), makespan=1, nodes=2)),
     (TwoLayerCounts, dict(first_of_pair=(1, 0), second_of_pair=(0, 1))),
     (ScheduleFlags, dict(balanced=True, short=False, optimal=False, minimum=True)),
-    (TransposeTrace, dict(horizon=1, conflicts=(), conflict_count=0, undelivered=(), delivered_pairs=2,
-                          vertex_count=2, dests=array("B", [1, 0]))),
+    (TransposeTrace, dict(horizon=1, conflicts=(), conflict_count=0, undelivered=(), undelivered_count=0,
+                          delivered_pairs=2, vertex_count=2, dests=array("B", [1, 0]))),
     (CostParams, COST),
     (TimeBreakdown, TIMES),
     (RegimeTime, dict(total=5, lam=0.5, reduced=None, assumption_holds=True)),
@@ -95,7 +95,7 @@ def test_cost_params_refuse_a_non_positive_field(field):
 def test_a_coset_graph_checks_its_arcs():
     spec = GroupSpec(Z2, (1,))
     with pytest.raises(StructureError, match=r"^arc \(1, 2\) leaves the vertex range 0\.\.1$"):
-        CosetGraph(out=((1,), (2,)), spec=spec, vertices=(0, 1))
+        CosetGraph(out=((1,), (2,)), spec=spec)
     with pytest.raises(StructureError, match=r"^arc \(0, -1\) leaves the vertex range 0\.\.1$"):
-        CosetGraph(((-1,), (0,)), spec, (0, 1))
+        CosetGraph(((-1,), (0,)), spec)
 

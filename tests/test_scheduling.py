@@ -26,7 +26,6 @@ from alltoall.scheduling import (
     greedy_schedule,
     open_shop_schedule,
     schedule_plan,
-    tight_schedule_feasible,
     two_layer_counts,
     two_layer_time_bound,
 )
@@ -382,6 +381,22 @@ def test_exact_searches_only_below_greedy(monkeypatch):
     res = exact_min_schedule(word_map, 2)
     assert tried == [2]
     assert (res.status, res.schedule) == ("optimal", greedy)
+
+
+def tight_schedule_feasible(word_map, degree):
+    """Predict feasibility at the averaged horizon T = ceil(total letters / d) without searching.
+
+    The paper's diameter-2 guarantee, for words of at most two letters.
+    Factor m needs: its total load within T; if any two-letter word starts
+    on m, a start slot no later than T-1; if any ends on m, an end slot no
+    earlier than 2, i.e. at most T-1 of the T slots can hold ends.  These
+    three per-factor conditions are also sufficient, which the exhaustive
+    cross-checks below and in test_acceptance.py confirm.
+    """
+    load = factor_occurrences(word_map, degree)
+    horizon = max(1, -(-sum(load) // degree))
+    counts = two_layer_counts(word_map, degree)
+    return horizon, max(load) <= horizon and max(counts.first_of_pair + counts.second_of_pair) < horizon
 
 
 def jobs(singles, pairs):

@@ -62,6 +62,11 @@ def walk(g, v, word):
     return v
 
 
+def deliveries(trace, source, dest):
+    """How often packet (source, dest) arrived, read off the trace's dests table."""
+    return trace.dests[source::trace.vertex_count].count(dest)
+
+
 def scheduled_corpus(name):
     g = fixtures.builtin_graph(name)
     ws = bfs_word_set(g, layer_profile(g))
@@ -168,7 +173,7 @@ def test_duplicate_delivery_marks_trace_dirty():
     g = fixtures.builtin_graph("c4")
     trace = run_transpose(g, *hand_plan([((0,), (1,)), ((0,), (2,))]))
     assert not trace.conflicts
-    assert trace.deliveries(0, 1) == 2
+    assert deliveries(trace, 0, 1) == 2
     assert not trace.clean
 
 
@@ -178,6 +183,17 @@ def test_undelivered_pairs_listed():
     assert (2, 0) in trace.undelivered
     assert (0, 1) not in trace.undelivered
     assert len(trace.undelivered) == 8
+
+
+def test_a_one_word_plan_on_q8_counts_every_missing_pair_and_lists_the_first():
+    g = hypercube(8)
+    plan = hand_plan([((0,), (1,))])
+    _, _, undelivered, _, _ = reference_replay(g, packets(g, plan))
+    trace = run_transpose(g, *plan)
+    assert trace.undelivered_count == len(undelivered) == 256 * 254 == 65024
+    assert len(trace.undelivered) == CONFLICT_WITNESSES == 1000
+    assert trace.undelivered == undelivered[:CONFLICT_WITNESSES]  # (base, dest) order
+    assert trace.undelivered[:3] == ((0, 2), (0, 3), (0, 4)) and not trace.clean
 
 
 def test_structural_violations_raise():
@@ -336,8 +352,9 @@ def assert_replays_agree(g, plan):
     assert trace.horizon == horizon
     assert list(trace.conflicts) == conflicts[:CONFLICT_WITNESSES]
     assert trace.conflict_count == len(conflicts)
-    assert trace.undelivered == undelivered
-    counts = {(s, d): trace.deliveries(s, d) for s in range(n) for d in range(n) if trace.deliveries(s, d)}
+    assert trace.undelivered == undelivered[:CONFLICT_WITNESSES]
+    assert trace.undelivered_count == len(undelivered)
+    counts = {(s, d): deliveries(trace, s, d) for s in range(n) for d in range(n) if deliveries(trace, s, d)}
     assert counts == delivered
     assert trace.delivered_pairs == len(delivered)
     assert trace_lines(text) == rows
@@ -405,7 +422,7 @@ def test_flat_replay_matches_reference_on_duplicated_and_missing_packets():
     late = (word, tuple(time + 100 for time in times))
     trace = assert_replays_agree(g, hand_plan(jobs + [late]))
     assert not trace.conflicts and not trace.undelivered and not trace.clean
-    assert trace.deliveries(0, walk(g, 0, word)) == 2
+    assert deliveries(trace, 0, walk(g, 0, word)) == 2
     trace = assert_replays_agree(g, hand_plan(jobs[:3] + jobs[4:]))
     assert trace.undelivered == tuple(sorted((b, walk(g, b, word)) for b in range(g.vertex_count)))
     assert not trace.conflicts
@@ -541,7 +558,7 @@ def test_word_pass_counts_duplicate_deliveries():
     jobs.append((jobs[0][0], (4,)))  # a second key carrying the first word, one slot later
     trace = assert_replays_agree(g, hand_plan(jobs))
     assert not trace.conflicts and not trace.clean
-    assert trace.deliveries(0, g.out[0][jobs[0][0][0]]) == 2
+    assert deliveries(trace, 0, g.out[0][jobs[0][0][0]]) == 2
 
 
 @pytest.mark.parametrize("name", ["c4", "k4", "z5-12", "z7-124", "q3"])
@@ -663,10 +680,10 @@ def test_trie_walk_and_column_check_match_the_reference(case):
     assert_table_walks_every_word(g, replayed, trace)
     n = g.vertex_count
     if case == "repeated word":
-        assert not trace.clean and trace.deliveries(1, walk(g, 1, words[2])) == 2
+        assert not trace.clean and deliveries(trace, 1, walk(g, 1, words[2])) == 2
         assert trace.delivered_pairs == n * (n - 1)
     elif case == "empty word":  # no job, so no base delivers to itself; the trie walk alone still maps it
-        assert trace.clean and trace.deliveries(5, 5) == 0
+        assert trace.clean and deliveries(trace, 5, 5) == 0
         assert trace.delivered_pairs == len(trace.dests) == n * (n - 1)
         columns = [[heads[j] for heads in g.out] for j in range(g.degree)]
         table = simulate._walk_trie(words, columns, n)
@@ -706,9 +723,9 @@ def test_trie_walk_maps_each_trie_node_once():
 def test_one_vertex_delivers_to_itself():
     g = Digraph(out=((0,),))
     once = assert_replays_agree(g, hand_plan([((0,), (1,))]))
-    assert once.clean and once.delivered_pairs == 1 and once.deliveries(0, 0) == 1 and not once.undelivered
+    assert once.clean and once.delivered_pairs == 1 and deliveries(once, 0, 0) == 1 and not once.undelivered
     twice = assert_replays_agree(g, hand_plan([((0,), (1,)), ((0, 0), (2, 3))]))
-    assert not twice.clean and twice.deliveries(0, 0) == 2 and not twice.conflicts
+    assert not twice.clean and deliveries(twice, 0, 0) == 2 and not twice.conflicts
     nothing = assert_replays_agree(g, hand_plan([]))
     assert nothing.clean and nothing.delivered_pairs == 0
 
